@@ -17,8 +17,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import EmbeddingError, InputError
-from .groups import (FiniteGroup, SubgroupClass, conjugacy_class, coset_perm,
-                     subgroup_class_map, subgroup_classes)
+from .groups import (FiniteGroup, SubgroupClass, _is_prime,
+                     _subgroup_elements, conjugacy_class, coset_perm,
+                     orbit_minima, subgroup_class_map, subgroup_classes)
 from .perm import Perm, identity
 
 
@@ -159,6 +160,10 @@ class RestrictionMatrix:
     def column(self, i: int) -> tuple:
         return tuple(row[i] for row in self.rows)
 
+    def apply(self, vec) -> tuple:
+        """The edge-class multiplicities induced by vertex multiplicities."""
+        return tuple(sum(r * x for r, x in zip(row, vec)) for row in self.rows)
+
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -166,27 +171,6 @@ class RestrictionMatrix:
     @property
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
-
-
-def _orbits(points: int, gens) -> list:
-    seen = [False] * points
-    orbits = []
-    for start in range(points):
-        if seen[start]:
-            continue
-        orbit = [start]
-        seen[start] = True
-        stack = [start]
-        while stack:
-            p = stack.pop()
-            for g in gens:
-                q = g.images[p]
-                if not seen[q]:
-                    seen[q] = True
-                    orbit.append(q)
-                    stack.append(q)
-        orbits.append(orbit)
-    return orbits
 
 
 @lru_cache(maxsize=None)
@@ -214,8 +198,7 @@ def restriction_matrix(emb: EmbeddingMap, vcat: RepCatalog = None,
                for a in edge.elements}
         gens = [act[a] for a in emb.generators]
         col = [0] * gen_count
-        for orbit in _orbits(rep.degree, gens):
-            p = min(orbit)
+        for p in orbit_minima(rep.degree, gens):
             stab = frozenset(a for a in edge.elements if act[a].images[p] == p)
             col[lookup[stab]] += 1
         total = sum(m * ecat.classes[j].degree for j, m in enumerate(col))
@@ -235,26 +218,10 @@ def fixed_point_multiplicity(g: FiniteGroup, u, x: Perm) -> int:
     if x not in g:
         raise InputError(f"{x} is not an element of the group")
     p = x.order()
-    if p < 2 or not _is_prime(p):
+    if not _is_prime(p):
         raise InputError(f"element must have prime order, got order {p}")
-    if isinstance(u, SubgroupClass):
-        members = u.representative.element_set()
-    elif isinstance(u, FiniteGroup):
-        members = u.element_set()
-    else:
-        members = frozenset(u)
+    members = _subgroup_elements(g, u)
     cls = conjugacy_class(g, x)
     value = Fraction(g.order * len(cls & members), len(members) * len(cls))
     assert value.denominator == 1
     return int(value)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True

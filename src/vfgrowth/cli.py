@@ -18,12 +18,13 @@ from fractions import Fraction
 from . import oracle
 from .catalog import build_catalog, restriction_matrix
 from .errors import CapExceeded, InputError, ParseError
-from .gog import (DEFAULT_GROUP_CAP, GraphOfGroups, cycle_power_element,
-                  euler_characteristic, family_graph_text, load_gog)
-from .groups import (alternating_group, cyclic_group, dihedral_group,
-                     klein_four, symmetric_group, trivial_group)
-from .growth import (build_growth_lp, cyclic_amalgam_mu, family_mu, mu,
-                     plan_graph_text, realize)
+from .gog import (GraphOfGroups, cycle_power_element, euler_characteristic,
+                  family_graph_text, load_gog)
+from .groups import (DEFAULT_GROUP_CAP, alternating_group, cyclic_group,
+                     dihedral_group, klein_four, symmetric_group,
+                     trivial_group)
+from .growth import (cyclic_amalgam_mu, family_mu, mu, plan_graph_text,
+                     realize)
 from .oracle import hom_count_enumerate, hom_count_typesum
 from .ratlp import dump_tsv
 from .selftest import run_all
@@ -304,13 +305,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-group-order", type=int,
                         default=DEFAULT_GROUP_CAP, metavar="N",
                         help="refuse groups larger than N")
-    common.add_argument("--max-n", type=int, default=0, metavar="N",
-                        help="raise or lower the counting-degree cap")
-    common.add_argument("--slow", action="store_true",
-                        help="enable the expensive paths")
-    common.add_argument("--threads", type=int, default=1, metavar="T",
-                        help="advisory; computation is deterministic and "
-                             "single-threaded")
+    max_n = argparse.ArgumentParser(add_help=False)
+    max_n.add_argument("--max-n", type=int, default=0, metavar="N",
+                       help="raise or lower the counting-degree cap")
+    slow = argparse.ArgumentParser(add_help=False)
+    slow.add_argument("--slow", action="store_true",
+                      help="enable the expensive paths")
     parser = argparse.ArgumentParser(
         prog="vfgrowth",
         description="Exact subgroup-growth degree of virtually free groups "
@@ -340,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("source", help="a .gog file or a named group like Sym(4)")
     p.set_defaults(fn=cmd_catalog)
 
-    p = sub.add_parser("homcount", parents=[common],
+    p = sub.add_parser("homcount", parents=[common, max_n],
                        help="|Hom(Gamma, S_m)| for m = 1..N")
     p.add_argument("file")
     p.add_argument("--n", type=int, required=True, metavar="N")
@@ -351,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also list admissible types at degree N")
     p.set_defaults(fn=cmd_homcount)
 
-    p = sub.add_parser("subcount", parents=[common],
+    p = sub.add_parser("subcount", parents=[common, max_n],
                        help="number of index-m subgroups for m = 1..N")
     p.add_argument("file")
     p.add_argument("--n", type=int, required=True, metavar="N")
@@ -365,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="print the plan as graph-of-groups source")
     p.set_defaults(fn=cmd_realize)
 
-    p = sub.add_parser("family", parents=[common],
+    p = sub.add_parser("family", parents=[common, slow],
                        help="two symmetric or alternating groups over a "
                             "cyclic subgroup: formula value and source")
     p.add_argument("--p", type=int, required=True)
@@ -375,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="alternating vertex groups")
     p.set_defaults(fn=cmd_family)
 
-    p = sub.add_parser("selftest", parents=[common],
+    p = sub.add_parser("selftest", parents=[common, slow],
                        help="run the acceptance checks")
     p.set_defaults(fn=cmd_selftest)
     return parser

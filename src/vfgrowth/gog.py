@@ -28,12 +28,10 @@ from fractions import Fraction
 
 from .catalog import EmbeddingMap
 from .errors import EmbeddingError, InputError, ParseError
-from .groups import (FiniteGroup, alternating_group, cyclic_group,
-                     dihedral_group, generate, klein_four, symmetric_group,
-                     trivial_group)
-from .perm import Perm, from_cycles, identity, parse_perm
-
-DEFAULT_GROUP_CAP = 10000
+from .groups import (DEFAULT_GROUP_CAP, FiniteGroup, _is_prime,
+                     alternating_group, cyclic_group, dihedral_group,
+                     generate, klein_four, symmetric_group, trivial_group)
+from .perm import Perm, from_cycles, parse_perm
 
 
 @dataclass(frozen=True)
@@ -191,17 +189,6 @@ def free_product(groups, names=None) -> GraphOfGroups:
         embs = (EmbeddingMap(t, groups[0], ()), EmbeddingMap(t, groups[i], ()))
         edges.append(GogEdge(f"e{i}", (names[0], names[i]), t, embs))
     return make_graph(verts, edges)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def cycle_power_element(p: int, l: int, k: int) -> Perm:

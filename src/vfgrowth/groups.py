@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import factorial
+from math import factorial, isqrt
 
 from .errors import CapExceeded, InputError
 from .perm import Perm, from_cycles, identity
 
-DEFAULT_ELEMENT_CAP = 10000
+DEFAULT_GROUP_CAP = 10000
 DEFAULT_SUBGROUP_CAP = 1000
 
 
@@ -109,7 +109,7 @@ class FiniteGroup:
         return FiniteGroup(self.degree, gens, members)
 
 
-def generate(gens, degree: int, max_order: int = DEFAULT_ELEMENT_CAP) -> FiniteGroup:
+def generate(gens, degree: int, max_order: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
     """Group generated by ``gens`` inside the symmetric group on ``degree``
     points.  Raises CapExceeded ("group too large") past ``max_order``."""
     gens = [g if isinstance(g, Perm) else Perm(g) for g in gens]
@@ -225,7 +225,8 @@ def centralizer(g: FiniteGroup, x: Perm) -> FiniteGroup:
 
 
 def _subgroup_elements(g: FiniteGroup, u) -> frozenset:
-    """Accept a SubgroupClass, FiniteGroup, or iterable of Perm."""
+    """The member set of a subgroup of g, given as a SubgroupClass, a
+    FiniteGroup, or an iterable of Perm."""
     if isinstance(u, SubgroupClass):
         u = u.representative
     if isinstance(u, FiniteGroup):
@@ -236,7 +237,9 @@ def _subgroup_elements(g: FiniteGroup, u) -> frozenset:
         members = frozenset(u)
     if not members <= g.element_set():
         raise InputError("not a subgroup: elements fall outside the group")
-    if g.order % max(len(members), 1):
+    if g.identity_element() not in members:
+        raise InputError("subgroup must contain the identity")
+    if g.order % len(members):
         raise InputError("not a subgroup: order does not divide the group order")
     return members
 
@@ -274,17 +277,21 @@ def _coset_partition(g: FiniteGroup, members: frozenset):
 
 def coset_perm(g: FiniteGroup, u, h: Perm) -> Perm:
     """Image of the single element h in the coset action of g on g/u."""
-    reps, coset_of = _coset_partition(g, frozenset(_subgroup_elements(g, u)))
+    reps, coset_of = _coset_partition(g, _subgroup_elements(g, u))
     return Perm(tuple(coset_of[h * r] for r in reps))
 
 
 def coset_action(g: FiniteGroup, u) -> dict:
     """The action of g on the left cosets of u, as a map element -> Perm."""
-    reps, coset_of = _coset_partition(g, frozenset(_subgroup_elements(g, u)))
+    reps, coset_of = _coset_partition(g, _subgroup_elements(g, u))
     return {a: Perm(tuple(coset_of[a * r] for r in reps)) for a in g.elements}
 
 
 # -- subgroup enumeration -------------------------------------------------
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
 
 def _is_prime_power(m: int) -> bool:
     if m < 2:
@@ -315,8 +322,9 @@ def _close_indices(gens, mult, id_idx) -> frozenset:
     return frozenset(elems)
 
 
-def _subgroup_index_sets(g: FiniteGroup):
-    """All subgroups as frozensets of element indices (cached per group)."""
+def _subgroup_index_sets(g: FiniteGroup) -> tuple:
+    """All subgroups as frozensets of element indices, one tuple per
+    conjugacy class (cached per group)."""
     if g._subgroup_cache is not None:
         return g._subgroup_cache
     index, mult, inv = g.tables()
@@ -339,8 +347,10 @@ def _subgroup_index_sets(g: FiniteGroup):
     # transports along conjugation.
     ext = sorted(a for key, a in cyclic.items() if _is_prime_power(len(key)))
     gen_idx = [index[p] for p in g.generators]
-    known = {frozenset([id_idx]): ()}
-    reps = [(frozenset([id_idx]), ())]
+    trivial = frozenset([id_idx])
+    known = {trivial}
+    orbits = [(trivial,)]
+    reps = [(trivial, ())]
     at = 0
     while at < len(reps):
         members, gens = reps[at]
@@ -348,25 +358,25 @@ def _subgroup_index_sets(g: FiniteGroup):
         for a in ext:
             if a in members:
                 continue
-            new = _close_indices(gens + (a,), mult, id_idx)
+            newgens = gens + (a,)
+            new = _close_indices(newgens, mult, id_idx)
             if new in known:
                 continue
-            newgens = gens + (a,)
-            orbit = {new: newgens}
-            frontier = [(new, newgens)]
-            while frontier:
-                cur, curgens = frontier.pop()
+            # conjugating by the group generators walks the whole class;
+            # a conjugate already known would put new in an earlier class
+            known.add(new)
+            orbit = [new]
+            for cur in orbit:
                 for gi in gen_idx:
                     row = mult[inv[gi]]
                     conj = frozenset(mult[row[x]][gi] for x in cur)
-                    if conj not in orbit:
-                        cgens = tuple(mult[row[x]][gi] for x in curgens)
-                        orbit[conj] = cgens
-                        frontier.append((conj, cgens))
-            known.update(orbit)
+                    if conj not in known:
+                        known.add(conj)
+                        orbit.append(conj)
+            orbits.append(tuple(orbit))
             reps.append((new, newgens))
-    g._subgroup_cache = known
-    return known
+    g._subgroup_cache = tuple(orbits)
+    return g._subgroup_cache
 
 
 def all_subgroups(g: FiniteGroup, max_order: int = DEFAULT_SUBGROUP_CAP) -> list:
@@ -375,11 +385,8 @@ def all_subgroups(g: FiniteGroup, max_order: int = DEFAULT_SUBGROUP_CAP) -> list
     if g.order > max_order:
         raise CapExceeded(
             f"group too large: order {g.order} exceeds subgroup cap {max_order}")
-    known = _subgroup_index_sets(g)
-    out = []
-    for members in known:
-        sub = frozenset(g.elements[i] for i in members)
-        out.append(sub)
+    out = [frozenset(g.elements[i] for i in members)
+           for orbit in _subgroup_index_sets(g) for members in orbit]
     out.sort(key=lambda s: (-len(s), tuple(sorted(p.images for p in s))))
     return out
 
@@ -402,23 +409,25 @@ class SubgroupClass:
         return f"class {self.class_id + 1}: <{gens}> order {self.order} index {self.index}"
 
 
-def _orbit_count(members, degree: int) -> int:
+def orbit_minima(degree: int, perms) -> list:
+    """The least point of each orbit of the group generated by ``perms``
+    on 0..degree-1, in ascending order."""
     seen = [False] * degree
-    count = 0
+    minima = []
     for start in range(degree):
         if seen[start]:
             continue
-        count += 1
-        stack = [start]
+        minima.append(start)
         seen[start] = True
+        stack = [start]
         while stack:
             p = stack.pop()
-            for m in members:
+            for m in perms:
                 q = m.images[p]
                 if not seen[q]:
                     seen[q] = True
                     stack.append(q)
-    return count
+    return minima
 
 
 @lru_cache(maxsize=None)
@@ -434,60 +443,30 @@ def subgroup_classes(g: FiniteGroup, max_order: int = DEFAULT_SUBGROUP_CAP) -> t
     if g.order > max_order:
         raise CapExceeded(
             f"group too large: order {g.order} exceeds subgroup cap {max_order}")
-    known = _subgroup_index_sets(g)
-    index, mult, inv = g.tables()
-    gen_idx = [index[s] for s in g.generators]
-
-    def conj_set(members, a):
-        ai = inv[a]
-        row = mult[a]
-        return frozenset(mult[row[x]][ai] for x in members)
-
-    assigned = set()
-    raw = []
-    for members in sorted(known, key=sorted):
-        if members in assigned:
-            continue
-        orbit = {members}
-        frontier = [members]
-        while frontier:
-            new = []
-            for s in frontier:
-                for a in gen_idx:
-                    t = conj_set(s, a)
-                    if t not in orbit:
-                        orbit.add(t)
-                        new.append(t)
-            frontier = new
-        assigned |= orbit
-        raw.append(orbit)
-
     keyed = []
-    for orbit in raw:
-        perm_members = []
-        for s in orbit:
-            perm_members.append(frozenset(g.elements[i] for i in s))
+    for orbit in _subgroup_index_sets(g):
+        # the element list is sorted, so index order is image order
+        orbit = sorted(orbit, key=sorted)
+        members = tuple(frozenset(g.elements[i] for i in s) for s in orbit)
         core = frozenset.intersection(*orbit)
-        canonical = min(perm_members, key=lambda s: tuple(sorted(p.images for p in s)))
-        key = (-len(core), -len(canonical), _orbit_count(canonical, g.degree),
-               tuple(sorted(p.images for p in canonical)))
-        keyed.append((key, canonical, tuple(sorted(
-            perm_members, key=lambda s: tuple(sorted(p.images for p in s)))), len(orbit)))
+        key = (-len(core), -len(orbit[0]),
+               len(orbit_minima(g.degree, members[0])), sorted(orbit[0]))
+        keyed.append((key, members))
     keyed.sort(key=lambda item: item[0])
 
     classes = []
-    for class_id, (_, canonical, perm_members, orbit_len) in enumerate(keyed):
-        order = len(canonical)
-        normalizer_order = g.order // orbit_len
+    for class_id, (_, members) in enumerate(keyed):
+        order = len(members[0])
+        normalizer_order = g.order // len(members)
         classes.append(SubgroupClass(
             class_id=class_id,
-            representative=g.subgroup(canonical),
+            representative=g.subgroup(members[0]),
             order=order,
             index=g.order // order,
             normalizer_order=normalizer_order,
             aut_count=normalizer_order // order,
-            class_size=orbit_len,
-            members=perm_members,
+            class_size=len(members),
+            members=members,
         ))
     return tuple(classes)
 

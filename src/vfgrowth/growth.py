@@ -22,11 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .catalog import RepCatalog, build_catalog, restriction_matrix
+from .catalog import build_catalog, restriction_matrix
 from .errors import InputError
 from .gog import (GraphOfGroups, euler_characteristic, family_amalgam,
                   family_graph_text, free_group)
-from .groups import (FiniteGroup, SubgroupClass, centralizer, conjugacy_class,
+from .groups import (DEFAULT_GROUP_CAP, DEFAULT_SUBGROUP_CAP, FiniteGroup,
+                     _is_prime, _subgroup_elements, conjugacy_class,
                      normalizer, subgroup_classes)
 from .perm import Perm
 from .ratlp import LPSolution, RationalLP, solve_max
@@ -72,9 +73,6 @@ class GrowthProgram:
     catalogs: tuple          # ((vertex name, RepCatalog), ...)
     var_index: tuple         # ((vertex name, class position, lp column), ...)
     edge_matrices: tuple     # ((edge name, M_left, M_right, edge catalog), ...)
-
-    def catalog(self, name: str) -> RepCatalog:
-        return dict(self.catalogs)[name]
 
     def columns(self, name: str) -> list:
         return [col for v, _, col in self.var_index if v == name]
@@ -144,10 +142,6 @@ class GrowthReport:
     solution: LPSolution
 
 
-def _apply(matrix, vec):
-    return tuple(sum(r * x for r, x in zip(row, vec)) for row in matrix.rows)
-
-
 def _dominant_description(program: GrowthProgram, tv: TypeVector) -> str:
     lines = []
     for name, cat in program.catalogs:
@@ -175,8 +169,8 @@ def mu(g: GraphOfGroups) -> GrowthReport:
     sigma = tuple((name, tv.sigma(name)) for name, _ in g.vertices)
     taus = []
     for (ename, ml, mr, ecat), e in zip(program.edge_matrices, g.edges):
-        lam_l = _apply(ml, tv.vertex(e.ends[0]))
-        lam_r = _apply(mr, tv.vertex(e.ends[1]))
+        lam_l = ml.apply(tv.vertex(e.ends[0]))
+        lam_r = mr.apply(tv.vertex(e.ends[1]))
         assert lam_l == lam_r, f"edge {ename}: admissibility violated at optimum"
         taus.append((ename, sum(lam_l, Fraction(0))))
     value = sum(t for _, t in taus) - sum(s for _, s in sigma)
@@ -207,7 +201,7 @@ def mu(g: GraphOfGroups) -> GrowthReport:
 
 def _prime_order(x: Perm) -> int:
     p = x.order()
-    if p < 2 or any(p % d == 0 for d in range(2, p)):
+    if not _is_prime(p):
         raise InputError(f"element must have prime order, has order {p}")
     return p
 
@@ -221,22 +215,15 @@ def cyclic_amalgam_value(g: FiniteGroup, x: Perm, h) -> Fraction:
     p = _prime_order(x)
     if g.order <= 2 * p:
         raise InputError("closed form needs |G| > 2p")
-    members = _subgroup_members(g, h)
+    members = _subgroup_elements(g, h)
     cls = conjugacy_class(g, x)
     hits = len(cls & members)
     index = Fraction(g.order, len(members))
     return Fraction(1, p) + Fraction(hits * (p - 1), len(cls) * p) - 2 / index
 
 
-def _subgroup_members(g: FiniteGroup, h) -> frozenset:
-    if isinstance(h, SubgroupClass):
-        return frozenset(h.representative.elements)
-    if isinstance(h, FiniteGroup):
-        return frozenset(h.elements)
-    return frozenset(h)
-
-
-def cyclic_amalgam_mu(g: FiniteGroup, x: Perm, max_order: int = 1000):
+def cyclic_amalgam_mu(g: FiniteGroup, x: Perm,
+                      max_order: int = DEFAULT_SUBGROUP_CAP):
     """Growth coefficient of G *_<x> G as a maximum over subgroup classes.
 
     Returns (value, class attaining it).  Agrees with mu() on the
@@ -270,7 +257,7 @@ def family_mu(p: int, k: int, l: int, variant: str = "symmetric") -> Fraction:
     """
     if variant not in ("symmetric", "alternating"):
         raise InputError(f"unknown variant {variant!r}")
-    if any(p % d == 0 for d in range(2, p)) or p < 2:
+    if not _is_prime(p):
         raise InputError(f"p must be prime, got {p}")
     if l < 1:
         raise InputError("l must be at least 1")
@@ -328,7 +315,7 @@ class RealizationPlan:
 def _primes_above(start: int):
     p = max(start, 1) + 1
     while True:
-        if all(p % d for d in range(2, int(p ** 0.5) + 1)):
+        if _is_prime(p):
             yield p
         p += 1
 
@@ -400,7 +387,7 @@ def plan_graph_text(plan: RealizationPlan) -> str:
 
 
 def plan_graph(plan: RealizationPlan,
-               max_group_order: int = 10000) -> GraphOfGroups:
+               max_group_order: int = DEFAULT_GROUP_CAP) -> GraphOfGroups:
     """Instantiate the plan (feasible only for modest k)."""
     if plan.is_free:
         return free_group(plan.free_rank)

@@ -24,7 +24,7 @@ from .catalog import build_catalog, extend_hom
 from .errors import CapExceeded, EmbeddingError, InputError
 from .gog import GraphOfGroups, spanning_tree
 from .groups import FiniteGroup, symmetric_group
-from .growth import build_growth_program
+from .growth import GrowthProgram, build_growth_program
 from .perm import Perm, identity
 
 DEFAULT_TYPESUM_CAP = 8
@@ -107,21 +107,22 @@ def _vertex_types(degrees, n):
     return out
 
 
-def _induced(matrix, xi):
-    return tuple(sum(r * x for r, x in zip(row, xi)) for row in matrix.rows)
-
-
 def type_hom_count(g: GraphOfGroups, xi: TypePartition) -> int:
     """Exact number of homomorphisms Gamma -> S_n with the given type."""
-    program = build_growth_program(g)
+    return _program_type_count(build_growth_program(g), xi)
+
+
+def _program_type_count(program: GrowthProgram, xi: TypePartition) -> int:
+    """type_hom_count over an already built growth program."""
+    g = program.graph
     n = xi.n
     h = len(g.edges) - len(g.vertices) + 1
     value = Fraction(factorial(n)) ** h
     for name, grp in g.vertices:
         value *= vertex_hom_count(grp, xi.vertex(name), n)
     for (ename, ml, mr, ecat), e in zip(program.edge_matrices, g.edges):
-        lam_l = _induced(ml, xi.vertex(e.ends[0]))
-        lam_r = _induced(mr, xi.vertex(e.ends[1]))
+        lam_l = ml.apply(xi.vertex(e.ends[0]))
+        lam_r = mr.apply(xi.vertex(e.ends[1]))
         if lam_l != lam_r:
             raise InputError(f"type is not admissible across edge {ename!r}")
         value /= vertex_hom_count(e.group, lam_l, n)
@@ -130,19 +131,20 @@ def type_hom_count(g: GraphOfGroups, xi: TypePartition) -> int:
     return value.numerator
 
 
-def _admissible_types(g: GraphOfGroups, program, n):
+def _admissible_types(program: GrowthProgram, n):
     per_vertex = []
     names = []
     for name, cat in program.catalogs:
         names.append(name)
         per_vertex.append(_vertex_types(cat.degrees, n))
     edge_data = []
-    for (ename, ml, mr, ecat), e in zip(program.edge_matrices, g.edges):
+    for (ename, ml, mr, ecat), e in zip(program.edge_matrices,
+                                        program.graph.edges):
         i0 = names.index(e.ends[0])
         i1 = names.index(e.ends[1])
         edge_data.append((i0, ml, i1, mr))
     for combo in product(*per_vertex):
-        if all(_induced(ml, combo[i0]) == _induced(mr, combo[i1])
+        if all(ml.apply(combo[i0]) == mr.apply(combo[i1])
                for i0, ml, i1, mr in edge_data):
             yield TypePartition(n, tuple(zip(names, combo)))
 
@@ -159,8 +161,8 @@ def hom_count_typesum(g: GraphOfGroups, n: int,
     totals = []
     per_type = ()
     for m in range(1, n + 1):
-        rows = tuple((xi, type_hom_count(g, xi))
-                     for xi in _admissible_types(g, program, m))
+        rows = tuple((xi, _program_type_count(program, xi))
+                     for xi in _admissible_types(program, m))
         totals.append(sum(c for _, c in rows))
         if m == n:
             per_type = rows

@@ -13,3 +13,9 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture(scope="session")
+def deep(request):
+    """Whether --runslow was given; tests then use their deeper settings."""
+    return bool(request.config.getoption("--runslow"))

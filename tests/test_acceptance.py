@@ -11,12 +11,6 @@ import pytest
 from vfgrowth import selftest
 
 
-@pytest.fixture(scope="session")
-def deep(request):
-    """Whether --runslow was given; criteria then use their deeper settings."""
-    return bool(request.config.getoption("--runslow"))
-
-
 def _check(result):
     print(f"{'PASS' if result.passed else 'FAIL'} {result.name} - "
           f"{result.title}: {result.detail}")

@@ -152,6 +152,18 @@ def test_unknown_arguments_rejected():
         run(["mu", KLEIN, "--frobnicate"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["mu", KLEIN, "--threads", "2"],
+    ["mu", KLEIN, "--slow"],
+    ["report", KLEIN, "--max-n", "9"],
+    ["homcount", MODULAR, "--n", "2", "--slow"],
+    ["family", "--p", "3", "--k", "4", "--l", "1", "--max-n", "9"],
+])
+def test_flags_only_where_they_act(argv):
+    with pytest.raises(SystemExit):
+        run(argv)
+
+
 def test_selftest_command(capsys):
     assert run(["selftest"]) == 0
     out = out_of(capsys)[0]

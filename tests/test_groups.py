@@ -1,13 +1,16 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from vfgrowth.catalog import fixed_point_multiplicity
 from vfgrowth.errors import CapExceeded, InputError
 from vfgrowth.groups import (all_subgroups, alternating_group, centralizer,
-                             conjugacy_class, coset_action, cyclic_group,
-                             dihedral_group, direct_product, generate,
-                             klein_four, normalizer, subgroup_classes,
-                             symmetric_group, trivial_group)
+                             conjugacy_class, coset_action, coset_perm,
+                             cyclic_group, dihedral_group, direct_product,
+                             generate, klein_four, normalizer,
+                             subgroup_classes, symmetric_group, trivial_group)
+from vfgrowth.growth import cyclic_amalgam_value
 from vfgrowth.perm import Perm, identity, parse_perm
 
 
@@ -69,14 +72,44 @@ def test_all_subgroups_cap():
         all_subgroups(symmetric_group(5), max_order=100)
 
 
-def test_subgroup_classes_counts():
-    assert len(subgroup_classes(symmetric_group(4))) == 11
-    assert len(subgroup_classes(symmetric_group(3))) == 4
-    assert len(subgroup_classes(cyclic_group(4))) == 3
+# (group, number of subgroups, number of conjugacy classes); the Sym
+# rows are OEIS A005432 and A000638
+CLASS_COUNTS = (
+    ("Sym(3)", 6, 4),
+    ("Sym(4)", 30, 11),
+    ("Cyc(4)", 3, 3),
+    ("Dih(5)", 8, 4),
+    ("Sym(5)", 156, 19),
+    ("Alt(4)", 10, 5),
+    ("Alt(5)", 59, 9),
+    ("Alt(6)", 501, 22),
+)
+SLOW_CLASS_COUNTS = (("Sym(6)", 1455, 56),)   # about 4 s
 
 
-def test_subgroup_classes_partition():
-    for g in (symmetric_group(3), symmetric_group(4), dihedral_group(5)):
+@lru_cache(maxsize=None)
+def _named(name):
+    """One instance per named group, so the per-instance subgroup lattice
+    is built once across the tests below."""
+    maker = {"Sym": symmetric_group, "Alt": alternating_group,
+             "Cyc": cyclic_group, "Dih": dihedral_group}[name[:3]]
+    return maker(int(name[4:-1]))
+
+
+def _class_counts(deep):
+    return CLASS_COUNTS + (SLOW_CLASS_COUNTS if deep else ())
+
+
+def test_subgroup_classes_counts(deep):
+    for name, subgroups, classes in _class_counts(deep):
+        found = subgroup_classes(_named(name))
+        assert len(found) == classes, name
+        assert sum(c.class_size for c in found) == subgroups, name
+
+
+def test_subgroup_classes_partition(deep):
+    for name, _, _ in _class_counts(deep):
+        g = _named(name)
         classes = subgroup_classes(g)
         assert sum(c.class_size for c in classes) == len(all_subgroups(g))
         seen = set()
@@ -144,6 +177,22 @@ def test_conjugacy_class_sizes():
     assert len(conjugacy_class(s4, parse_perm("(1 2)", 4))) == 6
     x = parse_perm("(1 2 3)", 4)
     assert len(conjugacy_class(s4, x)) == s4.order // centralizer(s4, x).order
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, x: coset_perm(g, [], x),
+    lambda g, x: fixed_point_multiplicity(g, [], x),
+    lambda g, x: cyclic_amalgam_value(g, x, []),
+    lambda g, x: normalizer(g, []),
+    lambda g, x: fixed_point_multiplicity(g, [x], x),
+], ids=["coset_perm", "fixed_point_multiplicity", "cyclic_amalgam_value",
+        "normalizer", "fixed_point_multiplicity-no-identity"])
+def test_member_sets_without_the_identity_are_rejected(call):
+    # an empty or identity-free member set is no subgroup, whatever the
+    # entry point it reaches
+    s4 = symmetric_group(4)
+    with pytest.raises(InputError, match="identity"):
+        call(s4, parse_perm("(1 2)", 4))
 
 
 def test_normalizer_and_centralizer():

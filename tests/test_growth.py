@@ -39,7 +39,7 @@ def test_mu_objective_bookkeeping():
         assert sum(t for _, t in r.tau) - sum(s for _, s in r.sigma) == r.mu
         for name, _ in g.vertices:
             w = r.optimizer.vertex(name)
-            cat = r.program.catalog(name)
+            cat = dict(r.program.catalogs)[name]
             assert sum(x * d for x, d in zip(w, cat.degrees)) == 1
             assert r.optimizer.sigma(name) == sum(w)
         assert r.mu >= -r.chi
