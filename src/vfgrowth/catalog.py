@@ -91,9 +91,6 @@ class EmbeddingMap:
         except KeyError:
             raise InputError(f"{x} is not in the domain of the embedding") from None
 
-    def image_set(self) -> frozenset:
-        return frozenset(self._map.values())
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, EmbeddingMap)
                 and self.domain == other.domain
@@ -157,9 +154,6 @@ class RestrictionMatrix:
 
     rows: tuple
 
-    def column(self, i: int) -> tuple:
-        return tuple(row[i] for row in self.rows)
-
     def apply(self, vec) -> tuple:
         """The edge-class multiplicities induced by vertex multiplicities."""
         return tuple(sum(r * x for r, x in zip(row, vec)) for row in self.rows)
@@ -167,10 +161,6 @@ class RestrictionMatrix:
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
 
 
 @lru_cache(maxsize=None)

@@ -15,21 +15,16 @@ import re
 import sys
 from fractions import Fraction
 
-from . import oracle
 from .catalog import build_catalog, restriction_matrix
 from .errors import CapExceeded, InputError, ParseError
 from .gog import (GraphOfGroups, cycle_power_element, euler_characteristic,
-                  family_graph_text, load_gog)
-from .groups import (DEFAULT_GROUP_CAP, alternating_group, cyclic_group,
-                     dihedral_group, klein_four, symmetric_group,
-                     trivial_group)
+                  family_graph_text, load_gog, named_group)
+from .groups import DEFAULT_GROUP_CAP, alternating_group, symmetric_group
 from .growth import (cyclic_amalgam_mu, family_mu, mu, plan_graph_text,
                      realize)
 from .oracle import hom_count_enumerate, hom_count_typesum
 from .ratlp import dump_tsv
 from .selftest import run_all
-
-_NAMED_GROUP = re.compile(r"^(Sym|Alt|Cyc|Dih)\((\d+)\)$|^(Klein4|Trivial)$")
 
 
 def _rat(x) -> dict:
@@ -48,18 +43,10 @@ def _load(path: str, cap: int) -> GraphOfGroups:
         raise InputError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _named_group(text: str, cap: int):
-    m = _NAMED_GROUP.match(text)
-    if not m:
-        return None
-    if m.group(3) == "Klein4":
-        return klein_four()
-    if m.group(3) == "Trivial":
-        return trivial_group()
-    kind, arg = m.group(1), int(m.group(2))
-    maker = {"Sym": symmetric_group, "Alt": alternating_group,
-             "Cyc": cyclic_group, "Dih": dihedral_group}[kind]
-    return maker(arg, max_order=cap)
+def _max_n(args) -> dict:
+    """``--max-n`` as a keyword when given; otherwise the counter's own
+    default cap applies."""
+    return {} if args.max_n is None else {"max_n": args.max_n}
 
 
 def _parse_ratio(text: str):
@@ -151,7 +138,7 @@ def _catalog_table(group, heading, columns=()):
 
 def cmd_catalog(args) -> int:
     cap = args.max_group_order
-    group = _named_group(args.source, cap)
+    group = named_group(args.source, cap)
     if group is not None:
         lines = _catalog_table(group, f"group {args.source} "
                                       f"(order {group.order})")
@@ -185,14 +172,16 @@ def cmd_catalog(args) -> int:
 def cmd_homcount(args) -> int:
     g = _load(args.file, args.max_group_order)
     n = args.n
+    cap = _max_n(args)
     if args.enumerate:
-        cap = args.max_n if args.max_n else oracle.DEFAULT_ENUM_CAP
-        rows = [(m, hom_count_enumerate(g, m, max_n=cap))
-                for m in range(1, n + 1)]
+        # degree n first: a bad degree or the cap stops the run before
+        # the lower degrees are counted
+        top = hom_count_enumerate(g, n, **cap)
+        rows = [(m, hom_count_enumerate(g, m, **cap))
+                for m in range(1, n)] + [(n, top)]
         ledger = None
     else:
-        cap = args.max_n if args.max_n else oracle.DEFAULT_TYPESUM_CAP
-        ledger = hom_count_typesum(g, n, max_n=cap)
+        ledger = hom_count_typesum(g, n, **cap)
         rows = [(m, ledger.total(m)) for m in range(1, n + 1)]
     if args.json:
         payload = {"command": "homcount", "n": n,
@@ -217,8 +206,7 @@ def cmd_homcount(args) -> int:
 
 def cmd_subcount(args) -> int:
     g = _load(args.file, args.max_group_order)
-    cap = args.max_n if args.max_n else oracle.DEFAULT_TYPESUM_CAP
-    ledger = hom_count_typesum(g, args.n, max_n=cap)
+    ledger = hom_count_typesum(g, args.n, **_max_n(args))
     if args.json:
         _emit_json({"command": "subcount", "n": args.n,
                     "subgroups": {str(m): str(ledger.s(m))
@@ -252,13 +240,14 @@ def cmd_family(args) -> int:
     value = family_mu(args.p, args.k, args.l, variant)
     closed = None
     agree = None
-    limit = 7 if args.slow else 6
-    if args.k <= limit:
+    try:
         base = alternating_group(args.k) if args.alt \
             else symmetric_group(args.k)
         x = cycle_power_element(args.p, args.l, args.k)
         closed, _cls = cyclic_amalgam_mu(base, x)
         agree = closed == value
+    except CapExceeded:
+        pass    # the vertex group is past the group or the lattice cap
     if args.json:
         payload = {"command": "family",
                    "p": args.p, "k": args.k, "l": args.l,
@@ -306,11 +295,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=DEFAULT_GROUP_CAP, metavar="N",
                         help="refuse groups larger than N")
     max_n = argparse.ArgumentParser(add_help=False)
-    max_n.add_argument("--max-n", type=int, default=0, metavar="N",
+    max_n.add_argument("--max-n", type=int, metavar="N",
                        help="raise or lower the counting-degree cap")
-    slow = argparse.ArgumentParser(add_help=False)
-    slow.add_argument("--slow", action="store_true",
-                      help="enable the expensive paths")
     parser = argparse.ArgumentParser(
         prog="vfgrowth",
         description="Exact subgroup-growth degree of virtually free groups "
@@ -365,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="print the plan as graph-of-groups source")
     p.set_defaults(fn=cmd_realize)
 
-    p = sub.add_parser("family", parents=[common, slow],
+    p = sub.add_parser("family", parents=[common],
                        help="two symmetric or alternating groups over a "
                             "cyclic subgroup: formula value and source")
     p.add_argument("--p", type=int, required=True)
@@ -375,8 +361,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="alternating vertex groups")
     p.set_defaults(fn=cmd_family)
 
-    p = sub.add_parser("selftest", parents=[common, slow],
+    p = sub.add_parser("selftest", parents=[common],
                        help="run the acceptance checks")
+    p.add_argument("--slow", action="store_true",
+                   help="enable the expensive paths")
     p.set_defaults(fn=cmd_selftest)
     return parser
 

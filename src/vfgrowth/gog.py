@@ -210,13 +210,12 @@ def _check_family_params(p: int, k: int, l: int, variant: str):
         raise InputError("alternating variant needs p odd, or p = 2 with l even")
 
 
-def family_amalgam(p: int, k: int, l: int, variant: str = "symmetric",
-                   max_group_order: int = DEFAULT_GROUP_CAP) -> GraphOfGroups:
+def family_amalgam(p: int, k: int, l: int, variant: str = "symmetric") -> GraphOfGroups:
     """Two copies of Sym(k) (or Alt(k)) glued over the cyclic group generated
     by l disjoint p-cycles."""
     _check_family_params(p, k, l, variant)
     ctor = symmetric_group if variant == "symmetric" else alternating_group
-    vg = ctor(k, max_order=max_group_order)
+    vg = ctor(k)
     x = cycle_power_element(p, l, k)
     edge_group = cyclic_group(p)
     return amalgam(vg, vg, edge_group, (x,), (x,))
@@ -350,24 +349,40 @@ def _parse_group_block(toks: _Tokens) -> tuple:
     return degree, gens
 
 
-def _named_group(toks: _Tokens, cap: int) -> FiniteGroup:
+def _named_group(toks: _Tokens):
+    """Read ``Name`` or ``Name(k)``; return a function of the group-order
+    cap that builds the group, so nothing is built until the text is read."""
     line, col = toks.here()
     name = toks.next()
     if name not in _NAMED_GROUPS:
         raise ParseError(f"unknown group constructor {name!r}", line, col)
     ctor, needs_arg = _NAMED_GROUPS[name]
     if not needs_arg:
-        return ctor()
+        return lambda cap: ctor()
     toks.next("(")
     line, col = toks.here()
     arg = toks.next()
     if not arg.isdigit():
         raise ParseError(f"expected an integer argument, found {arg!r}", line, col)
     toks.next(")")
+
+    def build(cap: int) -> FiniteGroup:
+        try:
+            return ctor(int(arg), max_order=cap)
+        except InputError as exc:
+            raise ParseError(str(exc), line, col) from None
+    return build
+
+
+def named_group(text: str, max_group_order: int = DEFAULT_GROUP_CAP):
+    """The group that the whole of ``text`` names, such as ``Sym(4)``, or
+    None when ``text`` is something else, a file path say."""
+    toks = _Tokens(text)
     try:
-        return ctor(int(arg), max_order=cap)
-    except InputError as exc:
-        raise ParseError(str(exc), line, col) from None
+        build = _named_group(toks)
+    except ParseError:
+        return None
+    return build(max_group_order) if toks.peek() is None else None
 
 
 def parse_gog(text: str, max_group_order: int = DEFAULT_GROUP_CAP) -> GraphOfGroups:
@@ -385,7 +400,7 @@ def parse_gog(text: str, max_group_order: int = DEFAULT_GROUP_CAP) -> GraphOfGro
                 raise ParseError(f"duplicate vertex {name!r}", line, col)
             if toks.peek() == "=":
                 toks.next()
-                group = _named_group(toks, max_group_order)
+                group = _named_group(toks)(max_group_order)
             else:
                 degree, gens = _parse_group_block(toks)
                 toks.next("}")

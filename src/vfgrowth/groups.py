@@ -127,16 +127,16 @@ def trivial_group(degree: int = 1) -> FiniteGroup:
     return FiniteGroup(degree, (), (identity(degree),))
 
 
-def _check_known_order(order: int, max_order) -> int:
+def _check_known_order(order: int, max_order: int) -> int:
     """Named constructors know their order up front; reject oversized
     requests before enumerating anything."""
-    if max_order is not None and order > max_order:
+    if order > max_order:
         raise CapExceeded(
             f"group too large: order {order} exceeds cap {max_order}")
     return order
 
 
-def cyclic_group(n: int, max_order=None) -> FiniteGroup:
+def cyclic_group(n: int, max_order: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
     if n < 1:
         raise InputError("cyclic group order must be at least 1")
     _check_known_order(n, max_order)
@@ -145,7 +145,7 @@ def cyclic_group(n: int, max_order=None) -> FiniteGroup:
     return generate([from_cycles([tuple(range(n))], n)], n, max_order=n)
 
 
-def symmetric_group(k: int, max_order=None) -> FiniteGroup:
+def symmetric_group(k: int, max_order: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
     if k < 1:
         raise InputError("symmetric group degree must be at least 1")
     _check_known_order(factorial(k), max_order)
@@ -157,7 +157,7 @@ def symmetric_group(k: int, max_order=None) -> FiniteGroup:
     return generate(gens, k, max_order=factorial(k))
 
 
-def alternating_group(k: int, max_order=None) -> FiniteGroup:
+def alternating_group(k: int, max_order: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
     if k < 1:
         raise InputError("alternating group degree must be at least 1")
     _check_known_order(factorial(k) // 2 if k > 2 else 1, max_order)
@@ -171,7 +171,7 @@ def alternating_group(k: int, max_order=None) -> FiniteGroup:
     return generate(gens, k, max_order=factorial(k) // 2)
 
 
-def dihedral_group(n: int, max_order=None) -> FiniteGroup:
+def dihedral_group(n: int, max_order: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
     """Dihedral group of order 2n acting on the n vertices of a polygon."""
     if n < 3:
         raise InputError("dihedral group needs at least 3 points")
@@ -327,6 +327,11 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
     conjugacy class (cached per group)."""
     if g._subgroup_cache is not None:
         return g._subgroup_cache
+    # the one check of the subgroup cap: the |G|^2 table and the lattice
+    # search below are what it bounds
+    if g.order > DEFAULT_SUBGROUP_CAP:
+        raise CapExceeded(f"group too large: order {g.order} exceeds "
+                          f"subgroup cap {DEFAULT_SUBGROUP_CAP}")
     index, mult, inv = g.tables()
     id_idx = index[identity(g.degree)]
     cyclic = {}
@@ -379,12 +384,9 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
     return g._subgroup_cache
 
 
-def all_subgroups(g: FiniteGroup, max_order: int = DEFAULT_SUBGROUP_CAP) -> list:
+def all_subgroups(g: FiniteGroup) -> list:
     """Every subgroup, as frozensets of Perm, largest first then by sorted
     image tuples.  Exhaustive, so the group order is capped."""
-    if g.order > max_order:
-        raise CapExceeded(
-            f"group too large: order {g.order} exceeds subgroup cap {max_order}")
     out = [frozenset(g.elements[i] for i in members)
            for orbit in _subgroup_index_sets(g) for members in orbit]
     out.sort(key=lambda s: (-len(s), tuple(sorted(p.images for p in s))))
@@ -431,7 +433,7 @@ def orbit_minima(degree: int, perms) -> list:
 
 
 @lru_cache(maxsize=None)
-def subgroup_classes(g: FiniteGroup, max_order: int = DEFAULT_SUBGROUP_CAP) -> tuple:
+def subgroup_classes(g: FiniteGroup) -> tuple:
     """Conjugacy classes of subgroups in a canonical deterministic order.
 
     Classes are sorted by descending order of the class core (the largest
@@ -440,9 +442,6 @@ def subgroup_classes(g: FiniteGroup, max_order: int = DEFAULT_SUBGROUP_CAP) -> t
     sorted element-set.  This refinement pins a reproducible order even
     between classes that share an order.
     """
-    if g.order > max_order:
-        raise CapExceeded(
-            f"group too large: order {g.order} exceeds subgroup cap {max_order}")
     keyed = []
     for orbit in _subgroup_index_sets(g):
         # the element list is sorted, so index order is image order

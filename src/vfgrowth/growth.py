@@ -26,9 +26,8 @@ from .catalog import build_catalog, restriction_matrix
 from .errors import InputError
 from .gog import (GraphOfGroups, euler_characteristic, family_amalgam,
                   family_graph_text, free_group)
-from .groups import (DEFAULT_GROUP_CAP, DEFAULT_SUBGROUP_CAP, FiniteGroup,
-                     _is_prime, _subgroup_elements, conjugacy_class,
-                     normalizer, subgroup_classes)
+from .groups import (FiniteGroup, _is_prime, _subgroup_elements,
+                     conjugacy_class, normalizer, subgroup_classes)
 from .perm import Perm
 from .ratlp import LPSolution, RationalLP, solve_max
 
@@ -222,8 +221,7 @@ def cyclic_amalgam_value(g: FiniteGroup, x: Perm, h) -> Fraction:
     return Fraction(1, p) + Fraction(hits * (p - 1), len(cls) * p) - 2 / index
 
 
-def cyclic_amalgam_mu(g: FiniteGroup, x: Perm,
-                      max_order: int = DEFAULT_SUBGROUP_CAP):
+def cyclic_amalgam_mu(g: FiniteGroup, x: Perm):
     """Growth coefficient of G *_<x> G as a maximum over subgroup classes.
 
     Returns (value, class attaining it).  Agrees with mu() on the
@@ -231,7 +229,7 @@ def cyclic_amalgam_mu(g: FiniteGroup, x: Perm,
     """
     best = None
     best_cls = None
-    for cls in subgroup_classes(g, max_order=max_order):
+    for cls in subgroup_classes(g):
         val = cyclic_amalgam_value(g, x, cls)
         if best is None or val > best:
             best, best_cls = val, cls
@@ -386,13 +384,11 @@ def plan_graph_text(plan: RealizationPlan) -> str:
     return text
 
 
-def plan_graph(plan: RealizationPlan,
-               max_group_order: int = DEFAULT_GROUP_CAP) -> GraphOfGroups:
+def plan_graph(plan: RealizationPlan) -> GraphOfGroups:
     """Instantiate the plan (feasible only for modest k)."""
     if plan.is_free:
         return free_group(plan.free_rank)
-    g = family_amalgam(plan.p, plan.k, plan.l, plan.variant,
-                       max_group_order=max_group_order)
+    g = family_amalgam(plan.p, plan.k, plan.l, plan.variant)
     if plan.integer_part == 0:
         return g
     from .catalog import EmbeddingMap

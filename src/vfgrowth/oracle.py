@@ -232,20 +232,21 @@ def _vertex_homs(group: FiniteGroup, n: int) -> list:
 
 
 def hom_count_enumerate(g: GraphOfGroups, n: int,
-                        max_n: int = DEFAULT_ENUM_CAP,
-                        max_vertex_order: int = DEFAULT_ENUM_GROUP_CAP) -> int:
+                        max_n: int = DEFAULT_ENUM_CAP) -> int:
     """|Hom(Gamma, S_n)| by brute force over generator images.
 
     Tree edges demand exact agreement of the two embedded copies of the
     edge group; every other edge contributes the number of ways to choose
     its conjugating letter.
     """
+    if n < 1:
+        raise InputError("degree must be at least 1")
     if n > max_n:
         raise CapExceeded(f"brute-force counting capped at degree {max_n}, got {n}")
     for name, grp in g.vertices:
-        if grp.order > max_vertex_order:
+        if grp.order > DEFAULT_ENUM_GROUP_CAP:
             raise CapExceeded(f"vertex {name!r} has order {grp.order}, "
-                              f"cap {max_vertex_order}")
+                              f"cap {DEFAULT_ENUM_GROUP_CAP}")
     tree = set(spanning_tree(g).edge_names)
     names = [v for v, _ in g.vertices]
     parent = {names[0]: None}
@@ -312,13 +313,12 @@ def hom_count_enumerate(g: GraphOfGroups, n: int,
     return total
 
 
-def slope_diagnostic(g: GraphOfGroups, n_max: int,
-                     max_n: int = DEFAULT_TYPESUM_CAP) -> list:
+def slope_diagnostic(g: GraphOfGroups, n_max: int) -> list:
     """Floating-point trend of log|Hom| / (n log n) - 1 toward mu.
 
     Display only; nothing here is asserted against.
     """
-    ledger = hom_count_typesum(g, n_max, max_n=max_n)
+    ledger = hom_count_typesum(g, n_max)
     out = []
     for m in range(2, n_max + 1):
         out.append((m, log(ledger.total(m)) / (m * log(m)) - 1))

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from vfgrowth.catalog import (EmbeddingMap, build_catalog,
@@ -8,8 +6,8 @@ from vfgrowth.catalog import (EmbeddingMap, build_catalog,
 from vfgrowth.corpus import corpus_graphs, klein_amalgam
 from vfgrowth.errors import EmbeddingError, InputError
 from vfgrowth.groups import (all_subgroups, cyclic_group, dihedral_group,
-                             generate, klein_four, subgroup_classes,
-                             symmetric_group, trivial_group)
+                             generate, klein_four, symmetric_group,
+                             trivial_group)
 from vfgrowth.perm import identity, parse_perm
 from vfgrowth.selftest import (D10_FIX_TABLE, KLEIN_TABLE, MISPRINTED_ROW10,
                                S3_FIX_TABLE, S4_INDEX_COLUMN)

@@ -124,6 +124,18 @@ def test_family_command_agreement(capsys):
     assert "vertex a = Sym(6)" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["family", "--p", "2", "--k", "7", "--l", "1"],
+    ["family", "--p", "3", "--k", "7", "--l", "1", "--alt"],
+])
+def test_family_skips_closed_form_past_the_lattice_cap(capsys, argv):
+    # Sym(7) and Alt(7) exceed the subgroup cap of 1000
+    assert run(argv) == 0
+    out = out_of(capsys)[0]
+    assert out.startswith("formula_mu = ")
+    assert "closed_form" not in out
+
+
 def test_family_large_k_skips_closed_form(capsys):
     assert run(["family", "--p", "11", "--k", "110", "--l", "1"]) == 0
     out = out_of(capsys)[0]
@@ -136,8 +148,32 @@ def test_error_exit_codes(capsys):
     assert "error:" in out_of(capsys)[1]
     assert run(["catalog", "Sym(110)"]) == 2
     assert "error:" in out_of(capsys)[1]
+    assert run(["catalog", "Cyc(0)"]) == 1
+    assert run(["catalog", "Dih(2)"]) == 1
     assert run(["realize", "3/-5"]) == 1
     assert run(["homcount", MODULAR, "--n", "9"]) == 2
+
+
+@pytest.mark.parametrize("command", ["homcount", "subcount"])
+def test_max_n_zero_is_a_cap(capsys, command):
+    assert run([command, MODULAR, "--n", "3", "--max-n", "0"]) == 2
+    assert "capped at degree 0" in out_of(capsys)[1]
+
+
+def test_enumerate_degree_below_one_is_an_input_error(capsys):
+    assert run(["homcount", MODULAR, "--n", "0", "--enumerate"]) == 1
+    out, err = out_of(capsys)
+    assert out == ""
+    assert "degree must be at least 1" in err
+
+
+def test_catalog_reads_a_file_named_like_a_group(capsys, tmp_path,
+                                                 monkeypatch):
+    # a relative path that starts like a group name is still a path
+    (tmp_path / "Sym.gog").write_text((GRAPHS / "klein.gog").read_text())
+    monkeypatch.chdir(tmp_path)
+    assert run(["catalog", "Sym.gog"]) == 0
+    assert out_of(capsys)[0].startswith("vertex a (order 24)\n")
 
 
 def test_max_n_flag_raises_the_cap(capsys):
@@ -158,6 +194,7 @@ def test_unknown_arguments_rejected():
     ["report", KLEIN, "--max-n", "9"],
     ["homcount", MODULAR, "--n", "2", "--slow"],
     ["family", "--p", "3", "--k", "4", "--l", "1", "--max-n", "9"],
+    ["family", "--p", "2", "--k", "7", "--l", "1", "--slow"],
 ])
 def test_flags_only_where_they_act(argv):
     with pytest.raises(SystemExit):

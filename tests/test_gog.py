@@ -5,13 +5,12 @@ import pytest
 
 from vfgrowth.corpus import modular_graph, triangle_graph
 from vfgrowth.errors import InputError, ParseError
-from vfgrowth.gog import (amalgam, cycle_power_element, cyclic_amalgam,
+from vfgrowth.gog import (cycle_power_element, cyclic_amalgam,
                           euler_characteristic, family_amalgam,
                           family_graph_text, free_group, free_product,
                           load_gog, make_graph, parse_gog, spanning_tree,
                           to_text)
-from vfgrowth.groups import (cyclic_group, dihedral_group, symmetric_group,
-                             trivial_group)
+from vfgrowth.groups import cyclic_group, symmetric_group, trivial_group
 from vfgrowth.perm import parse_perm
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"

@@ -54,6 +54,12 @@ def test_named_constructor_caps_fail_fast():
         alternating_group(9, max_order=10000)
 
 
+def test_named_constructors_default_to_the_group_cap():
+    # order 20160 against the default cap of 10000, with no cap argument
+    with pytest.raises(CapExceeded):
+        alternating_group(8)
+
+
 def test_direct_product():
     g = direct_product(symmetric_group(3), cyclic_group(2))
     assert g.order == 12
@@ -68,8 +74,12 @@ def test_all_subgroups_counts():
 
 
 def test_all_subgroups_cap():
-    with pytest.raises(CapExceeded):
-        all_subgroups(symmetric_group(5), max_order=100)
+    # order 2520 is past the fixed subgroup cap of 1000
+    a7 = alternating_group(7)
+    with pytest.raises(CapExceeded, match="subgroup cap 1000"):
+        all_subgroups(a7)
+    with pytest.raises(CapExceeded, match="subgroup cap 1000"):
+        subgroup_classes(a7)
 
 
 # (group, number of subgroups, number of conjugacy classes); the Sym

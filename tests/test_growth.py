@@ -111,6 +111,14 @@ def test_closed_form_agrees_with_lp(gname, xtext, want, tight):
     assert mu(cyclic_amalgam(g, x)).mu == want
 
 
+def test_cyclic_amalgam_mu_reuses_the_catalog_classes():
+    # one memo entry per group: the maximizing class is one of the very
+    # objects subgroup_classes returns, not a copy from a second list
+    s4 = symmetric_group(4)
+    _val, cls = cyclic_amalgam_mu(s4, parse_perm("(1 2)", 4))
+    assert any(cls is c for c in subgroup_classes(s4))
+
+
 def test_cyclic_amalgam_value_examples():
     s4 = symmetric_group(4)
     x = parse_perm("(1 2 3)", 4)

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from math import comb, factorial
 
 import pytest
@@ -6,13 +5,13 @@ import pytest
 from vfgrowth.corpus import (klein_amalgam, modular_graph, oracle_graphs,
                              s3_c2_amalgam, triangle_graph)
 from vfgrowth.errors import CapExceeded, InputError
-from vfgrowth.gog import free_group, free_product, make_graph
+from vfgrowth.gog import free_group, make_graph
 from vfgrowth.groups import (cyclic_group, symmetric_group, trivial_group)
 from vfgrowth.oracle import (TypePartition, hom_count_enumerate,
                              hom_count_typesum, slope_diagnostic,
                              type_hom_count, vertex_hom_count)
 from vfgrowth.oracle import _transporter_count
-from vfgrowth.perm import identity, parse_perm
+from vfgrowth.perm import parse_perm
 
 
 def test_vertex_hom_count_s3_at_degree_3():
@@ -150,6 +149,13 @@ def test_enumerate_agrees_with_typesum_at_degree_five_and_six():
         assert hom_count_enumerate(g, 5) == hom_count_typesum(g, 5).total(5)
     assert hom_count_enumerate(triangle_graph(), 6) == \
         hom_count_typesum(triangle_graph(), 6).total(6)
+
+
+def test_enumerate_rejects_degrees_below_one():
+    # the same check, and the same error, as the type-sum counter
+    for g, n in ((free_group(1), 0), (modular_graph(), 0), (free_group(1), -1)):
+        with pytest.raises(InputError, match="degree must be at least 1"):
+            hom_count_enumerate(g, n)
 
 
 def test_enumerate_caps():
