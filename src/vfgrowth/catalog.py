@@ -17,9 +17,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import EmbeddingError, InputError
-from .groups import (FiniteGroup, SubgroupClass, _is_prime,
-                     _subgroup_elements, conjugacy_class, coset_perm,
-                     orbit_minima, subgroup_class_map, subgroup_classes)
+from .groups import (FiniteGroup, SubgroupClass, _coset_partition, _is_prime,
+                     _subgroup_elements, conjugacy_class, orbit_minima,
+                     subgroup_class_map, subgroup_classes)
 from .perm import Perm, identity
 
 
@@ -164,8 +164,7 @@ class RestrictionMatrix:
 
 
 @lru_cache(maxsize=None)
-def restriction_matrix(emb: EmbeddingMap, vcat: RepCatalog = None,
-                       ecat: RepCatalog = None) -> RestrictionMatrix:
+def restriction_matrix(emb: EmbeddingMap) -> RestrictionMatrix:
     """Decompose each vertex representation class along the embedding.
 
     The edge group acts on each coset space through its embedded image; the
@@ -173,23 +172,26 @@ def restriction_matrix(emb: EmbeddingMap, vcat: RepCatalog = None,
     back to the edge group.  Column sums weighted by edge degrees must
     reproduce the vertex degree, which is asserted.
     """
-    if vcat is None:
-        vcat = build_catalog(emb.codomain)
-    if ecat is None:
-        ecat = build_catalog(emb.domain)
-    if vcat.group != emb.codomain or ecat.group != emb.domain:
-        raise InputError("catalogs do not match the embedding")
+    vcat = build_catalog(emb.codomain)
+    ecat = build_catalog(emb.domain)
     edge = emb.domain
+    # the catalog's group is the instance whose tables the lattice built;
+    # an equal copy (another vertex carrying the same group) has none
+    index, mult, _ = vcat.group.tables()
+    # left multiplication by the image of each edge element
+    left = {a: mult[index[emb.apply(a)]] for a in edge.elements}
     lookup = subgroup_class_map(edge)
     gen_count = len(ecat)
     cols = []
     for rep in vcat.classes:
-        act = {a: coset_perm(vcat.group, rep.stabilizer, emb.apply(a))
-               for a in edge.elements}
+        cosets, coset_of = _coset_partition(
+            vcat.group, rep.stabilizer.representative.element_set())
+        act = {a: tuple(coset_of[row[c[0]]] for c in cosets)
+               for a, row in left.items()}
         gens = [act[a] for a in emb.generators]
         col = [0] * gen_count
         for p in orbit_minima(rep.degree, gens):
-            stab = frozenset(a for a in edge.elements if act[a].images[p] == p)
+            stab = frozenset(a for a in edge.elements if act[a][p] == p)
             col[lookup[stab]] += 1
         total = sum(m * ecat.classes[j].degree for j, m in enumerate(col))
         assert total == rep.degree, "orbit degrees fail to add up"

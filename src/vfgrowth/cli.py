@@ -150,16 +150,13 @@ def cmd_catalog(args) -> int:
     g = _load(args.source, cap)
     tables = []
     for vname, grp in g.vertices:
-        vcat = build_catalog(grp)
         columns = []
         for e in g.edges:
             for side, end in enumerate(e.ends):
                 if end != vname:
                     continue
-                ecat = build_catalog(e.group)
-                m = restriction_matrix(e.embeddings[side], vcat, ecat)
                 columns.append((f"{e.name}:{'left' if side == 0 else 'right'}",
-                                m))
+                                restriction_matrix(e.embeddings[side])))
         tables.append(_catalog_table(
             grp, f"vertex {vname} (order {grp.order})", columns))
     if args.json:
@@ -291,9 +288,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit a stable machine-readable format")
-    common.add_argument("--max-group-order", type=int,
-                        default=DEFAULT_GROUP_CAP, metavar="N",
-                        help="refuse groups larger than N")
+    group_cap = argparse.ArgumentParser(add_help=False)
+    group_cap.add_argument("--max-group-order", type=int,
+                           default=DEFAULT_GROUP_CAP, metavar="N",
+                           help="refuse groups larger than N")
     max_n = argparse.ArgumentParser(add_help=False)
     max_n.add_argument("--max-n", type=int, metavar="N",
                        help="raise or lower the counting-degree cap")
@@ -303,30 +301,30 @@ def _build_parser() -> argparse.ArgumentParser:
                     "presented as finite graphs of finite groups.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mu", parents=[common],
+    p = sub.add_parser("mu", parents=[common, group_cap],
                        help="growth degree of a graph-of-groups file")
     p.add_argument("file")
     p.set_defaults(fn=cmd_mu)
 
-    p = sub.add_parser("chi", parents=[common],
+    p = sub.add_parser("chi", parents=[common, group_cap],
                        help="Euler characteristic of a graph-of-groups file")
     p.add_argument("file")
     p.set_defaults(fn=cmd_chi)
 
-    p = sub.add_parser("report", parents=[common],
+    p = sub.add_parser("report", parents=[common, group_cap],
                        help="full growth report: mu, chi, optimizer, notes")
     p.add_argument("file")
     p.add_argument("--dump-lp", action="store_true",
                    help="append a TSV dump of the linear program")
     p.set_defaults(fn=cmd_report)
 
-    p = sub.add_parser("catalog", parents=[common],
+    p = sub.add_parser("catalog", parents=[common, group_cap],
                        help="transitive-class tables with restriction "
                             "columns per incident edge")
     p.add_argument("source", help="a .gog file or a named group like Sym(4)")
     p.set_defaults(fn=cmd_catalog)
 
-    p = sub.add_parser("homcount", parents=[common, max_n],
+    p = sub.add_parser("homcount", parents=[common, group_cap, max_n],
                        help="|Hom(Gamma, S_m)| for m = 1..N")
     p.add_argument("file")
     p.add_argument("--n", type=int, required=True, metavar="N")
@@ -337,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also list admissible types at degree N")
     p.set_defaults(fn=cmd_homcount)
 
-    p = sub.add_parser("subcount", parents=[common, max_n],
+    p = sub.add_parser("subcount", parents=[common, group_cap, max_n],
                        help="number of index-m subgroups for m = 1..N")
     p.add_argument("file")
     p.add_argument("--n", type=int, required=True, metavar="N")

@@ -3,8 +3,12 @@
 Everything here is exact and deterministic: element lists are sorted
 lexicographically by image tuples, subgroup lists and conjugacy-class lists
 come out in a canonical order, and repeated runs produce identical data.
-Groups are small (hundreds of elements, caps configurable), so brute force
-over elements is the method of choice throughout.
+Groups are small (at most DEFAULT_GROUP_CAP elements, and at most
+DEFAULT_SUBGROUP_CAP for the subgroup lattice), so brute force over
+elements is the method of choice throughout.  Once a group is generated,
+the subgroup lattice, the class canonicalization and the coset actions
+multiply element indices in its tables (``FiniteGroup.tables``), not
+``Perm`` objects.
 """
 
 from __future__ import annotations
@@ -83,11 +87,38 @@ class FiniteGroup:
     # -- index tables -----------------------------------------------------
 
     def tables(self):
-        """(index map, multiplication table, inverse table) over 0..order-1."""
+        """(index map, multiplication table, inverse table) over 0..order-1.
+
+        Only the generators' rows are computed from image tuples.  Every
+        other row follows by a breadth-first walk of the Cayley graph,
+        since row(x*s) = row(x) composed with row(s) needs only integer
+        indexing.
+        """
         if self._tables is None:
-            index = {p: i for i, p in enumerate(self.elements)}
-            mult = [[index[a * b] for b in self.elements] for a in self.elements]
-            inv = [index[a.inverse()] for a in self.elements]
+            elements = self.elements
+            index = {p: i for i, p in enumerate(elements)}
+            by_images = {p.images: i for i, p in enumerate(elements)}
+            gen_rows = []       # (s, the index of s*t for every t)
+            for s in self.generators:
+                images = s.images
+                gen_rows.append((index[s], [
+                    by_images[tuple(images[k] for k in t.images)]
+                    for t in elements]))
+            e = index[self.identity_element()]
+            mult = [None] * self.order
+            mult[e] = list(range(self.order))
+            frontier = [e]
+            while frontier:
+                new = []
+                for x in frontier:
+                    row = mult[x]
+                    for s, srow in gen_rows:
+                        y = row[s]
+                        if mult[y] is None:
+                            mult[y] = [row[t] for t in srow]
+                            new.append(y)
+                frontier = new
+            inv = [row.index(e) for row in mult]
             self._tables = (index, mult, inv)
         return self._tables
 
@@ -254,43 +285,63 @@ def normalizer(g: FiniteGroup, u) -> FiniteGroup:
     return g.subgroup(out)
 
 
+def _left_cosets(mult, sub, ambient):
+    """Left cosets yH of the subgroup H with element indices ``sub``
+    inside the subgroup with element indices ``ambient`` (ascending, so
+    starting at the identity, index 0): the cosets as index lists,
+    numbered by their least element, and the list mapping each element of
+    ``ambient`` to its coset number."""
+    coset_of = [None] * len(mult)
+    cosets = []
+    for y in ambient:
+        if coset_of[y] is None:
+            row = mult[y]
+            coset = [row[x] for x in sub]
+            for z in coset:
+                coset_of[z] = len(cosets)
+            cosets.append(coset)
+    return cosets, coset_of
+
+
 @lru_cache(maxsize=None)
 def _coset_partition(g: FiniteGroup, members: frozenset):
-    """Left cosets of the subgroup with the given elements: a tuple of
-    coset representatives plus the element -> coset-number map.
+    """Left cosets of the subgroup with the given elements, over element
+    indices (see _left_cosets).
 
     Cosets are numbered by their minimal element, so the coset of the
     identity (the subgroup itself) is point 0 and the point stabilizer of
     0 is exactly the subgroup.
     """
-    sorted_members = sorted(members)
-    coset_of = {}
-    reps = []
-    for a in g.elements:
-        if a not in coset_of:
-            i = len(reps)
-            reps.append(a)
-            for x in sorted_members:
-                coset_of[a * x] = i
-    return tuple(reps), coset_of
+    index, mult, _ = g.tables()
+    return _left_cosets(mult, [index[x] for x in members], range(g.order))
 
 
 def coset_perm(g: FiniteGroup, u, h: Perm) -> Perm:
     """Image of the single element h in the coset action of g on g/u."""
-    reps, coset_of = _coset_partition(g, _subgroup_elements(g, u))
-    return Perm(tuple(coset_of[h * r] for r in reps))
+    _require_member(g, h)
+    cosets, coset_of = _coset_partition(g, _subgroup_elements(g, u))
+    index, mult, _ = g.tables()
+    row = mult[index[h]]
+    return Perm(tuple(coset_of[row[c[0]]] for c in cosets))
 
 
 def coset_action(g: FiniteGroup, u) -> dict:
     """The action of g on the left cosets of u, as a map element -> Perm."""
-    reps, coset_of = _coset_partition(g, _subgroup_elements(g, u))
-    return {a: Perm(tuple(coset_of[a * r] for r in reps)) for a in g.elements}
+    cosets, coset_of = _coset_partition(g, _subgroup_elements(g, u))
+    _, mult, _ = g.tables()
+    return {a: Perm(tuple(coset_of[row[c[0]]] for c in cosets))
+            for a, row in zip(g.elements, mult)}
 
 
 # -- subgroup enumeration -------------------------------------------------
 
 def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def _least_prime(n: int) -> int:
+    """The least prime dividing n (n itself when n is prime or 1)."""
+    return next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
 
 
 def _is_prime_power(m: int) -> bool:
@@ -306,20 +357,46 @@ def _is_prime_power(m: int) -> bool:
     return True
 
 
-def _close_indices(gens, mult, id_idx) -> frozenset:
-    elems = {id_idx}
-    frontier = [id_idx]
-    while frontier:
-        new = []
-        for x in frontier:
-            row = mult[x]
-            for gi in gens:
-                y = row[gi]
-                if y not in elems:
-                    elems.add(y)
-                    new.append(y)
-        frontier = new
-    return frozenset(elems)
+def _extend(cosets, coset_of, rows, limit):
+    """<H, a> as the union of the left cosets of H that it contains.
+
+    ``cosets``/``coset_of`` are the left cosets of H (see _left_cosets)
+    and ``rows`` the multiplication-table rows of the generators of H and
+    of a.  The cosets of H inside <H, a> are the orbit of H under left
+    multiplication by those generators.  Past ``limit`` cosets, that is
+    more than |A|/p elements of the ambient group A the cosets partition
+    (p the least prime dividing |A|), <H, a> is all of A by Lagrange, and
+    None is returned.
+    """
+    orbit = [0]
+    seen = {0}
+    for c in orbit:             # the orbit grows while it is walked
+        y = cosets[c][0]
+        for row in rows:
+            d = coset_of[row[y]]
+            if d not in seen:
+                seen.add(d)
+                orbit.append(d)
+        if len(orbit) > limit:
+            return None
+    return frozenset().union(*map(cosets.__getitem__, orbit))
+
+
+def _greedy_generators(mult, members) -> list:
+    """The members, in index order, that the earlier ones do not generate:
+    the generating list ``FiniteGroup.subgroup`` derives, from indices."""
+    members = sorted(members)
+    whole = frozenset(members)
+    bound = len(members) // _least_prime(len(members))
+    gens = []
+    span = frozenset(members[:1])
+    for m in members:
+        if m not in span:
+            gens.append(m)
+            cosets, coset_of = _left_cosets(mult, span, members)
+            span = _extend(cosets, coset_of, [mult[s] for s in gens],
+                           bound // len(span)) or whole
+    return gens
 
 
 def _subgroup_index_sets(g: FiniteGroup) -> tuple:
@@ -351,20 +428,24 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
     # subgroup recovers the rest of its class, and the chain argument
     # transports along conjugation.
     ext = sorted(a for key, a in cyclic.items() if _is_prime_power(len(key)))
-    gen_idx = [index[p] for p in g.generators]
+    bound = g.order // _least_prime(g.order)
+    whole = frozenset(range(g.order))
+    # conjugation x -> s^-1 x s by each group generator s, as an index map
+    conj = [[mult[mult[inv[s]][x]][s] for x in range(g.order)]
+            for s in (index[p] for p in g.generators)]
     trivial = frozenset([id_idx])
     known = {trivial}
     orbits = [(trivial,)]
     reps = [(trivial, ())]
-    at = 0
-    while at < len(reps):
-        members, gens = reps[at]
-        at += 1
+    for members, gens in reps:  # reps grows while it is walked
+        cosets, coset_of = _left_cosets(mult, members, range(g.order))
+        limit = bound // len(members)
         for a in ext:
             if a in members:
                 continue
             newgens = gens + (a,)
-            new = _close_indices(newgens, mult, id_idx)
+            new = _extend(cosets, coset_of, [mult[s] for s in newgens],
+                          limit) or whole
             if new in known:
                 continue
             # conjugating by the group generators walks the whole class;
@@ -372,12 +453,11 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
             known.add(new)
             orbit = [new]
             for cur in orbit:
-                for gi in gen_idx:
-                    row = mult[inv[gi]]
-                    conj = frozenset(mult[row[x]][gi] for x in cur)
-                    if conj not in known:
-                        known.add(conj)
-                        orbit.append(conj)
+                for c in conj:
+                    image = frozenset(map(c.__getitem__, cur))
+                    if image not in known:
+                        known.add(image)
+                        orbit.append(image)
             orbits.append(tuple(orbit))
             reps.append((new, newgens))
     g._subgroup_cache = tuple(orbits)
@@ -411,9 +491,10 @@ class SubgroupClass:
         return f"class {self.class_id + 1}: <{gens}> order {self.order} index {self.index}"
 
 
-def orbit_minima(degree: int, perms) -> list:
-    """The least point of each orbit of the group generated by ``perms``
-    on 0..degree-1, in ascending order."""
+def orbit_minima(degree: int, images) -> list:
+    """The least point of each orbit of the group generated by the
+    permutations with the given image tuples on 0..degree-1, in ascending
+    order."""
     seen = [False] * degree
     minima = []
     for start in range(degree):
@@ -424,8 +505,8 @@ def orbit_minima(degree: int, perms) -> list:
         stack = [start]
         while stack:
             p = stack.pop()
-            for m in perms:
-                q = m.images[p]
+            for m in images:
+                q = m[p]
                 if not seen[q]:
                     seen[q] = True
                     stack.append(q)
@@ -442,24 +523,27 @@ def subgroup_classes(g: FiniteGroup) -> tuple:
     sorted element-set.  This refinement pins a reproducible order even
     between classes that share an order.
     """
+    orbits = _subgroup_index_sets(g)
+    mult = g.tables()[1]
     keyed = []
-    for orbit in _subgroup_index_sets(g):
+    for orbit in orbits:
         # the element list is sorted, so index order is image order
         orbit = sorted(orbit, key=sorted)
         members = tuple(frozenset(g.elements[i] for i in s) for s in orbit)
         core = frozenset.intersection(*orbit)
         key = (-len(core), -len(orbit[0]),
-               len(orbit_minima(g.degree, members[0])), sorted(orbit[0]))
-        keyed.append((key, members))
+               len(orbit_minima(g.degree, [p.images for p in members[0]])), sorted(orbit[0]))
+        keyed.append((key, orbit[0], members))
     keyed.sort(key=lambda item: item[0])
 
     classes = []
-    for class_id, (_, members) in enumerate(keyed):
+    for class_id, (_, first, members) in enumerate(keyed):
+        gens = [g.elements[i] for i in _greedy_generators(mult, first)]
         order = len(members[0])
         normalizer_order = g.order // len(members)
         classes.append(SubgroupClass(
             class_id=class_id,
-            representative=g.subgroup(members[0]),
+            representative=FiniteGroup(g.degree, gens, members[0]),
             order=order,
             index=g.order // order,
             normalizer_order=normalizer_order,

@@ -90,7 +90,6 @@ def build_growth_program(g: GraphOfGroups) -> GrowthProgram:
     cols = {name: [] for name, _ in g.vertices}
     for name, i, col in var_index:
         cols[name].append(col)
-    catmap = dict(catalogs)
 
     for name, cat in catalogs:
         lp.add_constraint(
@@ -99,10 +98,7 @@ def build_growth_program(g: GraphOfGroups) -> GrowthProgram:
     edge_matrices = []
     for e in g.edges:
         ecat = build_catalog(e.group)
-        mats = []
-        for side, emb in zip(e.ends, e.embeddings):
-            mats.append(restriction_matrix(emb, catmap[side], ecat))
-        ml, mr = mats
+        ml, mr = (restriction_matrix(emb) for emb in e.embeddings)
         left, right = e.ends
         for j in range(len(ecat.classes)):
             row = {}

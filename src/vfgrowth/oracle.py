@@ -17,19 +17,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 from math import comb, factorial, log
 
 from .catalog import build_catalog, extend_hom
 from .errors import CapExceeded, EmbeddingError, InputError
 from .gog import GraphOfGroups, spanning_tree
-from .groups import FiniteGroup, symmetric_group
+from .groups import DEFAULT_GROUP_CAP, FiniteGroup, symmetric_group
 from .growth import GrowthProgram, build_growth_program
 from .perm import Perm, identity
 
 DEFAULT_TYPESUM_CAP = 8
 DEFAULT_ENUM_CAP = 6
 DEFAULT_ENUM_GROUP_CAP = 120
+# the brute-force counter lists Sym(n), so the group cap fixes its degree
+# ceiling: the largest n with n! <= DEFAULT_GROUP_CAP (7 for 10000)
+ENUM_DEGREE_CEILING = next(d for d in count(1)
+                           if factorial(d + 1) > DEFAULT_GROUP_CAP)
 
 
 @dataclass(frozen=True)
@@ -243,6 +247,11 @@ def hom_count_enumerate(g: GraphOfGroups, n: int,
         raise InputError("degree must be at least 1")
     if n > max_n:
         raise CapExceeded(f"brute-force counting capped at degree {max_n}, got {n}")
+    if n > ENUM_DEGREE_CEILING:
+        raise CapExceeded(
+            f"brute-force counting stops at degree {ENUM_DEGREE_CEILING}, "
+            f"got {n}: Sym({n}) has order {factorial(n)}, past the group cap "
+            f"{DEFAULT_GROUP_CAP}, and --max-n cannot raise this ceiling")
     for name, grp in g.vertices:
         if grp.order > DEFAULT_ENUM_GROUP_CAP:
             raise CapExceeded(f"vertex {name!r} has order {grp.order}, "

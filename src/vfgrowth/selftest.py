@@ -94,8 +94,8 @@ def criterion_a1(slow=False) -> CriterionResult:
     ecat = build_catalog(g.edges[0].group)
     checks.append((vcat.degrees == S4_INDEX_COLUMN,
                    f"S_4 index column {vcat.degrees}"))
-    ml = restriction_matrix(g.edges[0].embeddings[0], vcat, ecat)
-    mr = restriction_matrix(g.edges[0].embeddings[1], vcat, ecat)
+    ml = restriction_matrix(g.edges[0].embeddings[0])
+    mr = restriction_matrix(g.edges[0].embeddings[1])
     for i, (index, left, right) in enumerate(KLEIN_TABLE):
         got_l = tuple(ml.rows[j][i] for j in range(5))
         got_r = tuple(mr.rows[j][i] for j in range(5))

@@ -160,6 +160,16 @@ def test_max_n_zero_is_a_cap(capsys, command):
     assert "capped at degree 0" in out_of(capsys)[1]
 
 
+def test_enumerate_degree_ceiling_names_itself(capsys):
+    # degree 8 needs Sym(8), past the group cap; --max-n cannot lift that
+    assert run(["homcount", MODULAR, "--n", "8", "--enumerate",
+                "--max-n", "8"]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert "brute-force counting stops at degree 7, got 8" in err
+    assert "--max-n cannot raise this ceiling" in err
+
+
 def test_enumerate_degree_below_one_is_an_input_error(capsys):
     assert run(["homcount", MODULAR, "--n", "0", "--enumerate"]) == 1
     out, err = out_of(capsys)
@@ -195,6 +205,9 @@ def test_unknown_arguments_rejected():
     ["homcount", MODULAR, "--n", "2", "--slow"],
     ["family", "--p", "3", "--k", "4", "--l", "1", "--max-n", "9"],
     ["family", "--p", "2", "--k", "7", "--l", "1", "--slow"],
+    ["family", "--p", "3", "--k", "4", "--l", "1", "--max-group-order", "1"],
+    ["realize", "9/10", "--max-group-order", "1"],
+    ["selftest", "--max-group-order", "1"],
 ])
 def test_flags_only_where_they_act(argv):
     with pytest.raises(SystemExit):

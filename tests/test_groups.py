@@ -3,13 +3,15 @@ from functools import lru_cache
 
 import pytest
 
-from vfgrowth.catalog import fixed_point_multiplicity
+from vfgrowth.catalog import (EmbeddingMap, fixed_point_multiplicity,
+                              restriction_matrix)
 from vfgrowth.errors import CapExceeded, InputError
 from vfgrowth.groups import (all_subgroups, alternating_group, centralizer,
                              conjugacy_class, coset_action, coset_perm,
                              cyclic_group, dihedral_group, direct_product,
                              generate, klein_four, normalizer,
                              subgroup_classes, symmetric_group, trivial_group)
+from vfgrowth.groups import _subgroup_index_sets
 from vfgrowth.growth import cyclic_amalgam_value
 from vfgrowth.perm import Perm, identity, parse_perm
 
@@ -85,6 +87,8 @@ def test_all_subgroups_cap():
 # (group, number of subgroups, number of conjugacy classes); the Sym
 # rows are OEIS A005432 and A000638
 CLASS_COUNTS = (
+    ("Sym(1)", 1, 1),
+    ("Sym(2)", 2, 2),
     ("Sym(3)", 6, 4),
     ("Sym(4)", 30, 11),
     ("Cyc(4)", 3, 3),
@@ -93,8 +97,8 @@ CLASS_COUNTS = (
     ("Alt(4)", 10, 5),
     ("Alt(5)", 59, 9),
     ("Alt(6)", 501, 22),
+    ("Sym(6)", 1455, 56),
 )
-SLOW_CLASS_COUNTS = (("Sym(6)", 1455, 56),)   # about 4 s
 
 
 @lru_cache(maxsize=None)
@@ -106,19 +110,15 @@ def _named(name):
     return maker(int(name[4:-1]))
 
 
-def _class_counts(deep):
-    return CLASS_COUNTS + (SLOW_CLASS_COUNTS if deep else ())
-
-
-def test_subgroup_classes_counts(deep):
-    for name, subgroups, classes in _class_counts(deep):
+def test_subgroup_classes_counts():
+    for name, subgroups, classes in CLASS_COUNTS:
         found = subgroup_classes(_named(name))
         assert len(found) == classes, name
         assert sum(c.class_size for c in found) == subgroups, name
 
 
-def test_subgroup_classes_partition(deep):
-    for name, _, _ in _class_counts(deep):
+def test_subgroup_classes_partition():
+    for name, _, _ in CLASS_COUNTS:
         g = _named(name)
         classes = subgroup_classes(g)
         assert sum(c.class_size for c in classes) == len(all_subgroups(g))
@@ -127,6 +127,85 @@ def test_subgroup_classes_partition(deep):
             assert len(c.members) == c.class_size
             seen.update(c.members)
         assert len(seen) == len(all_subgroups(g))
+
+
+def _from_cycles(*texts):
+    return generate([parse_perm(t, 7) for t in texts], 7)
+
+
+def _reference_tables(g):
+    index = {p: i for i, p in enumerate(g.elements)}
+    mult = [[index[a * b] for b in g.elements] for a in g.elements]
+    inv = [index[a.inverse()] for a in g.elements]
+    return index, mult, inv
+
+
+@pytest.mark.parametrize("g", [
+    symmetric_group(4),
+    alternating_group(5),
+    _from_cycles("(1 2 3 4 5 6 7)", "(1 2)(3 5)"),      # PSL(2,7)
+    direct_product(dihedral_group(4), cyclic_group(3)),
+], ids=["Sym(4)", "Alt(5)", "PSL(2,7)", "Dih(4)xCyc(3)"])
+def test_tables_match_perm_products(g):
+    assert g.tables() == _reference_tables(g)
+
+
+def _reference_subgroups(g):
+    """Every subgroup, by extending every known subgroup by every element
+    with Perm closure (no index tables, no Lagrange stop)."""
+    found = {frozenset([g.identity_element()])}
+    todo = list(found)
+    while todo:
+        sub = todo.pop()
+        for x in g.elements:
+            if x not in sub:
+                new = frozenset(generate(list(sub) + [x],
+                                         g.degree).elements)
+                if new not in found:
+                    found.add(new)
+                    todo.append(new)
+    return found
+
+
+def _reference_classes(g, subgroups):
+    return {frozenset(frozenset(a * x * a.inverse() for x in sub)
+                      for a in g.elements)
+            for sub in subgroups}
+
+
+@pytest.mark.parametrize("g", [
+    symmetric_group(4),
+    dihedral_group(5),
+    alternating_group(4),
+    # the Frobenius group of order 21: its least prime is 3, so the
+    # Lagrange stop of the lattice closure fires at |G|/3
+    _from_cycles("(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)"),
+], ids=["Sym(4)", "Dih(5)", "Alt(4)", "Frobenius(21)"])
+def test_lattice_matches_naive_closure(g):
+    orbits = [frozenset(frozenset(g.elements[i] for i in s) for s in orbit)
+              for orbit in _subgroup_index_sets(g)]
+    want = _reference_subgroups(g)
+    assert set().union(*orbits) == want
+    assert sum(len(o) for o in orbits) == len(want)
+    assert set(orbits) == _reference_classes(g, want)
+
+
+def test_group_layer_runs_no_perm_products(monkeypatch):
+    # once a group and an embedding exist, tables, lattice, classes and
+    # restriction work on index tables only; PSL(2,7) and its C7 are
+    # built here alone, so no memo from another test answers for them
+    g = _from_cycles("(1 2 3 4 5 6 7)", "(1 2)(3 5)")
+    c = generate(g.generators[:1], 7)
+    emb = EmbeddingMap(c, g, c.generators)
+
+    def product(*_):
+        raise AssertionError("Perm product in the group layer")
+    monkeypatch.setattr(Perm, "__mul__", product)
+    classes = subgroup_classes(g)
+    assert len(classes) == 15
+    assert restriction_matrix(emb).nrows == 2
+    assert coset_perm(g, classes[3], g.generators[1]).degree == \
+        classes[3].index
 
 
 def test_subgroup_class_fields():

@@ -4,6 +4,7 @@ import pytest
 
 from vfgrowth.corpus import (klein_amalgam, modular_graph, oracle_graphs,
                              s3_c2_amalgam, triangle_graph)
+from vfgrowth import oracle
 from vfgrowth.errors import CapExceeded, InputError
 from vfgrowth.gog import free_group, make_graph
 from vfgrowth.groups import (cyclic_group, symmetric_group, trivial_group)
@@ -166,6 +167,16 @@ def test_enumerate_caps():
         hom_count_enumerate(big, 2)          # vertex order above the cap
     at_cap = make_graph([("v", symmetric_group(5))], [])
     hom_count_enumerate(at_cap, 2)           # order 120 is exactly allowed
+
+
+def test_enumerate_degree_ceiling_is_fixed_by_the_group_cap(monkeypatch):
+    # 8! = 40320 is past the group cap, so no --max-n reaches degree 8;
+    # the refusal comes before any vertex is counted
+    def no_counting(*_):
+        raise AssertionError("counted before the ceiling check")
+    monkeypatch.setattr(oracle, "_vertex_homs", no_counting)
+    with pytest.raises(CapExceeded, match="stops at degree 7, got 8"):
+        hom_count_enumerate(modular_graph(), 8, max_n=8)
 
 
 def test_transporter_counts():
