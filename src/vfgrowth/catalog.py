@@ -12,12 +12,12 @@ growth linear program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import EmbeddingError, InputError
-from .groups import (FiniteGroup, SubgroupClass, _coset_partition, _is_prime,
+from .groups import (FiniteGroup, _coset_partition, _prime_order,
                      _subgroup_elements, conjugacy_class, orbit_minima,
                      subgroup_class_map, subgroup_classes)
 from .perm import Perm, identity
@@ -112,38 +112,27 @@ def identity_embedding(g: FiniteGroup) -> EmbeddingMap:
 
 
 @dataclass(frozen=True)
-class RepClass:
-    """One class of transitive representations: the action on the cosets of
-    a stabilizer class."""
-
-    class_id: int
-    degree: int
-    stabilizer: SubgroupClass = field(compare=False)
-    aut_count: int
-
-
-@dataclass(frozen=True)
 class RepCatalog:
-    group: FiniteGroup
-    classes: tuple
+    """The transitive representation classes of a group: the action on the
+    cosets of each subgroup class, whose index is the degree."""
+
+    group: FiniteGroup      # the instance whose tables the lattice built
+    classes: tuple          # subgroup_classes(group)
 
     def __len__(self) -> int:
         return len(self.classes)
 
     @property
     def degrees(self) -> tuple:
-        return tuple(c.degree for c in self.classes)
+        return tuple(c.index for c in self.classes)
 
 
 @lru_cache(maxsize=None)
 def build_catalog(g: FiniteGroup) -> RepCatalog:
     """All transitive representation classes of g, full group first (degree
     1), trivial stabilizer last (the regular action)."""
-    classes = tuple(
-        RepClass(class_id=cls.class_id, degree=cls.index,
-                 stabilizer=cls, aut_count=cls.aut_count)
-        for cls in subgroup_classes(g))
-    assert classes[0].degree == 1 and classes[-1].degree == g.order
+    classes = subgroup_classes(g)
+    assert classes[0].index == 1 and classes[-1].index == g.order
     return RepCatalog(g, classes)
 
 
@@ -185,16 +174,16 @@ def restriction_matrix(emb: EmbeddingMap) -> RestrictionMatrix:
     cols = []
     for rep in vcat.classes:
         cosets, coset_of = _coset_partition(
-            vcat.group, rep.stabilizer.representative.element_set())
+            vcat.group, rep.representative.element_set())
         act = {a: tuple(coset_of[row[c[0]]] for c in cosets)
                for a, row in left.items()}
         gens = [act[a] for a in emb.generators]
         col = [0] * gen_count
-        for p in orbit_minima(rep.degree, gens):
+        for p in orbit_minima(rep.index, gens):
             stab = frozenset(a for a in edge.elements if act[a][p] == p)
             col[lookup[stab]] += 1
-        total = sum(m * ecat.classes[j].degree for j, m in enumerate(col))
-        assert total == rep.degree, "orbit degrees fail to add up"
+        total = sum(m * ecat.classes[j].index for j, m in enumerate(col))
+        assert total == rep.index, "orbit degrees fail to add up"
         cols.append(col)
     rows = tuple(tuple(cols[i][j] for i in range(len(cols)))
                  for j in range(gen_count))
@@ -209,9 +198,7 @@ def fixed_point_multiplicity(g: FiniteGroup, u, x: Perm) -> int:
     """
     if x not in g:
         raise InputError(f"{x} is not an element of the group")
-    p = x.order()
-    if not _is_prime(p):
-        raise InputError(f"element must have prime order, got order {p}")
+    _prime_order(x)
     members = _subgroup_elements(g, u)
     cls = conjugacy_class(g, x)
     value = Fraction(g.order * len(cls & members), len(members) * len(cls))

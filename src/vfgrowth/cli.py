@@ -123,11 +123,10 @@ def _catalog_table(group, heading, columns=()):
         header += f"\t{label}"
     lines.append(header)
     for i, cls in enumerate(cat.classes):
-        gens = " ".join(str(p)
-                        for p in cls.stabilizer.representative.generators) \
+        gens = " ".join(str(p) for p in cls.representative.generators) \
             or "id"
-        row = (f"{i + 1}\t{cls.degree}\t{cls.aut_count}"
-               f"\t{cls.stabilizer.class_size}\t{gens}")
+        row = (f"{i + 1}\t{cls.index}\t{cls.aut_count}"
+               f"\t{cls.class_size}\t{gens}")
         for _, matrix in columns:
             col = ",".join(str(matrix.rows[j][i])
                            for j in range(len(matrix.rows)))

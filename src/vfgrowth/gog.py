@@ -88,24 +88,11 @@ def make_graph(vertices, edges) -> GraphOfGroups:
             raise InputError(f"edge {e.name!r}: the two sides list different generators")
         out_edges.append(e)
     graph = GraphOfGroups(vertices, tuple(out_edges))
-    _check_connected(graph)
-    return graph
-
-
-def _check_connected(g: GraphOfGroups):
-    names = g.vertex_names
-    reached = {names[0]}
-    frontier = [names[0]]
-    while frontier:
-        v = frontier.pop()
-        for e in g.edges:
-            for a, b in (e.ends, e.ends[::-1]):
-                if a == v and b not in reached:
-                    reached.add(b)
-                    frontier.append(b)
+    reached = spanning_tree(graph).order
     if len(reached) != len(names):
         missing = [n for n in names if n not in reached]
         raise InputError(f"graph is not connected; unreachable vertices: {missing}")
+    return graph
 
 
 @dataclass(frozen=True)
@@ -123,28 +110,32 @@ def euler_characteristic(g: GraphOfGroups) -> EulerData:
 
 @dataclass(frozen=True)
 class SpanningTree:
-    edge_names: tuple
+    order: tuple    # vertex names in the order the walk reaches them
+    links: tuple    # ((vertex, parent, GogEdge), ...) past the root
+
+    @property
+    def edge_names(self) -> tuple:
+        return tuple(e.name for _, _, e in self.links)
 
     def __contains__(self, name: str) -> bool:
         return name in self.edge_names
 
 
 def spanning_tree(g: GraphOfGroups) -> SpanningTree:
-    """Breadth-first spanning tree rooted at the first-listed vertex."""
-    root = g.vertex_names[0]
-    reached = {root}
-    tree = []
-    queue = [root]
-    while queue:
-        v = queue.pop(0)
+    """Breadth-first spanning tree rooted at the first-listed vertex,
+    covering the vertices reachable from it."""
+    order = [g.vertex_names[0]]
+    reached = set(order)
+    links = []
+    for v in order:             # order grows while it is walked
         for e in g.edges:
             for a, b in (e.ends, e.ends[::-1]):
                 if a == v and b not in reached:
                     reached.add(b)
-                    tree.append(e.name)
-                    queue.append(b)
+                    links.append((b, v, e))
+                    order.append(b)
                     break
-    return SpanningTree(tuple(tree))
+    return SpanningTree(tuple(order), tuple(links))
 
 
 # -- constructors ----------------------------------------------------------
@@ -198,16 +189,16 @@ def cycle_power_element(p: int, l: int, k: int) -> Perm:
 
 
 def _check_family_params(p: int, k: int, l: int, variant: str):
+    if variant not in ("symmetric", "alternating"):
+        raise InputError(f"unknown variant {variant!r}")
     if not _is_prime(p):
         raise InputError(f"p must be prime, got {p}")
     if l < 1:
         raise InputError("l must be at least 1")
-    if k - l * p < 1:
-        raise InputError(f"need k - l*p >= 1, got {k - l * p}")
-    if variant not in ("symmetric", "alternating"):
-        raise InputError(f"unknown variant {variant!r}")
     if variant == "alternating" and p == 2 and l % 2:
         raise InputError("alternating variant needs p odd, or p = 2 with l even")
+    if k - l * p < 1:
+        raise InputError(f"need k - l*p >= 1, got {k - l * p}")
 
 
 def family_amalgam(p: int, k: int, l: int, variant: str = "symmetric") -> GraphOfGroups:
@@ -418,7 +409,6 @@ def parse_gog(text: str, max_group_order: int = DEFAULT_GROUP_CAP) -> GraphOfGro
             degree, gens = _parse_group_block(toks)
             group = generate(gens, degree, max_order=max_group_order)
             sides = {}
-            order = []
             while toks.peek() != "}":
                 sline, scol = toks.here()
                 side_tok = toks.next()
@@ -447,7 +437,6 @@ def parse_gog(text: str, max_group_order: int = DEFAULT_GROUP_CAP) -> GraphOfGro
                         f"edge {name!r}: {len(gens)} generators but "
                         f"{len(images)} images on the {side} side", sline, scol)
                 sides[side] = images
-                order.append(side)
             toks.next("}")
             if set(sides) != {"left", "right"}:
                 raise ParseError(f"edge {name!r} needs both sides", line, col)

@@ -125,18 +125,19 @@ class FiniteGroup:
     def subgroup(self, members) -> "FiniteGroup":
         """The subgroup with the given element set, with a small derived
         generating list (greedy over the sorted elements)."""
-        members = sorted(members)
-        if not members or not members[0].is_identity():
-            if identity(self.degree) not in members:
-                raise InputError("subgroup must contain the identity")
+        members = sorted(_subgroup_elements(self, members))
         gens = []
         closure = {identity(self.degree)}
         for m in members:
             if m not in closure:
                 gens.append(m)
-                closure = _close_perms(gens, self.degree, len(members))
-        if len(closure) != len(members):
-            raise InputError("element set is not closed under multiplication")
+                # every member ends up in the closure, so a closure no
+                # larger than the set is the set
+                try:
+                    closure = _close_perms(gens, self.degree, len(members))
+                except CapExceeded:
+                    raise InputError("element set is not closed under "
+                                     "multiplication") from None
         return FiniteGroup(self.degree, gens, members)
 
 
@@ -335,26 +336,27 @@ def coset_action(g: FiniteGroup, u) -> dict:
 
 # -- subgroup enumeration -------------------------------------------------
 
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
-
-
 def _least_prime(n: int) -> int:
     """The least prime dividing n (n itself when n is prime or 1)."""
     return next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
 
 
+def _is_prime(n: int) -> bool:
+    return n >= 2 and _least_prime(n) == n
+
+
 def _is_prime_power(m: int) -> bool:
-    if m < 2:
-        return False
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            return m == 1
-        p += 1
-    return True
+    # m divides a power of its least prime p (p^a with a >= log2 m) exactly
+    # when p is its only prime factor
+    return m >= 2 and _least_prime(m) ** m.bit_length() % m == 0
+
+
+def _prime_order(x: Perm) -> int:
+    """The order of x, which must be prime."""
+    p = x.order()
+    if not _is_prime(p):
+        raise InputError(f"element must have prime order, got order {p}")
+    return p
 
 
 def _extend(cosets, coset_of, rows, limit):

@@ -22,23 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .catalog import build_catalog, restriction_matrix
+from .catalog import build_catalog, fixed_point_multiplicity, restriction_matrix
 from .errors import InputError
-from .gog import (GraphOfGroups, euler_characteristic, family_amalgam,
-                  family_graph_text, free_group)
-from .groups import (FiniteGroup, _is_prime, _subgroup_elements,
-                     conjugacy_class, normalizer, subgroup_classes)
+from .gog import (GraphOfGroups, _check_family_params, euler_characteristic,
+                  family_amalgam, family_graph_text, free_group)
+from .groups import (FiniteGroup, _is_prime, _prime_order, _subgroup_elements,
+                     normalizer, subgroup_classes)
 from .perm import Perm
 from .ratlp import LPSolution, RationalLP, solve_max
-
-# Values reported elsewhere for specific graph shapes, keyed by
-# (sorted vertex orders, sorted edge orders, Euler characteristic).
-# The growth report notes agreement or disagreement with these; the LP
-# value is authoritative either way.
-_PRIOR_REPORTS = {
-    ((6, 6, 10), (2, 2, 3), Fraction(-9, 10)): Fraction(3, 2),
-    ((24, 24), (4,), Fraction(-1, 6)): Fraction(1, 4),
-}
 
 # Small amalgams in the two-symmetric-groups family whose growth exceeds
 # the generic closed form; tabulated values, by (p, k, l) and variant.
@@ -93,7 +84,7 @@ def build_growth_program(g: GraphOfGroups) -> GrowthProgram:
 
     for name, cat in catalogs:
         lp.add_constraint(
-            {col: cls.degree for col, cls in zip(cols[name], cat.classes)}, 1)
+            {col: cls.index for col, cls in zip(cols[name], cat.classes)}, 1)
 
     edge_matrices = []
     for e in g.edges:
@@ -144,8 +135,8 @@ def _dominant_description(program: GrowthProgram, tv: TypeVector) -> str:
         for cls, w in zip(cat.classes, tv.vertex(name)):
             if w:
                 gens = ", ".join(str(p) for p in
-                                 cls.stabilizer.representative.generators) or "()"
-                parts.append(f"{w} * <{gens}> (index {cls.degree})")
+                                 cls.representative.generators) or "()"
+                parts.append(f"{w} * <{gens}> (index {cls.index})")
         lines.append(f"{name}: " + ("; ".join(parts) if parts else "none"))
     return "\n".join(lines)
 
@@ -174,16 +165,6 @@ def mu(g: GraphOfGroups) -> GrowthReport:
     eu = euler_characteristic(g)
     assert sol.value >= eu.mu_free, "optimum fell below the free lower bound"
     notes = []
-    key = (tuple(sorted(grp.order for _, grp in g.vertices)),
-           tuple(sorted(e.group.order for e in g.edges)),
-           eu.chi)
-    prior = _PRIOR_REPORTS.get(key)
-    if prior is not None and prior != sol.value:
-        notes.append(f"recomputed mu = {sol.value} disagrees with the "
-                     f"previously reported value {prior} for this "
-                     f"configuration; the exact LP value stands")
-    elif prior is not None:
-        notes.append(f"matches the previously reported value {prior}")
     if sol.value == eu.mu_free:
         notes.append("growth is as slow as free subgroups allow (mu = -chi)")
     return GrowthReport(mu=sol.value, chi=eu.chi, mu_free=eu.mu_free,
@@ -194,13 +175,6 @@ def mu(g: GraphOfGroups) -> GrowthReport:
 
 # -- closed forms for amalgams over a cyclic group of prime order ----------
 
-def _prime_order(x: Perm) -> int:
-    p = x.order()
-    if not _is_prime(p):
-        raise InputError(f"element must have prime order, has order {p}")
-    return p
-
-
 def cyclic_amalgam_value(g: FiniteGroup, x: Perm, h) -> Fraction:
     """Contribution of one subgroup H to the growth of G *_<x> G.
 
@@ -210,11 +184,10 @@ def cyclic_amalgam_value(g: FiniteGroup, x: Perm, h) -> Fraction:
     p = _prime_order(x)
     if g.order <= 2 * p:
         raise InputError("closed form needs |G| > 2p")
-    members = _subgroup_elements(g, h)
-    cls = conjugacy_class(g, x)
-    hits = len(cls & members)
-    index = Fraction(g.order, len(members))
-    return Fraction(1, p) + Fraction(hits * (p - 1), len(cls) * p) - 2 / index
+    index = g.order // len(_subgroup_elements(g, h))
+    # |[x] cap H| / |[x]| is the number of fixed cosets over the index
+    fixed = fixed_point_multiplicity(g, h, x)
+    return Fraction(1, p) + Fraction(fixed * (p - 1) - 2 * p, index * p)
 
 
 def cyclic_amalgam_mu(g: FiniteGroup, x: Perm):
@@ -249,19 +222,10 @@ def family_mu(p: int, k: int, l: int, variant: str = "symmetric") -> Fraction:
     delta corrects for p = 2 with an odd number of 2-cycles (the glued
     element is odd, which costs one extra intersection point).
     """
-    if variant not in ("symmetric", "alternating"):
-        raise InputError(f"unknown variant {variant!r}")
-    if not _is_prime(p):
-        raise InputError(f"p must be prime, got {p}")
-    if l < 1:
-        raise InputError("l must be at least 1")
-    if variant == "alternating" and p == 2 and l % 2:
-        raise InputError("alternating variant needs p odd, or p = 2 with l even")
+    _check_family_params(p, k, l, variant)
     exception = _FAMILY_EXCEPTIONS.get((p, k, l))
     if exception is not None:
         return exception[variant]
-    if k - l * p < 1:
-        raise InputError(f"need k - l*p >= 1, got {k - l * p}")
     if variant == "alternating":
         return 1 - Fraction((p - 1) * l + 2, k)
     delta = 1 if p == 2 and l % 2 else 0

@@ -83,7 +83,7 @@ def vertex_hom_count(group: FiniteGroup, eta, n: int) -> int:
                          f"{len(cat.classes)} classes")
     if any(e < 0 for e in eta):
         raise InputError("type multiplicities must be non-negative")
-    if sum(e * cls.degree for e, cls in zip(eta, cat.classes)) != n:
+    if sum(e * cls.index for e, cls in zip(eta, cat.classes)) != n:
         raise InputError(f"type does not reach degree {n}")
     denom = 1
     for e, cls in zip(eta, cat.classes):
@@ -256,27 +256,16 @@ def hom_count_enumerate(g: GraphOfGroups, n: int,
         if grp.order > DEFAULT_ENUM_GROUP_CAP:
             raise CapExceeded(f"vertex {name!r} has order {grp.order}, "
                               f"cap {DEFAULT_ENUM_GROUP_CAP}")
-    tree = set(spanning_tree(g).edge_names)
-    names = [v for v, _ in g.vertices]
-    parent = {names[0]: None}
-    bfs = [names[0]]
-    qi = 0
-    while qi < len(bfs):
-        v = bfs[qi]
-        qi += 1
-        for e in g.edges:
-            if e.name not in tree:
-                continue
-            for (x, y), (ex, ey) in ((e.ends, e.embeddings),
-                                     (e.ends[::-1], e.embeddings[::-1])):
-                if x == v and y not in parent:
-                    parent[y] = (ex, ey, v)
-                    bfs.append(y)
+    tree = spanning_tree(g)
+    bfs = tree.order
+    parent = {}     # vertex -> (embedding into its parent, into it, parent)
+    for v, pv, e in tree.links:
+        ex, ey = e.embeddings if e.ends[1] == v else e.embeddings[::-1]
+        parent[v] = (ex, ey, pv)
     pos = {v: i for i, v in enumerate(bfs)}
     homs = {name: _vertex_homs(grp, n) for name, grp in g.vertices}
     buckets = {}
-    for v in bfs[1:]:
-        ex, ey, pv = parent[v]
+    for v, (ex, ey, pv) in parent.items():
         index = {}
         for phi in homs[v]:
             key = tuple(phi[ey.apply(a)] for a in ey.generators)
@@ -297,7 +286,7 @@ def hom_count_enumerate(g: GraphOfGroups, n: int,
             total += factor
             return
         v = bfs[i]
-        if parent[v] is None:
+        if v not in parent:
             candidates = homs[v]
         else:
             ex, ey, pv = parent[v]

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -69,8 +70,11 @@ def test_parse_error_carries_position():
 
 
 def test_parse_rejects_disconnected():
-    with pytest.raises(ParseError, match="connected"):
-        parse_gog("vertex a = Sym(3)\nvertex b = Sym(3)\n")
+    with pytest.raises(ParseError, match=re.escape(
+            "graph is not connected; unreachable vertices: ['b', 'd']")):
+        parse_gog("vertex a = Sym(3)\nvertex b = Sym(3)\n"
+                  "vertex c = Cyc(2)\nvertex d = Cyc(2)\n"
+                  "edge e a c { degree 1; gens (); into a: (); into c: (); }\n")
 
 
 def test_parse_respects_group_cap():

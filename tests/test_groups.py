@@ -293,6 +293,19 @@ def test_normalizer_and_centralizer():
         centralizer(s4, identity(5))
 
 
+def test_subgroup_rejects_members_outside_the_group():
+    a4 = alternating_group(4)
+    with pytest.raises(InputError, match="outside the group"):
+        a4.subgroup([identity(4), parse_perm("(1 2)", 4)])
+
+
+def test_subgroup_rejects_a_set_that_is_not_closed():
+    s3 = symmetric_group(3)
+    members = [identity(3), parse_perm("(1 2)", 3), parse_perm("(1 2 3)", 3)]
+    with pytest.raises(InputError, match="not closed under multiplication"):
+        s3.subgroup(members)
+
+
 def _fixture_groups():
     return [
         cyclic_group(6),

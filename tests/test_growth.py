@@ -5,14 +5,17 @@ import pytest
 from vfgrowth.corpus import (infinite_dihedral, klein_amalgam, modular_graph,
                              triangle_graph)
 from vfgrowth.errors import CapExceeded, InputError
-from vfgrowth.gog import (cyclic_amalgam, euler_characteristic, family_amalgam,
-                          free_group, free_product, make_graph, parse_gog)
+from vfgrowth.gog import (amalgam, cyclic_amalgam, euler_characteristic,
+                          family_amalgam, free_group, free_product, make_graph,
+                          parse_gog)
 from vfgrowth.groups import (all_subgroups, cyclic_group, dihedral_group,
-                             generate, subgroup_classes, symmetric_group)
+                             generate, klein_four, subgroup_classes,
+                             symmetric_group)
 from vfgrowth.growth import (build_growth_program, cyclic_amalgam_mu,
                              cyclic_amalgam_value, euler_tight, family_mu, mu,
                              plan_graph, plan_graph_text, realize)
 from vfgrowth.perm import parse_perm
+from vfgrowth.selftest import criterion_p6
 
 
 def test_mu_known_small_graphs():
@@ -30,7 +33,7 @@ def test_mu_report_fields():
     assert r.mu_free == Fraction(1, 6)
     assert r.solution.status == "optimal"
     assert "a" in r.dominant and "b" in r.dominant
-    assert r.notes == ("matches the previously reported value 1/4",)
+    assert r.notes == ()
 
 
 def test_mu_objective_bookkeeping():
@@ -67,8 +70,20 @@ def test_mu_is_order_independent():
 
 
 def test_mu_flags_disagreement_with_prior_report():
-    notes = mu(triangle_graph()).notes
-    assert any("3/2" in n for n in notes)
+    # the report carries no prior value; selftest P6 checks the old 3/2
+    assert mu(triangle_graph()).notes == (
+        "growth is as slow as free subgroups allow (mu = -chi)",)
+    assert "the previously reported 3/2 does not survive recomputation" \
+        in criterion_p6().detail
+
+
+def test_normal_klein_amalgam_has_no_prior_report_note():
+    # same vertex orders, edge order and chi as the Klein amalgam, but both
+    # embeddings have the normal four-group as image
+    s4, v = symmetric_group(4), klein_four()
+    r = mu(amalgam(s4, s4, v, v.generators, v.generators))
+    assert r.mu == Fraction(2, 3)
+    assert r.notes == ()
 
 
 def test_growth_program_shape():
