@@ -19,9 +19,9 @@ from .gog import (GraphOfGroups, amalgam, cycle_power_element, cyclic_amalgam,
 from .growth import (GrowthReport, build_growth_lp, cyclic_amalgam_mu,
                      cyclic_amalgam_value, euler_tight, family_mu, mu,
                      plan_graph, plan_graph_text, realize)
-from .ratlp import RationalLP, enumerate_vertices, solve_max
+from .ratlp import RationalLP, certify, enumerate_vertices, solve_max
 from .oracle import (CountLedger, hom_count_enumerate, hom_count_typesum,
-                     slope_diagnostic, type_hom_count, vertex_hom_count)
+                     type_hom_count, vertex_hom_count)
 
 __version__ = "0.1.0"
 
@@ -29,13 +29,12 @@ __all__ = [
     "CapExceeded", "CountLedger", "EmbeddingMap", "EmbeddingError",
     "FiniteGroup", "GraphOfGroups", "GrowthReport", "InputError",
     "ParseError", "Perm", "RationalLP", "alternating_group", "amalgam",
-    "build_catalog", "build_growth_lp", "cycle_power_element",
+    "build_catalog", "build_growth_lp", "certify", "cycle_power_element",
     "cyclic_amalgam", "cyclic_amalgam_mu", "cyclic_amalgam_value",
     "cyclic_group", "dihedral_group", "euler_characteristic", "euler_tight",
     "enumerate_vertices", "family_amalgam", "family_mu", "free_group",
     "free_product", "hom_count_enumerate", "hom_count_typesum", "identity",
     "klein_four", "load_gog", "make_graph", "mu", "parse_gog", "plan_graph",
-    "plan_graph_text", "realize", "slope_diagnostic", "solve_max",
-    "symmetric_group", "to_text", "trivial_group", "type_hom_count",
-    "vertex_hom_count",
+    "plan_graph_text", "realize", "solve_max", "symmetric_group", "to_text",
+    "trivial_group", "type_hom_count", "vertex_hom_count",
 ]

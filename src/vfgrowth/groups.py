@@ -13,6 +13,7 @@ multiply element indices in its tables (``FiniteGroup.tables``), not
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial, isqrt
@@ -163,8 +164,13 @@ def _check_known_order(order: int, max_order: int) -> int:
     """Named constructors know their order up front; reject oversized
     requests before enumerating anything."""
     if order > max_order:
+        # Python refuses to print ints past its digit limit (4300 by
+        # default, none before 3.10.7); Sym(k) passes it from k = 1559 on
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        shown = f"of more than {limit} digits" \
+            if limit and order >= 10 ** limit else order
         raise CapExceeded(
-            f"group too large: order {order} exceeds cap {max_order}")
+            f"group too large: order {shown} exceeds cap {max_order}")
     return order
 
 

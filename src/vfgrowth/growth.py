@@ -29,7 +29,7 @@ from .gog import (GraphOfGroups, _check_family_params, euler_characteristic,
 from .groups import (FiniteGroup, _is_prime, _prime_order, _subgroup_elements,
                      normalizer, subgroup_classes)
 from .perm import Perm
-from .ratlp import LPSolution, RationalLP, solve_max
+from .ratlp import LPSolution, RationalLP, certify, solve_max
 
 # Small amalgams in the two-symmetric-groups family whose growth exceeds
 # the generic closed form; tabulated values, by (p, k, l) and variant.
@@ -148,6 +148,9 @@ def mu(g: GraphOfGroups) -> GrowthReport:
     # infeasible; tau <= 1 and sigma >= degree-weighted normalization keep
     # the objective bounded.
     assert sol.status == "optimal", sol.status
+    # weak duality proves the optimum, whatever the simplex did
+    if not certify(program.lp, sol):
+        raise RuntimeError("the LP optimum failed its duality certificate")
     weights = []
     for name, cat in program.catalogs:
         weights.append((name, tuple(sol.point[c] for c in program.columns(name))))

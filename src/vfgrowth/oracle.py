@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, product
-from math import comb, factorial, log
+from math import comb, factorial
 
 from .catalog import build_catalog, extend_hom
 from .errors import CapExceeded, EmbeddingError, InputError
@@ -309,15 +309,3 @@ def hom_count_enumerate(g: GraphOfGroups, n: int,
 
     place(0, 1)
     return total
-
-
-def slope_diagnostic(g: GraphOfGroups, n_max: int) -> list:
-    """Floating-point trend of log|Hom| / (n log n) - 1 toward mu.
-
-    Display only; nothing here is asserted against.
-    """
-    ledger = hom_count_typesum(g, n_max)
-    out = []
-    for m in range(2, n_max + 1):
-        out.append((m, log(ledger.total(m)) / (m * log(m)) - 1))
-    return out

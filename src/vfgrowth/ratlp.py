@@ -1,14 +1,23 @@
 """Exact linear programming over the rationals.
 
 Solves max c.x subject to A x = b, x >= 0 by two-phase simplex with
-Bland's anti-cycling rule.  Everything is a Fraction; there is no floating
-point and no tolerance.  Fraction keeps values gcd-reduced with positive
-denominators, so coefficient growth stays under control without extra
-normalization passes.
+Bland's anti-cycling rule.  There is no floating point and no tolerance.
+The tableau is fraction-free: each row is a list of Python ints divided by
+its gcd, a positive multiple of the rational row it stands for, so its
+basic entry is positive.  The reduced-cost row is a row of the same
+tableau, updated by the same pivots; the ratio test cross-multiplies; and
+Fractions are formed only for the answer.  The choices are those of the
+same simplex run on Fraction rows, so the answer is too.
 
-enumerate_vertices provides an independent check: it visits every basic
-feasible solution by exhaustive basis enumeration, which is affordable at
-the variable counts this package produces (capped at 24 by default).
+An optimal solution carries a dual vector y with A^T y >= c and
+b.y = c.x, read from the phase-1 artificial columns, which stay in the
+tableau.  certify checks that and primal feasibility in exact arithmetic,
+with no code shared with the simplex; by weak duality that proves the
+optimum at any size.
+
+enumerate_vertices visits every basic feasible solution by exhaustive
+basis enumeration (capped at 24 variables by default).  It is the tests'
+independent oracle for small LPs; the package itself never calls it.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from .errors import CapExceeded, InputError
 
@@ -67,6 +77,7 @@ class LPSolution:
     value: Fraction
     point: tuple
     basis: tuple
+    dual: tuple = None     # y with A^T y >= c and b.y = value, if optimal
 
     def __str__(self):
         if self.status != "optimal":
@@ -74,92 +85,153 @@ class LPSolution:
         return f"optimal value {self.value}"
 
 
-def _pivot(tableau, basis, row, col):
-    piv = tableau[row][col]
-    tableau[row] = [x / piv for x in tableau[row]]
-    for i, r in enumerate(tableau):
+def _primitive(row) -> list:
+    """An int row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [a // g for a in row] if g > 1 else row
+
+
+def _integer_row(values) -> list:
+    """The smallest positive multiple of a rational row that is all ints."""
+    den = lcm(*(v.denominator for v in values))
+    return _primitive([v.numerator * (den // v.denominator) for v in values])
+
+
+def _combine(p, r, q, prow):
+    """p*r - q*prow, divided by its gcd."""
+    return _primitive([p * a - q * b for a, b in zip(r, prow)])
+
+
+def _pivot(rows, basis, row, col, cost=None):
+    """Make col basic in row.  Every other row r (and the cost row) becomes
+    p*r - r[col]*pivot row over its gcd, which keeps each basic entry
+    positive because the pivot p is made positive first."""
+    prow = rows[row]
+    p = prow[col]
+    if p < 0:
+        prow = rows[row] = [-a for a in prow]
+        p = -p
+    for i, r in enumerate(rows):
         if i != row and r[col]:
-            f = r[col]
-            tableau[i] = [a - f * b for a, b in zip(r, tableau[row])]
+            rows[i] = _combine(p, r, r[col], prow)
+    if cost is not None and cost[col]:
+        cost[:] = _combine(p, cost, cost[col], prow)
     basis[row] = col
 
 
-def _simplex(tableau, basis, cost, ncols):
+def _priced(rows, basis, cost) -> list:
+    """The reduced-cost row of a rational cost vector against the basis,
+    as ints: D*(c - c_B B^-1 A), then D > 0 in the scale column, then
+    -D*c_B.x_B under the rhs."""
+    z = _integer_row(list(cost) + [1, 0])
+    for r, b in zip(rows, basis):
+        if z[b]:
+            z = _combine(r[b], z, z[b], r)
+    return z
+
+
+def _simplex(rows, basis, cost, ncols):
     """Run simplex to optimality on a tableau in canonical form.
 
     Bland's rule on both the entering and the leaving choice: the growth
-    LPs are heavily degenerate, so anti-cycling is not optional.
+    LPs are heavily degenerate, so anti-cycling is not optional.  Row i
+    stands for rows[i] / rows[i][basis[i]], so the ratio test compares
+    rhs/entry by cross-multiplying, and a reduced cost has the sign of its
+    cost-row entry.
     """
     for _ in range(_ITERATION_CAP):
-        y = [cost[b] for b in basis]
-        enter = -1
-        for j in range(ncols):
-            reduced = cost[j] - sum(y[i] * tableau[i][j]
-                                    for i in range(len(tableau)) if y[i])
-            if reduced > 0:
-                enter = j
-                break
+        enter = next((j for j in range(ncols) if cost[j] > 0), -1)
         if enter < 0:
             return "optimal"
         leave = -1
-        best = None
-        for i, r in enumerate(tableau):
-            if r[enter] > 0:
-                ratio = r[-1] / r[enter]
-                if best is None or ratio < best or \
-                        (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+        for i, r in enumerate(rows):
+            a = r[enter]
+            if a > 0:
+                if leave < 0:
+                    leave, num, den = i, r[-1], a
+                    continue
+                lhs, rhs = r[-1] * den, num * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, num, den = i, r[-1], a
         if leave < 0:
             return "unbounded"
-        _pivot(tableau, basis, leave, enter)
+        _pivot(rows, basis, leave, enter, cost)
     raise AssertionError("simplex failed to terminate")  # unreachable with Bland
 
 
 def solve_max(lp: RationalLP) -> LPSolution:
     m, n = lp.num_constraints, lp.num_vars
-    tableau = []
-    for row, b in zip(lp.rows, lp.rhs):
-        full = [Fraction(x) for x in row] + [Fraction(b)]
-        if full[-1] < 0:
-            full = [-x for x in full]
-        tableau.append(full)
+    # Row i is [A_i | e_i | 0 | b_i] scaled to ints, with A_i and b_i
+    # negated if b_i < 0.  The unit columns are the phase-1 artificials;
+    # they stay to the end, where their reduced costs give the dual.  The
+    # zero column holds the cost row's scale, which no constraint row moves.
+    rows = []
+    for i, (row, b) in enumerate(zip(lp.rows, lp.rhs)):
+        unit = [0] * m
+        unit[i] = 1
+        full = _integer_row(row + unit + [0, b])
+        if b < 0:
+            full = [-a for a in full]
+            full[n + i] = -full[n + i]
+        rows.append(full)
 
-    # Phase 1: one artificial variable per row, drive their sum to zero.
-    for i in range(m):
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
-        tableau[i] = tableau[i][:-1] + art + [tableau[i][-1]]
+    # Phase 1: drive the sum of the artificials to zero.
     basis = list(range(n, n + m))
-    phase1 = [Fraction(0)] * n + [Fraction(-1)] * m
-    status = _simplex(tableau, basis, phase1, n + m)
+    cost = _priced(rows, basis, [0] * n + [-1] * m)
+    status = _simplex(rows, basis, cost, n + m)
     assert status == "optimal"  # phase 1 objective is bounded above by zero
-    residue = sum(tableau[i][-1] for i in range(len(basis)) if basis[i] >= n)
-    if residue != 0:
+    if any(r[-1] for r, b in zip(rows, basis) if b >= n):
         return LPSolution("infeasible", None, None, None)
 
     # Pivot leftover artificials out of the basis; a row where no original
     # column can serve as pivot is redundant and gets dropped.
     i = 0
-    while i < len(tableau):
+    while i < len(rows):
         if basis[i] >= n:
-            col = next((j for j in range(n) if tableau[i][j] != 0), None)
+            col = next((j for j in range(n) if rows[i][j]), None)
             if col is None:
-                del tableau[i]
+                del rows[i]
                 del basis[i]
                 continue
-            _pivot(tableau, basis, i, col)
+            _pivot(rows, basis, i, col)
         i += 1
-    tableau = [row[:n] + [row[-1]] for row in tableau]
 
-    cost = [Fraction(c) for c in lp.objective]
-    status = _simplex(tableau, basis, cost, n)
+    cost = _priced(rows, basis, list(lp.objective) + [0] * m)
+    status = _simplex(rows, basis, cost, n)
     if status == "unbounded":
         return LPSolution("unbounded", None, None, None)
     point = [Fraction(0)] * n
-    for i, b in enumerate(basis):
-        point[b] = tableau[i][-1]
-    value = sum(c * x for c, x in zip(cost, point))
-    return LPSolution("optimal", value, tuple(point), tuple(sorted(basis)))
+    for r, b in zip(rows, basis):
+        point[b] = Fraction(r[-1], r[b])
+    scale = cost[n + m]
+    # y = c_B B^-1: the negated reduced costs of the artificial columns,
+    # negated back on the rows that were flipped
+    dual = tuple(Fraction(z if b < 0 else -z, scale)
+                 for z, b in zip(cost[n:n + m], lp.rhs))
+    return LPSolution("optimal", Fraction(-cost[-1], scale), tuple(point),
+                      tuple(sorted(basis)), dual)
+
+
+def certify(lp: RationalLP, solution: LPSolution) -> bool:
+    """Whether the solution is provably optimal, by weak duality.
+
+    Checks, in exact arithmetic and sharing nothing with the simplex, that
+    x is feasible (A x = b, x >= 0), that y is dual feasible (A^T y >= c
+    column by column) and that b.y = c.x = value.  Any feasible x then has
+    c.x <= (A^T y).x = b.y, so no point beats the solution.
+    """
+    x, y = solution.point, solution.dual
+    if solution.status != "optimal" or x is None or y is None \
+            or len(x) != lp.num_vars or len(y) != lp.num_constraints:
+        return False
+    weighted = [(row, w) for row, w in zip(lp.rows, y) if w]
+    cx = sum(c * v for c, v in zip(lp.objective, x) if v)
+    return (all(v >= 0 for v in x)
+            and all(sum(a * v for a, v in zip(row, x) if v and a) == b
+                    for row, b in zip(lp.rows, lp.rhs))
+            and all(sum(row[j] * w for row, w in weighted if row[j]) >= c
+                    for j, c in enumerate(lp.objective))
+            and cx == solution.value == sum(b * w for b, w in zip(lp.rhs, y)))
 
 
 def _rref(matrix, ncols):

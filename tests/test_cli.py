@@ -143,6 +143,16 @@ def test_family_large_k_skips_closed_form(capsys):
     assert "closed_form" not in out
 
 
+def test_family_huge_k_prints_the_formula_without_a_check(capsys):
+    # Sym(100000) has an order of 456574 digits, past Python's printing limit
+    assert run(["family", "--p", "3", "--k", "100000", "--l", "1"]) == 0
+    out, err = out_of(capsys)
+    assert out.startswith(
+        "formula_mu = 99997/100000\nvertex a = Sym(100000)\n")
+    assert "closed_form" not in out
+    assert err == ""
+
+
 def test_error_exit_codes(capsys):
     assert run(["mu", str(GRAPHS / "no-such-file.gog")]) == 1
     assert "error:" in out_of(capsys)[1]

@@ -83,6 +83,12 @@ def test_parse_respects_group_cap():
         parse_gog("vertex a = Sym(8)\n", max_group_order=1000)
 
 
+def test_parse_refuses_a_group_whose_order_python_cannot_print():
+    from vfgrowth.errors import CapExceeded
+    with pytest.raises(CapExceeded, match="more than 4300 digits"):
+        parse_gog("vertex a = Sym(100000)\n")
+
+
 def test_round_trip_all_shipped_graphs():
     for path in sorted(GRAPHS.glob("*.gog")):
         g = parse_gog(path.read_text())

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 import pytest
 
@@ -54,6 +55,20 @@ def test_named_constructor_caps_fail_fast():
         symmetric_group(110, max_order=10000)
     with pytest.raises(CapExceeded):
         alternating_group(9, max_order=10000)
+
+
+def test_cap_message_prints_the_order_only_when_python_can():
+    # 110! has 179 digits and is printed in full; 100000! has 456574,
+    # past Python's int-to-string limit, and is described instead
+    with pytest.raises(CapExceeded) as printable:
+        symmetric_group(110, max_order=10000)
+    assert str(printable.value) == \
+        f"group too large: order {factorial(110)} exceeds cap 10000"
+    with pytest.raises(CapExceeded, match="order of more than 4300 digits "
+                                          "exceeds cap 10000"):
+        symmetric_group(100000)
+    with pytest.raises(CapExceeded, match="exceeds cap 10000"):
+        alternating_group(100000)
 
 
 def test_named_constructors_default_to_the_group_cap():

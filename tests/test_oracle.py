@@ -9,8 +9,8 @@ from vfgrowth.errors import CapExceeded, InputError
 from vfgrowth.gog import free_group, make_graph
 from vfgrowth.groups import (cyclic_group, symmetric_group, trivial_group)
 from vfgrowth.oracle import (TypePartition, hom_count_enumerate,
-                             hom_count_typesum, slope_diagnostic,
-                             type_hom_count, vertex_hom_count)
+                             hom_count_typesum, type_hom_count,
+                             vertex_hom_count)
 from vfgrowth.oracle import _transporter_count
 from vfgrowth.perm import parse_perm
 
@@ -189,9 +189,3 @@ def test_transporter_counts():
     assert _transporter_count((a,), (b,), 4) == _transporter_count((a,), (a,), 4)
     assert _transporter_count((a,), (a,), 4) == 4      # 2 * 2 fixed points
     assert _transporter_count((a, c), (a, c), 4) == 1  # joint centralizer
-
-
-def test_slope_diagnostic_is_float_only():
-    rows = slope_diagnostic(modular_graph(), 5)
-    assert [m for m, _ in rows] == [2, 3, 4, 5]
-    assert all(isinstance(v, float) for _, v in rows)

@@ -1,11 +1,19 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from make_lp_golden import GOLDEN, solution_lines
+from vfgrowth.corpus import (corpus_graphs, klein_amalgam, modular_graph,
+                             triangle_graph)
 from vfgrowth.errors import CapExceeded, InputError
-from vfgrowth.growth import build_growth_program
-from vfgrowth.corpus import modular_graph, triangle_graph
-from vfgrowth.ratlp import (RationalLP, dump_tsv, enumerate_vertices,
+from vfgrowth.gog import cyclic_amalgam
+from vfgrowth.groups import (_is_prime, alternating_group, generate,
+                             subgroup_classes, symmetric_group)
+from vfgrowth.growth import build_growth_program, mu
+from vfgrowth.perm import parse_perm
+from vfgrowth.ratlp import (RationalLP, certify, dump_tsv, enumerate_vertices,
                             solve_max)
 
 
@@ -90,7 +98,7 @@ def test_enumerate_vertices_single_constraint():
 
 
 def test_enumerate_vertices_agrees_with_simplex():
-    for g in (modular_graph(), triangle_graph()):
+    for g in (modular_graph(), triangle_graph(), klein_amalgam()):
         lp = build_growth_program(g).lp
         sol = solve_max(lp)
         verts = enumerate_vertices(lp)
@@ -124,3 +132,118 @@ def test_deterministic_resolution():
     first = solve_max(lp)
     second = solve_max(lp)
     assert first == second
+
+
+# -- the kernel against vertex enumeration, and the duality certificate -----
+
+_ENTRY = st.sampled_from([0, 0, 0, 1, -1, 2, -3, Fraction(1, 2),
+                          Fraction(-2, 3)])
+
+
+@st.composite
+def _small_lps(draw):
+    """An LP of at most 8 variables with Fraction and negative entries and
+    right-hand sides, redundant (scaled copy) rows and all-zero rows; a
+    final row of positive coefficients, when drawn, bounds the polytope."""
+    n = draw(st.integers(1, 8))
+    entries = st.lists(_ENTRY, min_size=n, max_size=n)
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["new", "new", "copy", "zero"]))
+        if kind == "copy" and rows:
+            coeffs, rhs = draw(st.sampled_from(rows))
+            f = draw(st.sampled_from([1, -2, Fraction(1, 3)]))
+            rows.append(([f * a for a in coeffs], f * rhs))
+        elif kind == "zero":
+            rows.append(([0] * n, draw(st.sampled_from([0, 0, 1]))))
+        else:
+            rows.append((draw(entries), draw(_ENTRY)))
+    bounded = draw(st.booleans())
+    if bounded:
+        positive = st.sampled_from([1, 2, Fraction(1, 3)])
+        rows.append(([draw(positive) for _ in range(n)],
+                     draw(st.sampled_from([1, Fraction(5, 2)]))))
+    names = [f"x{j}" for j in range(n)]
+    return _lp(names, draw(entries), rows), bounded
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_lps())
+def test_simplex_agrees_with_vertex_enumeration(case):
+    lp, bounded = case
+    sol = solve_max(lp)
+    verts = enumerate_vertices(lp)
+    # a nonempty {A x = b, x >= 0} contains no line, so it has a vertex
+    assert (sol.status == "infeasible") == (not verts)
+    if bounded:
+        assert sol.status != "unbounded"
+    if sol.status == "optimal":
+        assert sol.value == max(v for _, v in verts)
+        assert sol.point in dict(verts)
+        assert certify(lp, sol)
+    else:
+        assert not certify(lp, sol)
+
+
+def _mutation_lp():
+    # max x1  s.t.  x1 + x2 + x3 + x4 = 1,  x2 - x3 = 0.  The optimum is
+    # x = (1, 0, 0, 0); the duals are y = (1, t) for -1 <= t <= 1.
+    return _lp(["x1", "x2", "x3", "x4"], [1, 0, 0, 0],
+               [([1, 1, 1, 1], 1), ([0, 1, -1, 0], 0)])
+
+
+def test_certify_accepts_the_optimum_and_its_dual():
+    lp = _mutation_lp()
+    sol = solve_max(lp)
+    assert sol.point == (1, 0, 0, 0)
+    assert sol.dual[0] == 1 and -1 <= sol.dual[1] <= 1
+    assert certify(lp, sol)
+
+
+@pytest.mark.parametrize("field, value, broken", [
+    # column x3 reads y1 - y2 = -1 < 0; b.y stays 1 because b2 = 0
+    ("dual", (Fraction(1), Fraction(2)), "A^T y >= c"),
+    # dual feasible, but b.y = 2 while c.x = 1
+    ("dual", (Fraction(2), Fraction(0)), "b.y = c.x"),
+    # row 1 reads 2; row 2, x >= 0 and c.x = 1 all still hold
+    ("point", (1, Fraction(1, 2), Fraction(1, 2), 0), "A x = b"),
+    # A x = b and c.x = 1 still hold along (0, 1, 1, -2)
+    ("point", (1, Fraction(-1, 2), Fraction(-1, 2), 1), "x >= 0"),
+])
+def test_certify_rejects_each_broken_condition(field, value, broken):
+    lp = _mutation_lp()
+    sol = solve_max(lp)
+    assert not certify(lp, replace(sol, **{field: value})), broken
+
+
+def test_every_corpus_graph_carries_a_certificate():
+    for name, g in corpus_graphs():
+        lp = build_growth_program(g).lp
+        assert certify(lp, solve_max(lp)), name
+
+
+def _psl27():
+    return generate([parse_perm("(1 2 3 4 5 6 7)", 7),
+                     parse_perm("(1 2)(3 5)", 7)], 7)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: alternating_group(5), lambda: symmetric_group(5), _psl27,
+    lambda: alternating_group(6), lambda: symmetric_group(6),
+], ids=["A5", "S5", "PSL(2,7)", "A6", "S6"])
+def test_prime_order_cyclic_amalgams_carry_a_certificate(make):
+    g = make()
+    primes = [cls for cls in subgroup_classes(g) if _is_prime(cls.order)]
+    assert primes
+    for cls in primes:
+        rep = mu(cyclic_amalgam(g, cls.representative.generators[0]))
+        assert certify(rep.program.lp, rep.solution)
+        assert sum(b * y for b, y in zip(rep.program.lp.rhs,
+                                         rep.solution.dual)) == rep.mu
+
+
+def test_solutions_match_the_golden_table():
+    # basis, value and point of every corpus graph and graphs/*.gog, as
+    # written by tests/make_lp_golden.py
+    assert solution_lines() == \
+        GOLDEN.read_text(encoding="utf-8").splitlines()
