@@ -28,9 +28,10 @@ from fractions import Fraction
 
 from .catalog import EmbeddingMap
 from .errors import EmbeddingError, InputError, ParseError
-from .groups import (DEFAULT_GROUP_CAP, FiniteGroup, _is_prime,
-                     alternating_group, cyclic_group, dihedral_group,
-                     generate, klein_four, symmetric_group, trivial_group)
+from .groups import (DEFAULT_GROUP_CAP, FiniteGroup, _digit_limit,
+                     _is_prime, _order_past_digit_limit, alternating_group,
+                     cyclic_group, dihedral_group, generate, klein_four,
+                     symmetric_group, trivial_group)
 from .perm import Perm, from_cycles, parse_perm
 
 
@@ -358,8 +359,14 @@ def _named_group(toks: _Tokens):
     toks.next(")")
 
     def build(cap: int) -> FiniteGroup:
+        # every named group has order at least its argument, so an
+        # argument too long for int() is past any cap int() can read
+        digits = arg.lstrip("0") or "0"
+        limit = _digit_limit()
+        if limit and len(digits) > limit:
+            raise _order_past_digit_limit(limit, cap)
         try:
-            return ctor(int(arg), max_order=cap)
+            return ctor(int(digits), max_order=cap)
         except InputError as exc:
             raise ParseError(str(exc), line, col) from None
     return build

@@ -160,17 +160,43 @@ def trivial_group(degree: int = 1) -> FiniteGroup:
     return FiniteGroup(degree, (), (identity(degree),))
 
 
+def _digit_limit() -> int:
+    """Python's int-to-string digit limit: 4300 by default, 0 for none (as
+    before 3.10.7).  Sym(k) passes it from k = 1559 on."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
+def _order_past_digit_limit(limit: int, max_order: int) -> CapExceeded:
+    """The refusal of an order too long for Python to print."""
+    return CapExceeded(f"group too large: order of more than {limit} digits "
+                       f"exceeds cap {max_order}")
+
+
 def _check_known_order(order: int, max_order: int) -> int:
     """Named constructors know their order up front; reject oversized
     requests before enumerating anything."""
     if order > max_order:
-        # Python refuses to print ints past its digit limit (4300 by
-        # default, none before 3.10.7); Sym(k) passes it from k = 1559 on
-        limit = getattr(sys, "get_int_max_str_digits", int)()
-        shown = f"of more than {limit} digits" \
-            if limit and order >= 10 ** limit else order
+        limit = _digit_limit()
+        if limit and order >= 10 ** limit:
+            raise _order_past_digit_limit(limit, max_order)
         raise CapExceeded(
-            f"group too large: order {shown} exceeds cap {max_order}")
+            f"group too large: order {order} exceeds cap {max_order}")
+    return order
+
+
+def _known_order_product(lo: int, hi: int, max_order: int) -> int:
+    """lo * (lo + 1) * ... * hi, the order of Sym(hi) (lo = 2) or Alt(hi)
+    (lo = 3).  Multiplying stops once the product is past both max_order
+    and the printable-digit limit: ``_check_known_order`` then refuses it
+    with the same words as the full product, so Sym(1000000) is refused
+    after about 1560 factors, not a million."""
+    limit = _digit_limit()
+    stop = max(max_order, 10 ** limit - 1) if limit else None
+    order = 1
+    for i in range(lo, hi + 1):
+        order *= i
+        if stop is not None and order > stop:
+            break
     return order
 
 
@@ -186,7 +212,7 @@ def cyclic_group(n: int, max_order: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
 def symmetric_group(k: int, max_order: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
     if k < 1:
         raise InputError("symmetric group degree must be at least 1")
-    _check_known_order(factorial(k), max_order)
+    _check_known_order(_known_order_product(2, k, max_order), max_order)
     if k == 1:
         return trivial_group()
     gens = [from_cycles([(0, 1)], k)]
@@ -198,7 +224,7 @@ def symmetric_group(k: int, max_order: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
 def alternating_group(k: int, max_order: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
     if k < 1:
         raise InputError("alternating group degree must be at least 1")
-    _check_known_order(factorial(k) // 2 if k > 2 else 1, max_order)
+    _check_known_order(_known_order_product(3, k, max_order), max_order)
     if k <= 2:
         return trivial_group(k)
     gens = [from_cycles([(0, 1, 2)], k)]

@@ -1,10 +1,18 @@
 """Exact homomorphism and subgroup counting at small degree.
 
 Everything the LP asserts asymptotically is checked here non-asymptotically:
-|Hom(Gamma, S_n)| is computed two independent ways (a closed-form sum over
-admissible representation types, and sheer brute force over generator
-images), and index-n subgroup counts fall out of the transitive-count
-recursion.  All results are exact big integers.
+|Hom(Gamma, S_n)| is computed two independent ways, and index-n subgroup
+counts fall out of the transitive-count recursion.  All results are exact
+big integers.
+
+- The type sum adds a closed-form count over the admissible representation
+  types.  It generates them by a join on the edge types they induce, one
+  vertex at a time, not by filtering the full product of vertex types.
+  ``type_hom_count`` recounts one type in ``Fraction`` arithmetic apart
+  from the join.
+- Brute force tries every tuple of generator images.  Each vertex group's
+  Cayley graph is walked once per call, and each tuple is composed along
+  the walk and checked on every edge of it.
 
 The per-orbit constant in the closed form is the automorphism count
 c = (N_G(U) : U) of the coset space, not the point count of the orbit; the
@@ -20,14 +28,14 @@ from functools import lru_cache
 from itertools import count, product
 from math import comb, factorial
 
-from .catalog import build_catalog, extend_hom
-from .errors import CapExceeded, EmbeddingError, InputError
+from .catalog import build_catalog
+from .errors import CapExceeded, InputError
 from .gog import GraphOfGroups, spanning_tree
 from .groups import DEFAULT_GROUP_CAP, FiniteGroup, symmetric_group
 from .growth import GrowthProgram, build_growth_program
-from .perm import Perm, identity
+from .perm import Perm
 
-DEFAULT_TYPESUM_CAP = 8
+DEFAULT_TYPESUM_CAP = 10
 DEFAULT_ENUM_CAP = 6
 DEFAULT_ENUM_GROUP_CAP = 120
 # the brute-force counter lists Sym(n), so the group cap fixes its degree
@@ -112,13 +120,12 @@ def _vertex_types(degrees, n):
 
 
 def type_hom_count(g: GraphOfGroups, xi: TypePartition) -> int:
-    """Exact number of homomorphisms Gamma -> S_n with the given type."""
-    return _program_type_count(build_growth_program(g), xi)
+    """Exact number of homomorphisms Gamma -> S_n with the given type.
 
-
-def _program_type_count(program: GrowthProgram, xi: TypePartition) -> int:
-    """type_hom_count over an already built growth program."""
-    g = program.graph
+    Computed type by type in ``Fraction`` arithmetic, apart from the join
+    that ``hom_count_typesum`` runs, so each can check the other.
+    """
+    program = build_growth_program(g)
     n = xi.n
     h = len(g.edges) - len(g.vertices) + 1
     value = Fraction(factorial(n)) ** h
@@ -135,22 +142,82 @@ def _program_type_count(program: GrowthProgram, xi: TypePartition) -> int:
     return value.numerator
 
 
-def _admissible_types(program: GrowthProgram, n):
-    per_vertex = []
-    names = []
-    for name, cat in program.catalogs:
-        names.append(name)
-        per_vertex.append(_vertex_types(cat.degrees, n))
-    edge_data = []
-    for (ename, ml, mr, ecat), e in zip(program.edge_matrices,
-                                        program.graph.edges):
-        i0 = names.index(e.ends[0])
-        i1 = names.index(e.ends[1])
-        edge_data.append((i0, ml, i1, mr))
-    for combo in product(*per_vertex):
-        if all(ml.apply(combo[i0]) == mr.apply(combo[i1])
-               for i0, ml, i1, mr in edge_data):
-            yield TypePartition(n, tuple(zip(names, combo)))
+def _typesum_rows(program: GrowthProgram, n: int) -> tuple:
+    """Every admissible type at degree n with its homomorphism count, in the
+    order of the full product of vertex types.
+
+    A join, not a filter over that product: vertices are placed in program
+    order, each vertex's types are bucketed by the edge type they induce
+    along its first edge to an already placed vertex, and any further edge
+    is checked as the vertex is placed.  A type counts
+    n!^h * prod(vertex counts) / prod(edge counts), in integers.
+    """
+    g = program.graph
+    names = [name for name, _ in program.catalogs]
+    at = {name: i for i, name in enumerate(names)}
+    # per vertex: the edge sides it sits on, (edge position, side, matrix)
+    sides = [[] for _ in names]
+    links = [[] for _ in names]   # (edge, side, earlier vertex, its side)
+    loops = [[] for _ in names]
+    for k, ((_, ml, mr, _), e) in enumerate(zip(program.edge_matrices,
+                                                g.edges)):
+        i0, i1 = at[e.ends[0]], at[e.ends[1]]
+        sides[i0].append((k, 0, ml))
+        sides[i1].append((k, 1, mr))
+        if i0 == i1:
+            loops[i0].append(k)
+        elif i0 < i1:
+            links[i1].append((k, 1, i0, 0))
+        else:
+            links[i0].append((k, 0, i1, 1))
+    edge_counts = {}
+
+    def edge_count(k, lam):
+        c = edge_counts.get((k, lam))
+        if c is None:
+            c = edge_counts[k, lam] = vertex_hom_count(g.edges[k].group,
+                                                       lam, n)
+        return c
+
+    h = len(g.edges) - len(g.vertices) + 1
+    rows = [((), factorial(n) ** h, 1, ())]
+    for i, (name, cat) in enumerate(program.catalogs):
+        grp = g.vertex_group(name)
+        entries = []    # (type, count, loop edges' count, induced types)
+        for t in _vertex_types(cat.degrees, n):
+            induced = {(k, s): mat.apply(t) for k, s, mat in sides[i]}
+            if any(induced[k, 0] != induced[k, 1] for k in loops[i]):
+                continue
+            loop_den = 1
+            for k in loops[i]:
+                loop_den *= edge_count(k, induced[k, 0])
+            entries.append((t, vertex_hom_count(grp, t, n), loop_den,
+                            induced))
+        checks = links[i][1:]
+        if links[i]:
+            k0, s0, j0, sj0 = links[i][0]
+            buckets = {}
+            for entry in entries:
+                buckets.setdefault(entry[3][k0, s0], []).append(entry)
+        grown = []
+        for combo, num, den, placed in rows:
+            candidates = (buckets.get(placed[j0][k0, sj0], ())
+                          if links[i] else entries)
+            for t, c, loop_den, induced in candidates:
+                if any(induced[k, s] != placed[j][k, sj]
+                       for k, s, j, sj in checks):
+                    continue
+                d = den * loop_den
+                for k, s, _, _ in links[i]:
+                    d *= edge_count(k, induced[k, s])
+                grown.append((combo + (t,), num * c, d, placed + (induced,)))
+        rows = grown
+    out = []
+    for combo, num, den, _ in rows:
+        value, rem = divmod(num, den)
+        assert rem == 0, "type count did not cancel to an integer"
+        out.append((TypePartition(n, tuple(zip(names, combo))), value))
+    return tuple(out)
 
 
 def hom_count_typesum(g: GraphOfGroups, n: int,
@@ -165,8 +232,7 @@ def hom_count_typesum(g: GraphOfGroups, n: int,
     totals = []
     per_type = ()
     for m in range(1, n + 1):
-        rows = tuple((xi, _program_type_count(program, xi))
-                     for xi in _admissible_types(program, m))
+        rows = _typesum_rows(program, m)
         totals.append(sum(c for _, c in rows))
         if m == n:
             per_type = rows
@@ -216,23 +282,58 @@ def _transporter_count(u: tuple, v: tuple, n: int) -> int:
                if all(gg * a == b * gg for a, b in zip(u, v)))
 
 
-def _vertex_homs(group: FiniteGroup, n: int) -> list:
-    """All homomorphisms group -> S_n, as full mapping dicts."""
-    gens = group.generators
-    if not gens:
-        return [{identity(group.degree): identity(n)}]
-    sn = symmetric_group(n)
-    pools = []
-    for gen in gens:
-        o = gen.order()
-        pools.append([x for x in sn.elements if o % x.order() == 0])
+def _cayley_walk(group: FiniteGroup) -> tuple:
+    """Breadth-first walk of the Cayley graph of ``group`` over its
+    generators, in ``Perm`` products: (walk position of every element,
+    steps).  A step (x, k, y, tree) says element x times generator k is
+    element y, with tree true where that first reaches y; every edge of
+    the graph is one step, in the order the walk meets it."""
+    e = group.identity_element()
+    at = {e: 0}
+    frontier = [e]
+    steps = []
+    while frontier:
+        new = []
+        for x in frontier:
+            for k, s in enumerate(group.generators):
+                y = x * s
+                tree = y not in at
+                if tree:
+                    at[y] = len(at)
+                    new.append(y)
+                steps.append((at[x], k, at[y], tree))
+        frontier = new
+    return at, steps
+
+
+def _vertex_homs(group: FiniteGroup, n: int, sym=None) -> tuple:
+    """All homomorphisms group -> S_n, as (walk positions, homs).
+
+    Each hom lists the image tuple of every element at its Cayley-walk
+    position.  Candidates are tuples of generator images whose orders
+    divide the generators' orders; each is composed along the tree steps
+    and checked on every other step as the walk reaches it, failing at
+    the first conflict.  ``sym`` lists (image tuple, order) over S_n.
+    """
+    if sym is None:
+        sym = [(p.images, p.order()) for p in symmetric_group(n).elements]
+    at, steps = _cayley_walk(group)
+    pools = [[x for x, o in sym if d % o == 0]
+             for d in (gen.order() for gen in group.generators)]
+    ident = tuple(range(n))
     homs = []
-    for images in product(*pools):
-        try:
-            homs.append(extend_hom(group, gens, images, target_degree=n))
-        except EmbeddingError:
-            continue
-    return homs
+    for gens in product(*pools):
+        images = [ident] * len(at)
+        for x, k, y, tree in steps:
+            img = images[x]
+            z = tuple([img[t] for t in gens[k]])
+            if tree:
+                images[y] = z
+            elif images[y] != z:
+                break
+        else:
+            homs.append(tuple(images))
+    return at, homs
 
 
 def hom_count_enumerate(g: GraphOfGroups, n: int,
@@ -258,24 +359,38 @@ def hom_count_enumerate(g: GraphOfGroups, n: int,
                               f"cap {DEFAULT_ENUM_GROUP_CAP}")
     tree = spanning_tree(g)
     bfs = tree.order
-    parent = {}     # vertex -> (embedding into its parent, into it, parent)
+    sym = [(p.images, p.order()) for p in symmetric_group(n).elements]
+    walks = {}      # vertices carrying equal groups share one hom list
+    at = {}
+    homs = {}
+    for name, grp in g.vertices:
+        key = (grp.degree, grp.generators)
+        if key not in walks:
+            walks[key] = _vertex_homs(grp, n, sym)
+        at[name], homs[name] = walks[key]
+
+    def positions(v, emb):
+        """Walk positions in v's group of an edge embedding's generators."""
+        return tuple(at[v][emb.apply(a)] for a in emb.generators)
+
+    parent = {}     # vertex -> (its parent's positions, its own, parent)
     for v, pv, e in tree.links:
         ex, ey = e.embeddings if e.ends[1] == v else e.embeddings[::-1]
-        parent[v] = (ex, ey, pv)
+        parent[v] = (positions(pv, ex), positions(v, ey), pv)
     pos = {v: i for i, v in enumerate(bfs)}
-    homs = {name: _vertex_homs(grp, n) for name, grp in g.vertices}
     buckets = {}
-    for v, (ex, ey, pv) in parent.items():
+    for v, (_, py, _) in parent.items():
         index = {}
         for phi in homs[v]:
-            key = tuple(phi[ey.apply(a)] for a in ey.generators)
-            index.setdefault(key, []).append(phi)
+            index.setdefault(tuple(phi[k] for k in py), []).append(phi)
         buckets[v] = index
     # non-tree edges settle at the moment their later endpoint is placed
     pending = {i: [] for i in range(len(bfs))}
     for e in g.edges:
         if e.name not in tree:
-            pending[max(pos[e.ends[0]], pos[e.ends[1]])].append(e)
+            pending[max(pos[e.ends[0]], pos[e.ends[1]])].append(
+                tuple((v, positions(v, emb))
+                      for v, emb in zip(e.ends, e.embeddings)))
 
     total = 0
     assigned = {}
@@ -289,17 +404,15 @@ def hom_count_enumerate(g: GraphOfGroups, n: int,
         if v not in parent:
             candidates = homs[v]
         else:
-            ex, ey, pv = parent[v]
-            key = tuple(assigned[pv][ex.apply(a)] for a in ex.generators)
+            px, _, pv = parent[v]
+            key = tuple(assigned[pv][k] for k in px)
             candidates = buckets[v].get(key, ())
         for phi in candidates:
             assigned[v] = phi
             f = factor
-            for e in pending[i]:
-                u = tuple(assigned[e.ends[0]][e.embeddings[0].apply(a)]
-                          for a in e.embeddings[0].generators)
-                w = tuple(assigned[e.ends[1]][e.embeddings[1].apply(a)]
-                          for a in e.embeddings[1].generators)
+            for (v0, p0), (v1, p1) in pending[i]:
+                u = tuple(Perm(assigned[v0][k]) for k in p0)
+                w = tuple(Perm(assigned[v1][k]) for k in p1)
                 f *= _transporter_count(u, w, n)
                 if f == 0:
                     break

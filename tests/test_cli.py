@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from vfgrowth.cli import run
+from vfgrowth.oracle import DEFAULT_TYPESUM_CAP
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 KLEIN = str(GRAPHS / "klein.gog")
@@ -161,7 +162,8 @@ def test_error_exit_codes(capsys):
     assert run(["catalog", "Cyc(0)"]) == 1
     assert run(["catalog", "Dih(2)"]) == 1
     assert run(["realize", "3/-5"]) == 1
-    assert run(["homcount", MODULAR, "--n", "9"]) == 2
+    assert run(["homcount", MODULAR, "--n",
+                str(DEFAULT_TYPESUM_CAP + 1)]) == 2
 
 
 @pytest.mark.parametrize("command", ["homcount", "subcount"])
@@ -196,11 +198,22 @@ def test_catalog_reads_a_file_named_like_a_group(capsys, tmp_path,
     assert out_of(capsys)[0].startswith("vertex a (order 24)\n")
 
 
+def test_catalog_refuses_an_argument_too_long_for_int(capsys):
+    assert run(["catalog", "Cyc(" + "9" * 5000 + ")"]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.startswith("error: group too large: order of more than ")
+    assert "Traceback" not in err
+
+
 def test_max_n_flag_raises_the_cap(capsys):
-    assert run(["homcount", MODULAR, "--n", "9", "--max-n", "9"]) == 0
+    n = str(DEFAULT_TYPESUM_CAP + 1)
+    assert run(["homcount", MODULAR, "--n", n]) == 2
+    assert f"capped at degree {DEFAULT_TYPESUM_CAP}" in out_of(capsys)[1]
+    assert run(["homcount", MODULAR, "--n", n, "--max-n", n]) == 0
     out = out_of(capsys)[0]
     assert out.splitlines()[0] == "1\t1"
-    assert len(out.splitlines()) == 9
+    assert len(out.splitlines()) == DEFAULT_TYPESUM_CAP + 1
 
 
 def test_unknown_arguments_rejected():

@@ -89,6 +89,21 @@ def test_parse_refuses_a_group_whose_order_python_cannot_print():
         parse_gog("vertex a = Sym(100000)\n")
 
 
+def test_parse_refuses_an_argument_too_long_for_int():
+    # Cyc(k) of more digits than Python converts is refused as a cap, not
+    # as int()'s ValueError; leading zeros do not count as digits
+    from vfgrowth.errors import CapExceeded
+    from vfgrowth.groups import _digit_limit
+    limit = _digit_limit()
+    for name in ("Cyc", "Sym", "Alt", "Dih"):
+        with pytest.raises(CapExceeded) as exc:
+            parse_gog(f"vertex a = {name}(" + "9" * (limit + 700) + ")\n")
+        assert str(exc.value) == (f"group too large: order of more than "
+                                  f"{limit} digits exceeds cap 10000")
+    g = parse_gog("vertex a = Sym(" + "0" * (limit + 700) + "3)\n")
+    assert g.vertex_group("a").order == 6
+
+
 def test_round_trip_all_shipped_graphs():
     for path in sorted(GRAPHS.glob("*.gog")):
         g = parse_gog(path.read_text())

@@ -12,7 +12,8 @@ from vfgrowth.groups import (all_subgroups, alternating_group, centralizer,
                              cyclic_group, dihedral_group, direct_product,
                              generate, klein_four, normalizer,
                              subgroup_classes, symmetric_group, trivial_group)
-from vfgrowth.groups import _subgroup_index_sets
+from vfgrowth import groups
+from vfgrowth.groups import _known_order_product, _subgroup_index_sets
 from vfgrowth.growth import cyclic_amalgam_value
 from vfgrowth.perm import Perm, identity, parse_perm
 
@@ -69,6 +70,30 @@ def test_cap_message_prints_the_order_only_when_python_can():
         symmetric_group(100000)
     with pytest.raises(CapExceeded, match="exceeds cap 10000"):
         alternating_group(100000)
+
+
+def test_huge_named_groups_are_refused_without_the_full_factorial(
+        monkeypatch):
+    # the refusal multiplies only until the product is past the cap and
+    # the printable-digit limit, and words it as the full order would be
+    def no_factorial(k):
+        raise AssertionError(f"factorial({k}) computed")
+    monkeypatch.setattr(groups, "factorial", no_factorial)
+    limit = groups._digit_limit()
+    for ctor in (symmetric_group, alternating_group):
+        with pytest.raises(CapExceeded) as exc:
+            ctor(1000000)
+        assert str(exc.value) == (f"group too large: order of more than "
+                                  f"{limit} digits exceeds cap 10000")
+    partial = _known_order_product(2, 1000000, 10000)
+    assert 10 ** limit <= partial < 10 ** (limit + 4)
+
+
+def test_known_order_product_is_exact_below_the_digit_limit():
+    assert _known_order_product(2, 110, 10000) == factorial(110)
+    assert _known_order_product(3, 9, 10000) == factorial(9) // 2
+    assert _known_order_product(3, 2, 1) == 1
+    assert _known_order_product(2, 1500, 10 ** 100) == factorial(1500)
 
 
 def test_named_constructors_default_to_the_group_cap():
