@@ -19,7 +19,7 @@ from functools import lru_cache
 from .errors import EmbeddingError, InputError
 from .groups import (FiniteGroup, _coset_partition, _prime_order,
                      _subgroup_elements, conjugacy_class, orbit_minima,
-                     subgroup_class_map, subgroup_classes)
+                     subgroup_classes)
 from .perm import Perm, identity
 
 
@@ -107,10 +107,6 @@ class EmbeddingMap:
         return f"<embedding {pairs}>"
 
 
-def identity_embedding(g: FiniteGroup) -> EmbeddingMap:
-    return EmbeddingMap(g, g, g.generators)
-
-
 @dataclass(frozen=True)
 class RepCatalog:
     """The transitive representation classes of a group: the action on the
@@ -169,7 +165,8 @@ def restriction_matrix(emb: EmbeddingMap) -> RestrictionMatrix:
     index, mult, _ = vcat.group.tables()
     # left multiplication by the image of each edge element
     left = {a: mult[index[emb.apply(a)]] for a in edge.elements}
-    lookup = subgroup_class_map(edge)
+    lookup = {members: cls.class_id
+              for cls in ecat.classes for members in cls.members}
     gen_count = len(ecat)
     cols = []
     for rep in vcat.classes:

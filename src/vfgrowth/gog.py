@@ -331,9 +331,13 @@ def _parse_group_block(toks: _Tokens) -> tuple:
     toks.next("degree")
     line, col = toks.here()
     tok = toks.next()
-    if not tok.isdigit() or int(tok) < 1:
+    digits = tok.lstrip("0")
+    limit = _digit_limit()
+    if tok.isdecimal() and limit and len(digits) > limit:
+        raise ParseError(f"bad degree: more than {limit} digits", line, col)
+    degree = int(digits) if tok.isdecimal() and digits else 0
+    if degree < 1:
         raise ParseError(f"bad degree {tok!r}", line, col)
-    degree = int(tok)
     toks.next(";")
     toks.next("gens")
     gens = _parse_perm_list(toks, degree)
@@ -354,7 +358,7 @@ def _named_group(toks: _Tokens):
     toks.next("(")
     line, col = toks.here()
     arg = toks.next()
-    if not arg.isdigit():
+    if not arg.isdecimal():
         raise ParseError(f"expected an integer argument, found {arg!r}", line, col)
     toks.next(")")
 

@@ -8,7 +8,9 @@ DEFAULT_SUBGROUP_CAP for the subgroup lattice), so brute force over
 elements is the method of choice throughout.  Once a group is generated,
 the subgroup lattice, the class canonicalization and the coset actions
 multiply element indices in its tables (``FiniteGroup.tables``), not
-``Perm`` objects.
+``Perm`` objects.  The tables are stored on the group and the lattice
+once, in the cache of ``subgroup_classes``; coset partitions are
+recomputed by whoever needs them.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class FiniteGroup:
     """
 
     __slots__ = ("degree", "generators", "elements", "order",
-                 "_set", "_hash", "_tables", "_subgroup_cache")
+                 "_set", "_hash", "_tables")
 
     def __init__(self, degree, generators, elements):
         self.degree = degree
@@ -62,7 +64,6 @@ class FiniteGroup:
         self._set = frozenset(self.elements)
         self._hash = hash((degree, self.elements))
         self._tables = None
-        self._subgroup_cache = None
 
     def __contains__(self, p) -> bool:
         return p in self._set
@@ -167,9 +168,12 @@ def _digit_limit() -> int:
 
 
 def _order_past_digit_limit(limit: int, max_order: int) -> CapExceeded:
-    """The refusal of an order too long for Python to print."""
+    """The refusal of an order too long for Python to print; a cap too
+    long to print is worded the same way."""
+    cap = f"of more than {limit} digits" if max_order >= 10 ** limit \
+        else max_order
     return CapExceeded(f"group too large: order of more than {limit} digits "
-                       f"exceeds cap {max_order}")
+                       f"exceeds cap {cap}")
 
 
 def _check_known_order(order: int, max_order: int) -> int:
@@ -336,7 +340,6 @@ def _left_cosets(mult, sub, ambient):
     return cosets, coset_of
 
 
-@lru_cache(maxsize=None)
 def _coset_partition(g: FiniteGroup, members: frozenset):
     """Left cosets of the subgroup with the given elements, over element
     indices (see _left_cosets).
@@ -435,9 +438,7 @@ def _greedy_generators(mult, members) -> list:
 
 def _subgroup_index_sets(g: FiniteGroup) -> tuple:
     """All subgroups as frozensets of element indices, one tuple per
-    conjugacy class (cached per group)."""
-    if g._subgroup_cache is not None:
-        return g._subgroup_cache
+    conjugacy class."""
     # the one check of the subgroup cap: the |G|^2 table and the lattice
     # search below are what it bounds
     if g.order > DEFAULT_SUBGROUP_CAP:
@@ -494,15 +495,13 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
                         orbit.append(image)
             orbits.append(tuple(orbit))
             reps.append((new, newgens))
-    g._subgroup_cache = tuple(orbits)
-    return g._subgroup_cache
+    return tuple(orbits)
 
 
 def all_subgroups(g: FiniteGroup) -> list:
     """Every subgroup, as frozensets of Perm, largest first then by sorted
     image tuples.  Exhaustive, so the group order is capped."""
-    out = [frozenset(g.elements[i] for i in members)
-           for orbit in _subgroup_index_sets(g) for members in orbit]
+    out = [members for cls in subgroup_classes(g) for members in cls.members]
     out.sort(key=lambda s: (-len(s), tuple(sorted(p.images for p in s))))
     return out
 
@@ -586,13 +585,3 @@ def subgroup_classes(g: FiniteGroup) -> tuple:
             members=members,
         ))
     return tuple(classes)
-
-
-@lru_cache(maxsize=None)
-def subgroup_class_map(g: FiniteGroup) -> dict:
-    """Map every subgroup element-set of g to its class_id."""
-    lookup = {}
-    for cls in subgroup_classes(g):
-        for members in cls.members:
-            lookup[members] = cls.class_id
-    return lookup

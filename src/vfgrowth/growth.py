@@ -21,11 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .catalog import build_catalog, fixed_point_multiplicity, restriction_matrix
 from .errors import InputError
 from .gog import (GraphOfGroups, _check_family_params, euler_characteristic,
-                  family_amalgam, family_graph_text, free_group)
+                  family_graph_text, parse_gog)
 from .groups import (FiniteGroup, _is_prime, _prime_order, _subgroup_elements,
                      normalizer, subgroup_classes)
 from .perm import Perm
@@ -61,53 +62,52 @@ class GrowthProgram:
     graph: GraphOfGroups
     lp: RationalLP
     catalogs: tuple          # ((vertex name, RepCatalog), ...)
-    var_index: tuple         # ((vertex name, class position, lp column), ...)
-    edge_matrices: tuple     # ((edge name, M_left, M_right, edge catalog), ...)
+    columns: tuple           # ((vertex name, range of its lp columns), ...)
+    edges: tuple             # ((GogEdge, M_left, M_right), ...)
 
-    def columns(self, name: str) -> list:
-        return [col for v, _, col in self.var_index if v == name]
+
+def _column_sums(mat) -> tuple:
+    """Per vertex class, the number of edge orbits its restriction has:
+    the weights that turn vertex multiplicities into tau_e."""
+    return tuple(map(sum, zip(*mat.rows)))
 
 
 def build_growth_program(g: GraphOfGroups) -> GrowthProgram:
     lp = RationalLP()
     catalogs = []
-    var_index = []
+    columns = []
     for name, grp in g.vertices:
         cat = build_catalog(grp)
         catalogs.append((name, cat))
-        for i, cls in enumerate(cat.classes):
-            col = lp.add_var(f"{name}.{i + 1}", objective=-1)
-            var_index.append((name, i, col))
-    cols = {name: [] for name, _ in g.vertices}
-    for name, i, col in var_index:
-        cols[name].append(col)
+        start = lp.num_vars
+        for i in range(len(cat)):
+            lp.add_var(f"{name}.{i + 1}", objective=-1)
+        columns.append((name, range(start, lp.num_vars)))
+    cols = dict(columns)
 
     for name, cat in catalogs:
         lp.add_constraint(
             {col: cls.index for col, cls in zip(cols[name], cat.classes)}, 1)
 
-    edge_matrices = []
+    edges = []
     for e in g.edges:
-        ecat = build_catalog(e.group)
         ml, mr = (restriction_matrix(emb) for emb in e.embeddings)
         left, right = e.ends
-        for j in range(len(ecat.classes)):
+        for lrow, rrow in zip(ml.rows, mr.rows):
             row = {}
-            for i, col in enumerate(cols[left]):
-                row[col] = row.get(col, 0) + ml.rows[j][i]
-            for i, col in enumerate(cols[right]):
-                row[col] = row.get(col, 0) - mr.rows[j][i]
+            for col, m in zip(cols[left], lrow):
+                row[col] = row.get(col, 0) + m
+            for col, m in zip(cols[right], rrow):
+                row[col] = row.get(col, 0) - m
             lp.add_constraint(row, 0)
         # tau_e is the same from either side on the feasible set; the
         # symmetrized form keeps the objective well-defined off it too.
         for mat, side in ((ml, left), (mr, right)):
-            for i, col in enumerate(cols[side]):
-                colsum = sum(mat.rows[j][i] for j in range(mat.nrows))
+            for col, colsum in zip(cols[side], _column_sums(mat)):
                 if colsum:
                     lp.add_to_objective(col, Fraction(colsum, 2))
-        edge_matrices.append((e.name, ml, mr, ecat))
-    return GrowthProgram(g, lp, tuple(catalogs), tuple(var_index),
-                         tuple(edge_matrices))
+        edges.append((e, ml, mr))
+    return GrowthProgram(g, lp, tuple(catalogs), tuple(columns), tuple(edges))
 
 
 def build_growth_lp(g: GraphOfGroups) -> RationalLP:
@@ -148,20 +148,18 @@ def mu(g: GraphOfGroups) -> GrowthReport:
     # infeasible; tau <= 1 and sigma >= degree-weighted normalization keep
     # the objective bounded.
     assert sol.status == "optimal", sol.status
-    # weak duality proves the optimum, whatever the simplex did
+    # weak duality proves the optimum, whatever the simplex did; its
+    # feasibility half checks every admissibility row, so tau_e is read
+    # from the left side alone
     if not certify(program.lp, sol):
         raise RuntimeError("the LP optimum failed its duality certificate")
-    weights = []
-    for name, cat in program.catalogs:
-        weights.append((name, tuple(sol.point[c] for c in program.columns(name))))
-    tv = TypeVector(tuple(weights))
+    tv = TypeVector(tuple((name, tuple(sol.point[c] for c in cols))
+                          for name, cols in program.columns))
     sigma = tuple((name, tv.sigma(name)) for name, _ in g.vertices)
-    taus = []
-    for (ename, ml, mr, ecat), e in zip(program.edge_matrices, g.edges):
-        lam_l = ml.apply(tv.vertex(e.ends[0]))
-        lam_r = mr.apply(tv.vertex(e.ends[1]))
-        assert lam_l == lam_r, f"edge {ename}: admissibility violated at optimum"
-        taus.append((ename, sum(lam_l, Fraction(0))))
+    taus = tuple(
+        (e.name, sum(map(mul, _column_sums(ml), tv.vertex(e.ends[0])),
+                     Fraction(0)))
+        for e, ml, _ in program.edges)
     value = sum(t for _, t in taus) - sum(s for _, s in sigma)
     assert value == sol.value, "objective bookkeeping mismatch"
 
@@ -171,7 +169,7 @@ def mu(g: GraphOfGroups) -> GrowthReport:
     if sol.value == eu.mu_free:
         notes.append("growth is as slow as free subgroups allow (mu = -chi)")
     return GrowthReport(mu=sol.value, chi=eu.chi, mu_free=eu.mu_free,
-                        optimizer=tv, sigma=sigma, tau=tuple(taus),
+                        optimizer=tv, sigma=sigma, tau=taus,
                         dominant=_dominant_description(program, tv),
                         notes=tuple(notes), program=program, solution=sol)
 
@@ -349,18 +347,4 @@ def plan_graph_text(plan: RealizationPlan) -> str:
 
 def plan_graph(plan: RealizationPlan) -> GraphOfGroups:
     """Instantiate the plan (feasible only for modest k)."""
-    if plan.is_free:
-        return free_group(plan.free_rank)
-    g = family_amalgam(plan.p, plan.k, plan.l, plan.variant)
-    if plan.integer_part == 0:
-        return g
-    from .catalog import EmbeddingMap
-    from .gog import GogEdge, make_graph
-    from .groups import trivial_group
-    t = trivial_group()
-    extra = []
-    va = g.vertices[0][0]
-    emb = EmbeddingMap(t, g.vertex_group(va), ())
-    for i in range(plan.integer_part):
-        extra.append(GogEdge(f"l{i + 1}", (va, va), t, (emb, emb)))
-    return make_graph(g.vertices, list(g.edges) + extra)
+    return parse_gog(plan_graph_text(plan))

@@ -12,7 +12,10 @@ big integers.
   from the join.
 - Brute force tries every tuple of generator images.  Each vertex group's
   Cayley graph is walked once per call, and each tuple is composed along
-  the walk and checked on every edge of it.
+  the walk and checked on every edge of it.  A non-tree edge multiplies by
+  the number of permutations conjugating one side's images onto the
+  other's.  Those counts are memoized by image tuple in a dict that lives
+  for one call; nothing in this module is cached across calls.
 
 The per-orbit constant in the closed form is the automorphism count
 c = (N_G(U) : U) of the coset space, not the point count of the orbit; the
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import count, product
 from math import comb, factorial
 
@@ -131,11 +133,11 @@ def type_hom_count(g: GraphOfGroups, xi: TypePartition) -> int:
     value = Fraction(factorial(n)) ** h
     for name, grp in g.vertices:
         value *= vertex_hom_count(grp, xi.vertex(name), n)
-    for (ename, ml, mr, ecat), e in zip(program.edge_matrices, g.edges):
+    for e, ml, mr in program.edges:
         lam_l = ml.apply(xi.vertex(e.ends[0]))
         lam_r = mr.apply(xi.vertex(e.ends[1]))
         if lam_l != lam_r:
-            raise InputError(f"type is not admissible across edge {ename!r}")
+            raise InputError(f"type is not admissible across edge {e.name!r}")
         value /= vertex_hom_count(e.group, lam_l, n)
     assert value.denominator == 1, "type count did not cancel to an integer"
     assert value >= 0
@@ -159,8 +161,7 @@ def _typesum_rows(program: GrowthProgram, n: int) -> tuple:
     sides = [[] for _ in names]
     links = [[] for _ in names]   # (edge, side, earlier vertex, its side)
     loops = [[] for _ in names]
-    for k, ((_, ml, mr, _), e) in enumerate(zip(program.edge_matrices,
-                                                g.edges)):
+    for k, (e, ml, mr) in enumerate(program.edges):
         i0, i1 = at[e.ends[0]], at[e.ends[1]]
         sides[i0].append((k, 0, ml))
         sides[i1].append((k, 1, mr))
@@ -268,11 +269,12 @@ def _centralizer_order(p: Perm, n: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
 def _transporter_count(u: tuple, v: tuple, n: int) -> int:
-    """Number of /g/ in S_n conjugating the tuple u onto the tuple v."""
+    """Number of g in S_n conjugating the tuple u onto the tuple v, both
+    given as image tuples."""
     if not u:
         return factorial(n)
+    u, v = tuple(map(Perm, u)), tuple(map(Perm, v))
     if tuple(map(_cycle_type, u)) != tuple(map(_cycle_type, v)):
         return 0
     if len(u) == 1:
@@ -394,6 +396,7 @@ def hom_count_enumerate(g: GraphOfGroups, n: int,
 
     total = 0
     assigned = {}
+    transporters = {}   # (images of u, images of v) -> count, this call only
 
     def place(i: int, factor: int):
         nonlocal total
@@ -411,9 +414,12 @@ def hom_count_enumerate(g: GraphOfGroups, n: int,
             assigned[v] = phi
             f = factor
             for (v0, p0), (v1, p1) in pending[i]:
-                u = tuple(Perm(assigned[v0][k]) for k in p0)
-                w = tuple(Perm(assigned[v1][k]) for k in p1)
-                f *= _transporter_count(u, w, n)
+                key = (tuple(assigned[v0][k] for k in p0),
+                       tuple(assigned[v1][k] for k in p1))
+                c = transporters.get(key)
+                if c is None:
+                    c = transporters[key] = _transporter_count(*key, n)
+                f *= c
                 if f == 0:
                     break
             if f:

@@ -1,8 +1,7 @@
 import pytest
 
 from vfgrowth.catalog import (EmbeddingMap, build_catalog,
-                              fixed_point_multiplicity, identity_embedding,
-                              restriction_matrix)
+                              fixed_point_multiplicity, restriction_matrix)
 from vfgrowth.corpus import corpus_graphs, klein_amalgam
 from vfgrowth.errors import EmbeddingError, InputError
 from vfgrowth.groups import (all_subgroups, cyclic_group, dihedral_group,
@@ -72,7 +71,7 @@ def test_klein_misprinted_row_is_impossible():
 def test_restriction_along_identity_is_indicator():
     s3 = symmetric_group(3)
     cat = build_catalog(s3)
-    m = restriction_matrix(identity_embedding(s3))
+    m = restriction_matrix(EmbeddingMap(s3, s3, s3.generators))
     for i in range(len(cat.classes)):
         col = [m.rows[j][i] for j in range(len(cat.classes))]
         assert col == [1 if j == i else 0 for j in range(len(cat.classes))]

@@ -206,6 +206,16 @@ def test_catalog_refuses_an_argument_too_long_for_int(capsys):
     assert "Traceback" not in err
 
 
+def test_mu_refuses_a_degree_too_long_for_int(capsys, tmp_path):
+    path = tmp_path / "huge.gog"
+    path.write_text("vertex a { degree " + "9" * 5000 + "; gens (); }\n")
+    assert run(["mu", str(path)]) == 1
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.startswith("error: line 1, col 19: bad degree: more than ")
+    assert "9999" not in err and "Traceback" not in err
+
+
 def test_max_n_flag_raises_the_cap(capsys):
     n = str(DEFAULT_TYPESUM_CAP + 1)
     assert run(["homcount", MODULAR, "--n", n]) == 2

@@ -104,6 +104,30 @@ def test_parse_refuses_an_argument_too_long_for_int():
     assert g.vertex_group("a").order == 6
 
 
+def test_parse_refuses_a_degree_too_long_for_int():
+    # a ParseError naming the digit limit, not int()'s ValueError and not
+    # the digits; leading zeros do not count, as for named groups
+    from vfgrowth.groups import _digit_limit
+    limit = _digit_limit()
+    with pytest.raises(ParseError) as exc:
+        parse_gog("vertex a { degree " + "9" * (limit + 700) + "; gens (); }\n")
+    assert str(exc.value) == (f"line 1, col 19: bad degree: more than "
+                              f"{limit} digits")
+    g = parse_gog("vertex a { degree " + "0" * (limit + 700) +
+                  "3; gens (1 2 3); }\n")
+    assert g.vertex_group("a").order == 3
+
+
+@pytest.mark.parametrize("text", [
+    "vertex a { degree \u00b2; gens (); }\n",
+    "vertex a = Sym(\u00b2)\n",
+], ids=["degree", "named"])
+def test_parse_refuses_a_digit_that_int_cannot_read(text):
+    # a superscript two is a digit to str.isdigit but not to int()
+    with pytest.raises(ParseError):
+        parse_gog(text)
+
+
 def test_round_trip_all_shipped_graphs():
     for path in sorted(GRAPHS.glob("*.gog")):
         g = parse_gog(path.read_text())

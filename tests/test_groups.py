@@ -7,6 +7,7 @@ import pytest
 from vfgrowth.catalog import (EmbeddingMap, fixed_point_multiplicity,
                               restriction_matrix)
 from vfgrowth.errors import CapExceeded, InputError
+from vfgrowth.gog import parse_gog
 from vfgrowth.groups import (all_subgroups, alternating_group, centralizer,
                              conjugacy_class, coset_action, coset_perm,
                              cyclic_group, dihedral_group, direct_product,
@@ -87,6 +88,24 @@ def test_huge_named_groups_are_refused_without_the_full_factorial(
                                   f"{limit} digits exceeds cap 10000")
     partial = _known_order_product(2, 1000000, 10000)
     assert 10 ** limit <= partial < 10 ** (limit + 4)
+
+
+def test_a_cap_too_long_to_print_is_worded_like_the_order():
+    # the cap is printed "of more than N digits" too, not handed to str()
+    limit = groups._digit_limit()
+    want = (f"group too large: order of more than {limit} digits exceeds "
+            f"cap of more than {limit} digits")
+    with pytest.raises(CapExceeded) as exc:
+        symmetric_group(3000, max_order=10 ** limit)
+    assert str(exc.value) == want
+    with pytest.raises(CapExceeded) as exc:
+        parse_gog("vertex a = Cyc(" + "9" * (limit + 1) + ")\n",
+                  max_group_order=10 ** limit)
+    assert str(exc.value) == want
+    # one digit short of the limit, the cap is printed as a number
+    with pytest.raises(CapExceeded) as exc:
+        symmetric_group(3000, max_order=10 ** limit - 1)
+    assert str(exc.value).endswith(f"exceeds cap {10 ** limit - 1}")
 
 
 def test_known_order_product_is_exact_below_the_digit_limit():

@@ -1,9 +1,12 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from vfgrowth.corpus import (infinite_dihedral, klein_amalgam, modular_graph,
-                             triangle_graph)
+from vfgrowth import growth
+from vfgrowth.catalog import restriction_matrix
+from vfgrowth.corpus import (corpus_graphs, infinite_dihedral, klein_amalgam,
+                             modular_graph, triangle_graph)
 from vfgrowth.errors import CapExceeded, InputError
 from vfgrowth.gog import (amalgam, cyclic_amalgam, euler_characteristic,
                           family_amalgam, free_group, free_product, make_graph,
@@ -46,6 +49,47 @@ def test_mu_objective_bookkeeping():
             assert sum(x * d for x, d in zip(w, cat.degrees)) == 1
             assert r.optimizer.sigma(name) == sum(w)
         assert r.mu >= -r.chi
+
+
+def test_sigma_and_tau_match_both_sides_of_every_edge():
+    # mu() reads tau_e from the left side's column sums alone; recompute
+    # both sides' induced edge types from the optimizer
+    for name, g in corpus_graphs():
+        r = mu(g)
+        w = dict(r.optimizer.weights)
+        assert r.sigma == tuple((v, sum(w[v], Fraction(0)))
+                                for v, _ in g.vertices), name
+        taus = []
+        for e in g.edges:
+            ml, mr = (restriction_matrix(emb) for emb in e.embeddings)
+            lam = ml.apply(w[e.ends[0]])
+            assert lam == mr.apply(w[e.ends[1]]), (name, e.name)
+            taus.append((e.name, sum(lam, Fraction(0))))
+        assert r.tau == tuple(taus), name
+
+
+def test_mu_raises_when_the_optimum_breaks_admissibility(monkeypatch):
+    # the certificate is the one check of the admissibility rows: an
+    # optimum that breaks them must not be reported
+    g = klein_amalgam()
+    program = build_growth_program(g)
+    lp = program.lp
+    good = growth.solve_max(lp)
+    # all of vertex a on its regular class, all of b on its trivial one:
+    # both normalization rows hold and the edge types differ (in two rows
+    # at least, since either side's edge types have total degree 1)
+    a, b = (dict(program.columns)[v] for v in "ab")
+    point = [Fraction(0)] * lp.num_vars
+    point[a[-1]] = Fraction(1, 24)
+    point[b[0]] = Fraction(1)
+    residuals = [sum(c * x for c, x in zip(row, point)) - rhs
+                 for row, rhs in zip(lp.rows, lp.rhs)]
+    assert residuals[:2] == [0, 0]
+    assert any(residuals[2:])
+    bad = dataclasses.replace(good, point=tuple(point))
+    monkeypatch.setattr(growth, "solve_max", lambda _: bad)
+    with pytest.raises(RuntimeError, match="duality certificate"):
+        mu(g)
 
 
 def test_mu_never_below_free_lower_bound():
@@ -91,7 +135,7 @@ def test_growth_program_shape():
     assert p.lp.num_vars == 11 + 11
     # one normalization row per vertex, one admissibility row per edge class
     assert p.lp.num_constraints == 2 + 5
-    assert len(p.columns("a")) == 11
+    assert dict(p.columns) == {"a": range(11), "b": range(11, 22)}
 
 
 CLOSED_FORM_CASES = (

@@ -1,14 +1,19 @@
-"""Every import in the package and the tests is used.
+"""Every import in the package and the tests is used, and the package
+memoizes only where it says so.
 
 A stdlib ``ast`` scan stands in for a linter: a name bound by an import
 must be read somewhere in the module.  Names listed in ``__all__`` are
 re-exports and count as read; ``from __future__`` imports bind nothing.
+A second scan lists every function under a memo decorator, so adding a
+cache is a change to the inventory pinned here.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from vfgrowth.groups import FiniteGroup
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "vfgrowth").glob("*.py")) + \
@@ -46,3 +51,43 @@ def test_the_scan_sees_an_unused_import():
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert _unused_imports(tree) == []
+
+
+MEMO_DECORATORS = {"cache", "lru_cache", "cached_property"}
+PACKAGE = sorted((ROOT / "src" / "vfgrowth").glob("*.py"))
+
+
+def _memoized(tree: ast.Module, module: str) -> list:
+    """``module.function`` for every function under a memo decorator,
+    written bare or through ``functools.``, called or not."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = getattr(target, "id", getattr(target, "attr", None))
+                if name in MEMO_DECORATORS:
+                    out.append(f"{module}.{node.name}")
+    return sorted(out)
+
+
+def test_the_scan_sees_every_memo_spelling():
+    tree = ast.parse("import functools\nfrom functools import cache\n"
+                     "@functools.lru_cache(maxsize=None)\ndef a(): pass\n"
+                     "@cache\ndef b(): pass\n"
+                     "class C:\n    @functools.cached_property\n"
+                     "    def c(self): pass\n"
+                     "@staticmethod\ndef d(): pass\n")
+    assert _memoized(tree, "m") == ["m.a", "m.b", "m.c"]
+
+
+def test_the_memo_caches_are_the_pinned_three():
+    found = []
+    for path in PACKAGE:
+        found += _memoized(ast.parse(path.read_text(encoding="utf-8")),
+                           path.stem)
+    assert sorted(found) == ["catalog.build_catalog",
+                             "catalog.restriction_matrix",
+                             "groups.subgroup_classes"]
+    # the lattice has one store, subgroup_classes' cache
+    assert "_subgroup_cache" not in FiniteGroup.__slots__
