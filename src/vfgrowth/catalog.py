@@ -7,7 +7,8 @@ and the automorphism count of each coset space, which is the index of the
 stabilizer in its normalizer, not the degree.  Restricting a coset action
 along an embedded subgroup splits it into orbits; counting those orbits by
 their stabilizer class gives an integer matrix, the basic ingredient of the
-growth linear program.
+growth linear program.  An embedding is given on generators and extended
+to every element along the domain's Cayley walk (``groups.walk_images``).
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from functools import lru_cache
 
 from .errors import EmbeddingError, InputError
 from .groups import (FiniteGroup, _coset_partition, _prime_order,
-                     _subgroup_elements, conjugacy_class, orbit_minima,
-                     subgroup_classes)
-from .perm import Perm, identity
+                     _subgroup_elements, cayley_walk, conjugacy_class,
+                     orbit_minima, subgroup_classes, walk_images)
+from .perm import Perm
 
 
 def extend_hom(domain: FiniteGroup, gens, images, target_degree=None) -> dict:
@@ -40,27 +41,21 @@ def extend_hom(domain: FiniteGroup, gens, images, target_degree=None) -> dict:
             raise EmbeddingError(f"generator {g} is not in the domain group")
     if target_degree is None:
         target_degree = images[0].degree if images else domain.degree
-    mapping = {domain.identity_element(): identity(target_degree)}
-    frontier = [domain.identity_element()]
-    while frontier:
-        new = []
-        for e in frontier:
-            fe = mapping[e]
-            for g, m in zip(gens, images):
-                f = e * g
-                fim = fe * m
-                known = mapping.get(f)
-                if known is None:
-                    mapping[f] = fim
-                    new.append(f)
-                elif known != fim:
-                    raise EmbeddingError(
-                        f"not a homomorphism: conflicting images at {f} "
-                        f"(via generator {g} -> {m})")
-        frontier = new
-    if len(mapping) != domain.order:
+    for m in images:
+        if m.degree != target_degree:
+            raise ValueError(f"degree mismatch: {target_degree} vs {m.degree}")
+    # the gens lie in the domain, so the walk stops within its order
+    at, steps = cayley_walk(gens, domain.degree, domain.order)
+    imgs, conflict = walk_images(steps, len(at), [m.images for m in images],
+                                 target_degree)
+    if conflict is not None:
+        y, k = conflict
+        raise EmbeddingError(
+            f"not a homomorphism: conflicting images at {list(at)[y]} "
+            f"(via generator {gens[k]} -> {images[k]})")
+    if len(at) != domain.order:
         raise EmbeddingError("generators do not generate the domain group")
-    return mapping
+    return {x: Perm(img) for x, img in zip(at, imgs)}
 
 
 class EmbeddingMap:
@@ -142,10 +137,6 @@ class RestrictionMatrix:
     def apply(self, vec) -> tuple:
         """The edge-class multiplicities induced by vertex multiplicities."""
         return tuple(sum(r * x for r, x in zip(row, vec)) for row in self.rows)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
 
 
 @lru_cache(maxsize=None)

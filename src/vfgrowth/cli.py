@@ -19,7 +19,8 @@ from .catalog import build_catalog, restriction_matrix
 from .errors import CapExceeded, InputError, ParseError
 from .gog import (GraphOfGroups, cycle_power_element, euler_characteristic,
                   family_graph_text, load_gog, named_group)
-from .groups import DEFAULT_GROUP_CAP, alternating_group, symmetric_group
+from .groups import (DEFAULT_GROUP_CAP, _decimal, alternating_group,
+                     symmetric_group)
 from .growth import (cyclic_amalgam_mu, family_mu, mu, plan_graph_text,
                      realize)
 from .oracle import hom_count_enumerate, hom_count_typesum
@@ -53,10 +54,10 @@ def _parse_ratio(text: str):
     m = re.match(r"^(\d+)/(\d+)$|^(\d+)$", text.strip())
     if not m:
         raise InputError(f"expected a ratio like 9/10, got {text!r}")
-    if m.group(3) is not None:
-        return int(m.group(3)), 1
-    a, b = int(m.group(1)), int(m.group(2))
-    return a, b
+    nums = [_decimal(d, lambda limit: InputError(
+        f"bad ratio: more than {limit} digits"))
+        for d in m.groups() if d is not None]
+    return (nums[0], 1) if len(nums) == 1 else (nums[0], nums[1])
 
 
 def cmd_mu(args) -> int:

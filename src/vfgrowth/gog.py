@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import EmbeddingMap
-from .errors import EmbeddingError, InputError, ParseError
-from .groups import (DEFAULT_GROUP_CAP, FiniteGroup, _digit_limit,
+from .errors import CapExceeded, EmbeddingError, InputError, ParseError
+from .groups import (DEFAULT_GROUP_CAP, FiniteGroup, _decimal,
                      _is_prime, _order_past_digit_limit, alternating_group,
                      cyclic_group, dihedral_group, generate, klein_four,
                      symmetric_group, trivial_group)
@@ -205,12 +205,7 @@ def _check_family_params(p: int, k: int, l: int, variant: str):
 def family_amalgam(p: int, k: int, l: int, variant: str = "symmetric") -> GraphOfGroups:
     """Two copies of Sym(k) (or Alt(k)) glued over the cyclic group generated
     by l disjoint p-cycles."""
-    _check_family_params(p, k, l, variant)
-    ctor = symmetric_group if variant == "symmetric" else alternating_group
-    vg = ctor(k)
-    x = cycle_power_element(p, l, k)
-    edge_group = cyclic_group(p)
-    return amalgam(vg, vg, edge_group, (x,), (x,))
+    return parse_gog(family_graph_text(p, k, l, variant))
 
 
 def family_graph_text(p: int, k: int, l: int, variant: str = "symmetric") -> str:
@@ -325,19 +320,22 @@ def _parse_perm_list(toks: _Tokens, degree: int, stop=(";",)):
     return perms
 
 
-def _parse_group_block(toks: _Tokens) -> tuple:
-    """'{ degree d; gens ...; }' -> (degree, generator list)."""
+def _parse_group_block(toks: _Tokens, max_group_order: int) -> tuple:
+    """'{ degree d; gens ...; }' -> (degree, generator list).  A degree
+    past the group-order cap is refused before any permutation is read,
+    since each costs time and memory in proportion to the degree."""
     toks.next("{")
     toks.next("degree")
     line, col = toks.here()
     tok = toks.next()
-    digits = tok.lstrip("0")
-    limit = _digit_limit()
-    if tok.isdecimal() and limit and len(digits) > limit:
-        raise ParseError(f"bad degree: more than {limit} digits", line, col)
-    degree = int(digits) if tok.isdecimal() and digits else 0
+    degree = _decimal(tok, lambda limit: ParseError(
+        f"bad degree: more than {limit} digits", line, col)) \
+        if tok.isdecimal() else 0
     if degree < 1:
         raise ParseError(f"bad degree {tok!r}", line, col)
+    if degree > max_group_order:
+        raise CapExceeded(f"group too large: degree {degree} exceeds "
+                          f"cap {max_group_order}")
     toks.next(";")
     toks.next("gens")
     gens = _parse_perm_list(toks, degree)
@@ -365,12 +363,9 @@ def _named_group(toks: _Tokens):
     def build(cap: int) -> FiniteGroup:
         # every named group has order at least its argument, so an
         # argument too long for int() is past any cap int() can read
-        digits = arg.lstrip("0") or "0"
-        limit = _digit_limit()
-        if limit and len(digits) > limit:
-            raise _order_past_digit_limit(limit, cap)
+        k = _decimal(arg, lambda limit: _order_past_digit_limit(limit, cap))
         try:
-            return ctor(int(digits), max_order=cap)
+            return ctor(k, max_order=cap)
         except InputError as exc:
             raise ParseError(str(exc), line, col) from None
     return build
@@ -404,7 +399,7 @@ def parse_gog(text: str, max_group_order: int = DEFAULT_GROUP_CAP) -> GraphOfGro
                 toks.next()
                 group = _named_group(toks)(max_group_order)
             else:
-                degree, gens = _parse_group_block(toks)
+                degree, gens = _parse_group_block(toks, max_group_order)
                 toks.next("}")
                 group = generate(gens, degree, max_order=max_group_order)
             vertex_groups[name] = group
@@ -417,7 +412,7 @@ def parse_gog(text: str, max_group_order: int = DEFAULT_GROUP_CAP) -> GraphOfGro
                 if v not in vertex_groups:
                     raise ParseError(f"edge {name!r} mentions unknown vertex {v!r}",
                                      line, col)
-            degree, gens = _parse_group_block(toks)
+            degree, gens = _parse_group_block(toks, max_group_order)
             group = generate(gens, degree, max_order=max_group_order)
             sides = {}
             while toks.peek() != "}":

@@ -5,7 +5,11 @@ lexicographically by image tuples, subgroup lists and conjugacy-class lists
 come out in a canonical order, and repeated runs produce identical data.
 Groups are small (at most DEFAULT_GROUP_CAP elements, and at most
 DEFAULT_SUBGROUP_CAP for the subgroup lattice), so brute force over
-elements is the method of choice throughout.  Once a group is generated,
+elements is the method of choice throughout.  The one Cayley-graph walk
+in ``Perm`` products is ``cayley_walk``: it generates a group, and
+``walk_images`` composes generator images along it, which is how
+homomorphisms are extended (``catalog.extend_hom`` and the brute-force
+counter in ``oracle``).  Once a group is generated,
 the subgroup lattice, the class canonicalization and the coset actions
 multiply element indices in its tables (``FiniteGroup.tables``), not
 ``Perm`` objects.  The tables are stored on the group and the lattice
@@ -25,25 +29,53 @@ from .perm import Perm, from_cycles, identity
 
 DEFAULT_GROUP_CAP = 10000
 DEFAULT_SUBGROUP_CAP = 1000
+# trial division up to 10**6: a prime at the cap takes about 0.1 s
+PRIME_TEST_CAP = 10 ** 12
 
 
-def _close_perms(gens, degree, cap):
-    """Closure of a generator list under multiplication (breadth first)."""
+def cayley_walk(gens, degree: int, cap: int) -> tuple:
+    """Breadth-first walk of the Cayley graph of the group that the ``Perm``
+    list ``gens`` generates on ``degree`` points, from the identity: (walk
+    position of every element, steps).  A step (x, k, y, tree) says that
+    the element at position x times ``gens[k]`` is the element at y, with
+    tree true where that first reaches y; every edge of the graph is one
+    step, in the order the walk meets it.  Raises CapExceeded ("group too
+    large") past ``cap`` elements."""
     e = identity(degree)
-    elems = {e}
-    frontier = [e]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in elems:
-                    if len(elems) >= cap:
-                        raise CapExceeded(f"group too large: more than {cap} elements")
-                    elems.add(y)
-                    new.append(y)
-        frontier = new
-    return elems
+    at = {e: 0}
+    walk = [e]
+    steps = []
+    for i, x in enumerate(walk):    # walk grows while it is walked
+        for k, s in enumerate(gens):
+            y = x * s
+            j = at.get(y)
+            tree = j is None
+            if tree:
+                if len(at) >= cap:
+                    raise CapExceeded(
+                        f"group too large: more than {cap} elements")
+                j = at[y] = len(walk)
+                walk.append(y)
+            steps.append((i, k, j, tree))
+    return at, steps
+
+
+def walk_images(steps, size: int, gen_images, degree: int) -> tuple:
+    """Images along a Cayley walk (see ``cayley_walk``) of ``size``
+    elements, given the image tuple of each generator on ``degree``
+    points: (image tuple of every walk position, None).  Each tree step
+    composes its generator's image onto the image it starts from; every
+    other step must reproduce the image already there, and at the first
+    that does not the answer is (None, (y, k)) for that step."""
+    images = [tuple(range(degree))] * size
+    for x, k, y, tree in steps:
+        img = images[x]
+        z = tuple([img[t] for t in gen_images[k]])
+        if tree:
+            images[y] = z
+        elif images[y] != z:
+            return None, (y, k)
+    return images, None
 
 
 class FiniteGroup:
@@ -136,7 +168,7 @@ class FiniteGroup:
                 # every member ends up in the closure, so a closure no
                 # larger than the set is the set
                 try:
-                    closure = _close_perms(gens, self.degree, len(members))
+                    closure = cayley_walk(gens, self.degree, len(members))[0]
                 except CapExceeded:
                     raise InputError("element set is not closed under "
                                      "multiplication") from None
@@ -151,8 +183,7 @@ def generate(gens, degree: int, max_order: int = DEFAULT_GROUP_CAP) -> FiniteGro
         if g.degree != degree:
             raise InputError(f"generator degree {g.degree} does not match {degree}")
     gens = [g for g in gens if not g.is_identity()]
-    elems = _close_perms(gens, degree, max_order)
-    return FiniteGroup(degree, gens, elems)
+    return FiniteGroup(degree, gens, cayley_walk(gens, degree, max_order)[0])
 
 
 # -- standard groups ------------------------------------------------------
@@ -165,6 +196,17 @@ def _digit_limit() -> int:
     """Python's int-to-string digit limit: 4300 by default, 0 for none (as
     before 3.10.7).  Sym(k) passes it from k = 1559 on."""
     return getattr(sys, "get_int_max_str_digits", int)()
+
+
+def _decimal(digits: str, refusal) -> int:
+    """int() of a decimal string, leading zeros ignored; one longer than
+    the digit limit raises ``refusal(limit)`` in place of int()'s
+    ValueError."""
+    digits = digits.lstrip("0") or "0"
+    limit = _digit_limit()
+    if limit and len(digits) > limit:
+        raise refusal(limit)
+    return int(digits)
 
 
 def _order_past_digit_limit(limit: int, max_order: int) -> CapExceeded:
@@ -352,15 +394,6 @@ def _coset_partition(g: FiniteGroup, members: frozenset):
     return _left_cosets(mult, [index[x] for x in members], range(g.order))
 
 
-def coset_perm(g: FiniteGroup, u, h: Perm) -> Perm:
-    """Image of the single element h in the coset action of g on g/u."""
-    _require_member(g, h)
-    cosets, coset_of = _coset_partition(g, _subgroup_elements(g, u))
-    index, mult, _ = g.tables()
-    row = mult[index[h]]
-    return Perm(tuple(coset_of[row[c[0]]] for c in cosets))
-
-
 def coset_action(g: FiniteGroup, u) -> dict:
     """The action of g on the left cosets of u, as a map element -> Perm."""
     cosets, coset_of = _coset_partition(g, _subgroup_elements(g, u))
@@ -372,8 +405,15 @@ def coset_action(g: FiniteGroup, u) -> dict:
 # -- subgroup enumeration -------------------------------------------------
 
 def _least_prime(n: int) -> int:
-    """The least prime dividing n (n itself when n is prime or 1)."""
-    return next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+    """The least prime dividing n (n itself when n is prime or 1), by
+    trial division up to the square root of PRIME_TEST_CAP; a larger n
+    with no divisor that small is refused."""
+    top = isqrt(min(n, PRIME_TEST_CAP))
+    d = next((d for d in range(2, top + 1) if n % d == 0), n)
+    if d == n and n > PRIME_TEST_CAP:
+        raise CapExceeded(f"prime test capped at {PRIME_TEST_CAP}, "
+                          f"got a larger number")
+    return d
 
 
 def _is_prime(n: int) -> bool:

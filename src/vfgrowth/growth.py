@@ -27,8 +27,8 @@ from .catalog import build_catalog, fixed_point_multiplicity, restriction_matrix
 from .errors import InputError
 from .gog import (GraphOfGroups, _check_family_params, euler_characteristic,
                   family_graph_text, parse_gog)
-from .groups import (FiniteGroup, _is_prime, _prime_order, _subgroup_elements,
-                     normalizer, subgroup_classes)
+from .groups import (FiniteGroup, _digit_limit, _is_prime, _prime_order,
+                     _subgroup_elements, normalizer, subgroup_classes)
 from .perm import Perm
 from .ratlp import LPSolution, RationalLP, certify, solve_max
 
@@ -292,6 +292,9 @@ def realize(a: int, b: int) -> RealizationPlan:
     if gcd(a, b) != 1:
         raise InputError(f"{a}/{b} is not in lowest terms")
     r, a2 = divmod(a, b)
+    limit = _digit_limit()
+    if limit and r + 1 >= 10 ** limit:
+        raise InputError(f"free rank of more than {limit} digits")
     if a2 == 0:
         return RealizationPlan(a, b, r, None, None, None, None, None,
                                predicted_mu=Fraction(a, b))

@@ -33,7 +33,8 @@ from math import comb, factorial
 from .catalog import build_catalog
 from .errors import CapExceeded, InputError
 from .gog import GraphOfGroups, spanning_tree
-from .groups import DEFAULT_GROUP_CAP, FiniteGroup, symmetric_group
+from .groups import (DEFAULT_GROUP_CAP, FiniteGroup, cayley_walk,
+                     symmetric_group, walk_images)
 from .growth import GrowthProgram, build_growth_program
 from .perm import Perm
 
@@ -284,56 +285,24 @@ def _transporter_count(u: tuple, v: tuple, n: int) -> int:
                if all(gg * a == b * gg for a, b in zip(u, v)))
 
 
-def _cayley_walk(group: FiniteGroup) -> tuple:
-    """Breadth-first walk of the Cayley graph of ``group`` over its
-    generators, in ``Perm`` products: (walk position of every element,
-    steps).  A step (x, k, y, tree) says element x times generator k is
-    element y, with tree true where that first reaches y; every edge of
-    the graph is one step, in the order the walk meets it."""
-    e = group.identity_element()
-    at = {e: 0}
-    frontier = [e]
-    steps = []
-    while frontier:
-        new = []
-        for x in frontier:
-            for k, s in enumerate(group.generators):
-                y = x * s
-                tree = y not in at
-                if tree:
-                    at[y] = len(at)
-                    new.append(y)
-                steps.append((at[x], k, at[y], tree))
-        frontier = new
-    return at, steps
-
-
 def _vertex_homs(group: FiniteGroup, n: int, sym=None) -> tuple:
     """All homomorphisms group -> S_n, as (walk positions, homs).
 
     Each hom lists the image tuple of every element at its Cayley-walk
     position.  Candidates are tuples of generator images whose orders
-    divide the generators' orders; each is composed along the tree steps
-    and checked on every other step as the walk reaches it, failing at
-    the first conflict.  ``sym`` lists (image tuple, order) over S_n.
+    divide the generators' orders; ``walk_images`` composes each along
+    the tree steps and checks it on every other step, failing at the
+    first conflict.  ``sym`` lists (image tuple, order) over S_n.
     """
     if sym is None:
         sym = [(p.images, p.order()) for p in symmetric_group(n).elements]
-    at, steps = _cayley_walk(group)
+    at, steps = cayley_walk(group.generators, group.degree, group.order)
     pools = [[x for x, o in sym if d % o == 0]
              for d in (gen.order() for gen in group.generators)]
-    ident = tuple(range(n))
     homs = []
     for gens in product(*pools):
-        images = [ident] * len(at)
-        for x, k, y, tree in steps:
-            img = images[x]
-            z = tuple([img[t] for t in gens[k]])
-            if tree:
-                images[y] = z
-            elif images[y] != z:
-                break
-        else:
+        images, conflict = walk_images(steps, len(at), gens, n)
+        if conflict is None:
             homs.append(tuple(images))
     return at, homs
 

@@ -5,6 +5,7 @@ import pytest
 
 from vfgrowth.cli import run
 from vfgrowth.oracle import DEFAULT_TYPESUM_CAP
+from vfgrowth.perm import Perm
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 KLEIN = str(GRAPHS / "klein.gog")
@@ -214,6 +215,66 @@ def test_mu_refuses_a_degree_too_long_for_int(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: line 1, col 19: bad degree: more than ")
     assert "9999" not in err and "Traceback" not in err
+
+
+def test_mu_refuses_a_degree_past_the_group_cap(capsys, tmp_path,
+                                               monkeypatch):
+    # refused as a cap before any permutation of that degree is built
+    def no_perms(*_):
+        raise AssertionError("a permutation was built")
+    monkeypatch.setattr(Perm, "__init__", no_perms)
+    path = tmp_path / "wide.gog"
+    path.write_text("vertex a { degree 100000; gens (); }\n")
+    assert run(["mu", str(path)]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err == "error: group too large: degree 100000 exceeds cap 10000\n"
+
+
+@pytest.mark.parametrize("value", [
+    "1/" + "7" * 5000, "7" * 5000 + "/9", "7" * 5000],
+    ids=["denominator", "numerator", "integer"])
+def test_realize_refuses_a_ratio_too_long_for_int(capsys, value):
+    assert run(["realize", value]) == 1
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.startswith("error: bad ratio: more than ")
+    assert "7777" not in err and "Traceback" not in err
+
+
+def test_realize_does_not_count_leading_zeros(capsys):
+    assert run(["realize", "0" * 5000 + "1/2"]) == 0
+    assert out_of(capsys)[0].startswith("target=1/2 family(p=3, k=6, l=1,")
+
+
+@pytest.mark.parametrize("value", [
+    "1/1000000000000037", "1/" + "7" * 400], ids=["16-digit", "400-digit"])
+def test_realize_stops_at_the_prime_test_cap(capsys, value):
+    assert run(["realize", value]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err == ("error: prime test capped at 1000000000000, "
+                   "got a larger number\n")
+
+
+@pytest.mark.parametrize("p, code, message", [
+    ("10000000000000", 1, "error: p must be prime, got 10000000000000\n"),
+    (str(1000003 ** 2), 2, "error: prime test capped at 1000000000000, "
+                           "got a larger number\n"),
+], ids=["small-divisor", "no-small-divisor"])
+def test_family_p_past_the_prime_test_cap(capsys, p, code, message):
+    assert run(["family", "--p", p, "--k", "3", "--l", "1"]) == code
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err == message
+
+
+def test_realize_refuses_a_free_rank_too_long_to_print(capsys):
+    # 10**4300 - 1 needs the free group of rank 10**4300: 4301 digits
+    assert run(["realize", "9" * 4300]) == 1
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err == "error: free rank of more than 4300 digits\n"
 
 
 def test_max_n_flag_raises_the_cap(capsys):

@@ -4,15 +4,17 @@ from pathlib import Path
 
 import pytest
 
+from vfgrowth import gog
 from vfgrowth.corpus import modular_graph, triangle_graph
-from vfgrowth.errors import InputError, ParseError
-from vfgrowth.gog import (cycle_power_element, cyclic_amalgam,
+from vfgrowth.errors import CapExceeded, InputError, ParseError
+from vfgrowth.gog import (amalgam, cycle_power_element, cyclic_amalgam,
                           euler_characteristic, family_amalgam,
                           family_graph_text, free_group, free_product,
                           load_gog, make_graph, parse_gog, spanning_tree,
                           to_text)
-from vfgrowth.groups import cyclic_group, symmetric_group, trivial_group
-from vfgrowth.perm import parse_perm
+from vfgrowth.groups import (alternating_group, cyclic_group, symmetric_group,
+                             trivial_group)
+from vfgrowth.perm import Perm, parse_perm
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 
@@ -118,6 +120,39 @@ def test_parse_refuses_a_degree_too_long_for_int():
     assert g.vertex_group("a").order == 3
 
 
+@pytest.mark.parametrize("text, degree", [
+    ("vertex a { degree 100000; gens (); }\n", 100000),
+    ("vertex a { degree 1234567890; gens (1 2); }\n", 1234567890),
+    ("vertex a = Trivial\n"
+     "edge e a a { degree 100000; gens (); left: (); right: (); }\n", 100000),
+], ids=["vertex", "ten-digit", "edge"])
+def test_parse_refuses_a_degree_past_the_group_cap(monkeypatch, text, degree):
+    # the degree is refused as a cap before a permutation of that many
+    # points is parsed or built, so the work does not grow with it
+    real_init, real_parse = Perm.__init__, gog.parse_perm
+
+    def init(self, images):
+        assert len(images) <= 10, "a wide permutation was built"
+        real_init(self, images)
+
+    def parse(text, degree):
+        assert degree <= 10, "a wide permutation was parsed"
+        return real_parse(text, degree)
+    monkeypatch.setattr(Perm, "__init__", init)
+    monkeypatch.setattr(gog, "parse_perm", parse)
+    with pytest.raises(CapExceeded) as exc:
+        parse_gog(text)
+    assert str(exc.value) == (f"group too large: degree {degree} "
+                              f"exceeds cap 10000")
+
+
+def test_the_degree_cap_is_the_group_order_cap():
+    text = "vertex a { degree 5; gens (1 2); }\n"
+    assert parse_gog(text, max_group_order=5).vertex_group("a").order == 2
+    with pytest.raises(CapExceeded, match="degree 5 exceeds cap 4"):
+        parse_gog(text, max_group_order=4)
+
+
 @pytest.mark.parametrize("text", [
     "vertex a { degree \u00b2; gens (); }\n",
     "vertex a = Sym(\u00b2)\n",
@@ -184,11 +219,20 @@ def test_family_params_validated():
     family_amalgam(2, 6, 2, "alternating")   # p = 2 fine when l is even
 
 
+def _reference_family_amalgam(p, k, l, variant):
+    """The family amalgam built from its groups, not from its text: two
+    copies of Sym(k) (or Alt(k)) glued over C_p along l disjoint p-cycles."""
+    ctor = symmetric_group if variant == "symmetric" else alternating_group
+    vg = ctor(k)
+    x = cycle_power_element(p, l, k)
+    return amalgam(vg, vg, cyclic_group(p), (x,), (x,))
+
+
 def test_family_graph_text_matches_constructor():
     for p, k, l, variant in ((3, 4, 1, "symmetric"), (2, 5, 1, "symmetric"),
                              (3, 7, 2, "alternating")):
-        parsed = parse_gog(family_graph_text(p, k, l, variant))
-        built = family_amalgam(p, k, l, variant)
+        parsed = family_amalgam(p, k, l, variant)
+        built = _reference_family_amalgam(p, k, l, variant)
         assert euler_characteristic(parsed).chi == euler_characteristic(built).chi
         assert parsed.edges[0].embeddings == built.edges[0].embeddings
 

@@ -7,12 +7,12 @@ import pytest
 from vfgrowth.catalog import (EmbeddingMap, fixed_point_multiplicity,
                               restriction_matrix)
 from vfgrowth.errors import CapExceeded, InputError
-from vfgrowth.gog import parse_gog
+from vfgrowth.gog import family_graph_text, parse_gog
 from vfgrowth.groups import (all_subgroups, alternating_group, centralizer,
-                             conjugacy_class, coset_action, coset_perm,
-                             cyclic_group, dihedral_group, direct_product,
-                             generate, klein_four, normalizer,
-                             subgroup_classes, symmetric_group, trivial_group)
+                             conjugacy_class, coset_action, cyclic_group,
+                             dihedral_group, direct_product, generate,
+                             klein_four, normalizer, subgroup_classes,
+                             symmetric_group, trivial_group)
 from vfgrowth import groups
 from vfgrowth.groups import _known_order_product, _subgroup_index_sets
 from vfgrowth.growth import cyclic_amalgam_value
@@ -262,8 +262,8 @@ def test_group_layer_runs_no_perm_products(monkeypatch):
     monkeypatch.setattr(Perm, "__mul__", product)
     classes = subgroup_classes(g)
     assert len(classes) == 15
-    assert restriction_matrix(emb).nrows == 2
-    assert coset_perm(g, classes[3], g.generators[1]).degree == \
+    assert len(restriction_matrix(emb).rows) == 2
+    assert coset_action(g, classes[3])[g.generators[1]].degree == \
         classes[3].index
 
 
@@ -327,13 +327,39 @@ def test_conjugacy_class_sizes():
     assert len(conjugacy_class(s4, x)) == s4.order // centralizer(s4, x).order
 
 
+def test_the_prime_test_divides_only_up_to_its_cap(monkeypatch):
+    real_isqrt = groups.isqrt
+
+    def capped_isqrt(n):
+        assert n <= groups.PRIME_TEST_CAP, "trial division past the cap"
+        return real_isqrt(n)
+    monkeypatch.setattr(groups, "isqrt", capped_isqrt)
+    # below the cap the test is complete: 999983 is the largest prime
+    # below 10**6
+    assert groups._least_prime(groups.PRIME_TEST_CAP) == 2
+    assert groups._least_prime(999983 ** 2) == 999983
+    # past it, a number with a divisor up to 10**6 keeps its answer
+    assert groups._least_prime(10 ** 13) == 2
+    assert groups._least_prime(10 ** 12 + 1) == 73
+    with pytest.raises(InputError, match="p must be prime"):
+        family_graph_text(10 ** 13, 10 ** 13 + 1, 1)
+    # and one without is refused (1000003 is the least prime past 10**6)
+    past = 1000003 ** 2
+    for call in (lambda: groups._is_prime(past),
+                 lambda: family_graph_text(past, past + 1, 1)):
+        with pytest.raises(CapExceeded) as exc:
+            call()
+        assert str(exc.value) == ("prime test capped at 1000000000000, "
+                                  "got a larger number")
+
+
 @pytest.mark.parametrize("call", [
-    lambda g, x: coset_perm(g, [], x),
+    lambda g, x: coset_action(g, []),
     lambda g, x: fixed_point_multiplicity(g, [], x),
     lambda g, x: cyclic_amalgam_value(g, x, []),
     lambda g, x: normalizer(g, []),
     lambda g, x: fixed_point_multiplicity(g, [x], x),
-], ids=["coset_perm", "fixed_point_multiplicity", "cyclic_amalgam_value",
+], ids=["coset_action", "fixed_point_multiplicity", "cyclic_amalgam_value",
         "normalizer", "fixed_point_multiplicity-no-identity"])
 def test_member_sets_without_the_identity_are_rejected(call):
     # an empty or identity-free member set is no subgroup, whatever the

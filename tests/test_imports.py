@@ -5,10 +5,12 @@ A stdlib ``ast`` scan stands in for a linter: a name bound by an import
 must be read somewhere in the module.  Names listed in ``__all__`` are
 re-exports and count as read; ``from __future__`` imports bind nothing.
 A second scan lists every function under a memo decorator, so adding a
-cache is a change to the inventory pinned here.
+cache is a change to the inventory pinned here.  Last, every entry point
+the benchmark's tracer wraps must resolve.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -91,3 +93,16 @@ def test_the_memo_caches_are_the_pinned_three():
                              "groups.subgroup_classes"]
     # the lattice has one store, subgroup_classes' cache
     assert "_subgroup_cache" not in FiniteGroup.__slots__
+
+
+def test_every_traced_entry_point_resolves():
+    # mubench/tracing.py skips an entry point it cannot find without a
+    # word and then reports 0 for its metrics
+    spec = importlib.util.spec_from_file_location(
+        "mubench_tracing", ROOT / "mubench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for name, module, attr in tracing.SPANNED + tracing.CALL_COUNTED:
+        assert callable(getattr(importlib.import_module(module), attr,
+                                None)), name
+    assert callable(getattr(FiniteGroup, "tables", None))

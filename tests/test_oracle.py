@@ -1,3 +1,4 @@
+import random
 from itertools import product
 from math import comb, factorial
 
@@ -18,7 +19,7 @@ from vfgrowth.oracle import (DEFAULT_TYPESUM_CAP, TypePartition,
                              hom_count_enumerate, hom_count_typesum,
                              type_hom_count, vertex_hom_count)
 from vfgrowth.oracle import _transporter_count, _vertex_homs, _vertex_types
-from vfgrowth.perm import Perm, parse_perm
+from vfgrowth.perm import Perm, identity, parse_perm
 
 
 def test_vertex_hom_count_s3_at_degree_3():
@@ -200,17 +201,123 @@ def test_transporter_counts():
 
 # -- reference oracles: the algorithms the counters replaced ---------------
 
+def _reference_extend_hom(domain, gens, images, target_degree=None):
+    """The extension ``catalog.extend_hom`` makes, as its own breadth-first
+    loop over ``Perm`` products: no Cayley walk and no image tuples are
+    shared with the package."""
+    gens = tuple(gens)
+    images = tuple(images)
+    if len(gens) != len(images):
+        raise EmbeddingError(
+            f"{len(gens)} generators but {len(images)} images")
+    for g in gens:
+        if g not in domain:
+            raise EmbeddingError(f"generator {g} is not in the domain group")
+    if target_degree is None:
+        target_degree = images[0].degree if images else domain.degree
+    mapping = {domain.identity_element(): identity(target_degree)}
+    frontier = [domain.identity_element()]
+    while frontier:
+        new = []
+        for e in frontier:
+            fe = mapping[e]
+            for g, m in zip(gens, images):
+                f = e * g
+                fim = fe * m
+                known = mapping.get(f)
+                if known is None:
+                    mapping[f] = fim
+                    new.append(f)
+                elif known != fim:
+                    raise EmbeddingError(
+                        f"not a homomorphism: conflicting images at {f} "
+                        f"(via generator {g} -> {m})")
+        frontier = new
+    if len(mapping) != domain.order:
+        raise EmbeddingError("generators do not generate the domain group")
+    return mapping
+
+
+def _extension_or_error(extend, *args):
+    try:
+        return extend(*args)
+    except EmbeddingError as exc:
+        return str(exc)
+
+
+def test_extend_hom_matches_the_reference_loop():
+    # generator lists with repeats, the identity, or too few elements to
+    # generate; images from a conjugated copy (a homomorphism) or drawn
+    # at random (mostly conflicting)
+    rng = random.Random(9)
+    groups = [trivial_group(), cyclic_group(4), klein_four(),
+              symmetric_group(3), symmetric_group(4), dihedral_group(5),
+              alternating_group(4)]
+    outcomes = set()
+    for _ in range(600):
+        group = rng.choice(groups)
+        gens = [rng.choice(group.elements) for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.5:
+            gens += group.generators
+            rng.shuffle(gens)
+        if rng.random() < 0.5:
+            c = Perm(rng.sample(range(group.degree), group.degree))
+            images = [c * g * c.inverse() for g in gens]
+            degree = group.degree
+        else:
+            degree = rng.randint(1, 4)
+            target = symmetric_group(degree).elements
+            images = [rng.choice(target) for _ in gens]
+        args = (group, gens, images, degree)
+        got = _extension_or_error(extend_hom, *args)
+        assert got == _extension_or_error(_reference_extend_hom, *args)
+        outcomes.add(got.split(":")[0] if isinstance(got, str) else "hom")
+    assert outcomes == {"hom", "not a homomorphism",
+                        "generators do not generate the domain group"}
+
+
+@pytest.mark.parametrize("gens, images, degree", [
+    (["(1 2)", "(1 2 3)"], [parse_perm("(1 2)", 3), identity(4)], None),
+    (["(1 2)"], [parse_perm("(1 2)", 3)], 4),
+], ids=["second-image", "given-degree"])
+def test_extend_hom_refuses_an_image_off_the_target_degree(gens, images,
+                                                           degree):
+    s3 = symmetric_group(3)
+    gens = [parse_perm(g, 3) for g in gens]
+    for extend in (extend_hom, _reference_extend_hom):
+        with pytest.raises(ValueError) as exc:
+            extend(s3, gens, images, degree)
+        assert not isinstance(exc.value, EmbeddingError)
+        target = degree or 3
+        assert str(exc.value) == (
+            f"degree mismatch: {target} vs {7 - target}")
+
+
+def test_extend_hom_checks_image_degrees_before_any_conflict():
+    # the one documented divergence from the reference loop: an identity
+    # generator listed first conflicts at the loop's first step, before
+    # the loop reaches the image of the wrong degree
+    s3 = symmetric_group(3)
+    gens = [identity(3), parse_perm("(1 2)", 3)]
+    images = [parse_perm("(1 2)", 3), identity(4)]
+    with pytest.raises(EmbeddingError, match="^not a homomorphism"):
+        _reference_extend_hom(s3, gens, images)
+    with pytest.raises(ValueError, match="^degree mismatch: 3 vs 4$"):
+        extend_hom(s3, gens, images)
+
+
 def _extend_hom_enumeration(group, n):
-    """Every homomorphism group -> S_n as a mapping dict: extend_hom on
-    each tuple of generator images whose orders divide the generators'."""
+    """Every homomorphism group -> S_n as a mapping dict: the reference
+    extension on each tuple of generator images whose orders divide the
+    generators'."""
     sym = symmetric_group(n).elements
     pools = [[x for x in sym if gen.order() % x.order() == 0]
              for gen in group.generators]
     homs = []
     for images in product(*pools):
         try:
-            homs.append(extend_hom(group, group.generators, images,
-                                   target_degree=n))
+            homs.append(_reference_extend_hom(group, group.generators,
+                                              images, n))
         except EmbeddingError:
             continue
     return homs
