@@ -7,8 +7,10 @@ and the automorphism count of each coset space, which is the index of the
 stabilizer in its normalizer, not the degree.  Restricting a coset action
 along an embedded subgroup splits it into orbits; counting those orbits by
 their stabilizer class gives an integer matrix, the basic ingredient of the
-growth linear program.  An embedding is given on generators and extended
-to every element along the domain's Cayley walk (``groups.walk_images``).
+growth linear program; its cosets and stabilizers are element-index sets,
+like the ``members`` of the classes they are matched against.  An
+embedding is given on generators and extended to every element along the
+domain's Cayley walk (``groups.walk_images``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import EmbeddingError, InputError
-from .groups import (FiniteGroup, _coset_partition, _prime_order,
+from .groups import (FiniteGroup, _left_cosets, _prime_order,
                      _subgroup_elements, cayley_walk, conjugacy_class,
                      orbit_minima, subgroup_classes, walk_images)
 from .perm import Perm
@@ -150,32 +152,30 @@ def restriction_matrix(emb: EmbeddingMap) -> RestrictionMatrix:
     """
     vcat = build_catalog(emb.codomain)
     ecat = build_catalog(emb.domain)
-    edge = emb.domain
     # the catalog's group is the instance whose tables the lattice built;
     # an equal copy (another vertex carrying the same group) has none
     index, mult, _ = vcat.group.tables()
-    # left multiplication by the image of each edge element
-    left = {a: mult[index[emb.apply(a)]] for a in edge.elements}
+    # left multiplication by the image of each edge element, in the edge
+    # group's element order, the order its classes' index sets count in
+    edge = emb.domain.elements
+    left = [mult[index[emb.apply(a)]] for a in edge]
+    gens = [edge.index(a) for a in emb.generators]
     lookup = {members: cls.class_id
               for cls in ecat.classes for members in cls.members}
     gen_count = len(ecat)
     cols = []
     for rep in vcat.classes:
-        cosets, coset_of = _coset_partition(
-            vcat.group, rep.representative.element_set())
-        act = {a: tuple(coset_of[row[c[0]]] for c in cosets)
-               for a, row in left.items()}
-        gens = [act[a] for a in emb.generators]
+        cosets, coset_of = _left_cosets(mult, rep.members[0],
+                                        range(vcat.group.order))
+        act = [tuple(coset_of[row[c[0]]] for c in cosets) for row in left]
         col = [0] * gen_count
-        for p in orbit_minima(rep.index, gens):
-            stab = frozenset(a for a in edge.elements if act[a][p] == p)
+        for p in orbit_minima(rep.index, [act[i] for i in gens]):
+            stab = frozenset(i for i, a in enumerate(act) if a[p] == p)
             col[lookup[stab]] += 1
         total = sum(m * ecat.classes[j].index for j, m in enumerate(col))
         assert total == rep.index, "orbit degrees fail to add up"
         cols.append(col)
-    rows = tuple(tuple(cols[i][j] for i in range(len(cols)))
-                 for j in range(gen_count))
-    return RestrictionMatrix(rows)
+    return RestrictionMatrix(tuple(zip(*cols)))
 
 
 def fixed_point_multiplicity(g: FiniteGroup, u, x: Perm) -> int:

@@ -4,7 +4,8 @@ One subcommand per operation; all numeric output is exact (rationals as
 ``p/q``, counts as big integers) so runs are byte-reproducible.  ``--json``
 switches to a stable machine format where every rational becomes
 ``{"num": "...", "den": "..."}`` with string values.  Exit codes: 0 on
-success, 1 on bad input, 2 when a resource cap stops the computation.
+success, 1 on bad input (argument errors included), 2 when a resource cap
+stops the computation.
 """
 
 from __future__ import annotations
@@ -284,6 +285,14 @@ def cmd_selftest(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """argparse's usage and error text, but exit 1, the bad-input code;
+        the subcommand parsers are of this class too."""
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
@@ -295,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     max_n = argparse.ArgumentParser(add_help=False)
     max_n.add_argument("--max-n", type=int, metavar="N",
                        help="raise or lower the counting-degree cap")
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vfgrowth",
         description="Exact subgroup-growth degree of virtually free groups "
                     "presented as finite graphs of finite groups.")

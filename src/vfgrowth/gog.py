@@ -73,13 +73,15 @@ def make_graph(vertices, edges) -> GraphOfGroups:
         raise InputError("a graph of groups needs at least one vertex")
     groups = dict(vertices)
     out_edges = []
+    edge_names = set()
     for e in edges:
         e = e if isinstance(e, GogEdge) else GogEdge(*e)
         for end in e.ends:
             if end not in groups:
                 raise InputError(f"edge {e.name!r} mentions unknown vertex {end!r}")
-        if len({e.name for e in out_edges} | {e.name}) != len(out_edges) + 1:
+        if e.name in edge_names:
             raise InputError(f"duplicate edge name {e.name!r}")
+        edge_names.add(e.name)
         for side, emb in zip(e.ends, e.embeddings):
             if emb.domain != e.group:
                 raise InputError(f"edge {e.name!r}: embedding domain is not the edge group")

@@ -12,9 +12,12 @@ homomorphisms are extended (``catalog.extend_hom`` and the brute-force
 counter in ``oracle``).  Once a group is generated,
 the subgroup lattice, the class canonicalization and the coset actions
 multiply element indices in its tables (``FiniteGroup.tables``), not
-``Perm`` objects.  The tables are stored on the group and the lattice
-once, in the cache of ``subgroup_classes``; coset partitions are
-recomputed by whoever needs them.
+``Perm`` objects, and a subgroup is a frozenset of positions in the
+parent's sorted ``elements`` (so equal groups share them) from the lattice
+through ``SubgroupClass.members`` to restriction; only ``all_subgroups``
+maps them back to ``Perm`` sets.  The tables are stored on the group and
+the lattice once, in the cache of ``subgroup_classes``; coset partitions
+are recomputed by whoever needs them.
 """
 
 from __future__ import annotations
@@ -382,22 +385,11 @@ def _left_cosets(mult, sub, ambient):
     return cosets, coset_of
 
 
-def _coset_partition(g: FiniteGroup, members: frozenset):
-    """Left cosets of the subgroup with the given elements, over element
-    indices (see _left_cosets).
-
-    Cosets are numbered by their minimal element, so the coset of the
-    identity (the subgroup itself) is point 0 and the point stabilizer of
-    0 is exactly the subgroup.
-    """
-    index, mult, _ = g.tables()
-    return _left_cosets(mult, [index[x] for x in members], range(g.order))
-
-
 def coset_action(g: FiniteGroup, u) -> dict:
     """The action of g on the left cosets of u, as a map element -> Perm."""
-    cosets, coset_of = _coset_partition(g, _subgroup_elements(g, u))
-    _, mult, _ = g.tables()
+    index, mult, _ = g.tables()
+    cosets, coset_of = _left_cosets(
+        mult, [index[x] for x in _subgroup_elements(g, u)], range(g.order))
     return {a: Perm(tuple(coset_of[row[c[0]]] for c in cosets))
             for a, row in zip(g.elements, mult)}
 
@@ -541,14 +533,17 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
 def all_subgroups(g: FiniteGroup) -> list:
     """Every subgroup, as frozensets of Perm, largest first then by sorted
     image tuples.  Exhaustive, so the group order is capped."""
-    out = [members for cls in subgroup_classes(g) for members in cls.members]
-    out.sort(key=lambda s: (-len(s), tuple(sorted(p.images for p in s))))
-    return out
+    # the element list is sorted, so index order is image order
+    out = sorted((s for cls in subgroup_classes(g) for s in cls.members),
+                 key=lambda s: (-len(s), sorted(s)))
+    return [frozenset(map(g.elements.__getitem__, s)) for s in out]
 
 
 @dataclass(frozen=True, eq=False)
 class SubgroupClass:
-    """One conjugacy class of subgroups of a fixed parent group."""
+    """One conjugacy class of subgroups of a fixed parent group; ``members``
+    are its subgroups as index sets into the parent's sorted ``elements``,
+    the representative's set first."""
 
     class_id: int
     representative: FiniteGroup
@@ -596,27 +591,28 @@ def subgroup_classes(g: FiniteGroup) -> tuple:
     sorted element-set.  This refinement pins a reproducible order even
     between classes that share an order.
     """
-    orbits = _subgroup_index_sets(g)
+    orbits = _subgroup_index_sets(g)    # checks the subgroup cap first
+    elements = g.elements
     mult = g.tables()[1]
-    keyed = []
-    for orbit in orbits:
-        # the element list is sorted, so index order is image order
-        orbit = sorted(orbit, key=sorted)
-        members = tuple(frozenset(g.elements[i] for i in s) for s in orbit)
-        core = frozenset.intersection(*orbit)
-        key = (-len(core), -len(orbit[0]),
-               len(orbit_minima(g.degree, [p.images for p in members[0]])), sorted(orbit[0]))
-        keyed.append((key, orbit[0], members))
-    keyed.sort(key=lambda item: item[0])
 
+    def key(members):
+        first = members[0]
+        images = [elements[i].images for i in first]
+        return (-len(frozenset.intersection(*members)), -len(first),
+                len(orbit_minima(g.degree, images)), sorted(first))
+    # the element list is sorted, so index order is image order
+    orbits = sorted((tuple(sorted(orbit, key=sorted)) for orbit in orbits),
+                    key=key)
     classes = []
-    for class_id, (_, first, members) in enumerate(keyed):
-        gens = [g.elements[i] for i in _greedy_generators(mult, first)]
-        order = len(members[0])
+    for class_id, members in enumerate(orbits):
+        first = members[0]
+        gens = [elements[i] for i in _greedy_generators(mult, first)]
+        order = len(first)
         normalizer_order = g.order // len(members)
         classes.append(SubgroupClass(
             class_id=class_id,
-            representative=FiniteGroup(g.degree, gens, members[0]),
+            representative=FiniteGroup(g.degree, gens,
+                                       map(elements.__getitem__, first)),
             order=order,
             index=g.order // order,
             normalizer_order=normalizer_order,

@@ -320,7 +320,7 @@ def realize(a: int, b: int) -> RealizationPlan:
         if num % d:
             continue
         k = num // d
-        if k - l * p < 2 or (p, k, l) in _FAMILY_EXCEPTIONS:
+        if k - l * p < 2:
             continue
         predicted = 1 - Fraction(cost, k)
         assert predicted == Fraction(a2, b), "realization arithmetic is off"

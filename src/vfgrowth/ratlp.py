@@ -260,20 +260,11 @@ def _rref(matrix, ncols):
 
 def _solve_square(reduced, cols):
     """Solve the subsystem restricted to the given columns; None if singular."""
-    k = len(reduced)
-    mat = [[reduced[i][c] for c in cols] + [reduced[i][-1]] for i in range(k)]
-    for col in range(k):
-        piv = next((i for i in range(col, k) if mat[i][col]), None)
-        if piv is None:
-            return None
-        mat[col], mat[piv] = mat[piv], mat[col]
-        r = mat[col]
-        mat[col] = [x / r[col] for x in r]
-        for i in range(k):
-            if i != col and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
-    return [mat[i][-1] for i in range(k)]
+    square = _rref([[r[c] for c in cols] + [r[-1]] for r in reduced],
+                   len(cols))
+    if square is None or len(square) < len(cols):
+        return None
+    return [r[-1] for r in square]
 
 
 def enumerate_vertices(lp: RationalLP, cap: int = VERTEX_ENUM_CAP):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ from vfgrowth.oracle import DEFAULT_TYPESUM_CAP
 from vfgrowth.perm import Perm
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
+SRC = GRAPHS.parent / "src"
 KLEIN = str(GRAPHS / "klein.gog")
 MODULAR = str(GRAPHS / "modular.gog")
 TRIANGLE = str(GRAPHS / "triangle.gog")
@@ -288,8 +292,32 @@ def test_max_n_flag_raises_the_cap(capsys):
 
 
 def test_unknown_arguments_rejected():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         run(["mu", KLEIN, "--frobnicate"])
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["family", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    assert out_of(capsys)[0].startswith("usage: vfgrowth")
+
+
+def test_argument_error_exit_status():
+    # the real process status: a bad argument is bad input (1), not a cap (2)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vfgrowth.cli", "family", "--p", "x",
+         "--k", "4", "--l", "1"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: vfgrowth family")
+    assert "vfgrowth family: error: argument --p: invalid int value: 'x'" \
+        in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -304,8 +332,9 @@ def test_unknown_arguments_rejected():
     ["selftest", "--max-group-order", "1"],
 ])
 def test_flags_only_where_they_act(argv):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         run(argv)
+    assert exc.value.code == 1
 
 
 def test_selftest_command(capsys):

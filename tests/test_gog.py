@@ -71,6 +71,14 @@ def test_parse_error_carries_position():
                   "edge e a b { degree 1; gens (); left: (); }\n")
 
 
+def test_parse_rejects_duplicate_edge_names():
+    loop = "{ degree 1; gens (); left: (); right: (); }\n"
+    with pytest.raises(ParseError) as exc:
+        parse_gog("vertex a = Sym(3)\n"
+                  f"edge e a a {loop}edge f a a {loop}edge e a a {loop}")
+    assert str(exc.value) == "duplicate edge name 'e'"
+
+
 def test_parse_rejects_disconnected():
     with pytest.raises(ParseError, match=re.escape(
             "graph is not connected; unreachable vertices: ['b', 'd']")):

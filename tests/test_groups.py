@@ -143,6 +143,14 @@ def test_all_subgroups_cap():
         subgroup_classes(a7)
 
 
+def test_subgroup_cap_refuses_before_any_table():
+    # the |G|^2 table is what the cap bounds, so it must not be built first
+    a7 = alternating_group(7)
+    with pytest.raises(CapExceeded, match="subgroup cap 1000"):
+        subgroup_classes(a7)
+    assert a7._tables is None
+
+
 # (group, number of subgroups, number of conjugacy classes); the Sym
 # rows are OEIS A005432 and A000638
 CLASS_COUNTS = (
@@ -274,10 +282,30 @@ def test_subgroup_class_fields():
         assert c.aut_count * c.order == c.normalizer_order
         assert c.index % c.aut_count == 0
         assert c.class_size == g.order // c.normalizer_order
-        rep = frozenset(c.representative.elements)
-        assert rep in c.members
+        # members are index sets into g.elements, the representative first
+        assert c.members[0] == frozenset(
+            g.elements.index(x) for x in c.representative.elements)
         for members in c.members:
             assert len(members) == c.order
+            assert members <= frozenset(range(g.order))
+
+
+def test_equal_groups_share_classes_and_restriction_rows():
+    # Sym(4) from two generating lists is one group with one sorted element
+    # list, so its classes are the same index sets whichever copy asks, and
+    # restriction into the second copy runs on tables the first one built
+    a = generate([parse_perm(t, 4) for t in ("(1 2)", "(1 2 3 4)")], 4)
+    b = generate([parse_perm(t, 4) for t in ("(1 2)", "(2 3)", "(3 4)")], 4)
+    assert a == b and a.generators != b.generators
+    x = parse_perm("(1 2 3 4)", 4)
+    c4 = generate([x], 4)
+    rows = restriction_matrix(EmbeddingMap(c4, a, [x])).rows
+    fresh = [c.members for c in subgroup_classes.__wrapped__(a)]
+    assert [c.members for c in subgroup_classes(b)] == fresh
+    # the same embedding given on x^-1, so no cached matrix answers for it
+    emb = EmbeddingMap(c4, b, [x.inverse()], generators=[x.inverse()])
+    assert restriction_matrix(emb).rows == rows
+    assert b._tables is None
 
 
 def test_aut_count_is_not_the_degree():

@@ -283,6 +283,18 @@ def test_realize_grid_property():
                 family_mu(plan.p, plan.k, plan.l, plan.variant) == Fraction(a, b)
 
 
+def test_realize_plans_avoid_the_tabulated_exceptions():
+    # realize skips no key of growth._FAMILY_EXCEPTIONS, whose values
+    # family_mu returns in place of the formula: no plan may land on one
+    from math import gcd
+    for b in range(1, 61):
+        for a in range(4 * b):
+            if gcd(a, b) == 1:
+                plan = realize(a, b)
+                assert (plan.p, plan.k, plan.l) not in \
+                    growth._FAMILY_EXCEPTIONS, (a, b)
+
+
 def test_realize_describe_and_text():
     plan = realize(7, 3)
     assert plan.describe() == ("target=7/3 free_group(2) * "
