@@ -109,7 +109,7 @@ class RepCatalog:
     """The transitive representation classes of a group: the action on the
     cosets of each subgroup class, whose index is the degree."""
 
-    group: FiniteGroup      # the instance whose tables the lattice built
+    group: FiniteGroup      # the classes' parent: its tables are built
     classes: tuple          # subgroup_classes(group)
 
     def __len__(self) -> int:
@@ -126,7 +126,9 @@ def build_catalog(g: FiniteGroup) -> RepCatalog:
     1), trivial stabilizer last (the regular action)."""
     classes = subgroup_classes(g)
     assert classes[0].index == 1 and classes[-1].index == g.order
-    return RepCatalog(g, classes)
+    # the cached classes may come from an equal instance; restriction reads
+    # the tables the lattice built on it, not a second table on g
+    return RepCatalog(classes[0].parent, classes)
 
 
 @dataclass(frozen=True)
@@ -152,8 +154,8 @@ def restriction_matrix(emb: EmbeddingMap) -> RestrictionMatrix:
     """
     vcat = build_catalog(emb.codomain)
     ecat = build_catalog(emb.domain)
-    # the catalog's group is the instance whose tables the lattice built;
-    # an equal copy (another vertex carrying the same group) has none
+    # the catalog's group is the instance the lattice ran on, so these
+    # tables exist already, even when emb.codomain is an equal copy
     index, mult, _ = vcat.group.tables()
     # left multiplication by the image of each edge element, in the edge
     # group's element order, the order its classes' index sets count in

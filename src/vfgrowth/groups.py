@@ -16,8 +16,18 @@ multiply element indices in its tables (``FiniteGroup.tables``), not
 parent's sorted ``elements`` (so equal groups share them) from the lattice
 through ``SubgroupClass.members`` to restriction; only ``all_subgroups``
 maps them back to ``Perm`` sets.  The tables are stored on the group and
-the lattice once, in the cache of ``subgroup_classes``; coset partitions
-are recomputed by whoever needs them.
+the lattice once, in the cache of ``subgroup_classes``, whose classes name
+the instance they were built on (``SubgroupClass.parent``); coset
+partitions are recomputed by whoever needs them.
+
+The lattice is the cyclic extension method (Holt, Eick and O'Brien,
+*Handbook of Computational Group Theory*, 2005): every subgroup is
+<H, a> for a subgroup H one step below it and an element a of prime-power
+order.  Only one representative H per conjugacy class is extended, and
+only by one cyclic subgroup <a> per orbit of the normalizer N_G(H), since
+<H, a^n> = <H, a>^n lies in the class of <H, a> for n in N_G(H).  The
+generators of N_G(H) are Schreier elements of the conjugation walk that
+found the class of H, so no normalizer is searched for.
 """
 
 from __future__ import annotations
@@ -468,6 +478,58 @@ def _greedy_generators(mult, members) -> list:
     return gens
 
 
+def _span(mult, sub, gens, e):
+    """The subgroup the element indices ``gens`` generate, given the set
+    ``sub`` that all of them but the last generate, as a set: the union of
+    the left cosets of ``sub`` that the generators reach from it by left
+    multiplication (``e`` is the identity's index)."""
+    span = set(sub)
+    reps = [e]
+    for y in reps:              # reps grows while it is walked
+        for s in gens:
+            z = mult[s][y]
+            if z not in span:
+                row = mult[z]
+                span.update([row[x] for x in sub])
+                reps.append(z)
+    return span
+
+
+def _class_and_normalizer(mult, inv, gens, conj, members, e):
+    """The conjugacy class of the subgroup H with element indices
+    ``members``, walked by conjugating with the group generators ``gens``
+    (``conj`` holds x -> s^-1 x s for each), and generators of N_G(H).
+
+    The walk keeps, for the i-th conjugate, the product t_i of generators
+    that conjugates H to it.  Each step i --s--> j that reaches a conjugate
+    already seen gives the Schreier element t_i s t_j^-1, which normalizes
+    H, and these generate N_G(H) (Schreier's lemma).  One is kept only
+    when it lies outside the span of those kept before it, so at most
+    log2 |N_G(H)| are kept; orbit-stabilizer checks their span."""
+    orbit = [members]
+    at = {members: 0}
+    walk = [e]
+    normal = []
+    span = {e}
+    for i, cur in enumerate(orbit):     # orbit grows while it is walked
+        row = mult[walk[i]]
+        for s, c in zip(gens, conj):
+            image = frozenset(map(c.__getitem__, cur))
+            j = at.get(image)
+            if j is None:
+                at[image] = len(orbit)
+                orbit.append(image)
+                walk.append(row[s])
+            else:
+                n = mult[row[s]][inv[walk[j]]]
+                if n not in span:
+                    normal.append(n)
+                    span = _span(mult, span, normal, e)
+    assert len(span) * len(orbit) == len(mult), \
+        "normalizer fails orbit-stabilizer"
+    return orbit, normal
+
+
 def _subgroup_index_sets(g: FiniteGroup) -> tuple:
     """All subgroups as frozensets of element indices, one tuple per
     conjugacy class."""
@@ -478,7 +540,10 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
                           f"subgroup cap {DEFAULT_SUBGROUP_CAP}")
     index, mult, inv = g.tables()
     id_idx = index[identity(g.degree)]
-    cyclic = {}
+    # each cyclic subgroup stands by its least generator, least[<x>], and
+    # cyclic[x] is the one standing for <x>
+    least = {}
+    cyclic = [id_idx] * g.order
     for a in range(g.order):
         if a == id_idx:
             continue
@@ -487,46 +552,58 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
         while x != id_idx:
             powers.append(x)
             x = mult[x][a]
-        cyclic.setdefault(frozenset(powers), a)
+        cyclic[a] = least.setdefault(frozenset(powers), a)
     # Extending a known subgroup by one element of prime power order reaches
     # every subgroup: a maximal proper subgroup plus any outside element of
     # prime power order generates the whole thing.  It suffices to extend
-    # one representative per conjugacy class — conjugating the reached
+    # one representative H per conjugacy class (conjugating the reached
     # subgroup recovers the rest of its class, and the chain argument
-    # transports along conjugation.
-    ext = sorted(a for key, a in cyclic.items() if _is_prime_power(len(key)))
+    # transports along conjugation), and H by one cyclic subgroup per orbit
+    # of N_G(H): for n in N_G(H), <H, a^n> = <H, a>^n is in the same class.
+    # N_G(H) comes from the Schreier elements of the walk that found the
+    # class of H (see _class_and_normalizer).
+    ext = sorted(a for key, a in least.items() if _is_prime_power(len(key)))
     bound = g.order // _least_prime(g.order)
     whole = frozenset(range(g.order))
+    gens = [index[p] for p in g.generators]
     # conjugation x -> s^-1 x s by each group generator s, as an index map
     conj = [[mult[mult[inv[s]][x]][s] for x in range(g.order)]
-            for s in (index[p] for p in g.generators)]
+            for s in gens]
     trivial = frozenset([id_idx])
-    known = {trivial}
-    orbits = [(trivial,)]
-    reps = [(trivial, ())]
-    for members, gens in reps:  # reps grows while it is walked
+    orbit, normal = _class_and_normalizer(mult, inv, gens, conj, trivial,
+                                          id_idx)
+    known = set(orbit)
+    orbits = [tuple(orbit)]
+    reps = [(trivial, (), normal)]
+    for members, hgens, normal in reps:     # reps grows while it is walked
         cosets, coset_of = _left_cosets(mult, members, range(g.order))
         limit = bound // len(members)
+        by = [(mult[inv[n]], n) for n in normal]
+        seen = set()
         for a in ext:
-            if a in members:
+            if a in members or a in seen:
                 continue
-            newgens = gens + (a,)
+            # a stands for its orbit under conjugation by N_G(H), which
+            # keeps the orbit outside H
+            seen.add(a)
+            todo = [a]
+            for b in todo:              # todo grows while it is walked
+                for left, n in by:
+                    c = cyclic[mult[left[b]][n]]
+                    if c not in seen:
+                        seen.add(c)
+                        todo.append(c)
+            newgens = hgens + (a,)
             new = _extend(cosets, coset_of, [mult[s] for s in newgens],
                           limit) or whole
             if new in known:
                 continue
-            # conjugating by the group generators walks the whole class;
             # a conjugate already known would put new in an earlier class
-            known.add(new)
-            orbit = [new]
-            for cur in orbit:
-                for c in conj:
-                    image = frozenset(map(c.__getitem__, cur))
-                    if image not in known:
-                        known.add(image)
-                        orbit.append(image)
+            orbit, normal = _class_and_normalizer(mult, inv, gens, conj, new,
+                                                  id_idx)
+            known.update(orbit)
             orbits.append(tuple(orbit))
-            reps.append((new, newgens))
+            reps.append((new, newgens, normal))
     return tuple(orbits)
 
 
@@ -543,7 +620,8 @@ def all_subgroups(g: FiniteGroup) -> list:
 class SubgroupClass:
     """One conjugacy class of subgroups of a fixed parent group; ``members``
     are its subgroups as index sets into the parent's sorted ``elements``,
-    the representative's set first."""
+    the representative's set first.  ``parent`` is the instance the lattice
+    ran on, so its tables are built; an equal copy may have none."""
 
     class_id: int
     representative: FiniteGroup
@@ -552,6 +630,7 @@ class SubgroupClass:
     normalizer_order: int
     aut_count: int          # (normalizer : subgroup)
     class_size: int
+    parent: FiniteGroup = field(repr=False)
     members: tuple = field(repr=False, default=())
 
     def __str__(self) -> str:
@@ -618,6 +697,7 @@ def subgroup_classes(g: FiniteGroup) -> tuple:
             normalizer_order=normalizer_order,
             aut_count=normalizer_order // order,
             class_size=len(members),
+            parent=g,
             members=members,
         ))
     return tuple(classes)

@@ -13,7 +13,7 @@ from vfgrowth.groups import (all_subgroups, alternating_group, centralizer,
                              dihedral_group, direct_product, generate,
                              klein_four, normalizer, subgroup_classes,
                              symmetric_group, trivial_group)
-from vfgrowth import groups
+from vfgrowth import catalog, groups
 from vfgrowth.groups import _known_order_product, _subgroup_index_sets
 from vfgrowth.growth import cyclic_amalgam_value
 from vfgrowth.perm import Perm, identity, parse_perm
@@ -247,7 +247,11 @@ def _reference_classes(g, subgroups):
     # the Frobenius group of order 21: its least prime is 3, so the
     # Lagrange stop of the lattice closure fires at |G|/3
     _from_cycles("(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)"),
-], ids=["Sym(4)", "Dih(5)", "Alt(4)", "Frobenius(21)"])
+    # large normalizers, so one extension stands for many cyclic subgroups
+    direct_product(dihedral_group(4), cyclic_group(2)),
+    direct_product(symmetric_group(3), symmetric_group(3)),
+], ids=["Sym(4)", "Dih(5)", "Alt(4)", "Frobenius(21)", "Dih(4)xCyc(2)",
+        "Sym(3)xSym(3)"])
 def test_lattice_matches_naive_closure(g):
     orbits = [frozenset(frozenset(g.elements[i] for i in s) for s in orbit)
               for orbit in _subgroup_index_sets(g)]
@@ -255,6 +259,52 @@ def test_lattice_matches_naive_closure(g):
     assert set().union(*orbits) == want
     assert sum(len(o) for o in orbits) == len(want)
     assert set(orbits) == _reference_classes(g, want)
+
+
+def _count_extensions(monkeypatch):
+    """Every call of the lattice's closure step from now on, one entry
+    each."""
+    calls = []
+    extend = groups._extend
+
+    def counted(*args):
+        calls.append(None)
+        return extend(*args)
+    monkeypatch.setattr(groups, "_extend", counted)
+    return calls
+
+
+def test_lattice_extends_once_per_normalizer_orbit(monkeypatch):
+    # one candidate <H, a> per class representative H and per N_G(H)-orbit
+    # of the prime-power cyclic subgroups outside H, whichever H is found
+    # first; extending by every such cyclic subgroup took 12,498 and 3,307
+    calls = _count_extensions(monkeypatch)
+    for name, want in (("Sym(6)", 1411), ("Alt(6)", 403)):
+        calls.clear()
+        _subgroup_index_sets(_named(name))
+        assert len(calls) == want, name
+
+
+@pytest.mark.slow
+def test_sym7_lattice_under_a_raised_subgroup_cap(monkeypatch):
+    # about 3.4 s and 240 MB, most of it the 5040^2 table; the shipped cap
+    # stays 1000.  96 classes (OEIS A000638) and 11,300 subgroups (A005432)
+    monkeypatch.setattr(groups, "DEFAULT_SUBGROUP_CAP", 5040)
+    calls = _count_extensions(monkeypatch)
+    orbits = _subgroup_index_sets(symmetric_group(7))
+    assert len(orbits) == 96
+    assert sum(map(len, orbits)) == 11300
+    assert len(calls) == 5596
+
+
+@pytest.mark.parametrize("g", [
+    symmetric_group(5),
+    _from_cycles("(1 2 3 4 5 6 7)", "(1 2)(3 5)"),      # PSL(2,7)
+], ids=["Sym(5)", "PSL(2,7)"])
+def test_normalizer_orders_match_perm_normalizers(g):
+    # the lattice's orbit sizes against a normalizer found by Perm products
+    for c in subgroup_classes(g):
+        assert c.normalizer_order == normalizer(g, c.representative).order
 
 
 def test_group_layer_runs_no_perm_products(monkeypatch):
@@ -306,6 +356,31 @@ def test_equal_groups_share_classes_and_restriction_rows():
     emb = EmbeddingMap(c4, b, [x.inverse()], generators=[x.inverse()])
     assert restriction_matrix(emb).rows == rows
     assert b._tables is None
+
+
+def test_restriction_after_classes_builds_no_second_table(monkeypatch):
+    # subgroup_classes on a, then restriction into an equal b given by
+    # other generators (the order growth.cyclic_amalgam_mu asks in): the
+    # catalog of b reads the tables the lattice built on a.  Empty caches,
+    # for this test alone, make a the instance the lattice runs on.
+    classes = lru_cache(maxsize=None)(subgroup_classes.__wrapped__)
+    monkeypatch.setattr(groups, "subgroup_classes", classes)
+    monkeypatch.setattr(catalog, "subgroup_classes", classes)
+    for name in ("build_catalog", "restriction_matrix"):
+        monkeypatch.setattr(catalog, name, lru_cache(maxsize=None)(
+            getattr(catalog, name).__wrapped__))
+    a = generate([parse_perm(t, 5) for t in ("(1 2)", "(1 2 3 4 5)")], 5)
+    b = generate([parse_perm(t, 5)
+                  for t in ("(1 2)", "(2 3)", "(3 4)", "(4 5)")], 5)
+    assert a == b and a.generators != b.generators
+    groups.subgroup_classes(a)
+    tables = a._tables
+    assert tables is not None and b._tables is None
+    x = parse_perm("(1 2 3 4 5)", 5)
+    c5 = generate([x], 5)
+    assert len(catalog.restriction_matrix(EmbeddingMap(c5, b, [x])).rows) \
+        == len(subgroup_classes(c5))
+    assert b._tables is None and a._tables is tables
 
 
 def test_aut_count_is_not_the_degree():
