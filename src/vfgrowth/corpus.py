@@ -4,6 +4,9 @@ The fixed graphs are the ones whose growth degrees and counting tables are
 pinned in the acceptance suite; ``random_graph`` manufactures small valid
 graphs (with a seeded generator search for the edge embeddings) so the
 universal lower bound mu >= -chi can be checked on inputs nobody tuned.
+The search builds an ``EmbeddingMap`` once per distinct candidate: a
+candidate it has already refused is skipped, with the same random draws
+as if it had been tried again.
 """
 
 from __future__ import annotations
@@ -103,7 +106,14 @@ _EDGE_POOL = (
 
 def _find_embedding(edge_group: FiniteGroup, target: FiniteGroup,
                     rng: random.Random):
-    """A random injective homomorphism edge_group -> target, or None."""
+    """A random injective homomorphism edge_group -> target, or None.
+
+    Up to 60 candidate image tuples are drawn by stepping through shuffled
+    pools of elements of the right orders.  Each distinct candidate is
+    judged by ``EmbeddingMap`` once: a repeat of one already refused is
+    skipped, but still spends its budget step and its draw, so the
+    generator's stream, and with it every graph, is unchanged.
+    """
     pools = []
     for gen in edge_group.generators:
         o = gen.order()
@@ -114,13 +124,15 @@ def _find_embedding(edge_group: FiniteGroup, target: FiniteGroup,
         pools.append(pool)
     budget = 60
     idx = [0] * len(pools)
+    refused = set()
     while budget:
         budget -= 1
         images = tuple(pool[i % len(pool)] for pool, i in zip(pools, idx))
-        try:
-            return EmbeddingMap(edge_group, target, images)
-        except EmbeddingError:
-            pass
+        if images not in refused:
+            try:
+                return EmbeddingMap(edge_group, target, images)
+            except EmbeddingError:
+                refused.add(images)
         j = rng.randrange(len(pools)) if pools else 0
         idx[j] += 1
     return None

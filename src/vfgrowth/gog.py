@@ -385,11 +385,25 @@ def named_group(text: str, max_group_order: int = DEFAULT_GROUP_CAP):
 
 
 def parse_gog(text: str, max_group_order: int = DEFAULT_GROUP_CAP) -> GraphOfGroups:
-    """Parse the text format into a validated GraphOfGroups."""
+    """Parse the text format into a validated GraphOfGroups.
+
+    Equal group texts in one parse share one ``FiniteGroup`` instance: a
+    named constructor is keyed by its tokens (``Sym(6)``), a ``{ degree;
+    gens }`` block by its degree and generator list, and each key is
+    built once.  Texts that differ build separate groups, even when the
+    groups are equal.
+    """
     toks = _Tokens(text)
     vertices = []
     vertex_groups = {}
     edges = []
+    built = {}      # group text key -> the group built for it
+
+    def group_for(key, build):
+        if key not in built:
+            built[key] = build(max_group_order)
+        return built[key]
+
     while toks.peek() is not None:
         line, col = toks.here()
         kind = toks.next()
@@ -399,11 +413,15 @@ def parse_gog(text: str, max_group_order: int = DEFAULT_GROUP_CAP) -> GraphOfGro
                 raise ParseError(f"duplicate vertex {name!r}", line, col)
             if toks.peek() == "=":
                 toks.next()
-                group = _named_group(toks)(max_group_order)
+                start = toks.pos
+                build = _named_group(toks)
+                group = group_for(
+                    tuple(tok for tok, _, _ in toks.items[start:toks.pos]), build)
             else:
                 degree, gens = _parse_group_block(toks, max_group_order)
                 toks.next("}")
-                group = generate(gens, degree, max_order=max_group_order)
+                group = group_for((degree, tuple(gens)), lambda cap: generate(
+                    gens, degree, max_order=cap))
             vertex_groups[name] = group
             vertices.append((name, group))
         elif kind == "edge":
@@ -415,7 +433,8 @@ def parse_gog(text: str, max_group_order: int = DEFAULT_GROUP_CAP) -> GraphOfGro
                     raise ParseError(f"edge {name!r} mentions unknown vertex {v!r}",
                                      line, col)
             degree, gens = _parse_group_block(toks, max_group_order)
-            group = generate(gens, degree, max_order=max_group_order)
+            group = group_for((degree, tuple(gens)), lambda cap: generate(
+                gens, degree, max_order=cap))
             sides = {}
             while toks.peek() != "}":
                 sline, scol = toks.here()

@@ -15,7 +15,11 @@ big integers.
   the walk and checked on every edge of it.  A non-tree edge multiplies by
   the number of permutations conjugating one side's images onto the
   other's.  Those counts are memoized by image tuple in a dict that lives
-  for one call; nothing in this module is cached across calls.
+  for one call; nothing in this module is cached across calls.  S_n is
+  listed by ``itertools.permutations`` (``_symmetric_images``), in the
+  lexicographic order of ``symmetric_group(n).elements`` but with no
+  Cayley walk, so this leg does not rest on ``groups.generate``, one of
+  the routines it checks.
 
 The per-orbit constant in the closed form is the automorphism count
 c = (N_G(U) : U) of the coset space, not the point count of the orbit; the
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, product
+from itertools import count, permutations, product
 from math import comb, factorial
 
 from .catalog import build_catalog
@@ -41,8 +45,9 @@ from .perm import Perm
 DEFAULT_TYPESUM_CAP = 10
 DEFAULT_ENUM_CAP = 6
 DEFAULT_ENUM_GROUP_CAP = 120
-# the brute-force counter lists Sym(n), so the group cap fixes its degree
-# ceiling: the largest n with n! <= DEFAULT_GROUP_CAP (7 for 10000)
+# the brute-force counter draws images from all n! elements of Sym(n) and
+# keeps to the group cap like any group the package builds, so its degree
+# ceiling is the largest n with n! <= DEFAULT_GROUP_CAP (7 for 10000)
 ENUM_DEGREE_CEILING = next(d for d in count(1)
                            if factorial(d + 1) > DEFAULT_GROUP_CAP)
 
@@ -285,6 +290,12 @@ def _transporter_count(u: tuple, v: tuple, n: int) -> int:
                if all(gg * a == b * gg for a, b in zip(u, v)))
 
 
+def _symmetric_images(n: int) -> list:
+    """(image tuple, order) of every element of S_n, in lexicographic
+    order of the image tuples."""
+    return [(q, Perm(q).order()) for q in permutations(range(n))]
+
+
 def _vertex_homs(group: FiniteGroup, n: int, sym=None) -> tuple:
     """All homomorphisms group -> S_n, as (walk positions, homs).
 
@@ -295,7 +306,7 @@ def _vertex_homs(group: FiniteGroup, n: int, sym=None) -> tuple:
     first conflict.  ``sym`` lists (image tuple, order) over S_n.
     """
     if sym is None:
-        sym = [(p.images, p.order()) for p in symmetric_group(n).elements]
+        sym = _symmetric_images(n)
     at, steps = cayley_walk(group.generators, group.degree, group.order)
     pools = [[x for x, o in sym if d % o == 0]
              for d in (gen.order() for gen in group.generators)]
@@ -330,7 +341,7 @@ def hom_count_enumerate(g: GraphOfGroups, n: int,
                               f"cap {DEFAULT_ENUM_GROUP_CAP}")
     tree = spanning_tree(g)
     bfs = tree.order
-    sym = [(p.images, p.order()) for p in symmetric_group(n).elements]
+    sym = _symmetric_images(n)
     walks = {}      # vertices carrying equal groups share one hom list
     at = {}
     homs = {}

@@ -1,3 +1,6 @@
+import hashlib
+
+from vfgrowth import corpus
 from vfgrowth.corpus import (corpus_graphs, infinite_dihedral, klein_amalgam,
                              modular_graph, oracle_graphs, random_graph,
                              s3_c2_amalgam, s3_c3_amalgam, triangle_graph)
@@ -42,3 +45,28 @@ def test_corpus_has_named_plus_random_members():
     assert len(pairs) == 33
     assert len(set(names)) == 33
     assert "triangle" in names
+
+
+def test_random_corpus_is_pinned():
+    text = "".join(to_text(random_graph(seed)) for seed in range(25))
+    assert len(text) == 5796
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "ef4eb038aa9953c1d4c5a43564d6818adfc43b901d63aa6c045c5fe015269dd2"
+
+
+def test_corpus_builds_each_candidate_embedding_once(monkeypatch):
+    # 1,039 constructions (1,021 random) when every repeat was rebuilt
+    built = []
+    init = corpus.EmbeddingMap.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(corpus.EmbeddingMap, "__init__", counting_init)
+    corpus_graphs()
+    assert len(built) == 272
+    del built[:]
+    for seed in range(25):
+        random_graph(seed)
+    assert len(built) == 254

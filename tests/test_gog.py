@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from vfgrowth import gog
+from vfgrowth import catalog, gog, groups
 from vfgrowth.corpus import modular_graph, triangle_graph
 from vfgrowth.errors import CapExceeded, InputError, ParseError
 from vfgrowth.gog import (amalgam, cycle_power_element, cyclic_amalgam,
@@ -40,6 +40,43 @@ def test_parse_loops_and_named_groups():
                   "  into a: (1 2 3 4); into b: (1 3 5 7)(2 4 6 8); }\n")
     assert g.vertex_group("a").order == 8
     assert g.vertex_group("b").order == 8
+
+
+S6_TEXT = ("vertex a { degree 6; gens (1 2), (1 2 3 4 5 6); }\n"
+           "vertex b { degree 6; gens (1 2), (1 2 3 4 5 6); }\n"
+           "edge e a b {\n    degree 6; gens (1 2);\n"
+           "    into a: (1 2);\n    into b: (1 2);\n}\n")
+
+
+@pytest.mark.parametrize("src", [
+    "vertex a = Sym(6)\nvertex b = Sym(6)\n"
+    "edge e a b { degree 6; gens (1 2); into a: (1 2); into b: (1 2); }\n",
+    S6_TEXT,
+])
+def test_parse_builds_each_group_text_once(monkeypatch, src):
+    sizes = []
+    walk = groups.cayley_walk
+
+    def counting_walk(gens, degree, cap):
+        at, steps = walk(gens, degree, cap)
+        sizes.append(len(at))
+        return at, steps
+
+    monkeypatch.setattr(groups, "cayley_walk", counting_walk)
+    monkeypatch.setattr(catalog, "cayley_walk", counting_walk)
+    g = parse_gog(src)
+    assert g.vertex_group("a") is g.vertex_group("b")
+    assert sizes.count(720) == 1
+    assert to_text(g) == S6_TEXT
+
+
+def test_parse_builds_other_generating_lists_apart():
+    g = parse_gog("vertex a { degree 5; gens (1 2), (1 2 3 4 5); }\n"
+                  "vertex b { degree 5; gens (1 2), (2 3), (3 4), (4 5); }\n"
+                  "edge e a b { degree 5; gens (1 2);\n"
+                  "  into a: (1 2); into b: (1 2); }\n")
+    a, b = g.vertex_group("a"), g.vertex_group("b")
+    assert a == b and a is not b
 
 
 def test_parse_into_clauses_on_a_loop():

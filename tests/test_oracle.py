@@ -18,7 +18,8 @@ from vfgrowth.growth import build_growth_program
 from vfgrowth.oracle import (DEFAULT_TYPESUM_CAP, TypePartition,
                              hom_count_enumerate, hom_count_typesum,
                              type_hom_count, vertex_hom_count)
-from vfgrowth.oracle import _transporter_count, _vertex_homs, _vertex_types
+from vfgrowth.oracle import (_symmetric_images, _transporter_count,
+                             _vertex_homs, _vertex_types)
 from vfgrowth.perm import Perm, identity, parse_perm
 
 
@@ -467,3 +468,9 @@ def test_vertex_hom_counts_sum_to_dey_up_to_degree_twelve():
         for n in range(1, 13):
             assert sum(vertex_hom_count(group, t, n)
                        for t in _vertex_types(degrees, n)) == h[n], n
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_symmetric_images_list_the_group_in_element_order(n):
+    assert _symmetric_images(n) == [(p.images, p.order())
+                                    for p in symmetric_group(n).elements]
