@@ -10,19 +10,22 @@ their stabilizer class gives an integer matrix, the basic ingredient of the
 growth linear program; its cosets and stabilizers are element-index sets,
 like the ``members`` of the classes they are matched against.  An
 embedding is given on generators and extended to every element along the
-domain's Cayley walk (``groups.walk_images``).
+domain's Cayley walk (``groups.walk_images``); nothing here multiplies
+``Perm`` objects, whose only products are in ``groups.cayley_walk``.
+Fixed points are marks (Burnside): x fixes the coset tH exactly when x
+lies in tHt^-1, and (N_G(H) : H) cosets give each conjugate, so x fixes
+``aut_count`` cosets per member of H's class that holds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import EmbeddingError, InputError
 from .groups import (FiniteGroup, _left_cosets, _prime_order,
-                     _subgroup_elements, cayley_walk, conjugacy_class,
-                     orbit_minima, subgroup_classes, walk_images)
+                     _subgroup_class, cayley_walk, orbit_minima,
+                     subgroup_classes, walk_images)
 from .perm import Perm
 
 
@@ -181,7 +184,8 @@ def restriction_matrix(emb: EmbeddingMap) -> RestrictionMatrix:
 
 
 def fixed_point_multiplicity(g: FiniteGroup, u, x: Perm) -> int:
-    """Number of cosets of u fixed by x: |g| |[x] n u| / (|u| |[x]|).
+    """Number of cosets of u fixed by x, |g| |[x] n u| / (|u| |[x]|): the
+    mark (N_G(u) : u) times the number of conjugates of u that hold x.
 
     Valid for any x; the operation insists on prime order because that is
     the only case the growth program consumes.
@@ -189,8 +193,6 @@ def fixed_point_multiplicity(g: FiniteGroup, u, x: Perm) -> int:
     if x not in g:
         raise InputError(f"{x} is not an element of the group")
     _prime_order(x)
-    members = _subgroup_elements(g, u)
-    cls = conjugacy_class(g, x)
-    value = Fraction(g.order * len(cls & members), len(members) * len(cls))
-    assert value.denominator == 1
-    return int(value)
+    cls, _ = _subgroup_class(g, u)
+    ix = cls.parent.tables()[0][x]
+    return cls.aut_count * sum(ix in m for m in cls.members)

@@ -6,7 +6,8 @@ graphs (with a seeded generator search for the edge embeddings) so the
 universal lower bound mu >= -chi can be checked on inputs nobody tuned.
 The search builds an ``EmbeddingMap`` once per distinct candidate: a
 candidate it has already refused is skipped, with the same random draws
-as if it had been tried again.
+as if it had been tried again.  Within one graph, each edge group is built
+once and each vertex group's element orders are listed once.
 """
 
 from __future__ import annotations
@@ -105,11 +106,12 @@ _EDGE_POOL = (
 
 
 def _find_embedding(edge_group: FiniteGroup, target: FiniteGroup,
-                    rng: random.Random):
+                    orders, rng: random.Random):
     """A random injective homomorphism edge_group -> target, or None.
 
     Up to 60 candidate image tuples are drawn by stepping through shuffled
-    pools of elements of the right orders.  Each distinct candidate is
+    pools of elements of the right orders; ``orders`` lists (element,
+    order) over ``target.elements``.  Each distinct candidate is
     judged by ``EmbeddingMap`` once: a repeat of one already refused is
     skipped, but still spends its budget step and its draw, so the
     generator's stream, and with it every graph, is unchanged.
@@ -117,7 +119,7 @@ def _find_embedding(edge_group: FiniteGroup, target: FiniteGroup,
     pools = []
     for gen in edge_group.generators:
         o = gen.order()
-        pool = [x for x in target.elements if x.order() == o]
+        pool = [x for x, xo in orders if xo == o]
         if not pool:
             return None
         rng.shuffle(pool)
@@ -148,13 +150,23 @@ def random_graph(seed: int) -> GraphOfGroups:
     links = [(f"v{rng.randint(1, i)}", f"v{i + 1}") for i in range(1, nv)]
     for _ in range(rng.randint(0 if nv > 1 else 1, 2)):
         links.append((f"v{rng.randint(1, nv)}", f"v{rng.randint(1, nv)}"))
+    edge_groups = {}    # built on first use, like the order lists
+    orders = {}
+
+    def embed(eg, v):
+        if v not in orders:
+            orders[v] = [(x, x.order()) for x in groups[v].elements]
+        return _find_embedding(eg, groups[v], orders[v], rng)
+
     edges = []
     for i, (x, y) in enumerate(links):
         for maker in sorted(range(len(_EDGE_POOL)),
                             key=lambda _: rng.random()):
-            eg = _EDGE_POOL[maker]()
-            ex = _find_embedding(eg, groups[x], rng)
-            ey = _find_embedding(eg, groups[y], rng)
+            if maker not in edge_groups:
+                edge_groups[maker] = _EDGE_POOL[maker]()
+            eg = edge_groups[maker]
+            ex = embed(eg, x)
+            ey = embed(eg, y)
             if ex is not None and ey is not None:
                 edges.append(GogEdge(f"e{i + 1}", (x, y), eg, (ex, ey)))
                 break

@@ -5,20 +5,22 @@ lexicographically by image tuples, subgroup lists and conjugacy-class lists
 come out in a canonical order, and repeated runs produce identical data.
 Groups are small (at most DEFAULT_GROUP_CAP elements, and at most
 DEFAULT_SUBGROUP_CAP for the subgroup lattice), so brute force over
-elements is the method of choice throughout.  The one Cayley-graph walk
-in ``Perm`` products is ``cayley_walk``: it generates a group, and
-``walk_images`` composes generator images along it, which is how
-homomorphisms are extended (``catalog.extend_hom`` and the brute-force
-counter in ``oracle``).  Once a group is generated,
-the subgroup lattice, the class canonicalization and the coset actions
-multiply element indices in its tables (``FiniteGroup.tables``), not
-``Perm`` objects, and a subgroup is a frozenset of positions in the
+elements is the method of choice throughout.  The only ``Perm`` products
+are in ``cayley_walk``: it generates a group, and ``walk_images`` composes
+generator images along it, which is how homomorphisms are extended
+(``catalog.extend_hom`` and the brute-force counter in ``oracle``).  Once a
+group is generated, the subgroup lattice, the class canonicalization and
+the coset actions multiply element indices in its tables
+(``FiniteGroup.tables``), and a subgroup is a frozenset of positions in the
 parent's sorted ``elements`` (so equal groups share them) from the lattice
 through ``SubgroupClass.members`` to restriction; only ``all_subgroups``
 maps them back to ``Perm`` sets.  The tables are stored on the group and
 the lattice once, in the cache of ``subgroup_classes``, whose classes name
 the instance they were built on (``SubgroupClass.parent``); coset
-partitions are recomputed by whoever needs them.
+partitions are recomputed by whoever needs them.  The lattice is also the
+one judge of what a subgroup is and what normalizes it: a subgroup given
+as elements is looked up in it (``_subgroup_class``), and normalizer
+orders are its classes' ``normalizer_order``.
 
 The lattice is the cyclic extension method (Holt, Eick and O'Brien,
 *Handbook of Computational Group Theory*, 2005): every subgroup is
@@ -96,6 +98,8 @@ class FiniteGroup:
 
     Instances are immutable by convention; equality and hashing go by
     (degree, elements), so two routes to the same group compare equal.
+    ``elements`` is sorted by image tuple, so the identity is always
+    ``elements[0]`` and has index 0 in the tables.
     """
 
     __slots__ = ("degree", "generators", "elements", "order",
@@ -125,12 +129,6 @@ class FiniteGroup:
         gens = ", ".join(str(g) for g in self.generators) or "()"
         return f"<group of order {self.order} on {self.degree} points, gens {gens}>"
 
-    def identity_element(self) -> Perm:
-        return identity(self.degree)
-
-    def element_set(self) -> frozenset:
-        return self._set
-
     # -- index tables -----------------------------------------------------
 
     def tables(self):
@@ -151,10 +149,9 @@ class FiniteGroup:
                 gen_rows.append((index[s], [
                     by_images[tuple(images[k] for k in t.images)]
                     for t in elements]))
-            e = index[self.identity_element()]
             mult = [None] * self.order
-            mult[e] = list(range(self.order))
-            frontier = [e]
+            mult[0] = list(range(self.order))
+            frontier = [0]
             while frontier:
                 new = []
                 for x in frontier:
@@ -165,27 +162,9 @@ class FiniteGroup:
                             mult[y] = [row[t] for t in srow]
                             new.append(y)
                 frontier = new
-            inv = [row.index(e) for row in mult]
+            inv = [row.index(0) for row in mult]
             self._tables = (index, mult, inv)
         return self._tables
-
-    def subgroup(self, members) -> "FiniteGroup":
-        """The subgroup with the given element set, with a small derived
-        generating list (greedy over the sorted elements)."""
-        members = sorted(_subgroup_elements(self, members))
-        gens = []
-        closure = {identity(self.degree)}
-        for m in members:
-            if m not in closure:
-                gens.append(m)
-                # every member ends up in the closure, so a closure no
-                # larger than the set is the set
-                try:
-                    closure = cayley_walk(gens, self.degree, len(members))[0]
-                except CapExceeded:
-                    raise InputError("element set is not closed under "
-                                     "multiplication") from None
-        return FiniteGroup(self.degree, gens, members)
 
 
 def generate(gens, degree: int, max_order: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
@@ -318,64 +297,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     return generate(gens, d, max_order=g.order * h.order)
 
 
-# -- element-level operations ---------------------------------------------
-
-def _require_member(g: FiniteGroup, x: Perm):
-    if x not in g:
-        raise InputError(f"{x} is not an element of the group")
-
-
-def conjugacy_class(g: FiniteGroup, x: Perm) -> frozenset:
-    _require_member(g, x)
-    orbit = {x}
-    frontier = [x]
-    while frontier:
-        new = []
-        for y in frontier:
-            for s in g.generators:
-                z = s * y * s.inverse()
-                if z not in orbit:
-                    orbit.add(z)
-                    new.append(z)
-        frontier = new
-    return frozenset(orbit)
-
-
-def centralizer(g: FiniteGroup, x: Perm) -> FiniteGroup:
-    _require_member(g, x)
-    members = [a for a in g.elements if a * x == x * a]
-    return g.subgroup(members)
-
-
-def _subgroup_elements(g: FiniteGroup, u) -> frozenset:
-    """The member set of a subgroup of g, given as a SubgroupClass, a
-    FiniteGroup, or an iterable of Perm."""
-    if isinstance(u, SubgroupClass):
-        u = u.representative
-    if isinstance(u, FiniteGroup):
-        if u.degree != g.degree:
-            raise InputError("subgroup degree does not match the group")
-        members = u.element_set()
-    else:
-        members = frozenset(u)
-    if not members <= g.element_set():
-        raise InputError("not a subgroup: elements fall outside the group")
-    if g.identity_element() not in members:
-        raise InputError("subgroup must contain the identity")
-    if g.order % len(members):
-        raise InputError("not a subgroup: order does not divide the group order")
-    return members
-
-
-def normalizer(g: FiniteGroup, u) -> FiniteGroup:
-    members = _subgroup_elements(g, u)
-    out = []
-    for a in g.elements:
-        ai = a.inverse()
-        if all(a * x * ai in members for x in members):
-            out.append(a)
-    return g.subgroup(out)
-
+# -- subgroup enumeration -------------------------------------------------
 
 def _left_cosets(mult, sub, ambient):
     """Left cosets yH of the subgroup H with element indices ``sub``
@@ -394,17 +316,6 @@ def _left_cosets(mult, sub, ambient):
             cosets.append(coset)
     return cosets, coset_of
 
-
-def coset_action(g: FiniteGroup, u) -> dict:
-    """The action of g on the left cosets of u, as a map element -> Perm."""
-    index, mult, _ = g.tables()
-    cosets, coset_of = _left_cosets(
-        mult, [index[x] for x in _subgroup_elements(g, u)], range(g.order))
-    return {a: Perm(tuple(coset_of[row[c[0]]] for c in cosets))
-            for a, row in zip(g.elements, mult)}
-
-
-# -- subgroup enumeration -------------------------------------------------
 
 def _least_prime(n: int) -> int:
     """The least prime dividing n (n itself when n is prime or 1), by
@@ -463,7 +374,7 @@ def _extend(cosets, coset_of, rows, limit):
 
 def _greedy_generators(mult, members) -> list:
     """The members, in index order, that the earlier ones do not generate:
-    the generating list ``FiniteGroup.subgroup`` derives, from indices."""
+    the representative's generating list in ``subgroup_classes``."""
     members = sorted(members)
     whole = frozenset(members)
     bound = len(members) // _least_prime(len(members))
@@ -478,13 +389,13 @@ def _greedy_generators(mult, members) -> list:
     return gens
 
 
-def _span(mult, sub, gens, e):
+def _span(mult, sub, gens):
     """The subgroup the element indices ``gens`` generate, given the set
     ``sub`` that all of them but the last generate, as a set: the union of
     the left cosets of ``sub`` that the generators reach from it by left
-    multiplication (``e`` is the identity's index)."""
+    multiplication."""
     span = set(sub)
-    reps = [e]
+    reps = [0]
     for y in reps:              # reps grows while it is walked
         for s in gens:
             z = mult[s][y]
@@ -495,7 +406,7 @@ def _span(mult, sub, gens, e):
     return span
 
 
-def _class_and_normalizer(mult, inv, gens, conj, members, e):
+def _class_and_normalizer(mult, inv, gens, conj, members):
     """The conjugacy class of the subgroup H with element indices
     ``members``, walked by conjugating with the group generators ``gens``
     (``conj`` holds x -> s^-1 x s for each), and generators of N_G(H).
@@ -508,9 +419,9 @@ def _class_and_normalizer(mult, inv, gens, conj, members, e):
     log2 |N_G(H)| are kept; orbit-stabilizer checks their span."""
     orbit = [members]
     at = {members: 0}
-    walk = [e]
+    walk = [0]
     normal = []
-    span = {e}
+    span = {0}
     for i, cur in enumerate(orbit):     # orbit grows while it is walked
         row = mult[walk[i]]
         for s, c in zip(gens, conj):
@@ -524,7 +435,7 @@ def _class_and_normalizer(mult, inv, gens, conj, members, e):
                 n = mult[row[s]][inv[walk[j]]]
                 if n not in span:
                     normal.append(n)
-                    span = _span(mult, span, normal, e)
+                    span = _span(mult, span, normal)
     assert len(span) * len(orbit) == len(mult), \
         "normalizer fails orbit-stabilizer"
     return orbit, normal
@@ -539,17 +450,14 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
         raise CapExceeded(f"group too large: order {g.order} exceeds "
                           f"subgroup cap {DEFAULT_SUBGROUP_CAP}")
     index, mult, inv = g.tables()
-    id_idx = index[identity(g.degree)]
     # each cyclic subgroup stands by its least generator, least[<x>], and
     # cyclic[x] is the one standing for <x>
     least = {}
-    cyclic = [id_idx] * g.order
-    for a in range(g.order):
-        if a == id_idx:
-            continue
-        powers = [id_idx]
+    cyclic = [0] * g.order
+    for a in range(1, g.order):
+        powers = [0]
         x = a
-        while x != id_idx:
+        while x:
             powers.append(x)
             x = mult[x][a]
         cyclic[a] = least.setdefault(frozenset(powers), a)
@@ -569,9 +477,8 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
     # conjugation x -> s^-1 x s by each group generator s, as an index map
     conj = [[mult[mult[inv[s]][x]][s] for x in range(g.order)]
             for s in gens]
-    trivial = frozenset([id_idx])
-    orbit, normal = _class_and_normalizer(mult, inv, gens, conj, trivial,
-                                          id_idx)
+    trivial = frozenset([0])
+    orbit, normal = _class_and_normalizer(mult, inv, gens, conj, trivial)
     known = set(orbit)
     orbits = [tuple(orbit)]
     reps = [(trivial, (), normal)]
@@ -599,8 +506,7 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
             if new in known:
                 continue
             # a conjugate already known would put new in an earlier class
-            orbit, normal = _class_and_normalizer(mult, inv, gens, conj, new,
-                                                  id_idx)
+            orbit, normal = _class_and_normalizer(mult, inv, gens, conj, new)
             known.update(orbit)
             orbits.append(tuple(orbit))
             reps.append((new, newgens, normal))
@@ -701,3 +607,44 @@ def subgroup_classes(g: FiniteGroup) -> tuple:
             members=members,
         ))
     return tuple(classes)
+
+
+# -- subgroups given by their elements ------------------------------------
+
+def _subgroup_class(g: FiniteGroup, u) -> tuple:
+    """The class in ``subgroup_classes(g)`` of a subgroup u of g, given as
+    a SubgroupClass, a FiniteGroup or an iterable of Perm, and u's element
+    index set in the class parent's tables.  The lattice holds every
+    subgroup, so a set it does not hold is not closed under
+    multiplication."""
+    if isinstance(u, SubgroupClass):
+        if u.parent == g:
+            return u, u.members[0]
+        u = u.representative
+    if isinstance(u, FiniteGroup):
+        if u.degree != g.degree:
+            raise InputError("subgroup degree does not match the group")
+        u = u.elements
+    members = frozenset(u)
+    if not all(x in g for x in members):
+        raise InputError("not a subgroup: elements fall outside the group")
+    if g.elements[0] not in members:
+        raise InputError("subgroup must contain the identity")
+    if g.order % len(members):
+        raise InputError("not a subgroup: order does not divide the group order")
+    classes = subgroup_classes(g)
+    index = classes[0].parent.tables()[0]
+    sub = frozenset(index[x] for x in members)
+    for cls in classes:
+        if cls.order == len(sub) and sub in cls.members:
+            return cls, sub
+    raise InputError("element set is not closed under multiplication")
+
+
+def coset_action(g: FiniteGroup, u) -> dict:
+    """The action of g on the left cosets of u, as a map element -> Perm."""
+    cls, sub = _subgroup_class(g, u)
+    mult = cls.parent.tables()[1]
+    cosets, coset_of = _left_cosets(mult, sub, range(g.order))
+    return {a: Perm(tuple(coset_of[row[c[0]]] for c in cosets))
+            for a, row in zip(g.elements, mult)}

@@ -28,7 +28,7 @@ from .errors import InputError
 from .gog import (GraphOfGroups, _check_family_params, euler_characteristic,
                   family_graph_text, parse_gog)
 from .groups import (FiniteGroup, _digit_limit, _is_prime, _prime_order,
-                     _subgroup_elements, normalizer, subgroup_classes)
+                     _subgroup_class, subgroup_classes)
 from .perm import Perm
 from .ratlp import LPSolution, RationalLP, certify, solve_max
 
@@ -185,10 +185,10 @@ def cyclic_amalgam_value(g: FiniteGroup, x: Perm, h) -> Fraction:
     p = _prime_order(x)
     if g.order <= 2 * p:
         raise InputError("closed form needs |G| > 2p")
-    index = g.order // len(_subgroup_elements(g, h))
+    cls, _ = _subgroup_class(g, h)
     # |[x] cap H| / |[x]| is the number of fixed cosets over the index
-    fixed = fixed_point_multiplicity(g, h, x)
-    return Fraction(1, p) + Fraction(fixed * (p - 1) - 2 * p, index * p)
+    fixed = fixed_point_multiplicity(g, cls, x)
+    return Fraction(1, p) + Fraction(fixed * (p - 1) - 2 * p, cls.index * p)
 
 
 def cyclic_amalgam_mu(g: FiniteGroup, x: Perm):
@@ -213,8 +213,14 @@ def euler_tight(g: FiniteGroup, x: Perm) -> bool:
     p = _prime_order(x)
     if g.order <= 2 * p:
         raise InputError("criterion needs |G| > 2p")
-    cyc = g.subgroup(x ** i for i in range(p))
-    return normalizer(g, cyc).order <= 2 * p
+    if x not in g:
+        raise InputError(f"{x} is not an element of the group")
+    classes = subgroup_classes(g)
+    ix = classes[0].parent.tables()[0][x]
+    # the one subgroup of order p that holds x is <x>
+    cyc = next(c for c in classes
+               if c.order == p and any(ix in m for m in c.members))
+    return cyc.normalizer_order <= 2 * p
 
 
 def family_mu(p: int, k: int, l: int, variant: str = "symmetric") -> Fraction:

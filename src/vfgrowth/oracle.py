@@ -16,10 +16,11 @@ big integers.
   the number of permutations conjugating one side's images onto the
   other's.  Those counts are memoized by image tuple in a dict that lives
   for one call; nothing in this module is cached across calls.  S_n is
-  listed by ``itertools.permutations`` (``_symmetric_images``), in the
-  lexicographic order of ``symmetric_group(n).elements`` but with no
-  Cayley walk, so this leg does not rest on ``groups.generate``, one of
-  the routines it checks.
+  listed by ``itertools.permutations`` on image tuples, both for the
+  generator images (``_symmetric_images``, in the lexicographic order of
+  ``symmetric_group(n).elements``) and for the conjugating letters, with
+  no Cayley walk and no ``Perm`` product, so this leg does not rest on
+  ``groups.generate``, one of the routines it checks.
 
 The per-orbit constant in the closed form is the automorphism count
 c = (N_G(U) : U) of the coset space, not the point count of the orbit; the
@@ -37,8 +38,7 @@ from math import comb, factorial
 from .catalog import build_catalog
 from .errors import CapExceeded, InputError
 from .gog import GraphOfGroups, spanning_tree
-from .groups import (DEFAULT_GROUP_CAP, FiniteGroup, cayley_walk,
-                     symmetric_group, walk_images)
+from .groups import DEFAULT_GROUP_CAP, FiniteGroup, cayley_walk, walk_images
 from .growth import GrowthProgram, build_growth_program
 from .perm import Perm
 
@@ -286,8 +286,10 @@ def _transporter_count(u: tuple, v: tuple, n: int) -> int:
     if len(u) == 1:
         # single element: conjugate iff same cycle type, count = |centralizer|
         return _centralizer_order(u[0], n)
-    return sum(1 for gg in symmetric_group(n).elements
-               if all(gg * a == b * gg for a, b in zip(u, v)))
+    # g a g^-1 = b, that is g(a(i)) = b(g(i)) at every point i
+    pairs = [(a.images, b.images) for a, b in zip(u, v)]
+    return sum(1 for g in permutations(range(n))
+               if all(g[a[i]] == b[g[i]] for a, b in pairs for i in range(n)))
 
 
 def _symmetric_images(n: int) -> list:

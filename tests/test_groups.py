@@ -8,14 +8,14 @@ from vfgrowth.catalog import (EmbeddingMap, fixed_point_multiplicity,
                               restriction_matrix)
 from vfgrowth.errors import CapExceeded, InputError
 from vfgrowth.gog import family_graph_text, parse_gog
-from vfgrowth.groups import (all_subgroups, alternating_group, centralizer,
-                             conjugacy_class, coset_action, cyclic_group,
-                             dihedral_group, direct_product, generate,
-                             klein_four, normalizer, subgroup_classes,
-                             symmetric_group, trivial_group)
+from vfgrowth.groups import (FiniteGroup, all_subgroups, alternating_group,
+                             coset_action, cyclic_group, dihedral_group,
+                             direct_product, generate, klein_four,
+                             subgroup_classes, symmetric_group, trivial_group)
 from vfgrowth import catalog, groups
 from vfgrowth.groups import _known_order_product, _subgroup_index_sets
-from vfgrowth.growth import cyclic_amalgam_value
+from vfgrowth.growth import cyclic_amalgam_mu, cyclic_amalgam_value, euler_tight
+from vfgrowth.oracle import _transporter_count
 from vfgrowth.perm import Perm, identity, parse_perm
 
 
@@ -220,7 +220,7 @@ def test_tables_match_perm_products(g):
 def _reference_subgroups(g):
     """Every subgroup, by extending every known subgroup by every element
     with Perm closure (no index tables, no Lagrange stop)."""
-    found = {frozenset([g.identity_element()])}
+    found = {frozenset([identity(g.degree)])}
     todo = list(found)
     while todo:
         sub = todo.pop()
@@ -304,16 +304,22 @@ def test_sym7_lattice_under_a_raised_subgroup_cap(monkeypatch):
 def test_normalizer_orders_match_perm_normalizers(g):
     # the lattice's orbit sizes against a normalizer found by Perm products
     for c in subgroup_classes(g):
-        assert c.normalizer_order == normalizer(g, c.representative).order
+        members = c.representative.elements
+        normalizer = [a for a in g.elements
+                      if all(a * x * a.inverse() in c.representative
+                             for x in members)]
+        assert c.normalizer_order == len(normalizer)
 
 
 def test_group_layer_runs_no_perm_products(monkeypatch):
-    # once a group and an embedding exist, tables, lattice, classes and
-    # restriction work on index tables only; PSL(2,7) and its C7 are
+    # once a group and an embedding exist, tables, lattice, classes,
+    # restriction, the closed forms and the brute-force transporter count
+    # work on index tables and image tuples only; PSL(2,7) and its C7 are
     # built here alone, so no memo from another test answers for them
     g = _from_cycles("(1 2 3 4 5 6 7)", "(1 2)(3 5)")
     c = generate(g.generators[:1], 7)
     emb = EmbeddingMap(c, g, c.generators)
+    seven, two = g.generators
 
     def product(*_):
         raise AssertionError("Perm product in the group layer")
@@ -321,8 +327,17 @@ def test_group_layer_runs_no_perm_products(monkeypatch):
     classes = subgroup_classes(g)
     assert len(classes) == 15
     assert len(restriction_matrix(emb).rows) == 2
-    assert coset_action(g, classes[3])[g.generators[1]].degree == \
-        classes[3].index
+    assert coset_action(g, classes[3])[two].degree == classes[3].index
+    # N(<x>) has order 21 for the 7-cycle and 8 for the involution
+    assert not euler_tight(g, seven) and not euler_tight(g, two)
+    assert cyclic_amalgam_mu(g, seven)[0] == Fraction(1, 6)
+    assert cyclic_amalgam_mu(g, two)[0] == Fraction(11, 21)
+    for x in (seven, two):
+        assert [fixed_point_multiplicity(g, cls, x) for cls in classes] == \
+            [coset_action(g, cls)[x].fixed_points() for cls in classes]
+    # only the identity of Sym(7) centralizes the generators of PSL(2,7)
+    pair = (seven.images, two.images)
+    assert _transporter_count(pair, pair, 7) == 1
 
 
 def test_subgroup_class_fields():
@@ -423,13 +438,6 @@ def test_coset_action_is_a_homomorphism():
             assert act[a * b] == act[a] * act[b]
 
 
-def test_conjugacy_class_sizes():
-    s4 = symmetric_group(4)
-    assert len(conjugacy_class(s4, parse_perm("(1 2)", 4))) == 6
-    x = parse_perm("(1 2 3)", 4)
-    assert len(conjugacy_class(s4, x)) == s4.order // centralizer(s4, x).order
-
-
 def test_the_prime_test_divides_only_up_to_its_cap(monkeypatch):
     real_isqrt = groups.isqrt
 
@@ -460,10 +468,9 @@ def test_the_prime_test_divides_only_up_to_its_cap(monkeypatch):
     lambda g, x: coset_action(g, []),
     lambda g, x: fixed_point_multiplicity(g, [], x),
     lambda g, x: cyclic_amalgam_value(g, x, []),
-    lambda g, x: normalizer(g, []),
     lambda g, x: fixed_point_multiplicity(g, [x], x),
 ], ids=["coset_action", "fixed_point_multiplicity", "cyclic_amalgam_value",
-        "normalizer", "fixed_point_multiplicity-no-identity"])
+        "fixed_point_multiplicity-no-identity"])
 def test_member_sets_without_the_identity_are_rejected(call):
     # an empty or identity-free member set is no subgroup, whatever the
     # entry point it reaches
@@ -472,26 +479,44 @@ def test_member_sets_without_the_identity_are_rejected(call):
         call(s4, parse_perm("(1 2)", 4))
 
 
-def test_normalizer_and_centralizer():
-    s4 = symmetric_group(4)
-    u = generate([parse_perm("(1 2 3)", 4)], 4)
-    assert normalizer(s4, u).order == 6
-    assert centralizer(s4, identity(4)).order == 24
-    with pytest.raises(InputError):
-        centralizer(s4, identity(5))
-
-
 def test_subgroup_rejects_members_outside_the_group():
     a4 = alternating_group(4)
     with pytest.raises(InputError, match="outside the group"):
-        a4.subgroup([identity(4), parse_perm("(1 2)", 4)])
+        coset_action(a4, [identity(4), parse_perm("(1 2)", 4)])
 
 
 def test_subgroup_rejects_a_set_that_is_not_closed():
     s3 = symmetric_group(3)
     members = [identity(3), parse_perm("(1 2)", 3), parse_perm("(1 2 3)", 3)]
     with pytest.raises(InputError, match="not closed under multiplication"):
-        s3.subgroup(members)
+        coset_action(s3, members)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, u, x: coset_action(g, u),
+    lambda g, u, x: fixed_point_multiplicity(g, u, x),
+    lambda g, u, x: cyclic_amalgam_value(g, x, u),
+], ids=["coset_action", "fixed_point_multiplicity", "cyclic_amalgam_value"])
+@pytest.mark.parametrize("degree,texts", [
+    (3, ("(1 2)", "(1 2 3)")),
+    (4, ("(1 2)", "(1 3)", "(1 2 3 4)")),
+], ids=["Sym(3)", "Sym(4)"])
+def test_sets_that_are_not_closed_are_refused(call, degree, texts):
+    # each set holds the identity, lies in the group and has an order
+    # dividing it, so only the lattice can tell it is no subgroup
+    g = symmetric_group(degree)
+    members = [identity(degree)] + [parse_perm(t, degree) for t in texts]
+    with pytest.raises(InputError, match="not closed under multiplication"):
+        call(g, members, members[1])
+
+
+def test_coset_action_past_the_subgroup_cap_builds_no_table(monkeypatch):
+    # the lattice's cap refuses Sym(7) before its 5040^2 table is built
+    def no_tables(self):
+        raise AssertionError("tables built past the subgroup cap")
+    monkeypatch.setattr(FiniteGroup, "tables", no_tables)
+    with pytest.raises(CapExceeded, match="subgroup cap 1000"):
+        coset_action(symmetric_group(7), trivial_group(7))
 
 
 def _fixture_groups():
@@ -511,17 +536,22 @@ def _fixture_groups():
 
 
 def test_fixed_point_count_formula_up_to_order_48():
-    # |fix(g)| on cosets of U must equal |G| |[g] cap U| / (|U| |[g]|)
+    # |fix(g)| on cosets of U must equal |G| |[g] cap U| / (|U| |[g]|), and
+    # so must the marks fixed_point_multiplicity reads, at prime order
     for g in _fixture_groups():
         assert g.order <= 48
+        conjugates = {x: frozenset(a * x * a.inverse() for a in g.elements)
+                      for x in g.elements}
         for sub in all_subgroups(g):
             act = coset_action(g, sub)
             for x in g.elements:
-                cls = conjugacy_class(g, x)
+                cls = conjugates[x]
                 expected = Fraction(g.order * len(cls & sub),
                                     len(sub) * len(cls))
                 assert expected.denominator == 1
                 assert act[x].fixed_points() == expected
+                if groups._is_prime(x.order()):
+                    assert fixed_point_multiplicity(g, sub, x) == expected
 
 
 def test_class_ordering_is_reproducible():

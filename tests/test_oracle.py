@@ -4,13 +4,13 @@ from math import comb, factorial
 
 import pytest
 
-from vfgrowth.catalog import build_catalog, extend_hom
+from vfgrowth.catalog import EmbeddingMap, build_catalog, extend_hom
 from vfgrowth.corpus import (corpus_graphs, klein_amalgam, modular_graph,
                              oracle_graphs, random_graph, s3_c2_amalgam,
                              triangle_graph)
-from vfgrowth import oracle
+from vfgrowth import groups, oracle
 from vfgrowth.errors import CapExceeded, EmbeddingError, InputError
-from vfgrowth.gog import free_group, make_graph
+from vfgrowth.gog import GogEdge, free_group, make_graph
 from vfgrowth.groups import (alternating_group, cyclic_group,
                              dihedral_group, klein_four, symmetric_group,
                              trivial_group)
@@ -200,6 +200,23 @@ def test_transporter_counts():
     assert _transporter_count((a, c), (a, c), 4) == 1  # joint centralizer
 
 
+def test_two_generator_loop_counts_agree_without_generate(monkeypatch):
+    # a Klein four-group loop on Sym(4), from its normal copy to a
+    # non-normal one: every count settles the loop by the several-letter
+    # transporter, which must list S_n itself, not call groups.generate
+    s4, v = symmetric_group(4), klein_four()
+    sides = [tuple(parse_perm(t, 4) for t in pair)
+             for pair in (("(1 2)(3 4)", "(1 3)(2 4)"), ("(1 2)(3 4)", "(1 2)"))]
+    g = make_graph([("v", s4)], [GogEdge("e", ("v", "v"), v, tuple(
+        EmbeddingMap(v, s4, images) for images in sides))])
+    want = hom_count_typesum(g, 5).totals
+
+    def no_generate(*_args, **_kw):
+        raise AssertionError("groups.generate called by the brute force")
+    monkeypatch.setattr(groups, "generate", no_generate)
+    assert tuple(hom_count_enumerate(g, n) for n in range(1, 6)) == want
+
+
 # -- reference oracles: the algorithms the counters replaced ---------------
 
 def _reference_extend_hom(domain, gens, images, target_degree=None):
@@ -216,8 +233,8 @@ def _reference_extend_hom(domain, gens, images, target_degree=None):
             raise EmbeddingError(f"generator {g} is not in the domain group")
     if target_degree is None:
         target_degree = images[0].degree if images else domain.degree
-    mapping = {domain.identity_element(): identity(target_degree)}
-    frontier = [domain.identity_element()]
+    mapping = {identity(domain.degree): identity(target_degree)}
+    frontier = [identity(domain.degree)]
     while frontier:
         new = []
         for e in frontier:
@@ -377,7 +394,7 @@ def test_looped_parallel_seeds_have_loops_and_parallel_edges():
 def _index_counts(group):
     """{d: number of index-d subgroups}, every subgroup found by closing a
     known one with one more element; independent of the catalog."""
-    e = group.identity_element()
+    e = identity(group.degree)
 
     def close(gens):
         elems = {e}
