@@ -7,14 +7,13 @@ and the automorphism count of each coset space, which is the index of the
 stabilizer in its normalizer, not the degree.  Restricting a coset action
 along an embedded subgroup splits it into orbits; counting those orbits by
 their stabilizer class gives an integer matrix, the basic ingredient of the
-growth linear program; its cosets and stabilizers are element-index sets,
-like the ``members`` of the classes they are matched against.  An
-embedding is given on generators and extended to every element along the
-domain's Cayley walk (``groups.walk_images``); nothing here multiplies
-``Perm`` objects, whose only products are in ``groups.cayley_walk``.
-Fixed points are marks (Burnside): x fixes the coset tH exactly when x
-lies in tHt^-1, and (N_G(H) : H) cosets give each conjugate, so x fixes
-``aut_count`` cosets per member of H's class that holds it.
+growth linear program.  It is read from marks, with no coset walked
+(Burnside): a subgroup K fixes the coset tH exactly when K lies in tHt^-1,
+and (N_G(H) : H) cosets give each conjugate, so K fixes ``aut_count``
+cosets per member of H's class that holds it (``_mark``).  Subgroups are
+element-index sets, like the classes' ``members``.  An embedding is given
+on generators and extended along the domain's Cayley walk
+(``groups.walk_images``); nothing here multiplies ``Perm`` objects.
 """
 
 from __future__ import annotations
@@ -23,9 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import EmbeddingError, InputError
-from .groups import (FiniteGroup, _left_cosets, _prime_order,
-                     _subgroup_class, cayley_walk, orbit_minima,
-                     subgroup_classes, walk_images)
+from .groups import (FiniteGroup, _prime_order, _subgroup_class,
+                     cayley_walk, subgroup_classes, walk_images)
 from .perm import Perm
 
 
@@ -146,38 +144,41 @@ class RestrictionMatrix:
         return tuple(sum(r * x for r, x in zip(row, vec)) for row in self.rows)
 
 
+def _mark(cls, sub) -> int:
+    """The number of cosets of the class ``cls`` fixed by the subgroup with
+    element-index set ``sub`` in the class parent's tables."""
+    return cls.aut_count * sum(sub <= m for m in cls.members)
+
+
 @lru_cache(maxsize=None)
 def restriction_matrix(emb: EmbeddingMap) -> RestrictionMatrix:
     """Decompose each vertex representation class along the embedding.
 
-    The edge group acts on each coset space through its embedded image; the
-    orbits are classified by the class of their point stabilizers pulled
-    back to the edge group.  Column sums weighted by edge degrees must
-    reproduce the vertex degree, which is asserted.
+    The orbits of the edge group E on a coset space are counted by the class
+    of their point stabilizers.  An orbit E/K_j gives mark(K_i, E/K_j) fixed
+    points to each edge class K_i, 0 unless K_i is subconjugate to K_j, so
+    unless K_j precedes it in class order (by core, then order): the table
+    is triangular and the counts follow from the space's marks.  Each must
+    be a non-negative integer, and column sums weighted by edge degrees
+    must reproduce the vertex degree; both are asserted.
     """
     vcat = build_catalog(emb.codomain)
-    ecat = build_catalog(emb.domain)
+    edge = build_catalog(emb.domain).classes
     # the catalog's group is the instance the lattice ran on, so these
     # tables exist already, even when emb.codomain is an equal copy
-    index, mult, _ = vcat.group.tables()
-    # left multiplication by the image of each edge element, in the edge
-    # group's element order, the order its classes' index sets count in
-    edge = emb.domain.elements
-    left = [mult[index[emb.apply(a)]] for a in edge]
-    gens = [edge.index(a) for a in emb.generators]
-    lookup = {members: cls.class_id
-              for cls in ecat.classes for members in cls.members}
-    gen_count = len(ecat)
+    index = vcat.group.tables()[0]
+    image = [index[emb.apply(a)] for a in emb.domain.elements]
+    images = [frozenset(map(image.__getitem__, k.members[0])) for k in edge]
+    table = [[_mark(k, h.members[0]) for k in edge] for h in edge]
     cols = []
     for rep in vcat.classes:
-        cosets, coset_of = _left_cosets(mult, rep.members[0],
-                                        range(vcat.group.order))
-        act = [tuple(coset_of[row[c[0]]] for c in cosets) for row in left]
-        col = [0] * gen_count
-        for p in orbit_minima(rep.index, [act[i] for i in gens]):
-            stab = frozenset(i for i, a in enumerate(act) if a[p] == p)
-            col[lookup[stab]] += 1
-        total = sum(m * ecat.classes[j].index for j, m in enumerate(col))
+        col = [0] * len(edge)
+        for j in range(len(edge)):
+            rest = _mark(rep, images[j]) - sum(
+                c * t for c, t in zip(col, table[j]))
+            col[j], left = divmod(rest, table[j][j])
+            assert left == 0 and col[j] >= 0, "marks give no orbit counts"
+        total = sum(m * k.index for m, k in zip(col, edge))
         assert total == rep.index, "orbit degrees fail to add up"
         cols.append(col)
     return RestrictionMatrix(tuple(zip(*cols)))
@@ -194,5 +195,4 @@ def fixed_point_multiplicity(g: FiniteGroup, u, x: Perm) -> int:
         raise InputError(f"{x} is not an element of the group")
     _prime_order(x)
     cls, _ = _subgroup_class(g, u)
-    ix = cls.parent.tables()[0][x]
-    return cls.aut_count * sum(ix in m for m in cls.members)
+    return _mark(cls, {cls.parent.tables()[0][x]})

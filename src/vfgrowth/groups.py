@@ -16,20 +16,23 @@ parent's sorted ``elements`` (so equal groups share them) from the lattice
 through ``SubgroupClass.members`` to restriction; only ``all_subgroups``
 maps them back to ``Perm`` sets.  The tables are stored on the group and
 the lattice once, in the cache of ``subgroup_classes``, whose classes name
-the instance they were built on (``SubgroupClass.parent``); coset
-partitions are recomputed by whoever needs them.  The lattice is also the
-one judge of what a subgroup is and what normalizes it: a subgroup given
-as elements is looked up in it (``_subgroup_class``), and normalizer
-orders are its classes' ``normalizer_order``.
+the instance they were built on (``SubgroupClass.parent``).  Only the
+lattice closure and ``coset_action`` build left cosets (``_left_cosets``).
+The lattice is also the one judge of what a subgroup is and what
+normalizes it: a subgroup given as elements is looked up in it
+(``_subgroup_class``), and normalizer orders are its classes'
+``normalizer_order``.
 
 The lattice is the cyclic extension method (Holt, Eick and O'Brien,
-*Handbook of Computational Group Theory*, 2005): every subgroup is
-<H, a> for a subgroup H one step below it and an element a of prime-power
-order.  Only one representative H per conjugacy class is extended, and
-only by one cyclic subgroup <a> per orbit of the normalizer N_G(H), since
-<H, a^n> = <H, a>^n lies in the class of <H, a> for n in N_G(H).  The
-generators of N_G(H) are Schreier elements of the conjugation walk that
-found the class of H, so no normalizer is searched for.
+*Handbook of Computational Group Theory*, 2005): every subgroup U is
+<H, c> for a maximal subgroup H of U and a c of prime-power order with
+c^p in H, p the prime (c is the last power outside H of a prime-power
+part of some element of U outside H).  One representative H per class is
+extended (the argument transports along conjugation), by one cyclic
+subgroup <a> per orbit of N_G(H) with a^p in H, since for n in N_G(H)
+<H, a^n> = <H, a>^n is in the class of <H, a> and (a^n)^p is in H exactly
+when a^p is.  N_G(H) is generated by Schreier elements of the conjugation
+walk that found the class of H, so no normalizer is searched for.
 """
 
 from __future__ import annotations
@@ -450,27 +453,24 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
         raise CapExceeded(f"group too large: order {g.order} exceeds "
                           f"subgroup cap {DEFAULT_SUBGROUP_CAP}")
     index, mult, inv = g.tables()
-    # each cyclic subgroup stands by its least generator, least[<x>], and
-    # cyclic[x] is the one standing for <x>
+    # each cyclic subgroup <x> stands by its least generator, least[<x>] =
+    # cyclic[x]; ext holds (a, a^p) for each such a of order p^k, p prime
     least = {}
     cyclic = [0] * g.order
+    ext = []
     for a in range(1, g.order):
         powers = [0]
         x = a
         while x:
             powers.append(x)
             x = mult[x][a]
+        n = len(powers)
         cyclic[a] = least.setdefault(frozenset(powers), a)
-    # Extending a known subgroup by one element of prime power order reaches
-    # every subgroup: a maximal proper subgroup plus any outside element of
-    # prime power order generates the whole thing.  It suffices to extend
-    # one representative H per conjugacy class (conjugating the reached
-    # subgroup recovers the rest of its class, and the chain argument
-    # transports along conjugation), and H by one cyclic subgroup per orbit
-    # of N_G(H): for n in N_G(H), <H, a^n> = <H, a>^n is in the same class.
-    # N_G(H) comes from the Schreier elements of the walk that found the
-    # class of H (see _class_and_normalizer).
-    ext = sorted(a for key, a in least.items() if _is_prime_power(len(key)))
+        if cyclic[a] == a and _is_prime_power(n):
+            ext.append((a, powers[_least_prime(n) % n]))
+    # each class representative H is extended by one <a> per N_G(H)-orbit
+    # of those outside H with a^p in H, which reaches every subgroup (see
+    # the module docstring); N_G(H) comes from _class_and_normalizer
     bound = g.order // _least_prime(g.order)
     whole = frozenset(range(g.order))
     gens = [index[p] for p in g.generators]
@@ -487,8 +487,8 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
         limit = bound // len(members)
         by = [(mult[inv[n]], n) for n in normal]
         seen = set()
-        for a in ext:
-            if a in members or a in seen:
+        for a, root in ext:
+            if a in members or a in seen or root not in members:
                 continue
             # a stands for its orbit under conjugation by N_G(H), which
             # keeps the orbit outside H

@@ -1,12 +1,17 @@
+from pathlib import Path
+
 import pytest
 
-from vfgrowth.catalog import (EmbeddingMap, build_catalog,
+from vfgrowth import catalog
+from vfgrowth.catalog import (EmbeddingMap, RestrictionMatrix, build_catalog,
                               fixed_point_multiplicity, restriction_matrix)
 from vfgrowth.corpus import corpus_graphs, klein_amalgam
 from vfgrowth.errors import EmbeddingError, InputError
-from vfgrowth.groups import (all_subgroups, cyclic_group, dihedral_group,
-                             generate, klein_four, subgroup_classes,
-                             symmetric_group, trivial_group)
+from vfgrowth.gog import load_gog
+from vfgrowth.groups import (_left_cosets, all_subgroups, alternating_group,
+                             coset_action, cyclic_group, dihedral_group,
+                             generate, klein_four, orbit_minima,
+                             subgroup_classes, symmetric_group, trivial_group)
 from vfgrowth.perm import identity, parse_perm
 from vfgrowth.selftest import (D10_FIX_TABLE, KLEIN_TABLE, MISPRINTED_ROW10,
                                S3_FIX_TABLE, S4_INDEX_COLUMN)
@@ -122,9 +127,11 @@ def test_fixed_point_multiplicity_rejects_bad_input():
 
 def test_fixed_point_formula_matches_restriction_trivial_row():
     # the closed-form coset fixed-point count must equal the multiplicity
-    # of the trivial edge class when restricting along <x> -> G
+    # of the trivial edge class when restricting along <x> -> G; both read
+    # marks, so the fixed points of the coset action are counted too
     for g in (symmetric_group(4), dihedral_group(6)):
         vcat = build_catalog(g)
+        actions = [coset_action(g, cls) for cls in vcat.classes]
         seen = set()
         for x in g.elements:
             if x.order() not in (2, 3) or x in seen:
@@ -135,13 +142,129 @@ def test_fixed_point_formula_matches_restriction_trivial_row():
             m = restriction_matrix(emb)
             for i, cls in enumerate(vcat.classes):
                 assert m.rows[0][i] == fixed_point_multiplicity(
-                    g, cls, x)
+                    g, cls, x) == actions[i][x].fixed_points()
+
+
+def _reference_restriction_matrix(emb: EmbeddingMap) -> RestrictionMatrix:
+    """Decompose each vertex representation class along the embedding.
+
+    The edge group acts on each coset space through its embedded image; the
+    orbits are classified by the class of their point stabilizers pulled
+    back to the edge group.  Column sums weighted by edge degrees must
+    reproduce the vertex degree, which is asserted.
+    """
+    vcat = build_catalog(emb.codomain)
+    ecat = build_catalog(emb.domain)
+    # the catalog's group is the instance the lattice ran on, so these
+    # tables exist already, even when emb.codomain is an equal copy
+    index, mult, _ = vcat.group.tables()
+    # left multiplication by the image of each edge element, in the edge
+    # group's element order, the order its classes' index sets count in
+    edge = emb.domain.elements
+    left = [mult[index[emb.apply(a)]] for a in edge]
+    gens = [edge.index(a) for a in emb.generators]
+    lookup = {members: cls.class_id
+              for cls in ecat.classes for members in cls.members}
+    gen_count = len(ecat)
+    cols = []
+    for rep in vcat.classes:
+        cosets, coset_of = _left_cosets(mult, rep.members[0],
+                                        range(vcat.group.order))
+        act = [tuple(coset_of[row[c[0]]] for c in cosets) for row in left]
+        col = [0] * gen_count
+        for p in orbit_minima(rep.index, [act[i] for i in gens]):
+            stab = frozenset(i for i, a in enumerate(act) if a[p] == p)
+            col[lookup[stab]] += 1
+        total = sum(m * ecat.classes[j].index for j, m in enumerate(col))
+        assert total == rep.index, "orbit degrees fail to add up"
+        cols.append(col)
+    return RestrictionMatrix(tuple(zip(*cols)))
+
+
+GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
+
+
+def test_marks_match_the_orbit_walk_on_every_graph_embedding():
+    graphs = [g for _name, g in corpus_graphs()]
+    graphs += [load_gog(p) for p in sorted(GRAPHS.glob("*.gog"))]
+    embeddings = {emb for g in graphs for e in g.edges
+                  for emb in e.embeddings}
+    assert len(embeddings) >= 40
+    for emb in embeddings:
+        assert restriction_matrix(emb) == _reference_restriction_matrix(emb)
+
+
+def _embed(domain, codomain, *images):
+    return EmbeddingMap(domain, codomain, tuple(
+        parse_perm(t, codomain.degree) for t in images))
+
+
+def _psl27():
+    return generate([parse_perm("(1 2 3 4 5 6 7)", 7),
+                     parse_perm("(1 2)(3 5)", 7)], 7)
+
+
+# non-cyclic edge groups and images that are not normal, so the table of
+# marks has more than two rows and conjugates of a class split its marks
+PAIRS = {
+    "V4->S4 normal": lambda: _embed(klein_four(), symmetric_group(4),
+                                    "(1 2)(3 4)", "(1 3)(2 4)"),
+    "V4->S4 non-normal": lambda: _embed(klein_four(), symmetric_group(4),
+                                        "(1 2)(3 4)", "(1 2)"),
+    "S3->S5": lambda: _embed(symmetric_group(3), symmetric_group(5),
+                             "(1 2)", "(1 2 3)"),
+    "S3->S5 twisted": lambda: _embed(symmetric_group(3), symmetric_group(5),
+                                     "(1 2)(4 5)", "(1 2 3)"),
+    "D8->S6": lambda: _embed(dihedral_group(4), symmetric_group(6),
+                             "(1 2 3 4)", "(2 4)"),
+    "D8->S6 twisted": lambda: _embed(dihedral_group(4), symmetric_group(6),
+                                     "(1 2 3 4)(5 6)", "(2 4)"),
+    "A4->A5": lambda: _embed(alternating_group(4), alternating_group(5),
+                             "(1 2 3)", "(2 3 4)"),
+    "A5->A6": lambda: _embed(alternating_group(5), alternating_group(6),
+                             "(1 2 3)", "(1 2 3 4 5)"),
+    "C7->PSL(2,7)": lambda: _embed(cyclic_group(7), _psl27(),
+                                   "(1 2 3 4 5 6 7)"),
+    "S4->S4": lambda: _embed(symmetric_group(4), symmetric_group(4),
+                             "(1 2)", "(1 2 3 4)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_marks_match_the_orbit_walk_on_non_cyclic_pairs(name):
+    emb = PAIRS[name]()
+    assert restriction_matrix(emb) == _reference_restriction_matrix(emb)
+
+
+def test_an_impossible_mark_is_refused(monkeypatch):
+    # one vertex mark off by one, in either direction, is the mark vector
+    # of no action: some orbit count comes out fractional or negative
+    emb = PAIRS["V4->S4 non-normal"]()
+    vertex = build_catalog(emb.codomain)
+    index = vertex.group.tables()[0]
+    images = [frozenset(index[emb.apply(emb.domain.elements[i])]
+                        for i in k.members[0])
+              for k in build_catalog(emb.domain).classes]
+    mark = catalog._mark
+    for target in vertex.classes:
+        for image in images:
+            for delta in (1, -1):
+                def off(cls, sub, target=target, image=image, delta=delta):
+                    hit = cls is target and sub == image
+                    return mark(cls, sub) + delta * hit
+                monkeypatch.setattr(catalog, "_mark", off)
+                restriction_matrix.cache_clear()
+                with pytest.raises(AssertionError,
+                                   match="marks give no orbit counts"):
+                    restriction_matrix(emb)
+                assert restriction_matrix.cache_info().currsize == 0
+    monkeypatch.setattr(catalog, "_mark", mark)
+    assert restriction_matrix(emb) == _reference_restriction_matrix(emb)
 
 
 def test_fixed_point_tables_for_the_triangle_fixture():
     s3 = symmetric_group(3)
     t12, t123 = parse_perm("(1 2)", 3), parse_perm("(1 2 3)", 3)
-    from vfgrowth.groups import coset_action
 
     def fixrow(g, sub, xs):
         act = coset_action(g, sub)
