@@ -3,19 +3,27 @@
 Everything the LP asserts asymptotically is checked here non-asymptotically:
 |Hom(Gamma, S_n)| is computed two independent ways, and index-n subgroup
 counts fall out of the transitive-count recursion.  All results are exact
-big integers.
+big integers.  Each fact a counting call needs is computed once per call,
+and nothing in this module is cached across calls.
 
 - The type sum adds a closed-form count over the admissible representation
-  types.  It generates them by a join on the edge types they induce, one
-  vertex at a time, not by filtering the full product of vertex types.
+  types.  One pass per vertex and call lists the vertex's types of every
+  degree up to n, bucketed by degree; each type carries its orbit
+  denominator and the edge types it induces, both grown one class copy at
+  a time.  The types are joined on those edge types, one vertex at a time,
+  not filtered from the full product of vertex types.  Catalogs and
+  restriction matrices come from their cached builders; the type sum
+  builds no LP.
   ``type_hom_count`` recounts one type in ``Fraction`` arithmetic apart
   from the join.
 - Brute force tries every tuple of generator images.  Each vertex group's
   Cayley graph is walked once per call, and each tuple is composed along
   the walk and checked on every edge of it.  A non-tree edge multiplies by
   the number of permutations conjugating one side's images onto the
-  other's.  Those counts are memoized by image tuple in a dict that lives
-  for one call; nothing in this module is cached across calls.  S_n is
+  other's.  Every lookup key of a homomorphism (its parent-edge bucket key,
+  the keys its children look up, its images on each non-tree edge side) is
+  built once, when the homomorphisms are listed.  Transporter counts are
+  memoized by image tuple in a dict that lives for one call.  S_n is
   listed by ``itertools.permutations`` on image tuples, both for the
   generator images (``_symmetric_images``, in the lexicographic order of
   ``symmetric_group(n).elements``) and for the conjugating letters, with
@@ -34,12 +42,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, permutations, product
 from math import comb, factorial
+from operator import add
 
-from .catalog import build_catalog
+from .catalog import build_catalog, restriction_matrix
 from .errors import CapExceeded, InputError
 from .gog import GraphOfGroups, spanning_tree
 from .groups import DEFAULT_GROUP_CAP, FiniteGroup, cayley_walk, walk_images
-from .growth import GrowthProgram, build_growth_program
+from .growth import build_growth_program
 from .perm import Perm
 
 DEFAULT_TYPESUM_CAP = 10
@@ -75,14 +84,31 @@ class CountLedger:
     subgroups: tuple   # subgroups[m-1] = number of index-m subgroups
     per_type: tuple    # ((TypePartition, count), ...) at degree n
 
+    def _at(self, values: tuple, m) -> int:
+        m = self.n if m is None else m
+        if not 1 <= m <= self.n:
+            raise InputError(f"degree {m} is outside 1..{self.n}")
+        return values[m - 1]
+
     def total(self, m: int = None) -> int:
-        return self.totals[(self.n if m is None else m) - 1]
+        return self._at(self.totals, m)
 
     def t(self, m: int = None) -> int:
-        return self.transitive[(self.n if m is None else m) - 1]
+        return self._at(self.transitive, m)
 
     def s(self, m: int = None) -> int:
-        return self.subgroups[(self.n if m is None else m) - 1]
+        return self._at(self.subgroups, m)
+
+
+def _orbit_count(n: int, eta, auts) -> int:
+    """n! / prod(eta_i! * a_i^eta_i): the homomorphisms into S_n of type
+    eta, where a_i are the classes' automorphism counts."""
+    denom = 1
+    for e, a in zip(eta, auts):
+        denom *= factorial(e) * a ** e
+    count, rem = divmod(factorial(n), denom)
+    assert rem == 0, "orbit bookkeeping produced a non-integer count"
+    return count
 
 
 def vertex_hom_count(group: FiniteGroup, eta, n: int) -> int:
@@ -101,30 +127,42 @@ def vertex_hom_count(group: FiniteGroup, eta, n: int) -> int:
         raise InputError("type multiplicities must be non-negative")
     if sum(e * cls.index for e, cls in zip(eta, cat.classes)) != n:
         raise InputError(f"type does not reach degree {n}")
-    denom = 1
-    for e, cls in zip(eta, cat.classes):
-        denom *= factorial(e) * cls.aut_count ** e
-    count, rem = divmod(factorial(n), denom)
-    assert rem == 0, "orbit bookkeeping produced a non-integer count"
-    return count
+    return _orbit_count(n, eta, [cls.aut_count for cls in cat.classes])
+
+
+def _type_pass(degrees, auts, columns, n) -> list:
+    """Every type of degree at most n, bucketed by degree.
+
+    ``buckets[m]`` lists (type, orbit denominator, induced vector) for the
+    multiplicity tuples of degree-weighted sum m, in lexicographic order.
+    The denominator is prod(e_i! * a_i^e_i) and the induced vector is the
+    sum of e_i times ``columns[i]``; both grow by one class copy at a time.
+    """
+    buckets = [[] for _ in range(n + 1)]
+    last = len(degrees)
+
+    def rec(i, left, acc, den, vec):
+        if i == last:
+            buckets[n - left].append((acc, den, vec))
+            return
+        d, a, col = degrees[i], auts[i], columns[i]
+        top = left // d
+        for c in range(top + 1):
+            rec(i + 1, left - c * d, acc + (c,), den, vec)
+            if c < top:
+                den *= (c + 1) * a
+                vec = tuple(map(add, vec, col))
+
+    rec(0, n, (), 1, (0,) * len(columns[0]))
+    return buckets
 
 
 def _vertex_types(degrees, n):
-    """All multiplicity tuples with degree-weighted sum n."""
-    out = []
-
-    def rec(i, left, acc):
-        if i == len(degrees):
-            if left == 0:
-                out.append(tuple(acc))
-            return
-        d = degrees[i]
-        top = left // d
-        for m in range(top + 1):
-            rec(i + 1, left - m * d, acc + [m])
-
-    rec(0, n, [])
-    return out
+    """All multiplicity tuples with degree-weighted sum n: the degree-n
+    bucket of the type pass."""
+    ones = (1,) * len(degrees)
+    return [t for t, _, _ in
+            _type_pass(degrees, ones, ((),) * len(degrees), n)[n]]
 
 
 def type_hom_count(g: GraphOfGroups, xi: TypePartition) -> int:
@@ -150,24 +188,26 @@ def type_hom_count(g: GraphOfGroups, xi: TypePartition) -> int:
     return value.numerator
 
 
-def _typesum_rows(program: GrowthProgram, n: int) -> tuple:
-    """Every admissible type at degree n with its homomorphism count, in the
-    order of the full product of vertex types.
+def _typesum_rows(g: GraphOfGroups, n: int):
+    """Per degree m = 1..n in turn, every admissible type with its
+    homomorphism count, as [(vertex types, count), ...] in the order of the
+    full product of vertex types.
 
-    A join, not a filter over that product: vertices are placed in program
-    order, each vertex's types are bucketed by the edge type they induce
-    along its first edge to an already placed vertex, and any further edge
-    is checked as the vertex is placed.  A type counts
-    n!^h * prod(vertex counts) / prod(edge counts), in integers.
+    Each vertex's types of every degree come from one ``_type_pass``.  The
+    rows are a join, not a filter over that product: vertices are placed
+    in graph order, each vertex's types are bucketed by the edge type they
+    induce along its first edge to an already placed vertex, and any
+    further edge is checked as the vertex is placed.  A type counts
+    m!^h * prod(vertex counts) / prod(edge counts), in integers.
     """
-    g = program.graph
-    names = [name for name, _ in program.catalogs]
+    names = [name for name, _ in g.vertices]
     at = {name: i for i, name in enumerate(names)}
     # per vertex: the edge sides it sits on, (edge position, side, matrix)
     sides = [[] for _ in names]
     links = [[] for _ in names]   # (edge, side, earlier vertex, its side)
     loops = [[] for _ in names]
-    for k, (e, ml, mr) in enumerate(program.edges):
+    for k, e in enumerate(g.edges):
+        ml, mr = (restriction_matrix(emb) for emb in e.embeddings)
         i0, i1 = at[e.ends[0]], at[e.ends[1]]
         sides[i0].append((k, 0, ml))
         sides[i1].append((k, 1, mr))
@@ -177,54 +217,74 @@ def _typesum_rows(program: GrowthProgram, n: int) -> tuple:
             links[i1].append((k, 1, i0, 0))
         else:
             links[i0].append((k, 0, i1, 1))
+    edge_auts = [[cls.aut_count for cls in build_catalog(e.group).classes]
+                 for e in g.edges]
     edge_counts = {}
 
-    def edge_count(k, lam):
+    def edge_count(k, lam, m):
         c = edge_counts.get((k, lam))
         if c is None:
-            c = edge_counts[k, lam] = vertex_hom_count(g.edges[k].group,
-                                                       lam, n)
+            c = edge_counts[k, lam] = _orbit_count(m, lam, edge_auts[k])
         return c
 
+    passes = []     # per vertex: its types, bucketed by degree
+    spans = []      # per vertex: ((edge, side), start, end) in the vector
+    for i, (_, grp) in enumerate(g.vertices):
+        cat = build_catalog(grp)
+        # class j's column: its row entries of every side matrix in turn
+        columns = [tuple(row[j] for _, _, mat in sides[i] for row in mat.rows)
+                   for j in range(len(cat))]
+        auts = [cls.aut_count for cls in cat.classes]
+        passes.append(_type_pass(cat.degrees, auts, columns, n))
+        where, start = [], 0
+        for k, s, mat in sides[i]:
+            where.append(((k, s), start, start + len(mat.rows)))
+            start += len(mat.rows)
+        spans.append(where)
+
     h = len(g.edges) - len(g.vertices) + 1
-    rows = [((), factorial(n) ** h, 1, ())]
-    for i, (name, cat) in enumerate(program.catalogs):
-        grp = g.vertex_group(name)
-        entries = []    # (type, count, loop edges' count, induced types)
-        for t in _vertex_types(cat.degrees, n):
-            induced = {(k, s): mat.apply(t) for k, s, mat in sides[i]}
-            if any(induced[k, 0] != induced[k, 1] for k in loops[i]):
-                continue
-            loop_den = 1
-            for k in loops[i]:
-                loop_den *= edge_count(k, induced[k, 0])
-            entries.append((t, vertex_hom_count(grp, t, n), loop_den,
-                            induced))
-        checks = links[i][1:]
-        if links[i]:
-            k0, s0, j0, sj0 = links[i][0]
-            buckets = {}
-            for entry in entries:
-                buckets.setdefault(entry[3][k0, s0], []).append(entry)
-        grown = []
-        for combo, num, den, placed in rows:
-            candidates = (buckets.get(placed[j0][k0, sj0], ())
-                          if links[i] else entries)
-            for t, c, loop_den, induced in candidates:
-                if any(induced[k, s] != placed[j][k, sj]
-                       for k, s, j, sj in checks):
+    for m in range(1, n + 1):
+        fm = factorial(m)
+        rows = [((), fm ** h, 1, ())]
+        for i in range(len(names)):
+            entries = []    # (type, count, loop edges' count, induced types)
+            for t, den, vec in passes[i][m]:
+                induced = {key: vec[a:b] for key, a, b in spans[i]}
+                if any(induced[k, 0] != induced[k, 1] for k in loops[i]):
                     continue
-                d = den * loop_den
-                for k, s, _, _ in links[i]:
-                    d *= edge_count(k, induced[k, s])
-                grown.append((combo + (t,), num * c, d, placed + (induced,)))
-        rows = grown
-    out = []
-    for combo, num, den, _ in rows:
-        value, rem = divmod(num, den)
-        assert rem == 0, "type count did not cancel to an integer"
-        out.append((TypePartition(n, tuple(zip(names, combo))), value))
-    return tuple(out)
+                loop_den = 1
+                for k in loops[i]:
+                    loop_den *= edge_count(k, induced[k, 0], m)
+                c, rem = divmod(fm, den)
+                assert rem == 0, \
+                    "orbit bookkeeping produced a non-integer count"
+                entries.append((t, c, loop_den, induced))
+            checks = links[i][1:]
+            if links[i]:
+                k0, s0, j0, sj0 = links[i][0]
+                buckets = {}
+                for entry in entries:
+                    buckets.setdefault(entry[3][k0, s0], []).append(entry)
+            grown = []
+            for combo, num, den, placed in rows:
+                candidates = (buckets.get(placed[j0][k0, sj0], ())
+                              if links[i] else entries)
+                for t, c, loop_den, induced in candidates:
+                    if any(induced[k, s] != placed[j][k, sj]
+                           for k, s, j, sj in checks):
+                        continue
+                    d = den * loop_den
+                    for k, s, _, _ in links[i]:
+                        d *= edge_count(k, induced[k, s], m)
+                    grown.append((combo + (t,), num * c, d,
+                                  placed + (induced,)))
+            rows = grown
+        out = []
+        for combo, num, den, _ in rows:
+            value, rem = divmod(num, den)
+            assert rem == 0, "type count did not cancel to an integer"
+            out.append((combo, value))
+        yield out
 
 
 def hom_count_typesum(g: GraphOfGroups, n: int,
@@ -235,14 +295,13 @@ def hom_count_typesum(g: GraphOfGroups, n: int,
         raise InputError("degree must be at least 1")
     if n > max_n:
         raise CapExceeded(f"type-sum counting capped at degree {max_n}, got {n}")
-    program = build_growth_program(g)
+    names = [name for name, _ in g.vertices]
     totals = []
-    per_type = ()
-    for m in range(1, n + 1):
-        rows = _typesum_rows(program, m)
+    for rows in _typesum_rows(g, n):
         totals.append(sum(c for _, c in rows))
-        if m == n:
-            per_type = rows
+    # the last rows are degree n's, the only ones whose types are kept
+    per_type = tuple((TypePartition(n, tuple(zip(names, combo))), c)
+                     for combo, c in rows)
     transitive = []
     for m in range(1, n + 1):
         t = totals[m - 1]
@@ -343,6 +402,7 @@ def hom_count_enumerate(g: GraphOfGroups, n: int,
                               f"cap {DEFAULT_ENUM_GROUP_CAP}")
     tree = spanning_tree(g)
     bfs = tree.order
+    pos = {v: i for i, v in enumerate(bfs)}
     sym = _symmetric_images(n)
     walks = {}      # vertices carrying equal groups share one hom list
     at = {}
@@ -357,27 +417,43 @@ def hom_count_enumerate(g: GraphOfGroups, n: int,
         """Walk positions in v's group of an edge embedding's generators."""
         return tuple(at[v][emb.apply(a)] for a in emb.generators)
 
-    parent = {}     # vertex -> (its parent's positions, its own, parent)
+    # each vertex's lookup keys, by slot: the walk positions whose images
+    # its children look up or a non-tree edge side compares
+    slots = {v: {} for v in bfs}
+
+    def slot(v, ps):
+        return slots[v].setdefault(ps, len(slots[v]))
+
+    parent = {}     # position -> (its parent's position, slot of the key)
+    own = {}        # position -> its walk positions on the parent edge
     for v, pv, e in tree.links:
         ex, ey = e.embeddings if e.ends[1] == v else e.embeddings[::-1]
-        parent[v] = (positions(pv, ex), positions(v, ey), pv)
-    pos = {v: i for i, v in enumerate(bfs)}
-    buckets = {}
-    for v, (_, py, _) in parent.items():
-        index = {}
-        for phi in homs[v]:
-            index.setdefault(tuple(phi[k] for k in py), []).append(phi)
-        buckets[v] = index
+        parent[pos[v]] = (pos[pv], slot(pv, positions(pv, ex)))
+        own[pos[v]] = positions(v, ey)
     # non-tree edges settle at the moment their later endpoint is placed
-    pending = {i: [] for i in range(len(bfs))}
+    pending = [[] for _ in bfs]
     for e in g.edges:
         if e.name not in tree:
-            pending[max(pos[e.ends[0]], pos[e.ends[1]])].append(
-                tuple((v, positions(v, emb))
-                      for v, emb in zip(e.ends, e.embeddings)))
+            ends = tuple((pos[v], slot(v, positions(v, emb)))
+                         for v, emb in zip(e.ends, e.embeddings))
+            pending[max(i for i, _ in ends)].append(ends)
+    # every hom's keys, built once: a root lists them all, any other
+    # vertex buckets them by the images its parent edge must match
+    candidates = []
+    for i, v in enumerate(bfs):
+        wanted = tuple(slots[v])
+        keyed = [tuple(tuple(phi[k] for k in ps) for ps in wanted)
+                 for phi in homs[v]]
+        if i not in parent:
+            candidates.append(keyed)
+            continue
+        index = {}
+        for phi, keys in zip(homs[v], keyed):
+            index.setdefault(tuple(phi[k] for k in own[i]), []).append(keys)
+        candidates.append(index)
 
     total = 0
-    assigned = {}
+    assigned = [None] * len(bfs)    # the keys of each placed vertex's hom
     transporters = {}   # (images of u, images of v) -> count, this call only
 
     def place(i: int, factor: int):
@@ -385,19 +461,16 @@ def hom_count_enumerate(g: GraphOfGroups, n: int,
         if i == len(bfs):
             total += factor
             return
-        v = bfs[i]
-        if v not in parent:
-            candidates = homs[v]
+        if i in parent:
+            j, s = parent[i]
+            choices = candidates[i].get(assigned[j][s], ())
         else:
-            px, _, pv = parent[v]
-            key = tuple(assigned[pv][k] for k in px)
-            candidates = buckets[v].get(key, ())
-        for phi in candidates:
-            assigned[v] = phi
+            choices = candidates[i]
+        for keys in choices:
+            assigned[i] = keys
             f = factor
-            for (v0, p0), (v1, p1) in pending[i]:
-                key = (tuple(assigned[v0][k] for k in p0),
-                       tuple(assigned[v1][k] for k in p1))
+            for (i0, s0), (i1, s1) in pending[i]:
+                key = (assigned[i0][s0], assigned[i1][s1])
                 c = transporters.get(key)
                 if c is None:
                     c = transporters[key] = _transporter_count(*key, n)
@@ -406,7 +479,6 @@ def hom_count_enumerate(g: GraphOfGroups, n: int,
                     break
             if f:
                 place(i + 1, f)
-        assigned.pop(v, None)
 
     place(0, 1)
     return total

@@ -92,6 +92,21 @@ def _fix_count(g, sub, x):
     return sum(1 for i, j in enumerate(px.images) if i == j)
 
 
+# run_all's corpus: [] while run_all runs and no criterion has read it yet,
+# then [graphs]; None outside run_all, where each criterion builds its own
+_run_corpus = None
+
+
+def _corpus_graphs():
+    """The corpus, built once per run_all by the first criterion that
+    reads it; a criterion called on its own builds it afresh."""
+    if _run_corpus is None:
+        return corpus_graphs()
+    if not _run_corpus:
+        _run_corpus.append(corpus_graphs())
+    return _run_corpus[0]
+
+
 def criterion_a1(slow=False) -> CriterionResult:
     """Golden catalog tables for the pinned worked examples."""
     checks = []
@@ -214,7 +229,7 @@ def criterion_a6(slow=False) -> CriterionResult:
     """mu >= -chi on every corpus graph, tuned and randomized."""
     checks = []
     strict = 0
-    graphs = corpus_graphs()
+    graphs = _corpus_graphs()
     for name, g in graphs:
         rep = mu(g)
         bound = euler_characteristic(g).mu_free
@@ -268,7 +283,7 @@ def criterion_o3(slow=False) -> CriterionResult:
     """Subgroup counts are sane: s_1 = 1 everywhere, s_2 of the modular
     group is 1, and transitive counts stay divisible."""
     checks = []
-    for name, g in corpus_graphs():
+    for name, g in _corpus_graphs():
         led = hom_count_typesum(g, 1)
         if led.s(1) != 1:
             checks.append((False, f"{name}: s_1 = {led.s(1)}"))
@@ -342,14 +357,20 @@ SLOW_CRITERIA = (criterion_x1,)
 
 
 def run_all(slow: bool = False):
-    """Every criterion in order; exceptions become failed results."""
+    """Every criterion in order; exceptions become failed results.  The
+    criteria share one corpus, dropped when the run ends."""
+    global _run_corpus
     todo = CRITERIA + (SLOW_CRITERIA if slow else ())
     out = []
-    for fn in todo:
-        try:
-            out.append(fn(slow=slow))
-        except Exception as exc:   # a crash is a failure, not an abort
-            name = fn.__name__.rsplit("_", 1)[-1].upper()
-            out.append(CriterionResult(name, fn.__doc__.splitlines()[0],
-                                       False, f"raised {exc!r}"))
+    _run_corpus = []
+    try:
+        for fn in todo:
+            try:
+                out.append(fn(slow=slow))
+            except Exception as exc:   # a crash is a failure, not an abort
+                name = fn.__name__.rsplit("_", 1)[-1].upper()
+                out.append(CriterionResult(name, fn.__doc__.splitlines()[0],
+                                           False, f"raised {exc!r}"))
+    finally:
+        _run_corpus = None
     return tuple(out)

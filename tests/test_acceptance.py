@@ -70,3 +70,20 @@ def test_run_all_is_green(deep):
     results = selftest.run_all(slow=False)
     assert len(results) == 11
     assert all(r.passed for r in results)
+
+
+def test_run_all_builds_the_corpus_once(monkeypatch):
+    # A6 and O3 both read the corpus; run_all builds it once and drops it
+    # when the run ends, while a criterion called alone builds its own
+    built = []
+    corpus_graphs = selftest.corpus_graphs
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return corpus_graphs(*args, **kwargs)
+    monkeypatch.setattr(selftest, "corpus_graphs", counted)
+    assert all(r.passed for r in selftest.run_all())
+    assert len(built) == 1
+    assert selftest._run_corpus is None
+    _check(selftest.criterion_o3())
+    assert len(built) == 2

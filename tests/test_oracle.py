@@ -8,7 +8,7 @@ from vfgrowth.catalog import EmbeddingMap, build_catalog, extend_hom
 from vfgrowth.corpus import (corpus_graphs, klein_amalgam, modular_graph,
                              oracle_graphs, random_graph, s3_c2_amalgam,
                              triangle_graph)
-from vfgrowth import groups, oracle
+from vfgrowth import groups, oracle, ratlp
 from vfgrowth.errors import CapExceeded, EmbeddingError, InputError
 from vfgrowth.gog import GogEdge, free_group, make_graph
 from vfgrowth.groups import (alternating_group, cyclic_group,
@@ -130,6 +130,28 @@ def test_totals_multiply_over_free_products():
     for m in range(1, 7):
         assert hom_count_typesum(prod, m).total(m) == \
             hom_count_typesum(c2, m).total(m) * hom_count_typesum(c3, m).total(m)
+
+
+@pytest.mark.parametrize("accessor", ["total", "t", "s"])
+def test_ledger_refuses_degrees_outside_its_range(accessor):
+    led = hom_count_typesum(modular_graph(), 4)
+    read = getattr(led, accessor)
+    assert read() == read(4)
+    for m in (0, -1, 5):
+        with pytest.raises(InputError, match=f"degree {m} is outside 1..4"):
+            read(m)
+
+
+def test_typesum_builds_no_lp(monkeypatch):
+    # the counters read the cached catalogs and restriction matrices, never
+    # the growth program's LP
+    def no_lp(*_args, **_kw):
+        raise AssertionError("hom_count_typesum built an LP")
+    monkeypatch.setattr(ratlp.RationalLP, "__init__", no_lp)
+    graphs = [g for _, g in oracle_graphs()]
+    graphs.append(random_graph(LOOPED_PARALLEL_SEEDS[0]))
+    for g in graphs:
+        hom_count_typesum(g, 4)
 
 
 def test_typesum_caps():
@@ -380,6 +402,16 @@ def test_join_rows_match_the_product_filter():
         for n in range(1, 8):
             assert hom_count_typesum(g, n).per_type == \
                 _product_filter_rows(g, n), n
+
+
+def test_enumerate_agrees_with_typesum_on_loops_and_parallel_edges():
+    # loops and parallel edges are the non-tree edges the brute force
+    # settles by transporter counts
+    for seed in LOOPED_PARALLEL_SEEDS:
+        g = random_graph(seed)
+        for n in range(1, 5):
+            assert hom_count_enumerate(g, n) == \
+                hom_count_typesum(g, n).total(n), (seed, n)
 
 
 def test_looped_parallel_seeds_have_loops_and_parallel_edges():
