@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import EmbeddingError, InputError
-from .groups import (FiniteGroup, _prime_order, _subgroup_class,
-                     cayley_walk, subgroup_classes, walk_images)
+from .groups import (FiniteGroup, _element_index, _prime_order,
+                     _subgroup_class, cayley_walk, subgroup_classes,
+                     walk_images)
 from .perm import Perm
 
 
@@ -110,8 +111,7 @@ class RepCatalog:
     """The transitive representation classes of a group: the action on the
     cosets of each subgroup class, whose index is the degree."""
 
-    group: FiniteGroup      # the classes' parent: its tables are built
-    classes: tuple          # subgroup_classes(group)
+    classes: tuple          # subgroup_classes of the group
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -127,9 +127,7 @@ def build_catalog(g: FiniteGroup) -> RepCatalog:
     1), trivial stabilizer last (the regular action)."""
     classes = subgroup_classes(g)
     assert classes[0].index == 1 and classes[-1].index == g.order
-    # the cached classes may come from an equal instance; restriction reads
-    # the tables the lattice built on it, not a second table on g
-    return RepCatalog(classes[0].parent, classes)
+    return RepCatalog(classes)
 
 
 @dataclass(frozen=True)
@@ -164,9 +162,7 @@ def restriction_matrix(emb: EmbeddingMap) -> RestrictionMatrix:
     """
     vcat = build_catalog(emb.codomain)
     edge = build_catalog(emb.domain).classes
-    # the catalog's group is the instance the lattice ran on, so these
-    # tables exist already, even when emb.codomain is an equal copy
-    index = vcat.group.tables()[0]
+    index = _element_index(emb.codomain)
     image = [index[emb.apply(a)] for a in emb.domain.elements]
     images = [frozenset(map(image.__getitem__, k.members[0])) for k in edge]
     table = [[_mark(k, h.members[0]) for k in edge] for h in edge]
@@ -195,4 +191,4 @@ def fixed_point_multiplicity(g: FiniteGroup, u, x: Perm) -> int:
         raise InputError(f"{x} is not an element of the group")
     _prime_order(x)
     cls, _ = _subgroup_class(g, u)
-    return _mark(cls, {cls.parent.tables()[0][x]})
+    return _mark(cls, {_element_index(g)[x]})

@@ -173,10 +173,13 @@ def random_graph(seed: int) -> GraphOfGroups:
     return make_graph(vertices, edges)
 
 
-def corpus_graphs(randomized: int = 25):
+RANDOM_GRAPHS = 25
+
+
+def corpus_graphs():
     """Named fixtures plus seeded random graphs, as (name, graph) pairs."""
     out = list(oracle_graphs())
     out.append(("infinite-dihedral", infinite_dihedral()))
-    for seed in range(randomized):
+    for seed in range(RANDOM_GRAPHS):
         out.append((f"random-{seed:02d}", random_graph(seed)))
     return tuple(out)

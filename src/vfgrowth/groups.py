@@ -16,12 +16,11 @@ parent's sorted ``elements`` (so equal groups share them) from the lattice
 through ``SubgroupClass.members`` to restriction; only ``all_subgroups``
 maps them back to ``Perm`` sets.  The tables are stored on the group and
 the lattice once, in the cache of ``subgroup_classes``, whose classes name
-the instance they were built on (``SubgroupClass.parent``).  Only the
-lattice closure and ``coset_action`` build left cosets (``_left_cosets``).
-The lattice is also the one judge of what a subgroup is and what
-normalizes it: a subgroup given as elements is looked up in it
-(``_subgroup_class``), and normalizer orders are its classes'
-``normalizer_order``.
+the instance they were built on (``SubgroupClass.parent``).  Every
+subgroup closure is ``_extend`` on cosets from ``_left_cosets``.  The
+lattice is also the one judge of what a subgroup is and what normalizes
+it: a subgroup given as elements is looked up in it (``_subgroup_class``),
+and normalizer orders are its classes' ``normalizer_order``.
 
 The lattice is the cyclic extension method (Holt, Eick and O'Brien,
 *Handbook of Computational Group Theory*, 2005): every subgroup U is
@@ -31,8 +30,8 @@ part of some element of U outside H).  One representative H per class is
 extended (the argument transports along conjugation), by one cyclic
 subgroup <a> per orbit of N_G(H) with a^p in H, since for n in N_G(H)
 <H, a^n> = <H, a>^n is in the class of <H, a> and (a^n)^p is in H exactly
-when a^p is.  N_G(H) is generated by Schreier elements of the conjugation
-walk that found the class of H, so no normalizer is searched for.
+when a^p is.  N_G(H) is spanned from H by Schreier elements of the
+conjugation walk that found the class of H: no normalizer is searched for.
 """
 
 from __future__ import annotations
@@ -351,16 +350,15 @@ def _prime_order(x: Perm) -> int:
 
 
 def _extend(cosets, coset_of, rows, limit):
-    """<H, a> as the union of the left cosets of H that it contains.
+    """<H, S> as the union of the left cosets of H that it contains.
 
     ``cosets``/``coset_of`` are the left cosets of H (see _left_cosets)
-    and ``rows`` the multiplication-table rows of the generators of H and
-    of a.  The cosets of H inside <H, a> are the orbit of H under left
-    multiplication by those generators.  Past ``limit`` cosets, that is
-    more than |A|/p elements of the ambient group A the cosets partition
-    (p the least prime dividing |A|), <H, a> is all of A by Lagrange, and
-    None is returned.
-    """
+    and ``rows`` the multiplication-table rows of the elements S.  The
+    cosets reached from H by left multiplication by S make up <S>H, which
+    is <H, S> when S holds generators of H or normalizes H.  Past
+    ``limit`` cosets, that is more than |A|/p elements of the ambient
+    group A the cosets partition (p the least prime dividing |A|), <H, S>
+    is all of A by Lagrange, and None is returned."""
     orbit = [0]
     seen = {0}
     for c in orbit:             # the orbit grows while it is walked
@@ -392,39 +390,20 @@ def _greedy_generators(mult, members) -> list:
     return gens
 
 
-def _span(mult, sub, gens):
-    """The subgroup the element indices ``gens`` generate, given the set
-    ``sub`` that all of them but the last generate, as a set: the union of
-    the left cosets of ``sub`` that the generators reach from it by left
-    multiplication."""
-    span = set(sub)
-    reps = [0]
-    for y in reps:              # reps grows while it is walked
-        for s in gens:
-            z = mult[s][y]
-            if z not in span:
-                row = mult[z]
-                span.update([row[x] for x in sub])
-                reps.append(z)
-    return span
-
-
-def _class_and_normalizer(mult, inv, gens, conj, members):
+def _class_and_schreier(mult, inv, gens, conj, members):
     """The conjugacy class of the subgroup H with element indices
     ``members``, walked by conjugating with the group generators ``gens``
-    (``conj`` holds x -> s^-1 x s for each), and generators of N_G(H).
+    (``conj`` holds x -> s^-1 x s for each), and the Schreier elements of
+    the walk.
 
     The walk keeps, for the i-th conjugate, the product t_i of generators
     that conjugates H to it.  Each step i --s--> j that reaches a conjugate
     already seen gives the Schreier element t_i s t_j^-1, which normalizes
-    H, and these generate N_G(H) (Schreier's lemma).  One is kept only
-    when it lies outside the span of those kept before it, so at most
-    log2 |N_G(H)| are kept; orbit-stabilizer checks their span."""
+    H, and these generate N_G(H) (Schreier's lemma)."""
     orbit = [members]
     at = {members: 0}
     walk = [0]
-    normal = []
-    span = {0}
+    schreier = []
     for i, cur in enumerate(orbit):     # orbit grows while it is walked
         row = mult[walk[i]]
         for s, c in zip(gens, conj):
@@ -435,13 +414,8 @@ def _class_and_normalizer(mult, inv, gens, conj, members):
                 orbit.append(image)
                 walk.append(row[s])
             else:
-                n = mult[row[s]][inv[walk[j]]]
-                if n not in span:
-                    normal.append(n)
-                    span = _span(mult, span, normal)
-    assert len(span) * len(orbit) == len(mult), \
-        "normalizer fails orbit-stabilizer"
-    return orbit, normal
+                schreier.append(mult[row[s]][inv[walk[j]]])
+    return orbit, schreier
 
 
 def _subgroup_index_sets(g: FiniteGroup) -> tuple:
@@ -470,7 +444,7 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
             ext.append((a, powers[_least_prime(n) % n]))
     # each class representative H is extended by one <a> per N_G(H)-orbit
     # of those outside H with a^p in H, which reaches every subgroup (see
-    # the module docstring); N_G(H) comes from _class_and_normalizer
+    # the module docstring); N_G(H) is spanned from _class_and_schreier
     bound = g.order // _least_prime(g.order)
     whole = frozenset(range(g.order))
     gens = [index[p] for p in g.generators]
@@ -478,14 +452,26 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
     conj = [[mult[mult[inv[s]][x]][s] for x in range(g.order)]
             for s in gens]
     trivial = frozenset([0])
-    orbit, normal = _class_and_normalizer(mult, inv, gens, conj, trivial)
+    orbit, schreier = _class_and_schreier(mult, inv, gens, conj, trivial)
     known = set(orbit)
     orbits = [tuple(orbit)]
-    reps = [(trivial, (), normal)]
-    for members, hgens, normal in reps:     # reps grows while it is walked
+    reps = [(trivial, (), len(orbit), schreier)]
+    for members, hgens, size, schreier in reps:  # reps grows while walked
         cosets, coset_of = _left_cosets(mult, members, range(g.order))
+        # N_G(H) = <H, kept>, a Schreier element kept only outside the span
+        # so far; all normalize H, so their rows alone walk H's cosets, and
+        # a limit of every coset means no Lagrange stop
+        kept = []
+        span = members
+        for n in schreier:
+            if n not in span:
+                kept.append(n)
+                span = _extend(cosets, coset_of, [mult[k] for k in kept],
+                               len(cosets))
+        assert len(span) * size == g.order, \
+            "normalizer fails orbit-stabilizer"
         limit = bound // len(members)
-        by = [(mult[inv[n]], n) for n in normal]
+        by = [(mult[inv[n]], n) for n in hgens + tuple(kept)]
         seen = set()
         for a, root in ext:
             if a in members or a in seen or root not in members:
@@ -506,10 +492,10 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
             if new in known:
                 continue
             # a conjugate already known would put new in an earlier class
-            orbit, normal = _class_and_normalizer(mult, inv, gens, conj, new)
+            orbit, schreier = _class_and_schreier(mult, inv, gens, conj, new)
             known.update(orbit)
             orbits.append(tuple(orbit))
-            reps.append((new, newgens, normal))
+            reps.append((new, newgens, len(orbit), schreier))
     return tuple(orbits)
 
 
@@ -611,6 +597,12 @@ def subgroup_classes(g: FiniteGroup) -> tuple:
 
 # -- subgroups given by their elements ------------------------------------
 
+def _element_index(g: FiniteGroup) -> dict:
+    """g's element -> index map in the tables of the instance that
+    ``subgroup_classes(g)`` ran on, where every ``members`` set counts."""
+    return subgroup_classes(g)[0].parent.tables()[0]
+
+
 def _subgroup_class(g: FiniteGroup, u) -> tuple:
     """The class in ``subgroup_classes(g)`` of a subgroup u of g, given as
     a SubgroupClass, a FiniteGroup or an iterable of Perm, and u's element
@@ -632,10 +624,9 @@ def _subgroup_class(g: FiniteGroup, u) -> tuple:
         raise InputError("subgroup must contain the identity")
     if g.order % len(members):
         raise InputError("not a subgroup: order does not divide the group order")
-    classes = subgroup_classes(g)
-    index = classes[0].parent.tables()[0]
+    index = _element_index(g)
     sub = frozenset(index[x] for x in members)
-    for cls in classes:
+    for cls in subgroup_classes(g):
         if cls.order == len(sub) and sub in cls.members:
             return cls, sub
     raise InputError("element set is not closed under multiplication")

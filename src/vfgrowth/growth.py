@@ -27,8 +27,8 @@ from .catalog import build_catalog, fixed_point_multiplicity, restriction_matrix
 from .errors import InputError
 from .gog import (GraphOfGroups, _check_family_params, euler_characteristic,
                   family_graph_text, parse_gog)
-from .groups import (FiniteGroup, _digit_limit, _is_prime, _prime_order,
-                     _subgroup_class, subgroup_classes)
+from .groups import (FiniteGroup, _digit_limit, _element_index, _is_prime,
+                     _prime_order, _subgroup_class, subgroup_classes)
 from .perm import Perm
 from .ratlp import LPSolution, RationalLP, certify, solve_max
 
@@ -215,10 +215,9 @@ def euler_tight(g: FiniteGroup, x: Perm) -> bool:
         raise InputError("criterion needs |G| > 2p")
     if x not in g:
         raise InputError(f"{x} is not an element of the group")
-    classes = subgroup_classes(g)
-    ix = classes[0].parent.tables()[0][x]
+    ix = _element_index(g)[x]
     # the one subgroup of order p that holds x is <x>
-    cyc = next(c for c in classes
+    cyc = next(c for c in subgroup_classes(g)
                if c.order == p and any(ix in m for m in c.members))
     return cyc.normalizer_order <= 2 * p
 
@@ -286,10 +285,12 @@ def _primes_above(start: int):
 
 
 def realize(a: int, b: int) -> RealizationPlan:
-    """Find a family amalgam (plus free rank) with growth exactly a/b.
+    """Find a family amalgam (plus free rank) whose closed form
+    (``family_mu``) predicts growth exactly a/b.
 
     A quick payoff of the closed form: every non-negative rational is the
-    growth coefficient of some virtually free group.
+    growth coefficient of some virtually free group.  The prediction is
+    the formula's, not a certified value.
     """
     if b < 1:
         raise InputError("denominator must be positive")
@@ -313,7 +314,6 @@ def realize(a: int, b: int) -> RealizationPlan:
             l = (-pow(p - 1, -1, d)) % d if d > 1 else 1
             num = b * l * (p - 1) + b
             variant = "symmetric"
-            cost = (p - 1) * l + 1 + (1 if p == 2 and l % 2 else 0)
         else:
             # even gap (so b odd): alternating variant, gcd(p-1, d) = 2
             if gcd(p - 1, d) != 2:
@@ -322,16 +322,15 @@ def realize(a: int, b: int) -> RealizationPlan:
             l = half if half else d // 2
             num = b * l * (p - 1) + 2 * b
             variant = "alternating"
-            cost = (p - 1) * l + 2
         if num % d:
             continue
         k = num // d
         if k - l * p < 2:
             continue
-        predicted = 1 - Fraction(cost, k)
+        # p > b >= 2 is odd: no delta, and no tabulated exception
+        predicted = family_mu(p, k, l, variant)
         assert predicted == Fraction(a2, b), "realization arithmetic is off"
-        delta = 1 if p == 2 and l % 2 else 0
-        return RealizationPlan(a, b, r, p, k, l, variant, delta,
+        return RealizationPlan(a, b, r, p, k, l, variant, 0,
                                predicted_mu=r + predicted)
     raise AssertionError("no admissible prime found")  # unreachable
 

@@ -8,10 +8,11 @@ from vfgrowth.catalog import (EmbeddingMap, RestrictionMatrix, build_catalog,
 from vfgrowth.corpus import corpus_graphs, klein_amalgam
 from vfgrowth.errors import EmbeddingError, InputError
 from vfgrowth.gog import load_gog
-from vfgrowth.groups import (_left_cosets, all_subgroups, alternating_group,
-                             coset_action, cyclic_group, dihedral_group,
-                             generate, klein_four, orbit_minima,
-                             subgroup_classes, symmetric_group, trivial_group)
+from vfgrowth.groups import (_element_index, _left_cosets, all_subgroups,
+                             alternating_group, coset_action, cyclic_group,
+                             dihedral_group, generate, klein_four,
+                             orbit_minima, subgroup_classes, symmetric_group,
+                             trivial_group)
 from vfgrowth.perm import identity, parse_perm
 from vfgrowth.selftest import (D10_FIX_TABLE, KLEIN_TABLE, MISPRINTED_ROW10,
                                S3_FIX_TABLE, S4_INDEX_COLUMN)
@@ -83,7 +84,7 @@ def test_restriction_along_identity_is_indicator():
 
 
 def test_degree_conservation_on_corpus():
-    for _name, g in corpus_graphs(randomized=10):
+    for _name, g in corpus_graphs():
         for e in g.edges:
             ecat = build_catalog(e.group)
             for side in range(2):
@@ -155,9 +156,9 @@ def _reference_restriction_matrix(emb: EmbeddingMap) -> RestrictionMatrix:
     """
     vcat = build_catalog(emb.codomain)
     ecat = build_catalog(emb.domain)
-    # the catalog's group is the instance the lattice ran on, so these
-    # tables exist already, even when emb.codomain is an equal copy
-    index, mult, _ = vcat.group.tables()
+    # the tables the lattice built, even when emb.codomain is an equal copy
+    index = _element_index(emb.codomain)
+    mult = vcat.classes[0].parent.tables()[1]
     # left multiplication by the image of each edge element, in the edge
     # group's element order, the order its classes' index sets count in
     edge = emb.domain.elements
@@ -169,7 +170,7 @@ def _reference_restriction_matrix(emb: EmbeddingMap) -> RestrictionMatrix:
     cols = []
     for rep in vcat.classes:
         cosets, coset_of = _left_cosets(mult, rep.members[0],
-                                        range(vcat.group.order))
+                                        range(emb.codomain.order))
         act = [tuple(coset_of[row[c[0]]] for c in cosets) for row in left]
         col = [0] * gen_count
         for p in orbit_minima(rep.index, [act[i] for i in gens]):
@@ -241,7 +242,7 @@ def test_an_impossible_mark_is_refused(monkeypatch):
     # of no action: some orbit count comes out fractional or negative
     emb = PAIRS["V4->S4 non-normal"]()
     vertex = build_catalog(emb.codomain)
-    index = vertex.group.tables()[0]
+    index = _element_index(emb.codomain)
     images = [frozenset(index[emb.apply(emb.domain.elements[i])]
                         for i in k.members[0])
               for k in build_catalog(emb.domain).classes]

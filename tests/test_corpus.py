@@ -40,7 +40,7 @@ def test_random_graph_respects_pool_bounds():
 
 
 def test_corpus_has_named_plus_random_members():
-    pairs = corpus_graphs(randomized=25)
+    pairs = corpus_graphs()
     names = [n for n, _ in pairs]
     assert len(pairs) == 33
     assert len(set(names)) == 33

@@ -4,9 +4,12 @@ memoizes only where it says so.
 A stdlib ``ast`` scan stands in for a linter: a name bound by an import
 must be read somewhere in the module.  Names listed in ``__all__`` are
 re-exports and count as read; ``from __future__`` imports bind nothing.
-A second scan lists every function under a memo decorator, so adding a
-cache is a change to the inventory pinned here.  Last, every entry point
-the benchmark's tracer wraps must resolve.
+A second scan finds private helpers nothing reads: every top-level
+function or class of the package whose name starts with ``_`` must be
+read, or imported, somewhere in the package outside its own definition.
+A third lists every function under a memo decorator, so adding a cache is
+a change to the inventory pinned here.  Last, every entry point the
+benchmark's tracer wraps must resolve.
 """
 
 import ast
@@ -55,8 +58,53 @@ def test_no_unused_imports(path):
     assert _unused_imports(tree) == []
 
 
-MEMO_DECORATORS = {"cache", "lru_cache", "cached_property"}
 PACKAGE = sorted((ROOT / "src" / "vfgrowth").glob("*.py"))
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _unread_private(trees: dict) -> list:
+    """``module.name`` for every top-level ``_``-prefixed function or class
+    in the modules ``trees`` maps to their syntax trees that no code there
+    reads outside its own definition; importing the name is a read."""
+    readers = {}    # name -> {(module, top-level definition reading it)}
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            owner = stmt.name if isinstance(stmt, DEFINITIONS) else None
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                readers.setdefault(name, set()).add((module, owner))
+    return sorted(f"{module}.{stmt.name}"
+                  for module, tree in trees.items() for stmt in tree.body
+                  if isinstance(stmt, DEFINITIONS)
+                  and stmt.name.startswith("_")
+                  and not readers.get(stmt.name, set())
+                  - {(module, stmt.name)})
+
+
+def test_the_scan_sees_an_unread_private_helper():
+    trees = {
+        "a": ast.parse("def _used(): pass\ndef _recursive(): _recursive()\n"
+                       "class _Unread: pass\ndef _imported(): pass\n"
+                       "def public(): return _used()\n"),
+        "b": ast.parse("from .a import _imported\n"),
+    }
+    assert _unread_private(trees) == ["a._Unread", "a._recursive"]
+
+
+def test_no_unread_private_helpers():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in PACKAGE}
+    assert _unread_private(trees) == []
+
+
+MEMO_DECORATORS = {"cache", "lru_cache", "cached_property"}
 
 
 def _memoized(tree: ast.Module, module: str) -> list:

@@ -1,8 +1,10 @@
 """Metamorphic checks: mu and the homomorphism counts belong to the group,
 not to its presentation.  Renaming vertices, reversing an edge, conjugating
 one embedding inside its vertex group, or a trip through the text format
-must leave mu and the type-sum totals unchanged."""
+must leave mu and the type-sum totals unchanged.  A free product adds:
+mu(G1 * G2) = mu(G1) + mu(G2) + 1, where a finite G counts as -1/|G|."""
 
+from fractions import Fraction
 from functools import lru_cache
 
 from hypothesis import HealthCheck, given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from vfgrowth.catalog import EmbeddingMap
 from vfgrowth.corpus import oracle_graphs, random_graph
 from vfgrowth.gog import GogEdge, make_graph, parse_gog, to_text
+from vfgrowth.groups import cyclic_group, symmetric_group, trivial_group
 from vfgrowth.growth import mu
 from vfgrowth.oracle import hom_count_typesum
 
@@ -85,3 +88,43 @@ def test_conjugating_an_embedding(name, data):
         else (e.embeddings[0], conj)
     moved = GogEdge(e.name, e.ends, e.group, embeddings)
     assert _invariants(_with_edge(g, i, moved)) == _expected(name)
+
+
+FINITE = {name: make_graph([("v", grp)], [])
+          for name, grp in (("C2", cyclic_group(2)),
+                            ("Sym(3)", symmetric_group(3)))}
+FACTORS = dict(oracle_graphs(), **FINITE)
+
+
+def _prefixed(g, tag):
+    vertices = [(tag + v, grp) for v, grp in g.vertices]
+    edges = [GogEdge(tag + e.name, tuple(tag + v for v in e.ends), e.group,
+                     e.embeddings) for e in g.edges]
+    return vertices, edges
+
+
+def _free_product(g1, g2):
+    """g1 * g2: both graphs, names prefixed apart, joined by a trivial edge
+    between their first vertices."""
+    v1, e1 = _prefixed(g1, "l-")
+    v2, e2 = _prefixed(g2, "r-")
+    (a, ga), (b, gb) = v1[0], v2[0]
+    t = trivial_group()
+    join = GogEdge("join", (a, b), t,
+                   (EmbeddingMap(t, ga, ()), EmbeddingMap(t, gb, ())))
+    return make_graph(v1 + v2, e1 + e2 + [join])
+
+
+def test_a_finite_group_counts_minus_one_over_its_order():
+    for g in FINITE.values():
+        order = g.vertices[0][1].order
+        assert mu(g).mu == Fraction(-1, order)
+
+
+def test_free_product_adds_mu_plus_one():
+    names = sorted(FACTORS)
+    alone = {name: mu(g).mu for name, g in FACTORS.items()}
+    for i, a in enumerate(names):
+        for b in names[i:]:
+            joined = mu(_free_product(FACTORS[a], FACTORS[b])).mu
+            assert joined == alone[a] + alone[b] + 1, (a, b)
