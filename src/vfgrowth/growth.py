@@ -13,7 +13,9 @@ from both sides.  The objective is (sum over edges of the induced-type
 total) minus (sum over vertices of the multiplicity total): each vertex
 contributes n!^(1 - sigma_v) homomorphisms of a fixed type, each edge
 divides by n!^(1 - tau_e), and the n log n exponent keeps only the sigma
-and tau terms.
+and tau terms.  Every constraint entry is an integer (a class index or an
+orbit count) and every objective entry half an integer, so the program is
+built in ints, a Fraction appearing only for an odd objective numerator.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import mul
+from operator import add
 
 from .catalog import build_catalog, fixed_point_multiplicity, restriction_matrix
 from .errors import InputError
@@ -54,7 +56,7 @@ class TypeVector:
         raise InputError(f"no vertex named {name!r}")
 
     def sigma(self, name: str) -> Fraction:
-        return sum(self.vertex(name), Fraction(0))
+        return sum(filter(None, self.vertex(name)), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -73,15 +75,24 @@ def _column_sums(mat) -> tuple:
 
 
 def build_growth_program(g: GraphOfGroups) -> GrowthProgram:
+    catalogs = tuple((name, build_catalog(grp)) for name, grp in g.vertices)
+    edges = tuple((e, *map(restriction_matrix, e.embeddings))
+                  for e in g.edges)
+    # tau_e is the same from either side on the feasible set; the
+    # symmetrized form keeps the objective well-defined off it too.  So a
+    # column's objective is (S - 2) / 2, S its orbit counts summed over the
+    # edge sides it sits on: half of each side's tau_e, less 1 for sigma_v.
+    orbits = {name: [0] * len(cat) for name, cat in catalogs}
+    for e, ml, mr in edges:
+        for mat, side in zip((ml, mr), e.ends):
+            orbits[side] = list(map(add, orbits[side], _column_sums(mat)))
+
     lp = RationalLP()
-    catalogs = []
     columns = []
-    for name, grp in g.vertices:
-        cat = build_catalog(grp)
-        catalogs.append((name, cat))
+    for name, cat in catalogs:
         start = lp.num_vars
-        for i in range(len(cat)):
-            lp.add_var(f"{name}.{i + 1}", objective=-1)
+        for i, total in enumerate(orbits[name]):
+            lp.add_var(f"{name}.{i + 1}", Fraction(total - 2, 2))
         columns.append((name, range(start, lp.num_vars)))
     cols = dict(columns)
 
@@ -89,25 +100,14 @@ def build_growth_program(g: GraphOfGroups) -> GrowthProgram:
         lp.add_constraint(
             {col: cls.index for col, cls in zip(cols[name], cat.classes)}, 1)
 
-    edges = []
-    for e in g.edges:
-        ml, mr = (restriction_matrix(emb) for emb in e.embeddings)
+    for e, ml, mr in edges:
         left, right = e.ends
         for lrow, rrow in zip(ml.rows, mr.rows):
-            row = {}
-            for col, m in zip(cols[left], lrow):
-                row[col] = row.get(col, 0) + m
+            row = dict(zip(cols[left], lrow))
             for col, m in zip(cols[right], rrow):
                 row[col] = row.get(col, 0) - m
             lp.add_constraint(row, 0)
-        # tau_e is the same from either side on the feasible set; the
-        # symmetrized form keeps the objective well-defined off it too.
-        for mat, side in ((ml, left), (mr, right)):
-            for col, colsum in zip(cols[side], _column_sums(mat)):
-                if colsum:
-                    lp.add_to_objective(col, Fraction(colsum, 2))
-        edges.append((e, ml, mr))
-    return GrowthProgram(g, lp, tuple(catalogs), tuple(columns), tuple(edges))
+    return GrowthProgram(g, lp, catalogs, tuple(columns), edges)
 
 
 def build_growth_lp(g: GraphOfGroups) -> RationalLP:
@@ -157,7 +157,8 @@ def mu(g: GraphOfGroups) -> GrowthReport:
                           for name, cols in program.columns))
     sigma = tuple((name, tv.sigma(name)) for name, _ in g.vertices)
     taus = tuple(
-        (e.name, sum(map(mul, _column_sums(ml), tv.vertex(e.ends[0])),
+        (e.name, sum((s * w for s, w in zip(_column_sums(ml),
+                                             tv.vertex(e.ends[0])) if w),
                      Fraction(0)))
         for e, ml, _ in program.edges)
     value = sum(t for _, t in taus) - sum(s for _, s in sigma)

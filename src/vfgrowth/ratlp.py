@@ -2,7 +2,10 @@
 
 Solves max c.x subject to A x = b, x >= 0 by two-phase simplex with
 Bland's anti-cycling rule.  There is no floating point and no tolerance.
-The tableau is fraction-free: each row is a list of Python ints divided by
+A program stores each integral coefficient as a Python int and only a
+non-integral one as a Fraction, so a program with integer data, such as
+every growth LP's constraints, is held in ints from the start.  The
+tableau is fraction-free: each row is a list of Python ints divided by
 its gcd, a positive multiple of the rational row it stands for, so its
 basic entry is positive.  The reduced-cost row is a row of the same
 tableau, updated by the same pivots; the ratio test cross-multiplies; and
@@ -11,9 +14,10 @@ same simplex run on Fraction rows, so the answer is too.
 
 An optimal solution carries a dual vector y with A^T y >= c and
 b.y = c.x, read from the phase-1 artificial columns, which stay in the
-tableau.  certify checks that and primal feasibility in exact arithmetic,
-with no code shared with the simplex; by weak duality that proves the
-optimum at any size.
+tableau.  certify checks that and primal feasibility exactly, with no
+code shared with the simplex: it scales x, y and c by their common
+denominators and compares the scaled products, which are ints wherever
+A and b are.  By weak duality that proves the optimum at any size.
 
 enumerate_vertices visits every basic feasible solution by exhaustive
 basis enumeration (capped at 24 variables by default).  It is the tests'
@@ -33,8 +37,22 @@ VERTEX_ENUM_CAP = 24
 _ITERATION_CAP = 100000
 
 
+def _exact(c):
+    """A coefficient as an int if it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class RationalLP:
-    """maximize objective . x  subject to  rows . x = rhs,  x >= 0."""
+    """maximize objective . x  subject to  rows . x = rhs,  x >= 0.
+
+    Coefficients are stored exactly: an integral one as an int, any other
+    as a Fraction.  Variables are referred to by their index, counted from
+    0 in the order add_var made them.
+    """
 
     def __init__(self):
         self.var_names = []
@@ -50,25 +68,31 @@ class RationalLP:
     def num_constraints(self) -> int:
         return len(self.rows)
 
+    def _column(self, index) -> int:
+        if not 0 <= index < len(self.var_names):
+            raise InputError(f"no variable with index {index!r}")
+        return index
+
     def add_var(self, name: str, objective=0) -> int:
         if name in self.var_names:
             raise InputError(f"duplicate variable {name!r}")
         self.var_names.append(name)
-        self.objective.append(Fraction(objective))
+        self.objective.append(_exact(objective))
         for row in self.rows:
-            row.append(Fraction(0))
+            row.append(0)
         return len(self.var_names) - 1
 
     def add_to_objective(self, index: int, coeff):
-        self.objective[index] += Fraction(coeff)
+        col = self._column(index)
+        self.objective[col] = _exact(self.objective[col] + _exact(coeff))
 
     def add_constraint(self, coeffs, rhs):
         """coeffs: mapping from variable index to coefficient."""
-        row = [Fraction(0)] * len(self.var_names)
+        row = [0] * len(self.var_names)
         for idx, c in coeffs.items():
-            row[idx] += Fraction(c)
+            row[self._column(idx)] = _exact(c)
         self.rows.append(row)
-        self.rhs.append(Fraction(rhs))
+        self.rhs.append(_exact(rhs))
 
 
 @dataclass(frozen=True)
@@ -94,7 +118,9 @@ def _primitive(row) -> list:
 def _integer_row(values) -> list:
     """The smallest positive multiple of a rational row that is all ints."""
     den = lcm(*(v.denominator for v in values))
-    return _primitive([v.numerator * (den // v.denominator) for v in values])
+    if den > 1:
+        values = [v.numerator * (den // v.denominator) for v in values]
+    return _primitive(values)
 
 
 def _combine(p, r, q, prow):
@@ -212,26 +238,48 @@ def solve_max(lp: RationalLP) -> LPSolution:
                       tuple(sorted(basis)), dual)
 
 
+def _scaled(values):
+    """(d, [v * d for v in values]) for the least d > 0 that makes every
+    product an int."""
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
 def certify(lp: RationalLP, solution: LPSolution) -> bool:
     """Whether the solution is provably optimal, by weak duality.
 
-    Checks, in exact arithmetic and sharing nothing with the simplex, that
-    x is feasible (A x = b, x >= 0), that y is dual feasible (A^T y >= c
-    column by column) and that b.y = c.x = value.  Any feasible x then has
-    c.x <= (A^T y).x = b.y, so no point beats the solution.
+    Checks exactly, sharing nothing with the simplex, that x is feasible
+    (A x = b, x >= 0), that y is dual feasible (A^T y >= c column by
+    column) and that b.y = c.x = value.  Any feasible x then has
+    c.x <= (A^T y).x = b.y, so no point beats the solution.  The checks
+    run on X = dx x, Y = dy y and C = dc c, scaled by their common
+    denominators: A X = dx b, dc A^T Y >= dy C and C.X = dc dx value,
+    b.Y = dy value, all in ints where A and b are.
     """
     x, y = solution.point, solution.dual
     if solution.status != "optimal" or x is None or y is None \
             or len(x) != lp.num_vars or len(y) != lp.num_constraints:
         return False
-    weighted = [(row, w) for row, w in zip(lp.rows, y) if w]
-    cx = sum(c * v for c, v in zip(lp.objective, x) if v)
-    return (all(v >= 0 for v in x)
-            and all(sum(a * v for a, v in zip(row, x) if v and a) == b
-                    for row, b in zip(lp.rows, lp.rhs))
-            and all(sum(row[j] * w for row, w in weighted if row[j]) >= c
-                    for j, c in enumerate(lp.objective))
-            and cx == solution.value == sum(b * w for b, w in zip(lp.rhs, y)))
+    dx, xs = _scaled(x)
+    dy, ys = _scaled(y)
+    dc, cs = _scaled(lp.objective)
+    if any(v < 0 for v in xs):
+        return False
+    support = [(j, v) for j, v in enumerate(xs) if v]
+    if any(sum(row[j] * v for j, v in support) != b * dx
+           for row, b in zip(lp.rows, lp.rhs)):
+        return False
+    aty = [0] * lp.num_vars
+    for row, w in zip(lp.rows, ys):
+        if w:
+            aty = [s + a * w if a else s for s, a in zip(aty, row)]
+    if any(s * dc < c * dy for s, c in zip(aty, cs)):
+        return False
+    value = solution.value
+    return (sum(cs[j] * v for j, v in support) * value.denominator
+            == value.numerator * dc * dx
+            and sum(b * w for b, w in zip(lp.rhs, ys)) * value.denominator
+            == value.numerator * dy)
 
 
 def _rref(matrix, ncols):

@@ -21,7 +21,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "lp_solutions.txt"
 
 
-def _graphs():
+def lp_graphs():
+    """(name, graph) for every corpus graph and graphs/*.gog."""
     yield from corpus_graphs()
     for path in sorted((ROOT / "graphs").glob("*.gog")):
         yield path.relative_to(ROOT).as_posix(), load_gog(path)
@@ -29,7 +30,7 @@ def _graphs():
 
 def solution_lines() -> list:
     lines = []
-    for name, g in _graphs():
+    for name, g in lp_graphs():
         sol = solve_max(build_growth_program(g).lp)
         lines.append("\t".join([
             name, sol.status, str(sol.value),

@@ -27,6 +27,13 @@ def _cases() -> dict:
         cases[f"report-{stem}"] = ["report", path]
         cases[f"report-json-{stem}"] = ["report", path, "--json"]
     cases.update({
+        "report-dump-lp-klein": ["report", "graphs/klein.gog", "--dump-lp"],
+        "report-json-dump-lp-klein":
+            ["report", "graphs/klein.gog", "--json", "--dump-lp"],
+        "report-dump-lp-triangle":
+            ["report", "graphs/triangle.gog", "--dump-lp"],
+        "report-json-dump-lp-triangle":
+            ["report", "graphs/triangle.gog", "--json", "--dump-lp"],
         "homcount-klein-per-type":
             ["homcount", "graphs/klein.gog", "--n", "6", "--per-type"],
         "homcount-modular-enumerate":

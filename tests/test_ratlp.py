@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from make_lp_golden import GOLDEN, solution_lines
+from make_lp_golden import GOLDEN, lp_graphs, solution_lines
 from vfgrowth.corpus import (corpus_graphs, klein_amalgam, modular_graph,
                              triangle_graph)
 from vfgrowth.errors import CapExceeded, InputError
@@ -87,6 +87,46 @@ def test_duplicate_variable_rejected():
     lp.add_var("x")
     with pytest.raises(InputError):
         lp.add_var("x")
+
+
+def test_negative_column_index_rejected():
+    # -1 must not count from the end and put the coefficient on y
+    lp = _lp(["x", "y"], [1, 1], [])
+    with pytest.raises(InputError, match="index -1"):
+        lp.add_constraint({-1: 1, 0: 1}, 1)
+    with pytest.raises(InputError, match="index -1"):
+        lp.add_to_objective(-1, 1)
+    assert lp.rows == [] and lp.objective == [1, 1]
+
+
+def test_column_index_past_the_last_variable_rejected():
+    lp = _lp(["x", "y"], [1, 1], [])
+    with pytest.raises(InputError, match="index 2"):
+        lp.add_constraint({0: 1, 2: 1}, 1)
+    with pytest.raises(InputError, match="index 2"):
+        lp.add_to_objective(2, 1)
+    assert lp.rows == [] and lp.objective == [1, 1]
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    lp = _lp(["x", "y", "z"], [Fraction(4, 2), Fraction(1, 2), 0],
+             [([1, Fraction(6, 3), 0], Fraction(3, 1))])
+    lp.add_to_objective(1, Fraction(1, 2))
+    assert lp.objective == [2, 1, 0] and lp.rows == [[1, 2, 0]]
+    assert all(type(v) is int
+               for v in lp.objective + lp.rows[0] + lp.rhs)
+    lp.add_constraint({2: Fraction(1, 3)}, 0)
+    assert lp.rows[1] == [0, 0, Fraction(1, 3)]
+
+
+def test_growth_programs_hold_only_ints():
+    # every constraint entry is a class index or an orbit count, and the
+    # objective is half-integral
+    for name, g in lp_graphs():
+        lp = build_growth_program(g).lp
+        assert all(type(a) is int for row in lp.rows for a in row), name
+        assert all(type(b) is int for b in lp.rhs), name
+        assert all((2 * c).denominator == 1 for c in lp.objective), name
 
 
 def test_enumerate_vertices_single_constraint():
@@ -185,6 +225,44 @@ def test_simplex_agrees_with_vertex_enumeration(case):
         assert not certify(lp, sol)
 
 
+def _fraction_certify(lp, solution):
+    """The certificate checked term by term in Fraction arithmetic: the
+    reference the int-scaled certify must agree with."""
+    x, y = solution.point, solution.dual
+    if solution.status != "optimal" or x is None or y is None \
+            or len(x) != lp.num_vars or len(y) != lp.num_constraints:
+        return False
+    weighted = [(row, w) for row, w in zip(lp.rows, y) if w]
+    cx = sum(c * v for c, v in zip(lp.objective, x) if v)
+    return (all(v >= 0 for v in x)
+            and all(sum(a * v for a, v in zip(row, x) if v and a) == b
+                    for row, b in zip(lp.rows, lp.rhs))
+            and all(sum(row[j] * w for row, w in weighted if row[j]) >= c
+                    for j, c in enumerate(lp.objective))
+            and cx == solution.value == sum(b * w for b, w in zip(lp.rhs, y)))
+
+
+def _nudged(values, j, delta):
+    return tuple(v + delta if i == j else v for i, v in enumerate(values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_lps(), st.integers(0, 7), st.sampled_from(
+    [Fraction(1, 3), Fraction(-1, 2), 1, Fraction(1, 10 ** 40)]))
+def test_certify_agrees_with_fraction_arithmetic(case, j, delta):
+    lp, _ = case
+    sol = solve_max(lp)
+    cases = [sol]
+    if sol.status == "optimal":
+        cases += [replace(sol, point=_nudged(sol.point, j % lp.num_vars,
+                                            delta)),
+                  replace(sol, dual=_nudged(sol.dual,
+                                            j % lp.num_constraints, delta)),
+                  replace(sol, value=sol.value + delta)]
+    for s in cases:
+        assert certify(lp, s) == _fraction_certify(lp, s)
+
+
 def _mutation_lp():
     # max x1  s.t.  x1 + x2 + x3 + x4 = 1,  x2 - x3 = 0.  The optimum is
     # x = (1, 0, 0, 0); the duals are y = (1, t) for -1 <= t <= 1.
@@ -212,8 +290,26 @@ def test_certify_accepts_the_optimum_and_its_dual():
 ])
 def test_certify_rejects_each_broken_condition(field, value, broken):
     lp = _mutation_lp()
+    sol = replace(solve_max(lp), **{field: value})
+    assert not certify(lp, sol), broken
+    assert not _fraction_certify(lp, sol), broken
+
+
+def test_certify_refuses_a_point_off_by_one_part_in_ten_to_the_forty():
+    eps = Fraction(1, 10 ** 40)
+    lp = _mutation_lp()
+    # row 1 reads 1 + eps; row 2, x >= 0, c.x = 1 and the dual all hold
+    sol = replace(solve_max(lp), point=(1, eps / 2, eps / 2, 0))
+    assert not certify(lp, sol)
+    assert not _fraction_certify(lp, sol)
+    # the same on a growth LP, nudging one basic coordinate
+    lp = build_growth_program(triangle_graph()).lp
     sol = solve_max(lp)
-    assert not certify(lp, replace(sol, **{field: value})), broken
+    j = next(j for j, v in enumerate(sol.point) if v)
+    off = replace(sol, point=_nudged(sol.point, j, eps))
+    assert certify(lp, sol) and _fraction_certify(lp, sol)
+    assert not certify(lp, off)
+    assert not _fraction_certify(lp, off)
 
 
 def test_every_corpus_graph_carries_a_certificate():
