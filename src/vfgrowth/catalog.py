@@ -12,7 +12,7 @@ growth linear program.  It is read from marks, with no coset walked
 and (N_G(H) : H) cosets give each conjugate, so K fixes ``aut_count``
 cosets per member of H's class that holds it (``_mark``).  Subgroups are
 element-index sets, like the classes' ``members``.  An embedding is given
-on generators and extended along the domain's Cayley walk
+on generators and extended along the domain's Cayley walk on image tuples
 (``groups.walk_images``); nothing here multiplies ``Perm`` objects.
 """
 

@@ -31,7 +31,7 @@ from .errors import CapExceeded, EmbeddingError, InputError, ParseError
 from .groups import (DEFAULT_GROUP_CAP, FiniteGroup, _decimal,
                      _is_prime, _order_past_digit_limit, alternating_group,
                      cyclic_group, dihedral_group, generate, klein_four,
-                     symmetric_group, trivial_group)
+                     symmetric_group, trivial_group, walk)
 from .perm import Perm, from_cycles, parse_perm
 
 
@@ -126,19 +126,16 @@ class SpanningTree:
 
 def spanning_tree(g: GraphOfGroups) -> SpanningTree:
     """Breadth-first spanning tree rooted at the first-listed vertex,
-    covering the vertices reachable from it."""
-    order = [g.vertex_names[0]]
-    reached = set(order)
-    links = []
-    for v in order:             # order grows while it is walked
-        for e in g.edges:
-            for a, b in (e.ends, e.ends[::-1]):
-                if a == v and b not in reached:
-                    reached.add(b)
-                    links.append((b, v, e))
-                    order.append(b)
-                    break
-    return SpanningTree(tuple(order), tuple(links))
+    covering the vertices reachable from it: a ``walk`` over the edges,
+    each taking a vertex to its other end (a vertex off the edge stays),
+    whose tree steps are the links."""
+    def across(v, e):
+        a, b = e.ends
+        return b if a == v else a if b == v else v
+    at, steps = walk(g.vertex_names[0], g.edges, across)
+    order = tuple(at)
+    return SpanningTree(order, tuple((order[y], order[x], g.edges[k])
+                                     for x, k, y, tree in steps if tree))
 
 
 # -- constructors ----------------------------------------------------------

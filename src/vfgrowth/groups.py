@@ -5,22 +5,23 @@ lexicographically by image tuples, subgroup lists and conjugacy-class lists
 come out in a canonical order, and repeated runs produce identical data.
 Groups are small (at most DEFAULT_GROUP_CAP elements, and at most
 DEFAULT_SUBGROUP_CAP for the subgroup lattice), so brute force over
-elements is the method of choice throughout.  The only ``Perm`` products
-are in ``cayley_walk``: it generates a group, and ``walk_images`` composes
-generator images along it, which is how homomorphisms are extended
-(``catalog.extend_hom`` and the brute-force counter in ``oracle``).  Once a
-group is generated, the subgroup lattice, the class canonicalization and
-the coset actions multiply element indices in its tables
-(``FiniteGroup.tables``), and a subgroup is a frozenset of positions in the
-parent's sorted ``elements`` (so equal groups share them) from the lattice
-through ``SubgroupClass.members`` to restriction; only ``all_subgroups``
-maps them back to ``Perm`` sets.  The tables are stored on the group and
-the lattice once, in the cache of ``subgroup_classes``, whose classes name
-the instance they were built on (``SubgroupClass.parent``).  Every
-subgroup closure is ``_extend`` on cosets from ``_left_cosets``.  The
-lattice is also the one judge of what a subgroup is and what normalizes
-it: a subgroup given as elements is looked up in it (``_subgroup_class``),
-and normalizer orders are its classes' ``normalizer_order``.
+elements is the method of choice throughout.  No ``Perm`` product is
+formed: ``walk`` is the one breadth-first orbit routine, and
+``cayley_walk`` runs it on image tuples to generate a group, along which
+``walk_images`` extends homomorphisms (``catalog.extend_hom`` and the
+brute-force counter in ``oracle``).  The tables (``FiniteGroup.tables``)
+are built along a ``walk`` too, and with them the subgroup lattice, the
+class canonicalization and the coset actions multiply element indices; a
+subgroup is a frozenset of positions in the parent's sorted ``elements``
+(so equal groups share them) from the lattice through
+``SubgroupClass.members`` to restriction; only ``all_subgroups`` maps them
+back to ``Perm`` sets.  The tables are stored on the group and the lattice
+once, in the cache of ``subgroup_classes``, whose classes name the
+instance they were built on (``SubgroupClass.parent``).  Every subgroup
+closure is ``_extend`` on cosets from ``_left_cosets``.  The lattice is
+also the one judge of what a subgroup is and what normalizes it: a
+subgroup given as elements is looked up in it (``_subgroup_class``), and
+normalizer orders are its classes' ``normalizer_order``.
 
 The lattice is the cyclic extension method (Holt, Eick and O'Brien,
 *Handbook of Computational Group Theory*, 2005): every subgroup U is
@@ -50,31 +51,39 @@ DEFAULT_SUBGROUP_CAP = 1000
 PRIME_TEST_CAP = 10 ** 12
 
 
-def cayley_walk(gens, degree: int, cap: int) -> tuple:
-    """Breadth-first walk of the Cayley graph of the group that the ``Perm``
-    list ``gens`` generates on ``degree`` points, from the identity: (walk
-    position of every element, steps).  A step (x, k, y, tree) says that
-    the element at position x times ``gens[k]`` is the element at y, with
-    tree true where that first reaches y; every edge of the graph is one
-    step, in the order the walk meets it.  Raises CapExceeded ("group too
-    large") past ``cap`` elements."""
-    e = identity(degree)
-    at = {e: 0}
-    walk = [e]
+def walk(start, gens, act, cap=None) -> tuple:
+    """Breadth-first orbit of ``start`` under ``act``: (walk position of
+    every point, steps).  A step (x, k, y, tree) says that ``act`` takes
+    the point at x by ``gens[k]`` to the point at y, tree true where that
+    first reaches y; every edge of the orbit graph is one step, in the
+    order the walk meets it.  Raises CapExceeded ("group too large") past
+    ``cap`` points."""
+    at = {start: 0}
+    points = [start]
     steps = []
-    for i, x in enumerate(walk):    # walk grows while it is walked
+    for i, x in enumerate(points):      # points grows while it is walked
         for k, s in enumerate(gens):
-            y = x * s
+            y = act(x, s)
             j = at.get(y)
             tree = j is None
             if tree:
-                if len(at) >= cap:
+                if cap is not None and len(at) >= cap:
                     raise CapExceeded(
                         f"group too large: more than {cap} elements")
-                j = at[y] = len(walk)
-                walk.append(y)
+                j = at[y] = len(points)
+                points.append(y)
             steps.append((i, k, j, tree))
     return at, steps
+
+
+def cayley_walk(gens, degree: int, cap: int) -> tuple:
+    """``walk`` of the Cayley graph of the group that the ``Perm`` list
+    ``gens`` generates on ``degree`` points, from the identity, by right
+    multiplication on image tuples: (walk position of every element as a
+    ``Perm``, steps); a step (x, k, y, tree) reads x * gens[k] = y."""
+    at, steps = walk(tuple(range(degree)), [s.images for s in gens],
+                     lambda x, s: tuple(map(x.__getitem__, s)), cap)
+    return {Perm(x): i for x, i in at.items()}, steps
 
 
 def walk_images(steps, size: int, gen_images, degree: int) -> tuple:
@@ -136,34 +145,29 @@ class FiniteGroup:
     def tables(self):
         """(index map, multiplication table, inverse table) over 0..order-1.
 
-        Only the generators' rows are computed from image tuples.  Every
-        other row follows by a breadth-first walk of the Cayley graph,
-        since row(x*s) = row(x) composed with row(s) needs only integer
-        indexing.
+        Rows are built along a ``walk`` of the Cayley graph by left
+        multiplication on image tuples.  Its steps give, for each
+        generator s, the index of s*t for every t; a tree step reaches
+        s*x from x, and row(s*x) is row(x) mapped through that left
+        action, which needs only integer indexing.
         """
         if self._tables is None:
             elements = self.elements
             index = {p: i for i, p in enumerate(elements)}
             by_images = {p.images: i for i, p in enumerate(elements)}
-            gen_rows = []       # (s, the index of s*t for every t)
-            for s in self.generators:
-                images = s.images
-                gen_rows.append((index[s], [
-                    by_images[tuple(images[k] for k in t.images)]
-                    for t in elements]))
+            at, steps = walk(tuple(range(self.degree)),
+                             [s.images for s in self.generators],
+                             lambda x, s: tuple(map(s.__getitem__, x)))
+            pos = [by_images[x] for x in at]
+            left = [[0] * self.order for _ in self.generators]
+            for x, k, y, _ in steps:
+                left[k][pos[x]] = pos[y]
             mult = [None] * self.order
             mult[0] = list(range(self.order))
-            frontier = [0]
-            while frontier:
-                new = []
-                for x in frontier:
-                    row = mult[x]
-                    for s, srow in gen_rows:
-                        y = row[s]
-                        if mult[y] is None:
-                            mult[y] = [row[t] for t in srow]
-                            new.append(y)
-                frontier = new
+            for x, k, y, tree in steps:
+                if tree:
+                    mult[pos[y]] = list(map(left[k].__getitem__,
+                                            mult[pos[x]]))
             inv = [row.index(0) for row in mult]
             self._tables = (index, mult, inv)
         return self._tables
@@ -359,6 +363,7 @@ def _extend(cosets, coset_of, rows, limit):
     ``limit`` cosets, that is more than |A|/p elements of the ambient
     group A the cosets partition (p the least prime dividing |A|), <H, S>
     is all of A by Lagrange, and None is returned."""
+    # not ``walk``: this orbit stops at the Lagrange bound and needs no steps
     orbit = [0]
     seen = {0}
     for c in orbit:             # the orbit grows while it is walked
@@ -393,29 +398,22 @@ def _greedy_generators(mult, members) -> list:
 def _class_and_schreier(mult, inv, gens, conj, members):
     """The conjugacy class of the subgroup H with element indices
     ``members``, walked by conjugating with the group generators ``gens``
-    (``conj`` holds x -> s^-1 x s for each), and the Schreier elements of
-    the walk.
-
-    The walk keeps, for the i-th conjugate, the product t_i of generators
-    that conjugates H to it.  Each step i --s--> j that reaches a conjugate
-    already seen gives the Schreier element t_i s t_j^-1, which normalizes
-    H, and these generate N_G(H) (Schreier's lemma)."""
-    orbit = [members]
-    at = {members: 0}
-    walk = [0]
+    (``conj`` holds x -> s^-1 x s for each), and its Schreier elements.
+    A tree step x --s--> y gives t_y = t_x s, the product of generators
+    that conjugates H to the y-th conjugate; each other step gives
+    t_x s t_y^-1, which normalizes H, and these generate N_G(H)
+    (Schreier's lemma)."""
+    at, steps = walk(members, conj,
+                     lambda cur, c: frozenset(map(c.__getitem__, cur)))
+    t = [0] * len(at)
     schreier = []
-    for i, cur in enumerate(orbit):     # orbit grows while it is walked
-        row = mult[walk[i]]
-        for s, c in zip(gens, conj):
-            image = frozenset(map(c.__getitem__, cur))
-            j = at.get(image)
-            if j is None:
-                at[image] = len(orbit)
-                orbit.append(image)
-                walk.append(row[s])
-            else:
-                schreier.append(mult[row[s]][inv[walk[j]]])
-    return orbit, schreier
+    for x, k, y, tree in steps:
+        ts = mult[t[x]][gens[k]]
+        if tree:
+            t[y] = ts
+        else:
+            schreier.append(mult[ts][inv[t[y]]])
+    return list(at), schreier
 
 
 def _subgroup_index_sets(g: FiniteGroup) -> tuple:
@@ -476,8 +474,8 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
         for a, root in ext:
             if a in members or a in seen or root not in members:
                 continue
-            # a stands for its orbit under conjugation by N_G(H), which
-            # keeps the orbit outside H
+            # a stands for its orbit under conjugation by N_G(H), which stays
+            # outside H; not ``walk``: cold Sym(6) classes ran 7-15% slower
             seen.add(a)
             todo = [a]
             for b in todo:              # todo grows while it is walked
@@ -534,6 +532,7 @@ def orbit_minima(degree: int, images) -> list:
     """The least point of each orbit of the group generated by the
     permutations with the given image tuples on 0..degree-1, in ascending
     order."""
+    # not ``walk``: through it this ran 5x slower (cold Sym(6) classes +4%)
     seen = [False] * degree
     minima = []
     for start in range(degree):

@@ -17,18 +17,19 @@ and nothing in this module is cached across calls.
   ``type_hom_count`` recounts one type in ``Fraction`` arithmetic apart
   from the join.
 - Brute force tries every tuple of generator images.  Each vertex group's
-  Cayley graph is walked once per call, and each tuple is composed along
-  the walk and checked on every edge of it.  A non-tree edge multiplies by
-  the number of permutations conjugating one side's images onto the
-  other's.  Every lookup key of a homomorphism (its parent-edge bucket key,
-  the keys its children look up, its images on each non-tree edge side) is
-  built once, when the homomorphisms are listed.  Transporter counts are
-  memoized by image tuple in a dict that lives for one call.  S_n is
-  listed by ``itertools.permutations`` on image tuples, both for the
-  generator images (``_symmetric_images``, in the lexicographic order of
-  ``symmetric_group(n).elements``) and for the conjugating letters, with
-  no Cayley walk and no ``Perm`` product, so this leg does not rest on
-  ``groups.generate``, one of the routines it checks.
+  Cayley graph is walked once per call on image tuples, and each tuple is
+  composed along the walk and checked on every edge of it, with no ``Perm``
+  product.  A non-tree edge multiplies by the number of permutations
+  conjugating one side's images onto the other's.  Every lookup key of a
+  homomorphism (its parent-edge bucket key, the keys its children look up,
+  its images on each non-tree edge side) is built once, when the
+  homomorphisms are listed.  Transporter counts are memoized by image tuple
+  in a dict that lives for one call.  S_n is listed by
+  ``itertools.permutations`` on image tuples, both for the generator images
+  (``_symmetric_images``, in the lexicographic order of
+  ``symmetric_group(n).elements``) and for the conjugating letters, with no
+  Cayley walk, so this leg does not rest on ``groups.generate``, one of the
+  routines it checks.
 
 The per-orbit constant in the closed form is the automorphism count
 c = (N_G(U) : U) of the coset space, not the point count of the orbit; the

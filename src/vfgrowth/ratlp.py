@@ -56,6 +56,7 @@ class RationalLP:
 
     def __init__(self):
         self.var_names = []
+        self._names = set()     # var_names as a set, for the duplicate check
         self.objective = []
         self.rows = []
         self.rhs = []
@@ -74,8 +75,9 @@ class RationalLP:
         return index
 
     def add_var(self, name: str, objective=0) -> int:
-        if name in self.var_names:
+        if name in self._names:
             raise InputError(f"duplicate variable {name!r}")
+        self._names.add(name)
         self.var_names.append(name)
         self.objective.append(_exact(objective))
         for row in self.rows:

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from vfgrowth import catalog, gog, groups
-from vfgrowth.corpus import modular_graph, triangle_graph
+from vfgrowth.corpus import corpus_graphs, modular_graph, triangle_graph
 from vfgrowth.errors import CapExceeded, InputError, ParseError
 from vfgrowth.gog import (amalgam, cycle_power_element, cyclic_amalgam,
                           euler_characteristic, family_amalgam,
@@ -233,6 +233,32 @@ def test_spanning_tree_size():
     assert len(spanning_tree(triangle_graph()).edge_names) == 2
     assert len(spanning_tree(free_group(3)).edge_names) == 0
     assert "e1" in spanning_tree(triangle_graph())
+
+
+def _reference_spanning_tree(g):
+    """The spanning-tree loop that ``gog.spanning_tree`` replaced, kept
+    word for word as the reference."""
+    order = [g.vertex_names[0]]
+    reached = set(order)
+    links = []
+    for v in order:             # order grows while it is walked
+        for e in g.edges:
+            for a, b in (e.ends, e.ends[::-1]):
+                if a == v and b not in reached:
+                    reached.add(b)
+                    links.append((b, v, e))
+                    order.append(b)
+                    break
+    return tuple(order), tuple(links)
+
+
+@pytest.mark.parametrize("g", [
+    pytest.param(g, id=name) for name, g in corpus_graphs()] + [
+    pytest.param(load_gog(path), id=path.name)
+    for path in sorted(GRAPHS.glob("*.gog"))])
+def test_spanning_tree_matches_the_reference_loop(g):
+    tree = spanning_tree(g)
+    assert (tree.order, tree.links) == _reference_spanning_tree(g)
 
 
 def test_free_product_shape():

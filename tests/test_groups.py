@@ -1,9 +1,11 @@
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+from make_lp_golden import GOLDEN, solution_lines
 from vfgrowth.catalog import (EmbeddingMap, fixed_point_multiplicity,
                               restriction_matrix)
 from vfgrowth.errors import CapExceeded, InputError
@@ -14,9 +16,13 @@ from vfgrowth.groups import (FiniteGroup, all_subgroups, alternating_group,
                              subgroup_classes, symmetric_group, trivial_group)
 from vfgrowth import catalog, groups
 from vfgrowth.groups import _known_order_product, _subgroup_index_sets
-from vfgrowth.growth import cyclic_amalgam_mu, cyclic_amalgam_value, euler_tight
-from vfgrowth.oracle import _transporter_count
+from vfgrowth.growth import (cyclic_amalgam_mu, cyclic_amalgam_value,
+                             euler_tight, mu)
+from vfgrowth.oracle import (DEFAULT_ENUM_GROUP_CAP, _transporter_count,
+                             hom_count_enumerate, hom_count_typesum)
 from vfgrowth.perm import Perm, identity, parse_perm
+
+GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 
 
 def test_generate_s3():
@@ -207,14 +213,54 @@ def _reference_tables(g):
     return index, mult, inv
 
 
-@pytest.mark.parametrize("g", [
+FOUR_GROUPS = pytest.mark.parametrize("g", [
     symmetric_group(4),
     alternating_group(5),
     _from_cycles("(1 2 3 4 5 6 7)", "(1 2)(3 5)"),      # PSL(2,7)
     direct_product(dihedral_group(4), cyclic_group(3)),
 ], ids=["Sym(4)", "Alt(5)", "PSL(2,7)", "Dih(4)xCyc(3)"])
+
+
+@FOUR_GROUPS
 def test_tables_match_perm_products(g):
     assert g.tables() == _reference_tables(g)
+
+
+def _reference_class_and_schreier(mult, inv, gens, conj, members):
+    """The class walk that ``groups._class_and_schreier`` replaced, kept
+    word for word as the reference."""
+    orbit = [members]
+    at = {members: 0}
+    walk = [0]
+    schreier = []
+    for i, cur in enumerate(orbit):     # orbit grows while it is walked
+        row = mult[walk[i]]
+        for s, c in zip(gens, conj):
+            image = frozenset(map(c.__getitem__, cur))
+            j = at.get(image)
+            if j is None:
+                at[image] = len(orbit)
+                orbit.append(image)
+                walk.append(row[s])
+            else:
+                schreier.append(mult[row[s]][inv[walk[j]]])
+    return orbit, schreier
+
+
+@FOUR_GROUPS
+def test_class_and_schreier_match_the_reference_walk(g):
+    # the orbit and the Schreier list, both in order, from every class
+    # representative, with the conjugation maps the lattice uses
+    classes = subgroup_classes(g)
+    parent = classes[0].parent
+    index, mult, inv = parent.tables()
+    gens = [index[p] for p in parent.generators]
+    conj = [[mult[mult[inv[s]][x]][s] for x in range(parent.order)]
+            for s in gens]
+    for cls in classes:
+        args = (mult, inv, gens, conj, cls.members[0])
+        assert groups._class_and_schreier(*args) == \
+            _reference_class_and_schreier(*args)
 
 
 def _reference_subgroups(g):
@@ -352,6 +398,39 @@ def test_group_layer_runs_no_perm_products(monkeypatch):
     # only the identity of Sym(7) centralizes the generators of PSL(2,7)
     pair = (seven.images, two.images)
     assert _transporter_count(pair, pair, 7) == 1
+
+
+# |Hom(Gamma, S_m)| for m = 1..4 on graphs/*.gog; the two counters agree
+HOM_TOTALS = {
+    "family_2_6_1.gog": [1, 2, 4, 10],
+    "family_3_4_1.gog": [1, 4, 34, 388],
+    "free2.gog": [1, 4, 36, 576],
+    "klein.gog": [1, 2, 10, 34],
+    "modular.gog": [1, 2, 12, 90],
+    "triangle.gog": [1, 4, 60, 528],
+}
+
+
+def test_the_package_forms_no_perm_product(monkeypatch):
+    # from parsing to mu, both counters and the corpus, with Perm products
+    # refused before anything is built; each answer against its golden
+    def product(*_):
+        raise AssertionError("Perm product")
+    monkeypatch.setattr(Perm, "__mul__", product)
+    golden = GOLDEN.read_text(encoding="utf-8").splitlines()
+    assert solution_lines() == golden      # corpus_graphs() and graphs/*.gog
+    values = {line.split("\t")[0]: line.split("\t")[2] for line in golden}
+    paths = sorted(GRAPHS.glob("*.gog"))
+    assert sorted(p.name for p in paths) == sorted(HOM_TOTALS)
+    for path in paths:
+        g = parse_gog(path.read_text(encoding="utf-8"))
+        assert mu(g).mu == Fraction(values[f"graphs/{path.name}"])
+        totals = HOM_TOTALS[path.name]
+        led = hom_count_typesum(g, 4)
+        assert [led.total(m) for m in range(1, 5)] == totals
+        if all(grp.order <= DEFAULT_ENUM_GROUP_CAP for _, grp in g.vertices):
+            assert [hom_count_enumerate(g, m) for m in range(1, 4)] == \
+                totals[:3]
 
 
 def test_subgroup_class_fields():
