@@ -55,9 +55,8 @@ def walk(start, gens, act, cap=None) -> tuple:
     """Breadth-first orbit of ``start`` under ``act``: (walk position of
     every point, steps).  A step (x, k, y, tree) says that ``act`` takes
     the point at x by ``gens[k]`` to the point at y, tree true where that
-    first reaches y; every edge of the orbit graph is one step, in the
-    order the walk meets it.  Raises CapExceeded ("group too large") past
-    ``cap`` points."""
+    first reaches y; every edge of the orbit graph is one step, in walk
+    order.  More than ``cap`` points raise CapExceeded."""
     at = {start: 0}
     points = [start]
     steps = []
@@ -82,7 +81,7 @@ def cayley_walk(gens, degree: int, cap: int) -> tuple:
     multiplication on image tuples: (walk position of every element as a
     ``Perm``, steps); a step (x, k, y, tree) reads x * gens[k] = y."""
     at, steps = walk(tuple(range(degree)), [s.images for s in gens],
-                     lambda x, s: tuple(map(x.__getitem__, s)), cap)
+                     lambda x, s: tuple([x[t] for t in s]), cap)
     return {Perm(x): i for x, i in at.items()}, steps
 
 
@@ -157,7 +156,7 @@ class FiniteGroup:
             by_images = {p.images: i for i, p in enumerate(elements)}
             at, steps = walk(tuple(range(self.degree)),
                              [s.images for s in self.generators],
-                             lambda x, s: tuple(map(s.__getitem__, x)))
+                             lambda x, s: tuple([s[t] for t in x]))
             pos = [by_images[x] for x in at]
             left = [[0] * self.order for _ in self.generators]
             for x, k, y, _ in steps:
@@ -166,8 +165,8 @@ class FiniteGroup:
             mult[0] = list(range(self.order))
             for x, k, y, tree in steps:
                 if tree:
-                    mult[pos[y]] = list(map(left[k].__getitem__,
-                                            mult[pos[x]]))
+                    srow = left[k]
+                    mult[pos[y]] = [srow[t] for t in mult[pos[x]]]
             inv = [row.index(0) for row in mult]
             self._tables = (index, mult, inv)
         return self._tables
