@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import make_group_golden
 from make_lp_golden import GOLDEN, solution_lines
 from vfgrowth.catalog import (EmbeddingMap, fixed_point_multiplicity,
                               restriction_matrix)
@@ -224,6 +225,13 @@ FOUR_GROUPS = pytest.mark.parametrize("g", [
 @FOUR_GROUPS
 def test_tables_match_perm_products(g):
     assert g.tables() == _reference_tables(g)
+
+
+def test_group_layer_matches_the_golden_digests():
+    # tables() and subgroup_classes of every cold-catalog vertex group;
+    # written by tests/make_group_golden.py
+    golden = make_group_golden.GOLDEN.read_text(encoding="utf-8")
+    assert make_group_golden.group_layer_lines() == golden.splitlines()
 
 
 def _reference_class_and_schreier(mult, inv, gens, conj, members):
