@@ -10,10 +10,13 @@ formed: ``walk`` is the one breadth-first orbit routine, and
 ``cayley_walk`` runs it on image tuples to generate a group, along which
 ``walk_images`` extends homomorphisms (``catalog.extend_hom`` and the
 brute-force counter in ``oracle``).  The tables (``FiniteGroup.tables``)
-are built along a ``walk`` too, and with them the subgroup lattice, the
-class canonicalization and the coset actions multiply element indices; a
-subgroup is a frozenset of positions in the parent's sorted ``elements``
-(so equal groups share them) from the lattice through
+are built along a ``walk`` too, each row composed from an earlier one by
+``operator.itemgetter`` and each inverse looked up by its image tuple, so
+no loop in Python runs over the entries of a row.  With the tables the
+subgroup lattice, the class canonicalization and the coset actions
+(``_left_cosets``, one ``itemgetter`` per subgroup) multiply element
+indices; a subgroup is a frozenset of positions in the parent's sorted
+``elements`` (so equal groups share them) from the lattice through
 ``SubgroupClass.members`` to restriction; only ``all_subgroups`` maps them
 back to ``Perm`` sets.  The tables are stored on the group and the lattice
 once, in the cache of ``subgroup_classes``, whose classes name the
@@ -40,7 +43,9 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from math import factorial, isqrt
+from operator import attrgetter, itemgetter
 
 from .errors import CapExceeded, InputError
 from .perm import Perm, from_cycles, identity
@@ -118,7 +123,7 @@ class FiniteGroup:
     def __init__(self, degree, generators, elements):
         self.degree = degree
         self.generators = tuple(generators)
-        self.elements = tuple(sorted(elements))
+        self.elements = tuple(sorted(elements, key=attrgetter("images")))
         self.order = len(self.elements)
         self._set = frozenset(self.elements)
         self._hash = hash((degree, self.elements))
@@ -148,26 +153,37 @@ class FiniteGroup:
         multiplication on image tuples.  Its steps give, for each
         generator s, the index of s*t for every t; a tree step reaches
         s*x from x, and row(s*x) is row(x) mapped through that left
-        action, which needs only integer indexing.
+        action, composed in C by ``itemgetter``.  The inverse of each
+        element is looked up by the inverse of its image tuple.  Raises
+        InputError when the generators do not generate the elements; the
+        walk stops at the first point past ``order``.
         """
         if self._tables is None:
             elements = self.elements
+            order = self.order
             index = {p: i for i, p in enumerate(elements)}
             by_images = {p.images: i for i, p in enumerate(elements)}
-            at, steps = walk(tuple(range(self.degree)),
-                             [s.images for s in self.generators],
-                             lambda x, s: tuple([s[t] for t in x]))
-            pos = [by_images[x] for x in at]
-            left = [[0] * self.order for _ in self.generators]
+            try:    # more than order points, or one outside the elements
+                at, steps = walk(tuple(range(self.degree)),
+                                 [s.images for s in self.generators],
+                                 lambda x, s: tuple([s[t] for t in x]), order)
+                pos = [by_images[x] for x in at]
+            except (CapExceeded, KeyError):
+                pos = None
+            if pos is None or len(pos) != order:
+                raise InputError(f"generators do not generate the {order} "
+                                 f"elements given")
+            left = [[0] * order for _ in self.generators]
             for x, k, y, _ in steps:
                 left[k][pos[x]] = pos[y]
-            mult = [None] * self.order
-            mult[0] = list(range(self.order))
+            mult = [None] * order
+            mult[0] = list(range(order))
             for x, k, y, tree in steps:
                 if tree:
-                    srow = left[k]
-                    mult[pos[y]] = [srow[t] for t in mult[pos[x]]]
-            inv = [row.index(0) for row in mult]
+                    mult[pos[y]] = list(itemgetter(*mult[pos[x]])(left[k]))
+            points = range(self.degree)
+            inv = [by_images[tuple(map(p.images.index, points))]
+                   for p in elements]
             self._tables = (index, mult, inv)
         return self._tables
 
@@ -307,17 +323,20 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 def _left_cosets(mult, sub, ambient):
     """Left cosets yH of the subgroup H with element indices ``sub``
     inside the subgroup with element indices ``ambient`` (ascending, so
-    starting at the identity, index 0): the cosets as index lists,
+    starting at the identity, index 0): the cosets as index tuples,
     numbered by their least element, and the list mapping each element of
     ``ambient`` to its coset number."""
+    # a subgroup of order 1 is {0}; itemgetter of one index returns the
+    # item, not a 1-tuple
+    take = itemgetter(*sub) if len(sub) > 1 else lambda row: (row[0],)
     coset_of = [None] * len(mult)
     cosets = []
     for y in ambient:
         if coset_of[y] is None:
-            row = mult[y]
-            coset = [row[x] for x in sub]
+            coset = take(mult[y])
+            c = len(cosets)
             for z in coset:
-                coset_of[z] = len(cosets)
+                coset_of[z] = c
             cosets.append(coset)
     return cosets, coset_of
 
@@ -425,10 +444,11 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
                           f"subgroup cap {DEFAULT_SUBGROUP_CAP}")
     index, mult, inv = g.tables()
     # each cyclic subgroup <x> stands by its least generator, least[<x>] =
-    # cyclic[x]; ext holds (a, a^p) for each such a of order p^k, p prime
+    # cyclic[x]; by_root maps r to the ascending such a of order p^k, p
+    # prime, with a^p = r
     least = {}
     cyclic = [0] * g.order
-    ext = []
+    by_root = {}
     for a in range(1, g.order):
         powers = [0]
         x = a
@@ -438,7 +458,7 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
         n = len(powers)
         cyclic[a] = least.setdefault(frozenset(powers), a)
         if cyclic[a] == a and _is_prime_power(n):
-            ext.append((a, powers[_least_prime(n) % n]))
+            by_root.setdefault(powers[_least_prime(n) % n], []).append(a)
     # each class representative H is extended by one <a> per N_G(H)-orbit
     # of those outside H with a^p in H, which reaches every subgroup (see
     # the module docstring); N_G(H) is spanned from _class_and_schreier
@@ -470,8 +490,9 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
         limit = bound // len(members)
         by = [(mult[inv[n]], n) for n in hgens + tuple(kept)]
         seen = set()
-        for a, root in ext:
-            if a in members or a in seen or root not in members:
+        roots = members.intersection(by_root)
+        for a in sorted(chain.from_iterable(map(by_root.__getitem__, roots))):
+            if a in members or a in seen:
                 continue
             # a stands for its orbit under conjugation by N_G(H), which stays
             # outside H; not ``walk``: cold Sym(6) classes ran 7-15% slower

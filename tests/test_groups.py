@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -214,17 +215,106 @@ def _reference_tables(g):
     return index, mult, inv
 
 
-FOUR_GROUPS = pytest.mark.parametrize("g", [
+_FOUR = [
     symmetric_group(4),
     alternating_group(5),
     _from_cycles("(1 2 3 4 5 6 7)", "(1 2)(3 5)"),      # PSL(2,7)
     direct_product(dihedral_group(4), cyclic_group(3)),
-], ids=["Sym(4)", "Alt(5)", "PSL(2,7)", "Dih(4)xCyc(3)"])
+]
+_FOUR_IDS = ["Sym(4)", "Alt(5)", "PSL(2,7)", "Dih(4)xCyc(3)"]
+FOUR_GROUPS = pytest.mark.parametrize("g", _FOUR, ids=_FOUR_IDS)
 
 
-@FOUR_GROUPS
+# rows of length 1 and 2 beside the four, and a mid-size group
+@pytest.mark.parametrize(
+    "g", _FOUR + [trivial_group(), cyclic_group(2), symmetric_group(5)],
+    ids=_FOUR_IDS + ["Trivial", "Cyc(2)", "Sym(5)"])
 def test_tables_match_perm_products(g):
     assert g.tables() == _reference_tables(g)
+
+
+def test_elements_sort_by_image_tuples():
+    elements = list(symmetric_group(4).elements)
+    random.Random(4).shuffle(elements)
+    got = FiniteGroup(4, (), elements).elements
+    assert list(got) == sorted(elements, key=lambda p: p.images)
+    assert list(got) == sorted(elements)            # by Perm.__lt__
+    assert got != tuple(elements)
+
+
+@pytest.mark.parametrize("degree, gens, elements", [
+    (3, [], ["()", "(1 2)"]),                       # falls short
+    (3, ["(1 2 3)"], ["()", "(1 2 3)", "(1 3 2)", "(1 2)"]),
+    (3, ["(1 2 3)"], ["()", "(1 2)"]),              # reaches past
+    (3, ["(1 2)"], ["(1 2)", "(1 3)"]),             # no identity
+])
+def test_tables_refuse_generators_that_miss_the_elements(degree, gens,
+                                                         elements):
+    g = FiniteGroup(degree, [parse_perm(t, degree) for t in gens],
+                    [parse_perm(t, degree) for t in elements])
+    with pytest.raises(InputError, match="do not generate"):
+        g.tables()
+    with pytest.raises(InputError, match="do not generate"):
+        subgroup_classes(g)
+
+
+def test_tables_stop_the_walk_past_the_order(monkeypatch):
+    # generators of Sym(6) over the two elements of <(1 2)>: the walk is
+    # refused at its third point, not run over all 720
+    s6 = symmetric_group(6)
+    g = FiniteGroup(6, s6.generators,
+                    [identity(6), parse_perm("(1 2)", 6)])
+    real = groups.walk
+    acts = []
+
+    def counted(start, gens, act, cap=None):
+        def act_counted(x, s):
+            acts.append(x)
+            return act(x, s)
+        return real(start, gens, act_counted, cap)
+    monkeypatch.setattr(groups, "walk", counted)
+    with pytest.raises(InputError, match="do not generate"):
+        g.tables()
+    assert 0 < len(acts) <= len(s6.generators) * (g.order + 1)
+
+
+def _reference_left_cosets(mult, sub, ambient):
+    """The coset loop that ``groups._left_cosets`` replaced, kept word for
+    word as the reference."""
+    coset_of = [None] * len(mult)
+    cosets = []
+    for y in ambient:
+        if coset_of[y] is None:
+            row = mult[y]
+            coset = [row[x] for x in sub]
+            for z in coset:
+                coset_of[z] = len(cosets)
+            cosets.append(coset)
+    return cosets, coset_of
+
+
+@pytest.mark.parametrize("g", _FOUR + [symmetric_group(5)],
+                         ids=_FOUR_IDS + ["Sym(5)"])
+def test_left_cosets_match_the_reference_loop(g):
+    # every class representative in the whole group, the trivial one
+    # included (one index), then inside each representative the way
+    # _greedy_generators asks: every representative it contains
+    classes = subgroup_classes(g)
+    mult = classes[0].parent.tables()[1]
+    reps = [cls.members[0] for cls in classes]
+    assert min(map(len, reps)) == 1
+
+    def same(sub, ambient):
+        cosets, coset_of = groups._left_cosets(mult, sub, ambient)
+        want, want_of = _reference_left_cosets(mult, sub, ambient)
+        assert [list(c) for c in cosets] == want
+        assert coset_of == want_of
+    for sub in reps:
+        same(sub, range(g.order))
+    for members in reps:
+        for sub in reps:
+            if sub <= members:
+                same(sub, sorted(members))
 
 
 def test_group_layer_matches_the_golden_digests():
