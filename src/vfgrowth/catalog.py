@@ -13,7 +13,11 @@ and (N_G(H) : H) cosets give each conjugate, so K fixes ``aut_count``
 cosets per member of H's class that holds it (``_mark``).  Subgroups are
 element-index sets, like the classes' ``members``.  An embedding is given
 on generators and extended along the domain's Cayley walk on image tuples
-(``groups.walk_images``); nothing here multiplies ``Perm`` objects.
+(``groups.walk_images``); nothing here multiplies ``Perm`` objects.  The
+walk of the domain's own generators, which every default ``EmbeddingMap``
+uses, is the one the domain keeps (``FiniteGroup.cayley``), so a domain
+is walked once however many embeddings start from it; any other
+generator list is walked afresh.
 """
 
 from __future__ import annotations
@@ -48,8 +52,12 @@ def extend_hom(domain: FiniteGroup, gens, images, target_degree=None) -> dict:
     for m in images:
         if m.degree != target_degree:
             raise ValueError(f"degree mismatch: {target_degree} vs {m.degree}")
-    # the gens lie in the domain, so the walk stops within its order
-    at, steps = cayley_walk(gens, domain.degree, domain.order)
+    # the gens lie in the domain, so the walk stops within its order; the
+    # domain keeps the walk of its own generators
+    if gens == domain.generators:
+        at, steps = domain.cayley()
+    else:
+        at, steps = cayley_walk(gens, domain.degree, domain.order)
     imgs, conflict = walk_images(steps, len(at), [m.images for m in images],
                                  target_degree)
     if conflict is not None:

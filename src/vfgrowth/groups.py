@@ -9,14 +9,18 @@ elements is the method of choice throughout.  No ``Perm`` product is
 formed: ``walk`` is the one breadth-first orbit routine, and
 ``cayley_walk`` runs it on image tuples to generate a group, along which
 ``walk_images`` extends homomorphisms (``catalog.extend_hom`` and the
-brute-force counter in ``oracle``).  The tables (``FiniteGroup.tables``)
-are built along a ``walk`` too, each row composed from an earlier one by
-``operator.itemgetter`` and each inverse looked up by its image tuple, so
-no loop in Python runs over the entries of a row.  With the tables the
-subgroup lattice, the class canonicalization and the coset actions
-(``_left_cosets``, one ``itemgetter`` per subgroup) multiply element
-indices; a subgroup is a frozenset of positions in the parent's sorted
-``elements`` (so equal groups share them) from the lattice through
+brute-force counter in ``oracle``).  Both compose each step in C, by one
+``operator.itemgetter`` per generator image made once per walk.  A group
+keeps the Cayley walk of its own generators (``FiniteGroup.cayley``),
+walked on first use like its tables, so the default edge embeddings and
+the brute-force counter walk each group instance once.  The tables
+(``FiniteGroup.tables``) are built along a ``walk`` too, each row composed
+from an earlier one by ``operator.itemgetter`` and each inverse looked up
+by its image tuple, so no loop in Python runs over the entries of a row.
+With the tables the subgroup lattice, the class canonicalization and the
+coset actions (``_left_cosets``, one ``itemgetter`` per subgroup) multiply
+element indices; a subgroup is a frozenset of positions in the parent's
+sorted ``elements`` (so equal groups share them) from the lattice through
 ``SubgroupClass.members`` to restriction; only ``all_subgroups`` maps them
 back to ``Perm`` sets.  The tables are stored on the group and the lattice
 once, in the cache of ``subgroup_classes``, whose classes name the
@@ -85,22 +89,35 @@ def cayley_walk(gens, degree: int, cap: int) -> tuple:
     ``gens`` generates on ``degree`` points, from the identity, by right
     multiplication on image tuples: (walk position of every element as a
     ``Perm``, steps); a step (x, k, y, tree) reads x * gens[k] = y."""
-    at, steps = walk(tuple(range(degree)), [s.images for s in gens],
-                     lambda x, s: tuple([x[t] for t in s]), cap)
+    at, steps = walk(tuple(range(degree)),
+                     _composers([s.images for s in gens], degree),
+                     lambda x, take: take(x), cap)
     return {Perm(x): i for x, i in at.items()}, steps
+
+
+def _composers(gen_images, degree: int) -> list:
+    """One ``itemgetter`` per image tuple s on ``degree`` points, which
+    composes s onto an image tuple x: take(x)[i] = x[s[i]].  On at most
+    one point the identity is the only permutation, so there each
+    composer is the identity (itemgetter of one index would return the
+    item, not a 1-tuple)."""
+    if degree <= 1:
+        return [lambda x: x] * len(gen_images)
+    return [itemgetter(*s) for s in gen_images]
 
 
 def walk_images(steps, size: int, gen_images, degree: int) -> tuple:
     """Images along a Cayley walk (see ``cayley_walk``) of ``size``
     elements, given the image tuple of each generator on ``degree``
     points: (image tuple of every walk position, None).  Each tree step
-    composes its generator's image onto the image it starts from; every
-    other step must reproduce the image already there, and at the first
-    that does not the answer is (None, (y, k)) for that step."""
+    composes its generator's image onto the image it starts from, in C
+    by one ``itemgetter`` per generator; every other step must reproduce
+    the image already there, and at the first that does not the answer
+    is (None, (y, k)) for that step."""
     images = [tuple(range(degree))] * size
+    compose = _composers(gen_images, degree)
     for x, k, y, tree in steps:
-        img = images[x]
-        z = tuple([img[t] for t in gen_images[k]])
+        z = compose[k](images[x])
         if tree:
             images[y] = z
         elif images[y] != z:
@@ -118,7 +135,7 @@ class FiniteGroup:
     """
 
     __slots__ = ("degree", "generators", "elements", "order",
-                 "_set", "_hash", "_tables")
+                 "_set", "_hash", "_tables", "_walk")
 
     def __init__(self, degree, generators, elements):
         self.degree = degree
@@ -128,6 +145,7 @@ class FiniteGroup:
         self._set = frozenset(self.elements)
         self._hash = hash((degree, self.elements))
         self._tables = None
+        self._walk = None
 
     def __contains__(self, p) -> bool:
         return p in self._set
@@ -143,6 +161,15 @@ class FiniteGroup:
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators) or "()"
         return f"<group of order {self.order} on {self.degree} points, gens {gens}>"
+
+    def cayley(self) -> tuple:
+        """``cayley_walk`` of ``generators`` capped at ``order``, walked on
+        first use and kept: (walk position of every element, steps).  It
+        is not checked against ``elements``; generators of a larger group
+        raise CapExceeded."""
+        if self._walk is None:
+            self._walk = cayley_walk(self.generators, self.degree, self.order)
+        return self._walk
 
     # -- index tables -----------------------------------------------------
 

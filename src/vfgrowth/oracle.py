@@ -4,7 +4,8 @@ Everything the LP asserts asymptotically is checked here non-asymptotically:
 |Hom(Gamma, S_n)| is computed two independent ways, and index-n subgroup
 counts fall out of the transitive-count recursion.  All results are exact
 big integers.  Each fact a counting call needs is computed once per call,
-and nothing in this module is cached across calls.
+and nothing in this module is cached across calls; the vertex groups'
+Cayley walks are kept by the group instances (``FiniteGroup.cayley``).
 
 - The type sum adds a closed-form count over the admissible representation
   types.  One pass per vertex and call lists the vertex's types of every
@@ -17,14 +18,16 @@ and nothing in this module is cached across calls.
   ``type_hom_count`` recounts one type in ``Fraction`` arithmetic apart
   from the join.
 - Brute force tries every tuple of generator images.  Each vertex group's
-  Cayley graph is walked once per call on image tuples, and each tuple is
-  composed along the walk and checked on every edge of it, with no ``Perm``
-  product.  A non-tree edge multiplies by the number of permutations
-  conjugating one side's images onto the other's.  Every lookup key of a
-  homomorphism (its parent-edge bucket key, the keys its children look up,
-  its images on each non-tree edge side) is built once, when the
-  homomorphisms are listed.  Transporter counts are memoized by image tuple
-  in a dict that lives for one call.  S_n is listed by
+  Cayley graph is walked once per group instance on image tuples, and kept
+  by it; a group whose generators do not generate its elements is refused,
+  as the type sum refuses it.  Each tuple is composed along the walk, in C
+  by one ``itemgetter`` per generator image, and checked on every edge of
+  it, with no ``Perm`` product.  A non-tree edge multiplies by the number
+  of permutations conjugating one side's images onto the other's.  Every
+  lookup key of a homomorphism (its parent-edge bucket key, the keys its
+  children look up, its images on each non-tree edge side) is built once,
+  when the homomorphisms are listed.  Transporter counts are memoized by
+  image tuple in a dict that lives for one call.  S_n is listed by
   ``itertools.permutations`` on image tuples, both for the generator images
   (``_symmetric_images``, in the lexicographic order of
   ``symmetric_group(n).elements``) and for the conjugating letters, with no
@@ -48,7 +51,7 @@ from operator import add
 from .catalog import build_catalog, restriction_matrix
 from .errors import CapExceeded, InputError
 from .gog import GraphOfGroups, spanning_tree
-from .groups import DEFAULT_GROUP_CAP, FiniteGroup, cayley_walk, walk_images
+from .groups import DEFAULT_GROUP_CAP, FiniteGroup, walk_images
 from .growth import build_growth_program
 from .perm import Perm
 
@@ -369,7 +372,14 @@ def _vertex_homs(group: FiniteGroup, n: int, sym=None) -> tuple:
     """
     if sym is None:
         sym = _symmetric_images(n)
-    at, steps = cayley_walk(group.generators, group.degree, group.order)
+    try:
+        at, steps = group.cayley()
+    except CapExceeded:     # the generators reach past the elements
+        at = None
+    if (at is None or len(at) != group.order
+            or not all(map(group.__contains__, at))):
+        raise InputError(f"generators do not generate the {group.order} "
+                         f"elements given")
     pools = [[x for x, o in sym if d % o == 0]
              for d in (gen.order() for gen in group.generators)]
     homs = []

@@ -278,6 +278,57 @@ def test_tables_stop_the_walk_past_the_order(monkeypatch):
     assert 0 < len(acts) <= len(s6.generators) * (g.order + 1)
 
 
+def _reference_cayley_walk(gens, degree, cap):
+    """The walk that ``groups.cayley_walk`` ran before its steps were
+    composed by ``itemgetter``, kept word for word as the reference."""
+    at, steps = groups.walk(tuple(range(degree)), [s.images for s in gens],
+                            lambda x, s: tuple([x[t] for t in s]), cap)
+    return {Perm(x): i for x, i in at.items()}, steps
+
+
+def _reference_walk_images(steps, size, gen_images, degree):
+    """The loop that ``groups.walk_images`` ran before its steps were
+    composed by ``itemgetter``, kept word for word as the reference."""
+    images = [tuple(range(degree))] * size
+    for x, k, y, tree in steps:
+        img = images[x]
+        z = tuple([img[t] for t in gen_images[k]])
+        if tree:
+            images[y] = z
+        elif images[y] != z:
+            return None, (y, k)
+    return images, None
+
+
+# degree 1 (no itemgetter) and 2 (one of two indices) beside the four
+@pytest.mark.parametrize(
+    "g", _FOUR + [trivial_group(), FiniteGroup(1, [identity(1)],
+                                               [identity(1)]),
+                  cyclic_group(2), dihedral_group(5)],
+    ids=_FOUR_IDS + ["Trivial", "Trivial-with-identity", "Cyc(2)",
+                     "Dih(5)"])
+def test_cayley_walk_and_images_match_the_reference_loops(g):
+    walked = groups.cayley_walk(g.generators, g.degree, g.order)
+    at, steps = walked
+    ref_at, ref_steps = _reference_cayley_walk(g.generators, g.degree,
+                                               g.order)
+    assert list(at.items()) == list(ref_at.items())     # in walk order
+    assert steps == ref_steps
+    assert g.cayley() == walked
+    assert g.cayley() is g.cayley()                     # kept
+    # images on 1..4 points: mostly conflicts, and some homomorphisms
+    rng = random.Random(g.order)
+    outcomes = set()
+    for _ in range(200):
+        degree = rng.randint(1, 4)
+        target = symmetric_group(degree).elements
+        images = [rng.choice(target).images for _ in g.generators]
+        got = groups.walk_images(steps, len(at), images, degree)
+        assert got == _reference_walk_images(steps, len(at), images, degree)
+        outcomes.add(got[1] is None)
+    assert True in outcomes
+
+
 def _reference_left_cosets(mult, sub, ambient):
     """The coset loop that ``groups._left_cosets`` replaced, kept word for
     word as the reference."""

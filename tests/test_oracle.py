@@ -1,6 +1,7 @@
 import random
 from itertools import product
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -8,9 +9,9 @@ from vfgrowth.catalog import EmbeddingMap, build_catalog, extend_hom
 from vfgrowth.corpus import (corpus_graphs, klein_amalgam, modular_graph,
                              oracle_graphs, random_graph, s3_c2_amalgam,
                              triangle_graph)
-from vfgrowth import groups, oracle, ratlp
+from vfgrowth import catalog, groups, oracle, ratlp
 from vfgrowth.errors import CapExceeded, EmbeddingError, InputError
-from vfgrowth.gog import GogEdge, free_group, make_graph
+from vfgrowth.gog import GogEdge, free_group, load_gog, make_graph
 from vfgrowth.groups import (alternating_group, cyclic_group,
                              dihedral_group, klein_four, symmetric_group,
                              trivial_group)
@@ -372,6 +373,80 @@ def test_vertex_homs_match_the_extend_hom_enumeration(group):
         at, homs = _vertex_homs(group, n)
         got = [{x: Perm(hom[i]) for x, i in at.items()} for hom in homs]
         assert got == _extend_hom_enumeration(group, n), n
+
+
+@pytest.mark.parametrize("degree, gens, elements", [
+    (2, [], ["()", "(1 2)"]),                       # falls short
+    (3, ["(1 2 3)"], ["()", "(1 2 3)", "(1 3 2)", "(1 2)"]),
+    (3, ["(1 2 3)"], ["()", "(1 2)"]),              # reaches past
+    (3, ["(1 2)"], ["(1 2)", "(1 3)"]),             # no identity
+])
+def test_counting_refuses_generators_that_miss_the_elements(degree, gens,
+                                                            elements):
+    group = groups.FiniteGroup(degree, [parse_perm(t, degree) for t in gens],
+                               [parse_perm(t, degree) for t in elements])
+    g = make_graph([("v", group)], [])
+    message = f"^generators do not generate the {group.order} elements given$"
+    # the lattice is cached by equality, so an equal group counted earlier
+    # in the session would stand in for this one in the type sum
+    groups.subgroup_classes.cache_clear()
+    build_catalog.cache_clear()
+    for n in (1, 2, 3):
+        with pytest.raises(InputError, match=message):
+            hom_count_enumerate(g, n)
+        with pytest.raises(InputError, match=message):
+            hom_count_typesum(g, n)
+
+
+def _count_cayley_walks(monkeypatch) -> list:
+    """Patch every caller's ``cayley_walk`` to record the (generators,
+    degree) of each walk; returns the record."""
+    walks = []
+    walk = groups.cayley_walk
+
+    def counting_walk(gens, degree, cap):
+        walks.append((tuple(gens), degree))
+        return walk(gens, degree, cap)
+    monkeypatch.setattr(groups, "cayley_walk", counting_walk)
+    monkeypatch.setattr(catalog, "cayley_walk", counting_walk)
+    return walks
+
+
+def test_default_embeddings_walk_their_domain_once(monkeypatch):
+    domain = cyclic_group(3)
+    codomain = symmetric_group(5)
+    images = [m for m in codomain.elements if m.order() == 3][:10]
+    walks = _count_cayley_walks(monkeypatch)
+    embs = [EmbeddingMap(domain, codomain, [m]) for m in images]
+    assert len(set(embs)) == 10
+    assert walks == [(domain.generators, 3)]
+
+
+def test_enumerate_walks_each_vertex_group_once(monkeypatch):
+    # a and b share one Sym(3) instance, c is Dih(5)
+    g = load_gog(Path(__file__).resolve().parent.parent / "graphs"
+                 / "triangle.gog")
+    instances = {id(grp): grp for _, grp in g.vertices}
+    assert len(instances) == 2
+    walks = _count_cayley_walks(monkeypatch)
+    totals = [hom_count_enumerate(g, n) for n in range(1, 6)]
+    assert totals == [hom_count_typesum(g, 5).total(n) for n in range(1, 6)]
+    assert sorted(walks) == sorted((grp.generators, grp.degree)
+                                   for grp in instances.values())
+
+
+def test_extend_hom_walks_a_reordered_generator_list_afresh():
+    # the domain keeps the walk of its own generator list; another order
+    # is walked afresh, so the conflict names a generator of the list given
+    s3 = symmetric_group(3)
+    gens = s3.generators[::-1]
+    assert gens != s3.generators
+    images = [parse_perm("(1 2)", 3), parse_perm("(1 2 3)", 3)]
+    message = ("not a homomorphism: conflicting images at () "
+               "(via generator (1 2) -> (1 2 3))")
+    assert _extension_or_error(extend_hom, s3, gens, images) == message
+    assert _extension_or_error(_reference_extend_hom, s3, gens,
+                               images) == message
 
 
 def _product_filter_rows(g, n):
