@@ -388,7 +388,7 @@ def test_counting_refuses_generators_that_miss_the_elements(degree, gens,
     g = make_graph([("v", group)], [])
     message = f"^generators do not generate the {group.order} elements given$"
     # the lattice is cached by equality, so an equal group counted earlier
-    # in the session would stand in for this one in the type sum
+    # in the test run would stand in for this one in the type sum
     groups.subgroup_classes.cache_clear()
     build_catalog.cache_clear()
     for n in (1, 2, 3):
