@@ -6,29 +6,27 @@ come out in a canonical order, and repeated runs produce identical data.
 Groups are small (at most DEFAULT_GROUP_CAP elements, and at most
 DEFAULT_SUBGROUP_CAP for the subgroup lattice), so brute force over
 elements is the method of choice throughout.  No ``Perm`` product is
-formed: ``walk`` is the one breadth-first orbit routine, and
-``cayley_walk`` runs it on image tuples to generate a group, along which
-``walk_images`` extends homomorphisms (``catalog.extend_hom`` and the
-brute-force counter in ``oracle``).  Both compose each step in C, by one
-``operator.itemgetter`` per generator image made once per walk.  A group
-keeps the Cayley walk of its own generators (``FiniteGroup.cayley``),
-walked on first use like its tables, so the default edge embeddings and
-the brute-force counter walk each group instance once.  The tables
-(``FiniteGroup.tables``) are built along a ``walk`` too, each row composed
-from an earlier one by ``operator.itemgetter`` and each inverse looked up
-by its image tuple, so no loop in Python runs over the entries of a row.
-With the tables the subgroup lattice, the class canonicalization and the
-coset actions (``_left_cosets``, one ``itemgetter`` per subgroup) multiply
-element indices; a subgroup is a frozenset of positions in the parent's
-sorted ``elements`` (so equal groups share them) from the lattice through
-``SubgroupClass.members`` to restriction; only ``all_subgroups`` maps them
-back to ``Perm`` sets.  The tables are stored on the group and the lattice
-once, in the cache of ``subgroup_classes``, whose classes name the
-instance they were built on (``SubgroupClass.parent``).  Every subgroup
-closure is ``_extend`` on cosets from ``_left_cosets``.  The lattice is
-also the one judge of what a subgroup is and what normalizes it: a
-subgroup given as elements is looked up in it (``_subgroup_class``), and
-normalizer orders are its classes' ``normalizer_order``.
+formed: ``walk`` is the one breadth-first orbit routine.  ``cayley_walk``
+runs it on image tuples to generate a group, and ``walk_images`` extends
+homomorphisms along such a walk; both compose each step in C, by one
+``operator.itemgetter`` per generator image.  ``generate`` hands its walk
+to the group it builds, which keeps it (``FiniteGroup.cayley``), so a
+group instance is walked once; any other group is checked against its
+elements where its walk is first needed.  The tables
+(``FiniteGroup.tables``) are composed along that walk, by one
+``itemgetter`` per generator, into tuple rows that the collector stops
+tracking.  With them the subgroup lattice, the class canonicalization and
+the coset actions (``_left_cosets``, one ``itemgetter`` per subgroup)
+multiply element indices; a subgroup is a frozenset of positions in the
+parent's sorted ``elements`` (so equal groups share them) from the lattice
+through ``SubgroupClass.members`` to restriction; only ``all_subgroups``
+maps them back to ``Perm`` sets.  The tables are stored on the group and
+the lattice once, in the cache of ``subgroup_classes``, whose classes name
+the instance they were built on (``SubgroupClass.parent``).  Every
+subgroup closure is ``_extend`` on cosets from ``_left_cosets``.  The
+lattice is also the one judge of what a subgroup is and what normalizes
+it: a subgroup given as elements is looked up in it (``_subgroup_class``),
+and normalizer orders are its classes' ``normalizer_order``.
 
 The lattice is the cyclic extension method (Holt, Eick and O'Brien,
 *Handbook of Computational Group Theory*, 2005): every subgroup U is
@@ -163,12 +161,21 @@ class FiniteGroup:
         return f"<group of order {self.order} on {self.degree} points, gens {gens}>"
 
     def cayley(self) -> tuple:
-        """``cayley_walk`` of ``generators`` capped at ``order``, walked on
-        first use and kept: (walk position of every element, steps).  It
-        is not checked against ``elements``; generators of a larger group
-        raise CapExceeded."""
+        """``cayley_walk`` of ``generators`` capped at ``order``: (walk
+        position of every element, steps), kept.  A generated group keeps
+        the walk ``generate`` made.  Any other group walks on first use,
+        and raises InputError unless the walk reaches exactly the elements:
+        the one check that the generators give the elements."""
         if self._walk is None:
-            self._walk = cayley_walk(self.generators, self.degree, self.order)
+            try:
+                at, steps = cayley_walk(self.generators, self.degree,
+                                        self.order)
+            except CapExceeded:     # more points than elements
+                at = {}
+            if len(at) != self.order or at.keys() != self._set:
+                raise InputError(f"generators do not generate the "
+                                 f"{self.order} elements given")
+            self._walk = at, steps
         return self._walk
 
     # -- index tables -----------------------------------------------------
@@ -176,40 +183,32 @@ class FiniteGroup:
     def tables(self):
         """(index map, multiplication table, inverse table) over 0..order-1.
 
-        Rows are built along a ``walk`` of the Cayley graph by left
-        multiplication on image tuples.  Its steps give, for each
-        generator s, the index of s*t for every t; a tree step reaches
-        s*x from x, and row(s*x) is row(x) mapped through that left
-        action, composed in C by ``itemgetter``.  The inverse of each
-        element is looked up by the inverse of its image tuple.  Raises
-        InputError when the generators do not generate the elements; the
-        walk stops at the first point past ``order``.
+        Rows are built along the kept walk (``cayley``).  Row(s) of a
+        generator s, its left action on indices, takes one composition of
+        image tuples per element; one fixed ``itemgetter`` of it per
+        generator composes each tree step x * s = y in C, since
+        row(x*s)[t] = row(x)[row(s)[t]].  Rows are tuples, which the
+        garbage collector stops tracking at its first collection, where
+        list rows were traversed by every collection.  Each inverse is
+        looked up by the inverse of its image tuple.
         """
         if self._tables is None:
+            at, steps = self.cayley()
             elements = self.elements
-            order = self.order
             index = {p: i for i, p in enumerate(elements)}
             by_images = {p.images: i for i, p in enumerate(elements)}
-            try:    # more than order points, or one outside the elements
-                at, steps = walk(tuple(range(self.degree)),
-                                 [s.images for s in self.generators],
-                                 lambda x, s: tuple([s[t] for t in x]), order)
-                pos = [by_images[x] for x in at]
-            except (CapExceeded, KeyError):
-                pos = None
-            if pos is None or len(pos) != order:
-                raise InputError(f"generators do not generate the {order} "
-                                 f"elements given")
-            left = [[0] * order for _ in self.generators]
-            for x, k, y, _ in steps:
-                left[k][pos[x]] = pos[y]
-            mult = [None] * order
-            mult[0] = list(range(order))
+            pos = list(map(index.__getitem__, at))
+            # one getter per generator; of one index it would return the
+            # item, not a 1-tuple, but a group of order 1 has no tree step
+            take = [itemgetter(*[by_images[tuple(map(s.images.__getitem__,
+                                                     t.images))]
+                                 for t in elements])
+                    for s in self.generators]
+            mult = [tuple(range(self.order))] * self.order
             for x, k, y, tree in steps:
                 if tree:
-                    mult[pos[y]] = list(itemgetter(*mult[pos[x]])(left[k]))
-            points = range(self.degree)
-            inv = [by_images[tuple(map(p.images.index, points))]
+                    mult[pos[y]] = take[k](mult[pos[x]])
+            inv = [by_images[tuple(map(p.images.index, range(self.degree)))]
                    for p in elements]
             self._tables = (index, mult, inv)
         return self._tables
@@ -223,7 +222,10 @@ def generate(gens, degree: int, max_order: int = DEFAULT_GROUP_CAP) -> FiniteGro
         if g.degree != degree:
             raise InputError(f"generator degree {g.degree} does not match {degree}")
     gens = [g for g in gens if not g.is_identity()]
-    return FiniteGroup(degree, gens, cayley_walk(gens, degree, max_order)[0])
+    walked = cayley_walk(gens, degree, max_order)
+    group = FiniteGroup(degree, gens, walked[0])
+    group._walk = walked        # its elements are the walk's: no check
+    return group
 
 
 # -- standard groups ------------------------------------------------------

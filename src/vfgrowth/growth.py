@@ -75,6 +75,8 @@ def _column_sums(mat) -> tuple:
 
 
 def build_growth_program(g: GraphOfGroups) -> GrowthProgram:
+    for _, grp in g.vertices:   # catalogs are cached by group equality, so
+        grp.cayley()            # each group's own generators are checked
     catalogs = tuple((name, build_catalog(grp)) for name, grp in g.vertices)
     edges = tuple((e, *map(restriction_matrix, e.embeddings))
                   for e in g.edges)

@@ -299,6 +299,8 @@ def hom_count_typesum(g: GraphOfGroups, n: int,
         raise InputError("degree must be at least 1")
     if n > max_n:
         raise CapExceeded(f"type-sum counting capped at degree {max_n}, got {n}")
+    for _, grp in g.vertices:   # catalogs are cached by group equality, so
+        grp.cayley()            # each group's own generators are checked
     names = [name for name, _ in g.vertices]
     totals = []
     for rows in _typesum_rows(g, n):
@@ -372,14 +374,7 @@ def _vertex_homs(group: FiniteGroup, n: int, sym=None) -> tuple:
     """
     if sym is None:
         sym = _symmetric_images(n)
-    try:
-        at, steps = group.cayley()
-    except CapExceeded:     # the generators reach past the elements
-        at = None
-    if (at is None or len(at) != group.order
-            or not all(map(group.__contains__, at))):
-        raise InputError(f"generators do not generate the {group.order} "
-                         f"elements given")
+    at, steps = group.cayley()      # refuses generators that miss elements
     pools = [[x for x, o in sym if d % o == 0]
              for d in (gen.order() for gen in group.generators)]
     homs = []

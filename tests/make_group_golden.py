@@ -49,7 +49,7 @@ def group_layer_lines() -> list:
     lines = []
     for name, g in cold_catalog_groups():
         index, mult, inv = g.tables()
-        tables = ([p.images for p in index], mult, inv)
+        tables = ([p.images for p in index], [list(r) for r in mult], inv)
         classes = [([sorted(m) for m in cls.members],
                     [p.images for p in cls.representative.generators],
                     cls.order, cls.normalizer_order)

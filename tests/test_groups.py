@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -230,7 +231,20 @@ FOUR_GROUPS = pytest.mark.parametrize("g", _FOUR, ids=_FOUR_IDS)
     "g", _FOUR + [trivial_group(), cyclic_group(2), symmetric_group(5)],
     ids=_FOUR_IDS + ["Trivial", "Cyc(2)", "Sym(5)"])
 def test_tables_match_perm_products(g):
-    assert g.tables() == _reference_tables(g)
+    index, mult, inv = g.tables()
+    assert (index, [list(row) for row in mult], inv) == _reference_tables(g)
+
+
+def test_table_rows_are_tuples_the_collector_stops_tracking():
+    # rows of ints held as tuples leave the collector's tracking at the
+    # first collection, so later collections do not traverse the table
+    g = symmetric_group(5)
+    mult = g.tables()[1]
+    gc.collect()
+    ref = _reference_tables(g)[1]
+    for row, want in zip(mult, ref, strict=True):
+        assert type(row) is tuple and list(row) == want
+        assert not gc.is_tracked(row)
 
 
 def test_elements_sort_by_image_tuples():
@@ -247,6 +261,7 @@ def test_elements_sort_by_image_tuples():
     (3, ["(1 2 3)"], ["()", "(1 2 3)", "(1 3 2)", "(1 2)"]),
     (3, ["(1 2 3)"], ["()", "(1 2)"]),              # reaches past
     (3, ["(1 2)"], ["(1 2)", "(1 3)"]),             # no identity
+    (3, ["(1 2)"], ["()", "(1 2)", "(1 2)"]),       # repeats an element
 ])
 def test_tables_refuse_generators_that_miss_the_elements(degree, gens,
                                                          elements):

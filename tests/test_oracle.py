@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 from pathlib import Path
@@ -11,11 +12,12 @@ from vfgrowth.corpus import (corpus_graphs, klein_amalgam, modular_graph,
                              triangle_graph)
 from vfgrowth import catalog, groups, oracle, ratlp
 from vfgrowth.errors import CapExceeded, EmbeddingError, InputError
-from vfgrowth.gog import GogEdge, free_group, load_gog, make_graph
+from vfgrowth.gog import (GogEdge, free_group, load_gog, make_graph,
+                          parse_gog)
 from vfgrowth.groups import (alternating_group, cyclic_group,
                              dihedral_group, klein_four, symmetric_group,
                              trivial_group)
-from vfgrowth.growth import build_growth_program
+from vfgrowth.growth import build_growth_program, mu
 from vfgrowth.oracle import (DEFAULT_TYPESUM_CAP, TypePartition,
                              hom_count_enumerate, hom_count_typesum,
                              type_hom_count, vertex_hom_count)
@@ -375,27 +377,42 @@ def test_vertex_homs_match_the_extend_hom_enumeration(group):
         assert got == _extend_hom_enumeration(group, n), n
 
 
-@pytest.mark.parametrize("degree, gens, elements", [
-    (2, [], ["()", "(1 2)"]),                       # falls short
-    (3, ["(1 2 3)"], ["()", "(1 2 3)", "(1 3 2)", "(1 2)"]),
-    (3, ["(1 2 3)"], ["()", "(1 2)"]),              # reaches past
-    (3, ["(1 2)"], ["(1 2)", "(1 3)"]),             # no identity
-])
-def test_counting_refuses_generators_that_miss_the_elements(degree, gens,
-                                                            elements):
-    group = groups.FiniteGroup(degree, [parse_perm(t, degree) for t in gens],
-                               [parse_perm(t, degree) for t in elements])
+def _assert_counting_refuses(group):
     g = make_graph([("v", group)], [])
     message = f"^generators do not generate the {group.order} elements given$"
-    # the lattice is cached by equality, so an equal group counted earlier
-    # in the test run would stand in for this one in the type sum
-    groups.subgroup_classes.cache_clear()
-    build_catalog.cache_clear()
     for n in (1, 2, 3):
         with pytest.raises(InputError, match=message):
             hom_count_enumerate(g, n)
         with pytest.raises(InputError, match=message):
             hom_count_typesum(g, n)
+    with pytest.raises(InputError, match=message):
+        mu(g)
+
+
+@pytest.mark.parametrize("degree, gens, elements", [
+    (2, [], ["()", "(1 2)"]),                       # falls short
+    (3, ["(1 2 3)"], ["()", "(1 2 3)", "(1 3 2)", "(1 2)"]),
+    (3, ["(1 2 3)"], ["()", "(1 2)"]),              # reaches past
+    (3, ["(1 2)"], ["(1 2)", "(1 3)"]),             # no identity
+    (3, ["(1 2)"], ["()", "(1 2)", "(1 2)"]),       # repeats an element
+])
+def test_counting_refuses_generators_that_miss_the_elements(degree, gens,
+                                                            elements):
+    _assert_counting_refuses(groups.FiniteGroup(
+        degree, [parse_perm(t, degree) for t in gens],
+        [parse_perm(t, degree) for t in elements]))
+
+
+def test_counting_refuses_a_malformed_group_after_an_equal_one():
+    # the lattice and the catalog are cached by group equality, so an
+    # equal, well-formed group counted first must not answer for this one
+    c2 = cyclic_group(2)
+    g = make_graph([("v", c2)], [])
+    assert hom_count_typesum(g, 3).totals == (1, 2, 4)
+    assert mu(g).mu == Fraction(-1, 2)
+    group = groups.FiniteGroup(2, [], [identity(2), parse_perm("(1 2)", 2)])
+    assert group == c2
+    _assert_counting_refuses(group)
 
 
 def _count_cayley_walks(monkeypatch) -> list:
@@ -413,26 +430,52 @@ def _count_cayley_walks(monkeypatch) -> list:
 
 
 def test_default_embeddings_walk_their_domain_once(monkeypatch):
+    # counted from construction: generate's walk is the one each group keeps
+    walks = _count_cayley_walks(monkeypatch)
     domain = cyclic_group(3)
     codomain = symmetric_group(5)
     images = [m for m in codomain.elements if m.order() == 3][:10]
-    walks = _count_cayley_walks(monkeypatch)
     embs = [EmbeddingMap(domain, codomain, [m]) for m in images]
     assert len(set(embs)) == 10
-    assert walks == [(domain.generators, 3)]
+    assert walks == [(domain.generators, 3), (codomain.generators, 5)]
 
 
 def test_enumerate_walks_each_vertex_group_once(monkeypatch):
-    # a and b share one Sym(3) instance, c is Dih(5)
+    # counted from the parse on: a and b share one Sym(3) instance, c is
+    # Dih(5), and the edges' groups are one Cyc(3) and one Cyc(2) instance
+    walks = _count_cayley_walks(monkeypatch)
     g = load_gog(Path(__file__).resolve().parent.parent / "graphs"
                  / "triangle.gog")
-    instances = {id(grp): grp for _, grp in g.vertices}
-    assert len(instances) == 2
-    walks = _count_cayley_walks(monkeypatch)
+    instances = {id(grp): grp for grp in
+                 [grp for _, grp in g.vertices] + [e.group for e in g.edges]}
+    assert len(instances) == 4
     totals = [hom_count_enumerate(g, n) for n in range(1, 6)]
     assert totals == [hom_count_typesum(g, 5).total(n) for n in range(1, 6)]
     assert sorted(walks) == sorted((grp.generators, grp.degree)
                                    for grp in instances.values())
+
+
+def test_each_group_instance_is_walked_once(monkeypatch):
+    # from construction through the parse, tables(), cayley(), the lattice
+    # (run past its cache), default embeddings and both counters: one walk
+    # for the shared Sym(4) instance and one for the edge group
+    walks = _count_cayley_walks(monkeypatch)
+    g = parse_gog("vertex a = Sym(4)\nvertex b = Sym(4)\n"
+                  "edge e a b { degree 4; gens (1 2);\n"
+                  "  into a: (1 2); into b: (3 4); }\n")
+    s4, edge = g.vertex_group("a"), g.edges[0].group
+    assert g.vertex_group("b") is s4
+    for grp in (s4, edge):
+        assert grp.tables() is grp.tables()
+        assert grp.cayley() is grp.cayley()
+        groups.subgroup_classes.__wrapped__(grp)
+    images = [m for m in s4.elements if m.order() == 2]
+    assert len({EmbeddingMap(edge, s4, [m]) for m in images}) == 9
+    assert ([hom_count_enumerate(g, n) for n in (1, 2, 3)]
+            == list(hom_count_typesum(g, 3).totals))
+    mu(g)
+    assert sorted(walks) == sorted([(s4.generators, 4),
+                                    (edge.generators, 4)])
 
 
 def test_extend_hom_walks_a_reordered_generator_list_afresh():
