@@ -28,16 +28,37 @@ lattice is also the one judge of what a subgroup is and what normalizes
 it: a subgroup given as elements is looked up in it (``_subgroup_class``),
 and normalizer orders are its classes' ``normalizer_order``.
 
-The lattice is the cyclic extension method (Holt, Eick and O'Brien,
-*Handbook of Computational Group Theory*, 2005): every subgroup U is
-<H, c> for a maximal subgroup H of U and a c of prime-power order with
-c^p in H, p the prime (c is the last power outside H of a prime-power
-part of some element of U outside H).  One representative H per class is
-extended (the argument transports along conjugation), by one cyclic
-subgroup <a> per orbit of N_G(H) with a^p in H, since for n in N_G(H)
-<H, a^n> = <H, a>^n is in the class of <H, a> and (a^n)^p is in H exactly
-when a^p is.  N_G(H) is spanned from H by Schreier elements of the
-conjugation walk that found the class of H: no normalizer is searched for.
+The lattice is the cyclic extension method (Neubüser, *Numer. Math.* 2,
+1960; Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
+2005): every subgroup U is <H, c> for a maximal subgroup H of U and a c of
+prime-power order with c^p in H, p the prime (c is the last power outside
+H of a prime-power part of some element of U outside H).  One
+representative H per class is extended (the argument transports along
+conjugation), by one cyclic subgroup <a> per orbit of N_G(H) with a^p in
+H, since for n in N_G(H) <H, a^n> = <H, a>^n is in the class of <H, a>
+and (a^n)^p is in H exactly when a^p is.  N_G(H) is spanned from H by
+Schreier elements of the conjugation walk that found the class of H: no
+normalizer is searched for.
+
+Only two kinds of candidate are needed.  Let D = G^(oo), the perfect
+residuum: the last term of the derived series, normal in G.  (1) If
+U is not perfect, U/U' is a nontrivial abelian group, so it has a quotient
+of prime order p: some H normal in U has index p, so is maximal in U.
+The p-part c of any element of U outside H is outside H too (the other
+parts are trivial in U/H, of order p), so c has prime-power order, c^p is
+in H and c is in N_G(H): U = H<c>, the union of the p cosets c^i H, and
+conjugating H to its class representative keeps c in its normalizer.  (2)
+If U is perfect, U = U^(i) lies in G^(i) for every i, so in D.  By the
+lemma above U = <H, c> with H and c in U, so in D, and conjugating H to
+its class representative keeps both in D, which is normal.  So H is
+extended by a only for a in N_G(H), as a union of cosets with no closure
+walk (``_coset_union``), or for H and a both in D, by a closure walk
+(``_extend``).  Both tests are N_G(H)-invariant, so a skipped a stands for
+its orbit.  D is found once per group (``_residuum``): each term of the
+derived series is the normal closure of the commutators of the previous
+term's generators, and as a characteristic subgroup of a normal subgroup
+it is normal in G, so closing under conjugation by G's generators is
+exact.
 """
 
 from __future__ import annotations
@@ -425,6 +446,42 @@ def _extend(cosets, coset_of, rows, limit):
     return frozenset().union(*map(cosets.__getitem__, orbit))
 
 
+def _coset_union(cosets, coset_of, mult, a):
+    """H<a> for an a that normalizes H: the union of the left cosets
+    a^i H of H (see _left_cosets), read along a's powers up to the first
+    in H."""
+    union = [cosets[0]]
+    x = a
+    while coset_of[x]:
+        union.append(cosets[coset_of[x]])
+        x = mult[x][a]
+    return frozenset().union(*union)
+
+
+def _residuum(mult, inv, gens, conj):
+    """The perfect residuum G^(oo) of the group with generator indices
+    ``gens``, as element indices: each derived subgroup is spanned by the
+    commutators of the previous term's generators and their conjugates
+    under ``conj`` (x -> s^-1 x s per generator s), until a term is
+    perfect (see the module docstring)."""
+    cosets, coset_of = _left_cosets(mult, frozenset([0]), range(len(mult)))
+    term = frozenset(range(len(mult)))
+    while True:
+        todo = [mult[mult[inv[x]][inv[y]]][mult[x][y]]
+                for x in gens for y in gens]
+        kept = []
+        span = frozenset([0])
+        for x in todo:                  # todo grows while it is walked
+            if x not in span:
+                kept.append(x)
+                span = _extend(cosets, coset_of, [mult[k] for k in kept],
+                               len(cosets))
+                todo.extend(c[x] for c in conj)
+        if len(span) == len(term):
+            return span
+        term, gens = span, kept
+
+
 def _greedy_generators(mult, members) -> list:
     """The members, in index order, that the earlier ones do not generate:
     the representative's generating list in ``subgroup_classes``."""
@@ -489,14 +546,16 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
         if cyclic[a] == a and _is_prime_power(n):
             by_root.setdefault(powers[_least_prime(n) % n], []).append(a)
     # each class representative H is extended by one <a> per N_G(H)-orbit
-    # of those outside H with a^p in H, which reaches every subgroup (see
-    # the module docstring); N_G(H) is spanned from _class_and_schreier
+    # of those outside H with a^p in H, and only by an a in N_G(H) or, for
+    # H inside the residuum, in it, which reaches every subgroup (see the
+    # module docstring); N_G(H) is spanned from _class_and_schreier
     bound = g.order // _least_prime(g.order)
     whole = frozenset(range(g.order))
     gens = [index[p] for p in g.generators]
     # conjugation x -> s^-1 x s by each group generator s, as an index map
     conj = [[mult[mult[inv[s]][x]][s] for x in range(g.order)]
             for s in gens]
+    residuum = _residuum(mult, inv, gens, conj)
     trivial = frozenset([0])
     orbit, schreier = _class_and_schreier(mult, inv, gens, conj, trivial)
     known = set(orbit)
@@ -518,11 +577,15 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
             "normalizer fails orbit-stabilizer"
         limit = bound // len(members)
         by = [(mult[inv[n]], n) for n in hgens + tuple(kept)]
+        inside = members <= residuum
         seen = set()
         roots = members.intersection(by_root)
         for a in sorted(chain.from_iterable(map(by_root.__getitem__, roots))):
             if a in members or a in seen:
                 continue
+            normalizes = a in span
+            if not (normalizes or inside and a in residuum):
+                continue        # and so for its whole N_G(H)-orbit
             # a stands for its orbit under conjugation by N_G(H), which stays
             # outside H; not ``walk``: cold Sym(6) classes ran 7-15% slower
             seen.add(a)
@@ -534,8 +597,11 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
                         seen.add(c)
                         todo.append(c)
             newgens = hgens + (a,)
-            new = _extend(cosets, coset_of, [mult[s] for s in newgens],
-                          limit) or whole
+            if normalizes:
+                new = _coset_union(cosets, coset_of, mult, a)
+            else:
+                new = _extend(cosets, coset_of, [mult[s] for s in newgens],
+                              limit) or whole
             if new in known:
                 continue
             # a conjugate already known would put new in an earlier class
@@ -549,6 +615,8 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
 def all_subgroups(g: FiniteGroup) -> list:
     """Every subgroup, as frozensets of Perm, largest first then by sorted
     image tuples.  Exhaustive, so the group order is capped."""
+    g.cayley()      # the lattice is cached by group equality, so g's own
+                    # generators are checked
     # the element list is sorted, so index order is image order
     out = sorted((s for cls in subgroup_classes(g) for s in cls.members),
                  key=lambda s: (-len(s), sorted(s)))
@@ -657,6 +725,8 @@ def _subgroup_class(g: FiniteGroup, u) -> tuple:
     index set in the class parent's tables.  The lattice holds every
     subgroup, so a set it does not hold is not closed under
     multiplication."""
+    g.cayley()      # the lattice is cached by group equality, so g's own
+                    # generators are checked
     if isinstance(u, SubgroupClass):
         if u.parent == g:
             return u, u.members[0]

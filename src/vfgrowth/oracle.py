@@ -122,6 +122,8 @@ def vertex_hom_count(group: FiniteGroup, eta, n: int) -> int:
     must be n.  The count is n! / prod(eta_i! * c_i^eta_i) with c_i the
     class aut_count.
     """
+    group.cayley()  # the catalog is cached by group equality, so the
+                    # group's own generators are checked
     cat = build_catalog(group)
     eta = tuple(eta)
     if len(eta) != len(cat.classes):

@@ -1,5 +1,6 @@
 import gc
 import random
+from itertools import chain
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -18,11 +19,14 @@ from vfgrowth.groups import (FiniteGroup, all_subgroups, alternating_group,
                              direct_product, generate, klein_four,
                              subgroup_classes, symmetric_group, trivial_group)
 from vfgrowth import catalog, groups
-from vfgrowth.groups import _known_order_product, _subgroup_index_sets
+from vfgrowth.groups import (DEFAULT_SUBGROUP_CAP, _class_and_schreier,
+                             _extend, _is_prime_power, _known_order_product,
+                             _least_prime, _left_cosets, _subgroup_index_sets)
 from vfgrowth.growth import (cyclic_amalgam_mu, cyclic_amalgam_value,
                              euler_tight, mu)
 from vfgrowth.oracle import (DEFAULT_ENUM_GROUP_CAP, _transporter_count,
-                             hom_count_enumerate, hom_count_typesum)
+                             hom_count_enumerate, hom_count_typesum,
+                             vertex_hom_count)
 from vfgrowth.perm import Perm, identity, parse_perm
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
@@ -273,6 +277,25 @@ def test_tables_refuse_generators_that_miss_the_elements(degree, gens,
         subgroup_classes(g)
 
 
+def test_lookups_refuse_a_malformed_group_after_an_equal_one():
+    # the lattice and the catalog are cached by group equality, so an
+    # equal, well-formed group looked up first must not answer for this one
+    c2 = cyclic_group(2)
+    x = parse_perm("(1 2)", 2)
+    lookups = [
+        lambda g: len(all_subgroups(g)),
+        lambda g: vertex_hom_count(g, (0, 1), 2),
+        lambda g: len(coset_action(g, trivial_group(2))),
+        lambda g: fixed_point_multiplicity(g, trivial_group(2), x),
+    ]
+    assert [lookup(c2) for lookup in lookups] == [2, 1, 2, 0]
+    group = FiniteGroup(2, [], [identity(2), x])
+    assert group == c2
+    for lookup in lookups:
+        with pytest.raises(InputError, match="do not generate"):
+            lookup(group)
+
+
 def test_tables_stop_the_walk_past_the_order(monkeypatch):
     # generators of Sym(6) over the two elements of <(1 2)>: the walk is
     # refused at its third point, not run over all 720
@@ -479,46 +502,208 @@ def test_lattice_matches_naive_closure(g):
     assert set(orbits) == _reference_classes(g, want)
 
 
+def _sl25():
+    """SL(2,5) on the 24 nonzero vectors of F_5^2: perfect, not simple
+    (its centre is {1, -1})."""
+    vectors = [(x, y) for x in range(5) for y in range(5) if x or y]
+
+    def matrix(a, b, c, d):
+        return Perm(tuple(vectors.index(((a * x + b * y) % 5,
+                                         (c * x + d * y) % 5))
+                          for x, y in vectors))
+    return generate([matrix(1, 1, 0, 1), matrix(0, 4, 1, 0)], 24)
+
+
+_S4XS3 = _from_cycles("(1 2)", "(1 2 3 4)", "(5 6)", "(5 6 7)")
+_SL25 = _sl25()
+
+
+def _reference_subgroup_index_sets(g):
+    """The lattice loop that ``groups._subgroup_index_sets`` replaced, with
+    no residuum and a closure walk for every candidate, kept word for word
+    as the reference."""
+    # the one check of the subgroup cap: the |G|^2 table and the lattice
+    # search below are what it bounds
+    if g.order > DEFAULT_SUBGROUP_CAP:
+        raise CapExceeded(f"group too large: order {g.order} exceeds "
+                          f"subgroup cap {DEFAULT_SUBGROUP_CAP}")
+    index, mult, inv = g.tables()
+    # each cyclic subgroup <x> stands by its least generator, least[<x>] =
+    # cyclic[x]; by_root maps r to the ascending such a of order p^k, p
+    # prime, with a^p = r
+    least = {}
+    cyclic = [0] * g.order
+    by_root = {}
+    for a in range(1, g.order):
+        powers = [0]
+        x = a
+        while x:
+            powers.append(x)
+            x = mult[x][a]
+        n = len(powers)
+        cyclic[a] = least.setdefault(frozenset(powers), a)
+        if cyclic[a] == a and _is_prime_power(n):
+            by_root.setdefault(powers[_least_prime(n) % n], []).append(a)
+    # each class representative H is extended by one <a> per N_G(H)-orbit
+    # of those outside H with a^p in H, which reaches every subgroup (see
+    # the module docstring); N_G(H) is spanned from _class_and_schreier
+    bound = g.order // _least_prime(g.order)
+    whole = frozenset(range(g.order))
+    gens = [index[p] for p in g.generators]
+    # conjugation x -> s^-1 x s by each group generator s, as an index map
+    conj = [[mult[mult[inv[s]][x]][s] for x in range(g.order)]
+            for s in gens]
+    trivial = frozenset([0])
+    orbit, schreier = _class_and_schreier(mult, inv, gens, conj, trivial)
+    known = set(orbit)
+    orbits = [tuple(orbit)]
+    reps = [(trivial, (), len(orbit), schreier)]
+    for members, hgens, size, schreier in reps:  # reps grows while walked
+        cosets, coset_of = _left_cosets(mult, members, range(g.order))
+        # N_G(H) = <H, kept>, a Schreier element kept only outside the span
+        # so far; all normalize H, so their rows alone walk H's cosets, and
+        # a limit of every coset means no Lagrange stop
+        kept = []
+        span = members
+        for n in schreier:
+            if n not in span:
+                kept.append(n)
+                span = _extend(cosets, coset_of, [mult[k] for k in kept],
+                               len(cosets))
+        assert len(span) * size == g.order, \
+            "normalizer fails orbit-stabilizer"
+        limit = bound // len(members)
+        by = [(mult[inv[n]], n) for n in hgens + tuple(kept)]
+        seen = set()
+        roots = members.intersection(by_root)
+        for a in sorted(chain.from_iterable(map(by_root.__getitem__, roots))):
+            if a in members or a in seen:
+                continue
+            # a stands for its orbit under conjugation by N_G(H), which stays
+            # outside H; not ``walk``: cold Sym(6) classes ran 7-15% slower
+            seen.add(a)
+            todo = [a]
+            for b in todo:              # todo grows while it is walked
+                for left, n in by:
+                    c = cyclic[mult[left[b]][n]]
+                    if c not in seen:
+                        seen.add(c)
+                        todo.append(c)
+            newgens = hgens + (a,)
+            new = _extend(cosets, coset_of, [mult[s] for s in newgens],
+                          limit) or whole
+            if new in known:
+                continue
+            # a conjugate already known would put new in an earlier class
+            orbit, schreier = _class_and_schreier(mult, inv, gens, conj, new)
+            known.update(orbit)
+            orbits.append(tuple(orbit))
+            reps.append((new, newgens, len(orbit), schreier))
+    return tuple(orbits)
+
+
+@pytest.mark.parametrize("g", [
+    # solvable: the residuum is trivial, so every extension is a coset union
+    _S4XS3,
+    direct_product(dihedral_group(4), cyclic_group(3)),
+    direct_product(direct_product(cyclic_group(2), cyclic_group(2)),
+                   direct_product(cyclic_group(2), cyclic_group(2))),
+    # perfect and simple: the residuum is the whole group
+    alternating_group(5),
+    _from_cycles("(1 2 3 4 5 6 7)", "(1 2)(3 5)"),
+    alternating_group(6),
+    # perfect, not simple
+    _SL25,
+    # a proper, nontrivial residuum
+    symmetric_group(5),
+    direct_product(alternating_group(5), cyclic_group(2)),
+], ids=["Sym(4)xSym(3)", "Dih(4)xCyc(3)", "Cyc(2)^4", "Alt(5)", "PSL(2,7)",
+        "Alt(6)", "SL(2,5)", "Sym(5)", "Alt(5)xCyc(2)"])
+def test_lattice_matches_the_unpruned_search(g):
+    got = {frozenset(orbit) for orbit in _subgroup_index_sets(g)}
+    assert got == {frozenset(orbit)
+                   for orbit in _reference_subgroup_index_sets(g)}
+
+
+def test_sl25_has_12_classes_and_76_subgroups():
+    orbits = _subgroup_index_sets(_SL25)
+    assert (len(orbits), sum(map(len, orbits))) == (12, 76)
+
+
+def _residuum_of(g):
+    index, mult, inv = g.tables()
+    gens = [index[p] for p in g.generators]
+    conj = [[mult[mult[inv[s]][x]][s] for x in range(g.order)]
+            for s in gens]
+    return groups._residuum(mult, inv, gens, conj), mult, inv
+
+
+@pytest.mark.parametrize("g, order", [
+    (symmetric_group(6), 360),
+    (symmetric_group(4), 1),
+    (trivial_group(), 1),
+    (_SL25, 120),
+    (direct_product(alternating_group(5), cyclic_group(2)), 60),
+], ids=["Sym(6)", "Sym(4)", "trivial", "SL(2,5)", "Alt(5)xCyc(2)"])
+def test_residuum_orders_and_normality(g, order):
+    residuum, mult, inv = _residuum_of(g)
+    assert len(residuum) == order
+    assert all(mult[mult[inv[x]][d]][x] in residuum
+               for x in range(g.order) for d in residuum)
+
+
 def _count_extensions(monkeypatch):
-    """Every call of the lattice's closure step from now on, one entry
-    each.  Normalizer spans share the routine but allow as many cosets as
-    there are, so no Lagrange stop; they are not counted."""
-    calls = []
-    extend = groups._extend
+    """Every extension step of the lattice from now on: (closure walks,
+    coset unions), one entry each.  Normalizer and residuum spans share
+    the closure routine but allow as many cosets as there are, so no
+    Lagrange stop; they are not counted."""
+    walks, unions = [], []
+    extend, union = groups._extend, groups._coset_union
 
     def counted(cosets, coset_of, rows, limit):
         if limit < len(cosets):
-            calls.append(None)
+            walks.append(None)
         return extend(cosets, coset_of, rows, limit)
+
+    def counted_union(*args):
+        unions.append(None)
+        return union(*args)
     monkeypatch.setattr(groups, "_extend", counted)
-    return calls
+    monkeypatch.setattr(groups, "_coset_union", counted_union)
+    return walks, unions
 
 
 def test_lattice_extends_once_per_normalizer_orbit(monkeypatch):
     # one candidate <H, a> per class representative H and per N_G(H)-orbit
-    # of the prime-power cyclic subgroups outside H, whichever H is found
-    # first, and only by those <a> with a^p in H; extending by every such
-    # cyclic subgroup took 12,498 and 3,307, and by those with a^p outside
-    # H too 1,411 and 403
-    calls = _count_extensions(monkeypatch)
-    for name, want in (("Sym(6)", 971), ("Alt(6)", 314)):
-        calls.clear()
-        _subgroup_index_sets(_named(name))
-        assert len(calls) == want, name
+    # of the prime-power cyclic subgroups outside H with a^p in H, whichever
+    # H is found first, and only by an a that normalizes H (a coset union)
+    # or, for H inside the residuum, lies in it (a closure walk).  A closure
+    # walk for every candidate took 971, 314 and 776 walks; by every such
+    # cyclic subgroup 12,498 and 3,307 for Sym(6) and Alt(6), and by those
+    # with a^p outside H too 1,411 and 403
+    walks, unions = _count_extensions(monkeypatch)
+    for g, name, want in ((_named("Sym(6)"), "Sym(6)", (207, 193)),
+                          (_named("Alt(6)"), "Alt(6)", (284, 30)),
+                          (_S4XS3, "Sym(4)xSym(3)", (0, 336))):
+        walks.clear()
+        unions.clear()
+        _subgroup_index_sets(g)
+        assert (len(walks), len(unions)) == want, name
 
 
 @pytest.mark.slow
 def test_sym7_lattice_under_a_raised_subgroup_cap(monkeypatch):
-    # about 2.4 s and 236 MB peak RSS on a 2-vCPU Xeon with Python 3.11,
-    # half the time and most of the memory the 5040^2 table; the shipped
-    # cap stays 1000.  96 classes (OEIS A000638) and 11,300 subgroups
-    # (A005432)
+    # about 1.2 s and 250 MB peak RSS on a 2-vCPU Xeon with Python 3.11,
+    # most of the time and memory the 5040^2 table (the lattice 0.4-0.5 s);
+    # the shipped cap stays 1000.  96 classes (OEIS A000638) and 11,300
+    # subgroups (A005432)
     monkeypatch.setattr(groups, "DEFAULT_SUBGROUP_CAP", 5040)
-    calls = _count_extensions(monkeypatch)
+    walks, unions = _count_extensions(monkeypatch)
     orbits = _subgroup_index_sets(symmetric_group(7))
     assert len(orbits) == 96
     assert sum(map(len, orbits)) == 11300
-    assert len(calls) == 3696      # 5,596 with a^p outside H allowed
+    # 3,696 closure walks with none pruned, 5,596 with a^p outside H allowed
+    assert (len(walks), len(unions)) == (880, 385)
 
 
 @pytest.mark.parametrize("g", [
