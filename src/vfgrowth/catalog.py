@@ -16,8 +16,9 @@ on generators and extended along the domain's Cayley walk on image tuples
 (``groups.walk_images``); nothing here multiplies ``Perm`` objects.  The
 walk of the domain's own generators, which every default ``EmbeddingMap``
 uses, is the one the domain keeps (``FiniteGroup.cayley``), so a domain
-is walked once however many embeddings start from it; any other
-generator list is walked afresh.
+is walked once however many embeddings start from it.  A list that adds
+identities sent to the identity, as a ``.gog`` edge listing ``()`` does,
+reads that walk too; any other generator list is walked afresh.
 """
 
 from __future__ import annotations
@@ -52,9 +53,15 @@ def extend_hom(domain: FiniteGroup, gens, images, target_degree=None) -> dict:
     for m in images:
         if m.degree != target_degree:
             raise ValueError(f"degree mismatch: {target_degree} vs {m.degree}")
-    # the gens lie in the domain, so the walk stops within its order; the
-    # domain keeps the walk of its own generators
-    if gens == domain.generators:
+    # the domain keeps the walk of its own generators, which have no
+    # identity; an identity sent to the identity adds only steps that
+    # agree, so such pairs are dropped.  Other gens lie in the domain, so
+    # their walk stops within its order
+    kept = [(g, m) for g, m in zip(gens, images)
+            if not (g.is_identity() and m.is_identity())]
+    if tuple(g for g, _ in kept) == domain.generators:
+        gens = domain.generators
+        images = tuple(m for _, m in kept)
         at, steps = domain.cayley()
     else:
         at, steps = cayley_walk(gens, domain.degree, domain.order)

@@ -125,8 +125,7 @@ def _catalog_table(group, heading, columns=()):
         header += f"\t{label}"
     lines.append(header)
     for i, cls in enumerate(cat.classes):
-        gens = " ".join(str(p) for p in cls.representative.generators) \
-            or "id"
+        gens = " ".join(str(p) for p in cls.generators) or "id"
         row = (f"{i + 1}\t{cls.index}\t{cls.aut_count}"
                f"\t{cls.class_size}\t{gens}")
         for _, matrix in columns:

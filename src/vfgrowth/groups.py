@@ -5,28 +5,28 @@ lexicographically by image tuples, subgroup lists and conjugacy-class lists
 come out in a canonical order, and repeated runs produce identical data.
 Groups are small (at most DEFAULT_GROUP_CAP elements, and at most
 DEFAULT_SUBGROUP_CAP for the subgroup lattice), so brute force over
-elements is the method of choice throughout.  No ``Perm`` product is
-formed: ``walk`` is the one breadth-first orbit routine.  ``cayley_walk``
-runs it on image tuples to generate a group, and ``walk_images`` extends
-homomorphisms along such a walk; both compose each step in C, by one
-``operator.itemgetter`` per generator image.  ``generate`` hands its walk
-to the group it builds, which keeps it (``FiniteGroup.cayley``), so a
-group instance is walked once; any other group is checked against its
-elements where its walk is first needed.  The tables
-(``FiniteGroup.tables``) are composed along that walk, by one
-``itemgetter`` per generator, into tuple rows that the collector stops
-tracking.  With them the subgroup lattice, the class canonicalization and
-the coset actions (``_left_cosets``, one ``itemgetter`` per subgroup)
+elements is the method of choice throughout.  No ``Perm`` product is formed:
+``walk`` is the one breadth-first orbit routine.  ``cayley_walk`` runs it on
+image tuples to generate a group, and ``walk_images`` extends homomorphisms
+along such a walk; both compose each step in C, by one
+``operator.itemgetter`` per generator image.  A group is built only from its
+generators: the ``FiniteGroup`` constructor walks them once and takes its
+elements from the walk, which it keeps (``FiniteGroup.cayley``), so a
+group's elements are what its generators generate and no later use need
+check it.  The tables (``FiniteGroup.tables``) are composed along that walk,
+by one ``itemgetter`` per generator, into tuple rows that the collector
+stops tracking.  With them the subgroup lattice, the class canonicalization
+and the coset actions (``_left_cosets``, one ``itemgetter`` per subgroup)
 multiply element indices; a subgroup is a frozenset of positions in the
 parent's sorted ``elements`` (so equal groups share them) from the lattice
 through ``SubgroupClass.members`` to restriction; only ``all_subgroups``
-maps them back to ``Perm`` sets.  The tables are stored on the group and
-the lattice once, in the cache of ``subgroup_classes``, whose classes name
-the instance they were built on (``SubgroupClass.parent``).  Every
-subgroup closure is ``_extend`` on cosets from ``_left_cosets``.  The
-lattice is also the one judge of what a subgroup is and what normalizes
-it: a subgroup given as elements is looked up in it (``_subgroup_class``),
-and normalizer orders are its classes' ``normalizer_order``.
+maps them back to ``Perm`` sets.  The tables are stored on the group and the
+lattice once, in the cache of ``subgroup_classes``, whose classes name the
+instance they were built on (``SubgroupClass.parent``).  Every subgroup
+closure is ``_extend`` on cosets from ``_left_cosets``.  The lattice is also
+the one judge of what a subgroup is and what normalizes it: a subgroup
+given as elements is looked up in it (``_subgroup_class``), and normalizer
+orders are its classes' ``normalizer_order``.
 
 The lattice is the cyclic extension method (Neubüser, *Numer. Math.* 2,
 1960; Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
@@ -71,7 +71,7 @@ from math import factorial, isqrt
 from operator import attrgetter, itemgetter
 
 from .errors import CapExceeded, InputError
-from .perm import Perm, from_cycles, identity
+from .perm import Perm, from_cycles
 
 DEFAULT_GROUP_CAP = 10000
 DEFAULT_SUBGROUP_CAP = 1000
@@ -145,29 +145,38 @@ def walk_images(steps, size: int, gen_images, degree: int) -> tuple:
 
 
 class FiniteGroup:
-    """A finite permutation group of fixed degree with its full element list.
+    """The permutation group on ``degree`` points that ``generators``
+    generate, with its full element list.
 
-    Instances are immutable by convention; equality and hashing go by
-    (degree, elements), so two routes to the same group compare equal.
-    ``elements`` is sorted by image tuple, so the identity is always
-    ``elements[0]`` and has index 0 in the tables.
+    The constructor is the one way to a group, so a group's elements are
+    always what its generators generate: it coerces the generators to
+    ``Perm``, checks their degrees, drops identities and walks the Cayley
+    graph (``cayley_walk``) once, raising CapExceeded ("group too large")
+    past ``max_order`` elements.  Instances are immutable by convention;
+    equality and hashing go by (degree, elements), so two routes to the
+    same group compare equal.  ``elements`` is sorted by image tuple, so
+    the identity is always ``elements[0]`` and has index 0 in the tables.
     """
 
     __slots__ = ("degree", "generators", "elements", "order",
-                 "_set", "_hash", "_tables", "_walk")
+                 "_hash", "_tables", "_walk")
 
-    def __init__(self, degree, generators, elements):
+    def __init__(self, degree, generators, *, max_order=DEFAULT_GROUP_CAP):
+        gens = [g if isinstance(g, Perm) else Perm(g) for g in generators]
+        for g in gens:
+            if g.degree != degree:
+                raise InputError(
+                    f"generator degree {g.degree} does not match {degree}")
         self.degree = degree
-        self.generators = tuple(generators)
-        self.elements = tuple(sorted(elements, key=attrgetter("images")))
+        self.generators = tuple(g for g in gens if not g.is_identity())
+        self._walk = cayley_walk(self.generators, degree, max_order)
+        self.elements = tuple(sorted(self._walk[0], key=attrgetter("images")))
         self.order = len(self.elements)
-        self._set = frozenset(self.elements)
         self._hash = hash((degree, self.elements))
         self._tables = None
-        self._walk = None
 
     def __contains__(self, p) -> bool:
-        return p in self._set
+        return p in self._walk[0]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FiniteGroup)
@@ -182,21 +191,8 @@ class FiniteGroup:
         return f"<group of order {self.order} on {self.degree} points, gens {gens}>"
 
     def cayley(self) -> tuple:
-        """``cayley_walk`` of ``generators`` capped at ``order``: (walk
-        position of every element, steps), kept.  A generated group keeps
-        the walk ``generate`` made.  Any other group walks on first use,
-        and raises InputError unless the walk reaches exactly the elements:
-        the one check that the generators give the elements."""
-        if self._walk is None:
-            try:
-                at, steps = cayley_walk(self.generators, self.degree,
-                                        self.order)
-            except CapExceeded:     # more points than elements
-                at = {}
-            if len(at) != self.order or at.keys() != self._set:
-                raise InputError(f"generators do not generate the "
-                                 f"{self.order} elements given")
-            self._walk = at, steps
+        """The ``cayley_walk`` of ``generators`` that built the group:
+        (walk position of every element, steps)."""
         return self._walk
 
     # -- index tables -----------------------------------------------------
@@ -214,7 +210,7 @@ class FiniteGroup:
         looked up by the inverse of its image tuple.
         """
         if self._tables is None:
-            at, steps = self.cayley()
+            at, steps = self._walk
             elements = self.elements
             index = {p: i for i, p in enumerate(elements)}
             by_images = {p.images: i for i, p in enumerate(elements)}
@@ -238,21 +234,13 @@ class FiniteGroup:
 def generate(gens, degree: int, max_order: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
     """Group generated by ``gens`` inside the symmetric group on ``degree``
     points.  Raises CapExceeded ("group too large") past ``max_order``."""
-    gens = [g if isinstance(g, Perm) else Perm(g) for g in gens]
-    for g in gens:
-        if g.degree != degree:
-            raise InputError(f"generator degree {g.degree} does not match {degree}")
-    gens = [g for g in gens if not g.is_identity()]
-    walked = cayley_walk(gens, degree, max_order)
-    group = FiniteGroup(degree, gens, walked[0])
-    group._walk = walked        # its elements are the walk's: no check
-    return group
+    return FiniteGroup(degree, gens, max_order=max_order)
 
 
 # -- standard groups ------------------------------------------------------
 
 def trivial_group(degree: int = 1) -> FiniteGroup:
-    return FiniteGroup(degree, (), (identity(degree),))
+    return FiniteGroup(degree, ())
 
 
 def _digit_limit() -> int:
@@ -615,8 +603,6 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
 def all_subgroups(g: FiniteGroup) -> list:
     """Every subgroup, as frozensets of Perm, largest first then by sorted
     image tuples.  Exhaustive, so the group order is capped."""
-    g.cayley()      # the lattice is cached by group equality, so g's own
-                    # generators are checked
     # the element list is sorted, so index order is image order
     out = sorted((s for cls in subgroup_classes(g) for s in cls.members),
                  key=lambda s: (-len(s), sorted(s)))
@@ -631,7 +617,7 @@ class SubgroupClass:
     ran on, so its tables are built; an equal copy may have none."""
 
     class_id: int
-    representative: FiniteGroup
+    generators: tuple       # the representative's, as Perm
     order: int
     index: int
     normalizer_order: int
@@ -641,7 +627,7 @@ class SubgroupClass:
     members: tuple = field(repr=False, default=())
 
     def __str__(self) -> str:
-        gens = ", ".join(str(p) for p in self.representative.generators) or "()"
+        gens = ", ".join(str(p) for p in self.generators) or "()"
         return f"class {self.class_id + 1}: <{gens}> order {self.order} index {self.index}"
 
 
@@ -693,13 +679,12 @@ def subgroup_classes(g: FiniteGroup) -> tuple:
     classes = []
     for class_id, members in enumerate(orbits):
         first = members[0]
-        gens = [elements[i] for i in _greedy_generators(mult, first)]
         order = len(first)
         normalizer_order = g.order // len(members)
         classes.append(SubgroupClass(
             class_id=class_id,
-            representative=FiniteGroup(g.degree, gens,
-                                       map(elements.__getitem__, first)),
+            generators=tuple(elements[i]
+                             for i in _greedy_generators(mult, first)),
             order=order,
             index=g.order // order,
             normalizer_order=normalizer_order,
@@ -725,16 +710,16 @@ def _subgroup_class(g: FiniteGroup, u) -> tuple:
     index set in the class parent's tables.  The lattice holds every
     subgroup, so a set it does not hold is not closed under
     multiplication."""
-    g.cayley()      # the lattice is cached by group equality, so g's own
-                    # generators are checked
+    degree = g.degree
     if isinstance(u, SubgroupClass):
         if u.parent == g:
             return u, u.members[0]
-        u = u.representative
-    if isinstance(u, FiniteGroup):
-        if u.degree != g.degree:
-            raise InputError("subgroup degree does not match the group")
-        u = u.elements
+        degree = u.parent.degree
+        u = map(u.parent.elements.__getitem__, u.members[0])
+    elif isinstance(u, FiniteGroup):
+        degree, u = u.degree, u.elements
+    if degree != g.degree:
+        raise InputError("subgroup degree does not match the group")
     members = frozenset(u)
     if not all(x in g for x in members):
         raise InputError("not a subgroup: elements fall outside the group")

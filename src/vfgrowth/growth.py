@@ -75,8 +75,6 @@ def _column_sums(mat) -> tuple:
 
 
 def build_growth_program(g: GraphOfGroups) -> GrowthProgram:
-    for _, grp in g.vertices:   # catalogs are cached by group equality, so
-        grp.cayley()            # each group's own generators are checked
     catalogs = tuple((name, build_catalog(grp)) for name, grp in g.vertices)
     edges = tuple((e, *map(restriction_matrix, e.embeddings))
                   for e in g.edges)
@@ -136,8 +134,7 @@ def _dominant_description(program: GrowthProgram, tv: TypeVector) -> str:
         parts = []
         for cls, w in zip(cat.classes, tv.vertex(name)):
             if w:
-                gens = ", ".join(str(p) for p in
-                                 cls.representative.generators) or "()"
+                gens = ", ".join(str(p) for p in cls.generators) or "()"
                 parts.append(f"{w} * <{gens}> (index {cls.index})")
         lines.append(f"{name}: " + ("; ".join(parts) if parts else "none"))
     return "\n".join(lines)

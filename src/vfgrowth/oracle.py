@@ -18,16 +18,15 @@ Cayley walks are kept by the group instances (``FiniteGroup.cayley``).
   ``type_hom_count`` recounts one type in ``Fraction`` arithmetic apart
   from the join.
 - Brute force tries every tuple of generator images.  Each vertex group's
-  Cayley graph is walked once per group instance on image tuples, and kept
-  by it; a group whose generators do not generate its elements is refused,
-  as the type sum refuses it.  Each tuple is composed along the walk, in C
-  by one ``itemgetter`` per generator image, and checked on every edge of
-  it, with no ``Perm`` product.  A non-tree edge multiplies by the number
-  of permutations conjugating one side's images onto the other's.  Every
-  lookup key of a homomorphism (its parent-edge bucket key, the keys its
-  children look up, its images on each non-tree edge side) is built once,
-  when the homomorphisms are listed.  Transporter counts are memoized by
-  image tuple in a dict that lives for one call.  S_n is listed by
+  Cayley graph is walked once per group instance on image tuples, when the
+  group is built, and kept by it.  Each tuple is composed along the walk, in
+  C by one ``itemgetter`` per generator image, and checked on every edge of
+  it, with no ``Perm`` product.  A non-tree edge multiplies by the number of
+  permutations conjugating one side's images onto the other's.  Every lookup
+  key of a homomorphism (its parent-edge bucket key, the keys its children
+  look up, its images on each non-tree edge side) is built once, when the
+  homomorphisms are listed.  Transporter counts are memoized by image tuple
+  in a dict that lives for one call.  S_n is listed by
   ``itertools.permutations`` on image tuples, both for the generator images
   (``_symmetric_images``, in the lexicographic order of
   ``symmetric_group(n).elements``) and for the conjugating letters, with no
@@ -122,8 +121,6 @@ def vertex_hom_count(group: FiniteGroup, eta, n: int) -> int:
     must be n.  The count is n! / prod(eta_i! * c_i^eta_i) with c_i the
     class aut_count.
     """
-    group.cayley()  # the catalog is cached by group equality, so the
-                    # group's own generators are checked
     cat = build_catalog(group)
     eta = tuple(eta)
     if len(eta) != len(cat.classes):
@@ -301,8 +298,6 @@ def hom_count_typesum(g: GraphOfGroups, n: int,
         raise InputError("degree must be at least 1")
     if n > max_n:
         raise CapExceeded(f"type-sum counting capped at degree {max_n}, got {n}")
-    for _, grp in g.vertices:   # catalogs are cached by group equality, so
-        grp.cayley()            # each group's own generators are checked
     names = [name for name, _ in g.vertices]
     totals = []
     for rows in _typesum_rows(g, n):
@@ -376,7 +371,7 @@ def _vertex_homs(group: FiniteGroup, n: int, sym=None) -> tuple:
     """
     if sym is None:
         sym = _symmetric_images(n)
-    at, steps = group.cayley()      # refuses generators that miss elements
+    at, steps = group.cayley()
     pools = [[x for x, o in sym if d % o == 0]
              for d in (gen.order() for gen in group.generators)]
     homs = []

@@ -51,7 +51,7 @@ def group_layer_lines() -> list:
         index, mult, inv = g.tables()
         tables = ([p.images for p in index], [list(r) for r in mult], inv)
         classes = [([sorted(m) for m in cls.members],
-                    [p.images for p in cls.representative.generators],
+                    [p.images for p in cls.generators],
                     cls.order, cls.normalizer_order)
                    for cls in subgroup_classes(g)]
         lines.append("\t".join([name, str(g.order), _digest(tables),

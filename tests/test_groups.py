@@ -25,8 +25,7 @@ from vfgrowth.groups import (DEFAULT_SUBGROUP_CAP, _class_and_schreier,
 from vfgrowth.growth import (cyclic_amalgam_mu, cyclic_amalgam_value,
                              euler_tight, mu)
 from vfgrowth.oracle import (DEFAULT_ENUM_GROUP_CAP, _transporter_count,
-                             hom_count_enumerate, hom_count_typesum,
-                             vertex_hom_count)
+                             hom_count_enumerate, hom_count_typesum)
 from vfgrowth.perm import Perm, identity, parse_perm
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
@@ -252,56 +251,27 @@ def test_table_rows_are_tuples_the_collector_stops_tracking():
 
 
 def test_elements_sort_by_image_tuples():
-    elements = list(symmetric_group(4).elements)
-    random.Random(4).shuffle(elements)
-    got = FiniteGroup(4, (), elements).elements
-    assert list(got) == sorted(elements, key=lambda p: p.images)
-    assert list(got) == sorted(elements)            # by Perm.__lt__
-    assert got != tuple(elements)
+    # the walk meets the elements out of image order; the group lists them
+    # sorted
+    g = FiniteGroup(4, symmetric_group(4).generators[::-1])
+    walked = list(g.cayley()[0])
+    assert list(g.elements) == sorted(walked, key=lambda p: p.images)
+    assert list(g.elements) == sorted(walked)       # by Perm.__lt__
+    assert g.elements != tuple(walked)
 
 
-@pytest.mark.parametrize("degree, gens, elements", [
-    (3, [], ["()", "(1 2)"]),                       # falls short
-    (3, ["(1 2 3)"], ["()", "(1 2 3)", "(1 3 2)", "(1 2)"]),
-    (3, ["(1 2 3)"], ["()", "(1 2)"]),              # reaches past
-    (3, ["(1 2)"], ["(1 2)", "(1 3)"]),             # no identity
-    (3, ["(1 2)"], ["()", "(1 2)", "(1 2)"]),       # repeats an element
-])
-def test_tables_refuse_generators_that_miss_the_elements(degree, gens,
-                                                         elements):
-    g = FiniteGroup(degree, [parse_perm(t, degree) for t in gens],
-                    [parse_perm(t, degree) for t in elements])
-    with pytest.raises(InputError, match="do not generate"):
-        g.tables()
-    with pytest.raises(InputError, match="do not generate"):
-        subgroup_classes(g)
-
-
-def test_lookups_refuse_a_malformed_group_after_an_equal_one():
-    # the lattice and the catalog are cached by group equality, so an
-    # equal, well-formed group looked up first must not answer for this one
-    c2 = cyclic_group(2)
+def test_a_group_is_built_from_its_generators_alone():
+    # no element list is taken: the elements are what the generators give
     x = parse_perm("(1 2)", 2)
-    lookups = [
-        lambda g: len(all_subgroups(g)),
-        lambda g: vertex_hom_count(g, (0, 1), 2),
-        lambda g: len(coset_action(g, trivial_group(2))),
-        lambda g: fixed_point_multiplicity(g, trivial_group(2), x),
-    ]
-    assert [lookup(c2) for lookup in lookups] == [2, 1, 2, 0]
-    group = FiniteGroup(2, [], [identity(2), x])
-    assert group == c2
-    for lookup in lookups:
-        with pytest.raises(InputError, match="do not generate"):
-            lookup(group)
+    with pytest.raises(TypeError):
+        FiniteGroup(2, [], [identity(2), x])
+    assert FiniteGroup(2, [identity(2), x]) == cyclic_group(2)
 
 
-def test_tables_stop_the_walk_past_the_order(monkeypatch):
-    # generators of Sym(6) over the two elements of <(1 2)>: the walk is
-    # refused at its third point, not run over all 720
+def test_construction_stops_the_walk_past_the_cap(monkeypatch):
+    # Sym(6)'s generators under a cap of 2: the walk is refused at its
+    # third point, not run over all 720
     s6 = symmetric_group(6)
-    g = FiniteGroup(6, s6.generators,
-                    [identity(6), parse_perm("(1 2)", 6)])
     real = groups.walk
     acts = []
 
@@ -311,9 +281,10 @@ def test_tables_stop_the_walk_past_the_order(monkeypatch):
             return act(x, s)
         return real(start, gens, act_counted, cap)
     monkeypatch.setattr(groups, "walk", counted)
-    with pytest.raises(InputError, match="do not generate"):
-        g.tables()
-    assert 0 < len(acts) <= len(s6.generators) * (g.order + 1)
+    with pytest.raises(CapExceeded,
+                       match="^group too large: more than 2 elements$"):
+        FiniteGroup(6, s6.generators, max_order=2)
+    assert acts == [tuple(range(6))] * len(s6.generators)
 
 
 def _reference_cayley_walk(gens, degree, cap):
@@ -340,8 +311,7 @@ def _reference_walk_images(steps, size, gen_images, degree):
 
 # degree 1 (no itemgetter) and 2 (one of two indices) beside the four
 @pytest.mark.parametrize(
-    "g", _FOUR + [trivial_group(), FiniteGroup(1, [identity(1)],
-                                               [identity(1)]),
+    "g", _FOUR + [trivial_group(), FiniteGroup(1, [identity(1)]),
                   cyclic_group(2), dihedral_group(5)],
     ids=_FOUR_IDS + ["Trivial", "Trivial-with-identity", "Cyc(2)",
                      "Dih(5)"])
@@ -713,11 +683,32 @@ def test_sym7_lattice_under_a_raised_subgroup_cap(monkeypatch):
 def test_normalizer_orders_match_perm_normalizers(g):
     # the lattice's orbit sizes against a normalizer found by Perm products
     for c in subgroup_classes(g):
-        members = c.representative.elements
+        members = {g.elements[i] for i in c.members[0]}
         normalizer = [a for a in g.elements
-                      if all(a * x * a.inverse() in c.representative
+                      if all(a * x * a.inverse() in members
                              for x in members)]
         assert c.normalizer_order == len(normalizer)
+
+
+def test_the_lattice_builds_no_group(monkeypatch):
+    # each class keeps its representative's generators, not a group: a
+    # lattice run past its cache constructs and walks nothing
+    s6 = symmetric_group(6)
+    built, walked = [], []
+    init, cayley_walk = FiniteGroup.__init__, groups.cayley_walk
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def counted_walk(*args):
+        walked.append(args)
+        return cayley_walk(*args)
+    monkeypatch.setattr(FiniteGroup, "__init__", counted_init)
+    monkeypatch.setattr(groups, "cayley_walk", counted_walk)
+    classes = subgroup_classes.__wrapped__(s6)
+    assert len(classes) == 56
+    assert (built, walked) == ([], [])
 
 
 def test_group_layer_runs_no_perm_products(monkeypatch):
@@ -789,9 +780,11 @@ def test_subgroup_class_fields():
         assert c.aut_count * c.order == c.normalizer_order
         assert c.index % c.aut_count == 0
         assert c.class_size == g.order // c.normalizer_order
-        # members are index sets into g.elements, the representative first
+        # members are index sets into g.elements, the representative,
+        # which its generators generate, first
         assert c.members[0] == frozenset(
-            g.elements.index(x) for x in c.representative.elements)
+            g.elements.index(x)
+            for x in generate(c.generators, g.degree).elements)
         for members in c.members:
             assert len(members) == c.order
             assert members <= frozenset(range(g.order))
@@ -1000,7 +993,7 @@ def test_class_ordering_is_reproducible():
     a = generate([parse_perm("(1 2)", 3), parse_perm("(1 2 3)", 3)], 3)
     b = generate([parse_perm("(1 3)", 3), parse_perm("(1 3 2)", 3)], 3)
     ca, cb = subgroup_classes(a), subgroup_classes(b)
-    assert [frozenset(c.representative.elements) for c in ca] == \
-        [frozenset(c.representative.elements) for c in cb]
+    assert [(c.generators, c.members) for c in ca] == \
+        [(c.generators, c.members) for c in cb]
     assert [(c.order, c.index, c.aut_count, c.class_size) for c in ca] == \
         [(c.order, c.index, c.aut_count, c.class_size) for c in cb]

@@ -195,8 +195,9 @@ def test_cyclic_amalgam_value_is_a_class_function():
         base = cyclic_amalgam_value(s4, x, cls)
         for members in all_subgroups(s4):
             if len(members) == cls.order and \
-                    frozenset(members) in {frozenset(s * m * s.inverse()
-                                                     for m in cls.representative.elements)
+                    frozenset(members) in {frozenset(s * s4.elements[i]
+                                                     * s.inverse()
+                                                     for i in cls.members[0])
                                            for s in s4.elements}:
                 assert cyclic_amalgam_value(s4, x, members) == base
 

@@ -8,8 +8,11 @@ A second scan finds private helpers nothing reads: every top-level
 function or class of the package whose name starts with ``_`` must be
 read, or imported, somewhere in the package outside its own definition.
 A third lists every function under a memo decorator, so adding a cache is
-a change to the inventory pinned here.  Last, every entry point the
-benchmark's tracer wraps must resolve.
+a change to the inventory pinned here.  A fourth finds a ``cayley()`` call
+whose result is dropped: a group's generators give its elements by
+construction, so a walk called only to check them is a gate that guards
+nothing.  Last, every entry point the benchmark's tracer wraps must
+resolve.
 """
 
 import ast
@@ -141,6 +144,31 @@ def test_the_memo_caches_are_the_pinned_three():
                              "groups.subgroup_classes"]
     # the lattice has one store, subgroup_classes' cache
     assert "_subgroup_cache" not in FiniteGroup.__slots__
+
+
+def _dropped_cayley_calls(tree: ast.Module) -> list:
+    """Line numbers of the statements that are a bare ``….cayley()`` call,
+    its walk dropped."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Expr)
+                  and isinstance(node.value, ast.Call)
+                  and isinstance(node.value.func, ast.Attribute)
+                  and node.value.func.attr == "cayley")
+
+
+def test_the_scan_sees_a_dropped_cayley_walk():
+    tree = ast.parse("def f(g, h):\n    g.cayley()\n"
+                     "    at, steps = h.cayley()\n"
+                     "    for _, grp in g.vertices:\n"
+                     "        grp.cayley()  # a gate\n"
+                     "    return h.cayley()[0], cayley()\n")
+    assert _dropped_cayley_calls(tree) == [2, 5]
+
+
+def test_no_group_is_walked_only_to_be_checked():
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert _dropped_cayley_calls(tree) == [], path.name
 
 
 def test_every_traced_entry_point_resolves():

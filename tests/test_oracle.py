@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 from pathlib import Path
@@ -11,7 +10,8 @@ from vfgrowth.corpus import (corpus_graphs, klein_amalgam, modular_graph,
                              oracle_graphs, random_graph, s3_c2_amalgam,
                              triangle_graph)
 from vfgrowth import catalog, groups, oracle, ratlp
-from vfgrowth.errors import CapExceeded, EmbeddingError, InputError
+from vfgrowth.errors import (CapExceeded, EmbeddingError, InputError,
+                             ParseError)
 from vfgrowth.gog import (GogEdge, free_group, load_gog, make_graph,
                           parse_gog)
 from vfgrowth.groups import (alternating_group, cyclic_group,
@@ -377,44 +377,6 @@ def test_vertex_homs_match_the_extend_hom_enumeration(group):
         assert got == _extend_hom_enumeration(group, n), n
 
 
-def _assert_counting_refuses(group):
-    g = make_graph([("v", group)], [])
-    message = f"^generators do not generate the {group.order} elements given$"
-    for n in (1, 2, 3):
-        with pytest.raises(InputError, match=message):
-            hom_count_enumerate(g, n)
-        with pytest.raises(InputError, match=message):
-            hom_count_typesum(g, n)
-    with pytest.raises(InputError, match=message):
-        mu(g)
-
-
-@pytest.mark.parametrize("degree, gens, elements", [
-    (2, [], ["()", "(1 2)"]),                       # falls short
-    (3, ["(1 2 3)"], ["()", "(1 2 3)", "(1 3 2)", "(1 2)"]),
-    (3, ["(1 2 3)"], ["()", "(1 2)"]),              # reaches past
-    (3, ["(1 2)"], ["(1 2)", "(1 3)"]),             # no identity
-    (3, ["(1 2)"], ["()", "(1 2)", "(1 2)"]),       # repeats an element
-])
-def test_counting_refuses_generators_that_miss_the_elements(degree, gens,
-                                                            elements):
-    _assert_counting_refuses(groups.FiniteGroup(
-        degree, [parse_perm(t, degree) for t in gens],
-        [parse_perm(t, degree) for t in elements]))
-
-
-def test_counting_refuses_a_malformed_group_after_an_equal_one():
-    # the lattice and the catalog are cached by group equality, so an
-    # equal, well-formed group counted first must not answer for this one
-    c2 = cyclic_group(2)
-    g = make_graph([("v", c2)], [])
-    assert hom_count_typesum(g, 3).totals == (1, 2, 4)
-    assert mu(g).mu == Fraction(-1, 2)
-    group = groups.FiniteGroup(2, [], [identity(2), parse_perm("(1 2)", 2)])
-    assert group == c2
-    _assert_counting_refuses(group)
-
-
 def _count_cayley_walks(monkeypatch) -> list:
     """Patch every caller's ``cayley_walk`` to record the (generators,
     degree) of each walk; returns the record."""
@@ -476,6 +438,44 @@ def test_each_group_instance_is_walked_once(monkeypatch):
     mu(g)
     assert sorted(walks) == sorted([(s4.generators, 4),
                                     (edge.generators, 4)])
+
+
+def test_identity_generators_sent_to_the_identity_reuse_the_kept_walk(
+        monkeypatch):
+    # the edge group's generators drop the listed (); each side sends ()
+    # to (), so both embeddings read the edge group's kept walk: one walk
+    # for the shared Sym(4) instance and one for the edge group, not four
+    walks = _count_cayley_walks(monkeypatch)
+    g = parse_gog("vertex a = Sym(4)\nvertex b = Sym(4)\n"
+                  "edge e a b { degree 4; gens (), (1 2);\n"
+                  "  into a: (), (1 2); into b: (), (3 4); }\n")
+    s4, edge = g.vertex_group("a"), g.edges[0].group
+    assert edge.generators == (parse_perm("(1 2)", 4),)
+    assert sorted(walks) == sorted([(s4.generators, 4),
+                                    (edge.generators, 4)])
+
+
+@pytest.mark.parametrize("edge, side, message", [
+    # an identity sent elsewhere is walked afresh, on 4 points and on 1
+    ("degree 4; gens (), (1 2); into a: (1 2), (1 2); into b: (), (3 4);",
+     "a", "not a homomorphism: conflicting images at () "
+          "(via generator () -> (1 2))"),
+    ("degree 1; gens (); into a: (1 2); into b: ();",
+     "a", "not a homomorphism: conflicting images at () "
+          "(via generator () -> (1 2))"),
+    # identities sent to the identity read the kept walk
+    ("degree 4; gens (), (1 2); into a: (), (); into b: (), (3 4);",
+     "a", "not injective: distinct elements share an image"),
+    ("degree 4; gens (), (1 2); into a: (), (1 2); into b: (), (1 2 3);",
+     "b", "not a homomorphism: conflicting images at () "
+          "(via generator (1 2) -> (1 2 3))"),
+], ids=["identity-moved", "one-point", "not-injective", "kept-walk-conflict"])
+def test_identity_generators_keep_their_parse_errors(edge, side, message):
+    with pytest.raises(ParseError) as exc:
+        parse_gog("vertex a = Sym(4)\nvertex b = Sym(4)\n"
+                  f"edge e a b {{ {edge} }}\n")
+    assert str(exc.value) == (f"line 3, col 1: edge 'e', side into "
+                              f"'{side}': {message}")
 
 
 def test_extend_hom_walks_a_reordered_generator_list_afresh():

@@ -332,7 +332,7 @@ def test_prime_order_cyclic_amalgams_carry_a_certificate(make):
     primes = [cls for cls in subgroup_classes(g) if _is_prime(cls.order)]
     assert primes
     for cls in primes:
-        rep = mu(cyclic_amalgam(g, cls.representative.generators[0]))
+        rep = mu(cyclic_amalgam(g, cls.generators[0]))
         assert certify(rep.program.lp, rep.solution)
         assert sum(b * y for b, y in zip(rep.program.lp.rhs,
                                          rep.solution.dual)) == rep.mu
