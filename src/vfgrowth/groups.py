@@ -13,9 +13,9 @@ along such a walk; both compose each step in C, by one
 generators: the ``FiniteGroup`` constructor walks them once and takes its
 elements from the walk, which it keeps (``FiniteGroup.cayley``), so a
 group's elements are what its generators generate and no later use need
-check it.  The tables (``FiniteGroup.tables``) are composed along that walk,
-by one ``itemgetter`` per generator, into tuple rows that the collector
-stops tracking.  With them the subgroup lattice, the class canonicalization
+check it.  The tables (``FiniteGroup.tables``) are composed along that walk
+from element indices alone, by one ``itemgetter`` per generator, into tuple
+rows that the collector stops tracking.  With them the subgroup lattice, the class canonicalization
 and the coset actions (``_left_cosets``, one ``itemgetter`` per subgroup)
 multiply element indices; a subgroup is a frozenset of positions in the
 parent's sorted ``elements`` (so equal groups share them) from the lattice
@@ -59,6 +59,13 @@ derived series is the normal closure of the commutators of the previous
 term's generators, and as a characteristic subgroup of a normal subgroup
 it is normal in G, so closing under conjugation by G's generators is
 exact.
+
+A closure walk in D stops at a fifth of D (``_extend``'s limit), as a
+nontrivial perfect group D has no proper subgroup K of index k <= 4.  D
+acts on the k cosets of K transitively, so its image in S_k is nontrivial.
+That image is a quotient of D, so perfect, and a subgroup of S_k with
+k <= 4, so solvable; a perfect solvable group is trivial.  So a walk in D
+past |D|/5 elements has spanned D.
 """
 
 from __future__ import annotations
@@ -67,7 +74,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
-from math import factorial, isqrt
+from math import factorial, gcd, isqrt
 from operator import attrgetter, itemgetter
 
 from .errors import CapExceeded, InputError
@@ -200,33 +207,46 @@ class FiniteGroup:
     def tables(self):
         """(index map, multiplication table, inverse table) over 0..order-1.
 
-        Rows are built along the kept walk (``cayley``).  Row(s) of a
-        generator s, its left action on indices, takes one composition of
-        image tuples per element; one fixed ``itemgetter`` of it per
-        generator composes each tree step x * s = y in C, since
+        Everything is read from indices along the kept walk (``cayley``),
+        with no image tuple composed.  Its steps (x, k, y) say x * s_k = y
+        for the k-th generator s_k, so they give R_k, the right action of
+        s_k on indices.  Row(s) of a generator s, its left action, follows
+        the tree steps: row(s)[0] = s and row(s)[y] = R_k[row(s)[x]],
+        since s * (x * s_k) = (s * x) * s_k.  One fixed ``itemgetter`` of
+        it per generator composes each tree step x * s = y in C, since
         row(x*s)[t] = row(x)[row(s)[t]].  Rows are tuples, which the
         garbage collector stops tracking at its first collection, where
-        list rows were traversed by every collection.  Each inverse is
-        looked up by the inverse of its image tuple.
+        list rows were traversed by every collection.  Inverses follow the
+        tree steps too: inv[y] = row(s_k^-1)[inv[x]], where s_k^-1 is the
+        index that R_k takes to the identity.
         """
         if self._tables is None:
             at, steps = self._walk
-            elements = self.elements
-            index = {p: i for i, p in enumerate(elements)}
-            by_images = {p.images: i for i, p in enumerate(elements)}
+            n = self.order
+            index = {p: i for i, p in enumerate(self.elements)}
             pos = list(map(index.__getitem__, at))
+            right = [[0] * n for _ in self.generators]
+            tree = []
+            for x, k, y, is_tree in steps:
+                x, y = pos[x], pos[y]
+                right[k][x] = y
+                if is_tree:
+                    tree.append((x, k, y))
             # one getter per generator; of one index it would return the
-            # item, not a 1-tuple, but a group of order 1 has no tree step
-            take = [itemgetter(*[by_images[tuple(map(s.images.__getitem__,
-                                                     t.images))]
-                                 for t in elements])
-                    for s in self.generators]
-            mult = [tuple(range(self.order))] * self.order
-            for x, k, y, tree in steps:
-                if tree:
-                    mult[pos[y]] = take[k](mult[pos[x]])
-            inv = [by_images[tuple(map(p.images.index, range(self.degree)))]
-                   for p in elements]
+            # item, not a 1-tuple, but a group of order 1 has no generator
+            take = []
+            for s in self.generators:
+                row = [index[s]] * n
+                for x, k, y in tree:
+                    row[y] = right[k][row[x]]
+                take.append(itemgetter(*row))
+            mult = [tuple(range(n))] * n
+            for x, k, y in tree:
+                mult[y] = take[k](mult[x])
+            undo = [mult[r.index(0)] for r in right]
+            inv = [0] * n
+            for x, k, y in tree:
+                inv[y] = undo[k][inv[x]]
             self._tables = (index, mult, inv)
         return self._tables
 
@@ -416,10 +436,13 @@ def _extend(cosets, coset_of, rows, limit):
     and ``rows`` the multiplication-table rows of the elements S.  The
     cosets reached from H by left multiplication by S make up <S>H, which
     is <H, S> when S holds generators of H or normalizes H.  Past
-    ``limit`` cosets, that is more than |A|/p elements of the ambient
-    group A the cosets partition (p the least prime dividing |A|), <H, S>
-    is all of A by Lagrange, and None is returned."""
-    # not ``walk``: this orbit stops at the Lagrange bound and needs no steps
+    ``limit`` cosets the walk stops and None is returned: the caller
+    picks a limit past which <H, S> can only be one known group.  Inside
+    a group A that the cosets partition, p the least prime dividing |A|,
+    more than |A|/p elements are all of A by Lagrange; inside the perfect
+    residuum D, more than |D|/5 elements are all of D (see the module
+    docstring).  A limit of every coset never stops."""
+    # not ``walk``: this orbit stops at its limit and needs no steps
     orbit = [0]
     seen = {0}
     for c in orbit:             # the orbit grows while it is walked
@@ -517,33 +540,38 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
         raise CapExceeded(f"group too large: order {g.order} exceeds "
                           f"subgroup cap {DEFAULT_SUBGROUP_CAP}")
     index, mult, inv = g.tables()
-    # each cyclic subgroup <x> stands by its least generator, least[<x>] =
-    # cyclic[x]; by_root maps r to the ascending such a of order p^k, p
-    # prime, with a^p = r
-    least = {}
+    # each cyclic subgroup <x> stands by its least generator a = cyclic[x]:
+    # an ascending scan meets a first, and one scan of its powers sets the
+    # others, the a^k with k prime to the order of a; by_root maps r to the
+    # ascending such a of order p^k, p prime, with a^p = r
     cyclic = [0] * g.order
     by_root = {}
     for a in range(1, g.order):
+        if cyclic[a]:
+            continue
         powers = [0]
         x = a
         while x:
             powers.append(x)
             x = mult[x][a]
         n = len(powers)
-        cyclic[a] = least.setdefault(frozenset(powers), a)
-        if cyclic[a] == a and _is_prime_power(n):
+        for k in range(1, n):
+            if gcd(k, n) == 1:
+                cyclic[powers[k]] = a
+        if _is_prime_power(n):
             by_root.setdefault(powers[_least_prime(n) % n], []).append(a)
     # each class representative H is extended by one <a> per N_G(H)-orbit
     # of those outside H with a^p in H, and only by an a in N_G(H) or, for
     # H inside the residuum, in it, which reaches every subgroup (see the
     # module docstring); N_G(H) is spanned from _class_and_schreier
-    bound = g.order // _least_prime(g.order)
-    whole = frozenset(range(g.order))
     gens = [index[p] for p in g.generators]
     # conjugation x -> s^-1 x s by each group generator s, as an index map
     conj = [[mult[mult[inv[s]][x]][s] for x in range(g.order)]
             for s in gens]
     residuum = _residuum(mult, inv, gens, conj)
+    # a closure walk runs inside the residuum, so past a fifth of it it has
+    # spanned it (see the module docstring)
+    fifth = len(residuum) // 5
     trivial = frozenset([0])
     orbit, schreier = _class_and_schreier(mult, inv, gens, conj, trivial)
     known = set(orbit)
@@ -563,7 +591,6 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
                                len(cosets))
         assert len(span) * size == g.order, \
             "normalizer fails orbit-stabilizer"
-        limit = bound // len(members)
         by = [(mult[inv[n]], n) for n in hgens + tuple(kept)]
         inside = members <= residuum
         seen = set()
@@ -589,7 +616,7 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
                 new = _coset_union(cosets, coset_of, mult, a)
             else:
                 new = _extend(cosets, coset_of, [mult[s] for s in newgens],
-                              limit) or whole
+                              fifth // len(members)) or residuum
             if new in known:
                 continue
             # a conjugate already known would put new in an earlier class

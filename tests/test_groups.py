@@ -229,10 +229,16 @@ _FOUR_IDS = ["Sym(4)", "Alt(5)", "PSL(2,7)", "Dih(4)xCyc(3)"]
 FOUR_GROUPS = pytest.mark.parametrize("g", _FOUR, ids=_FOUR_IDS)
 
 
-# rows of length 1 and 2 beside the four, and a mid-size group
+# rows of length 1 and 2 beside the four, mid-size groups, a walk whose
+# generators come in another order and one whose generator list repeats an
+# element, so that generator takes no tree step
 @pytest.mark.parametrize(
-    "g", _FOUR + [trivial_group(), cyclic_group(2), symmetric_group(5)],
-    ids=_FOUR_IDS + ["Trivial", "Cyc(2)", "Sym(5)"])
+    "g", _FOUR + [trivial_group(), cyclic_group(2), symmetric_group(5),
+                  alternating_group(6),
+                  FiniteGroup(4, symmetric_group(4).generators[::-1]),
+                  _from_cycles("(1 2 3)", "(1 2 3)", "(1 2)")],
+    ids=_FOUR_IDS + ["Trivial", "Cyc(2)", "Sym(5)", "Alt(6)",
+                     "Sym(4)-reversed", "Sym(3)-repeated"])
 def test_tables_match_perm_products(g):
     index, mult, inv = g.tables()
     assert (index, [list(row) for row in mult], inv) == _reference_tables(g)
@@ -587,8 +593,9 @@ def _reference_subgroup_index_sets(g):
     # a proper, nontrivial residuum
     symmetric_group(5),
     direct_product(alternating_group(5), cyclic_group(2)),
+    symmetric_group(6),
 ], ids=["Sym(4)xSym(3)", "Dih(4)xCyc(3)", "Cyc(2)^4", "Alt(5)", "PSL(2,7)",
-        "Alt(6)", "SL(2,5)", "Sym(5)", "Alt(5)xCyc(2)"])
+        "Alt(6)", "SL(2,5)", "Sym(5)", "Alt(5)xCyc(2)", "Sym(6)"])
 def test_lattice_matches_the_unpruned_search(g):
     got = {frozenset(orbit) for orbit in _subgroup_index_sets(g)}
     assert got == {frozenset(orbit)
@@ -622,17 +629,41 @@ def test_residuum_orders_and_normality(g, order):
                for x in range(g.order) for d in residuum)
 
 
+@pytest.mark.parametrize("g", [
+    alternating_group(5),
+    _from_cycles("(1 2 3 4 5 6 7)", "(1 2)(3 5)"),
+    alternating_group(6),
+    _SL25,
+], ids=["Alt(5)", "PSL(2,7)", "Alt(6)", "SL(2,5)"])
+def test_perfect_groups_have_no_proper_subgroup_of_index_under_5(g):
+    # the lemma the lattice's closure walks stop on (module docstring)
+    assert len(_residuum_of(g)[0]) == g.order
+    assert min(c.index for c in subgroup_classes(g) if c.index > 1) >= 5
+
+
+@pytest.mark.parametrize("g", [
+    symmetric_group(5),
+    symmetric_group(6),
+    direct_product(alternating_group(5), cyclic_group(2)),
+], ids=["Sym(5)", "Sym(6)", "Alt(5)xCyc(2)"])
+def test_subgroups_inside_the_residuum_are_at_most_a_fifth_of_it(g):
+    residuum = _residuum_of(g)[0]
+    inside = [s for orbit in _subgroup_index_sets(g) for s in orbit
+              if s < residuum]
+    assert inside and 5 * max(map(len, inside)) <= len(residuum)
+
+
 def _count_extensions(monkeypatch):
     """Every extension step of the lattice from now on: (closure walks,
-    coset unions), one entry each.  Normalizer and residuum spans share
-    the closure routine but allow as many cosets as there are, so no
-    Lagrange stop; they are not counted."""
+    coset unions), one entry each; a closure walk's entry is its limit.
+    Normalizer and residuum spans share the closure routine but allow as
+    many cosets as there are, so no stop; they are not counted."""
     walks, unions = [], []
     extend, union = groups._extend, groups._coset_union
 
     def counted(cosets, coset_of, rows, limit):
         if limit < len(cosets):
-            walks.append(None)
+            walks.append(limit)
         return extend(cosets, coset_of, rows, limit)
 
     def counted_union(*args):
@@ -661,12 +692,29 @@ def test_lattice_extends_once_per_normalizer_orbit(monkeypatch):
         assert (len(walks), len(unions)) == want, name
 
 
+def test_closure_walks_stop_at_a_fifth_of_the_residuum(monkeypatch):
+    # a closure walk runs in the perfect residuum D and stops past |D|/5
+    # elements, where D is all it can span: (walks, sum of their limits in
+    # cosets).  Stopped at the Lagrange bound |G|/p, the limits summed to
+    # 13,589, 9,479 and 1,612
+    walks, _ = _count_extensions(monkeypatch)
+    for g, name, want in (
+            (_named("Sym(6)"), "Sym(6)", (207, 2709)),
+            (_named("Alt(6)"), "Alt(6)", (284, 3787)),
+            (_from_cycles("(1 2 3 4 5 6 7)", "(1 2)(3 5)"), "PSL(2,7)",
+             (91, 606))):
+        walks.clear()
+        _subgroup_index_sets(g)
+        assert (len(walks), sum(walks)) == want, name
+
+
 @pytest.mark.slow
 def test_sym7_lattice_under_a_raised_subgroup_cap(monkeypatch):
-    # about 1.2 s and 250 MB peak RSS on a 2-vCPU Xeon with Python 3.11,
-    # most of the time and memory the 5040^2 table (the lattice 0.4-0.5 s);
-    # the shipped cap stays 1000.  96 classes (OEIS A000638) and 11,300
-    # subgroups (A005432)
+    # about 1.3 s and 250 MB peak RSS on a 2-vCPU Xeon with Python 3.11,
+    # most of the time and memory the 5040^2 table (tables() 0.8 s, the
+    # lattice and classes about 0.47 s, 0.63 s with closure walks stopped
+    # at |G|/p); the shipped cap stays 1000.  96 classes (OEIS A000638)
+    # and 11,300 subgroups (A005432)
     monkeypatch.setattr(groups, "DEFAULT_SUBGROUP_CAP", 5040)
     walks, unions = _count_extensions(monkeypatch)
     orbits = _subgroup_index_sets(symmetric_group(7))
@@ -674,6 +722,8 @@ def test_sym7_lattice_under_a_raised_subgroup_cap(monkeypatch):
     assert sum(map(len, orbits)) == 11300
     # 3,696 closure walks with none pruned, 5,596 with a^p outside H allowed
     assert (len(walks), len(unions)) == (880, 385)
+    # their limits sum to 58,565 cosets, 293,072 at the Lagrange bound
+    assert sum(walks) == 58565
 
 
 @pytest.mark.parametrize("g", [
