@@ -13,14 +13,26 @@ along such a walk; both compose each step in C, by one
 generators: the ``FiniteGroup`` constructor walks them once and takes its
 elements from the walk, which it keeps (``FiniteGroup.cayley``), so a
 group's elements are what its generators generate and no later use need
-check it.  The tables (``FiniteGroup.tables``) are composed along that walk
-from element indices alone, by one ``itemgetter`` per generator, into tuple
-rows that the collector stops tracking.  With them the subgroup lattice, the class canonicalization
-and the coset actions (``_left_cosets``, one ``itemgetter`` per subgroup)
-multiply element indices; a subgroup is a frozenset of positions in the
-parent's sorted ``elements`` (so equal groups share them) from the lattice
-through ``SubgroupClass.members`` to restriction; only ``all_subgroups``
-maps them back to ``Perm`` sets.  The tables are stored on the group and the
+check it.
+
+The multiplication table (``FiniteGroup.tables``, a ``Table``) is factored
+over a point stabilizer, the first level of a Schreier-Sims base (Sims,
+*Computational methods in the study of permutation groups*, 1970; Holt,
+Eick and O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 4).
+K fixes the points 0..j-1, for the j that makes |T| + |K| least, and T
+holds one element of each left coset of K, so each x is t_x * k_x and
+x * y = row(t_x)[row(k_x)[y]]: only the rows of T and K are stored,
+(|T| + |K|) * |G| entries where a full table holds |G|^2 (53 rows for
+Sym(6), 161 for Sym(7)).  The rows are composed along the kept walk from
+element indices alone, by one ``itemgetter`` per generator, and are
+tuples, which the collector stops tracking, where list rows were
+traversed by every collection.  With the table the subgroup lattice, the
+class canonicalization and the coset actions (``_left_cosets``, at most
+one ``itemgetter`` per element of K per subgroup) multiply element
+indices.  A subgroup is a frozenset of positions in the parent's sorted
+``elements`` (so equal groups share them) from the lattice through
+``SubgroupClass.members`` to restriction; only ``all_subgroups`` maps
+them back to ``Perm`` sets.  The table is stored on the group and the
 lattice once, in the cache of ``subgroup_classes``, whose classes name the
 instance they were built on (``SubgroupClass.parent``).  Every subgroup
 closure is ``_extend`` on cosets from ``_left_cosets``.  The lattice is also
@@ -71,6 +83,7 @@ past |D|/5 elements has spanned D.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
@@ -204,51 +217,147 @@ class FiniteGroup:
 
     # -- index tables -----------------------------------------------------
 
-    def tables(self):
-        """(index map, multiplication table, inverse table) over 0..order-1.
-
-        Everything is read from indices along the kept walk (``cayley``),
-        with no image tuple composed.  Its steps (x, k, y) say x * s_k = y
-        for the k-th generator s_k, so they give R_k, the right action of
-        s_k on indices.  Row(s) of a generator s, its left action, follows
-        the tree steps: row(s)[0] = s and row(s)[y] = R_k[row(s)[x]],
-        since s * (x * s_k) = (s * x) * s_k.  One fixed ``itemgetter`` of
-        it per generator composes each tree step x * s = y in C, since
-        row(x*s)[t] = row(x)[row(s)[t]].  Rows are tuples, which the
-        garbage collector stops tracking at its first collection, where
-        list rows were traversed by every collection.  Inverses follow the
-        tree steps too: inv[y] = row(s_k^-1)[inv[x]], where s_k^-1 is the
-        index that R_k takes to the identity.
-        """
+    def tables(self) -> "Table":
+        """The group's multiplication table over element indices, built on
+        first use and kept: a ``Table``, factored over the pointwise
+        stabilizer K of the points 0..j-1 for the j that makes |T| + |K|
+        least, so it holds (|T| + |K|) * |G| entries in tuple rows where a
+        full table held |G|^2."""
         if self._tables is None:
-            at, steps = self._walk
-            n = self.order
-            index = {p: i for i, p in enumerate(self.elements)}
-            pos = list(map(index.__getitem__, at))
-            right = [[0] * n for _ in self.generators]
-            tree = []
-            for x, k, y, is_tree in steps:
-                x, y = pos[x], pos[y]
-                right[k][x] = y
-                if is_tree:
-                    tree.append((x, k, y))
-            # one getter per generator; of one index it would return the
-            # item, not a 1-tuple, but a group of order 1 has no generator
-            take = []
-            for s in self.generators:
-                row = [index[s]] * n
-                for x, k, y in tree:
-                    row[y] = right[k][row[x]]
-                take.append(itemgetter(*row))
-            mult = [tuple(range(n))] * n
-            for x, k, y in tree:
-                mult[y] = take[k](mult[x])
-            undo = [mult[r.index(0)] for r in right]
-            inv = [0] * n
-            for x, k, y in tree:
-                inv[y] = undo[k][inv[x]]
-            self._tables = (index, mult, inv)
+            self._tables = Table(self)
         return self._tables
+
+
+class Table:
+    """The multiplication table of a group G over element indices
+    0..order-1, factored over a point stabilizer K.
+
+    K is the pointwise stabilizer of the points 0..j-1, for the j that
+    makes |T| + |K| least (the smaller K on a tie), where the transversal
+    T holds one element of each left coset xK.  The elements of xK are
+    those that share x's first j images, so in the sorted element list
+    each coset is a block of |K| consecutive indices, and K is the first.
+    Of each coset T holds the element that the kept walk (``cayley``)
+    reaches first, so the shallowest in its tree.  Every x is t_x * k_x
+    for one t_x in T and k_x in K, and x * y = row(t_x)[row(k_x)[y]],
+    where row(a)[y] is the index of a * y.  So only the rows of T and K
+    are stored, (|T| + |K|) * |G| entries where a full table holds |G|^2:
+    for Sym(6), 53 rows, not 720.  ``t[x]`` and ``k[x]`` are the rows of
+    x's two factors.
+
+    Everything is read from indices along the kept walk, with no image
+    tuple composed.  Its steps (x, i, y) say x * s_i = y for the i-th
+    generator s_i, so they give ``right[i]``, the right action of s_i on
+    indices.  The left action of a generator s follows the tree steps:
+    row(s)[0] = s and row(s)[y] = right[i][row(s)[x]], since s * (x * s_i)
+    = (s * x) * s_i.  One fixed ``itemgetter`` of it per generator
+    composes the rows of T and K, and of their ancestors in the tree
+    only, along the tree steps x * s = y, since row(x*s)[z] =
+    row(x)[row(s)[z]].  Rows are tuples: ``itemgetter`` composes and
+    gathers them in C, and the garbage collector stops tracking them at its
+    first collection, where list rows were traversed by every collection.
+    A spent ancestor row is dropped as soon as the walk moves past it.
+    The factors are read off the rows, as row(t)[k] = t * k for k in K,
+    and inverses follow the tree steps: inv[y] = row(s_i^-1)[inv[x]],
+    where s_i^-1 is the index that ``right[i]`` takes to the identity.
+    ``fixed`` is j, ``stabilizer_order`` is |K| and ``rows`` maps each
+    element of T and K to its row.
+    """
+
+    __slots__ = ("index", "inv", "right", "t", "k", "rows", "fixed",
+                 "stabilizer_order", "transversal")
+
+    def __init__(self, g: FiniteGroup):
+        at, steps = g.cayley()
+        n = g.order
+        self.index = index = {p: i for i, p in enumerate(g.elements)}
+        pos = list(map(index.__getitem__, at))
+        right = [[0] * n for _ in g.generators]
+        tree = []
+        parent = [None] * n
+        for x, i, y, is_tree in steps:
+            x, y = pos[x], pos[y]
+            right[i][x] = y
+            if is_tree:
+                tree.append((x, i, y))
+                parent[y] = x
+        self.right = right
+        # K_j is the first block of the sorted elements, those whose images
+        # start 0..j-1, so below 0..j-1 followed by the degree; take the j
+        # with least |T| + |K|, the smaller K on a tie
+        fixed, size = 0, n
+        for j in range(1, g.degree + 1):
+            kj = bisect_left(g.elements, tuple(range(j)) + (g.degree,),
+                             key=attrgetter("images"))
+            if (n // kj + kj, kj) < (n // size + size, size):
+                fixed, size = j, kj
+        self.fixed, self.stabilizer_order = fixed, size
+        # of each block, the element the walk reaches first (pos is in
+        # walk order)
+        first = [None] * (n // size)
+        for x in pos:
+            if first[x // size] is None:
+                first[x // size] = x
+        self.transversal = tuple(first)
+        keep = set(first).union(range(size))
+        need = [False] * n
+        need[0] = True
+        for x in keep:
+            while not need[x]:
+                need[x] = True
+                x = parent[x]
+        # one getter per generator; of one index it would return the
+        # item, not a 1-tuple, but a group of order 1 has no generator
+        take = []
+        for s in g.generators:
+            row = [index[s]] * n
+            for x, i, y in tree:
+                row[y] = right[i][row[x]]
+            take.append(itemgetter(*row))
+        # the walk takes every step from one element together, so once the
+        # tree steps move past x its row is spent, unless T or K holds it
+        rows = [None] * n
+        rows[0] = tuple(range(n))
+        last = 0
+        for x, i, y in tree:
+            if x != last:
+                if last not in keep:
+                    rows[last] = None
+                last = x
+            if need[y]:
+                rows[y] = take[i](rows[x])
+        self.rows = {x: rows[x] for x in sorted(keep)}
+        krows = [self.rows[x] for x in range(size)]
+        t = [None] * n
+        k = [None] * n
+        for c, x in enumerate(first):
+            row = self.rows[x]
+            t[c * size:(c + 1) * size] = [row] * size
+            for y, kr in zip(row, krows):
+                k[y] = kr
+        self.t, self.k = t, k
+        undo = [self.row(r.index(0)) for r in right]
+        inv = [0] * n
+        for x, i, y in tree:
+            inv[y] = undo[i][inv[x]]
+        self.inv = inv
+
+    def mul(self, x, y) -> int:
+        """The index of x * y."""
+        return self.t[x][self.k[x][y]]
+
+    def factor_rows(self, xs) -> list:
+        """(t[x], k[x]) for each x in ``xs``, the way ``_extend`` takes
+        the elements it multiplies by."""
+        return [(self.t[x], self.k[x]) for x in xs]
+
+    def row(self, x) -> tuple:
+        """The whole row of x, the indices of x * y for every y, composed
+        in C from x's two factor rows."""
+        kx = self.k[x]
+        if len(kx) == 1:        # itemgetter of one index returns the item
+            return (self.t[x][kx[0]],)
+        return itemgetter(*kx)(self.t[x])
 
 
 def generate(gens, degree: int, max_order: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
@@ -378,20 +487,35 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 
 # -- subgroup enumeration -------------------------------------------------
 
-def _left_cosets(mult, sub, ambient):
+def _left_cosets(tab, sub, ambient):
     """Left cosets yH of the subgroup H with element indices ``sub``
     inside the subgroup with element indices ``ambient`` (ascending, so
-    starting at the identity, index 0): the cosets as index tuples,
-    numbered by their least element, and the list mapping each element of
-    ``ambient`` to its coset number."""
-    # a subgroup of order 1 is {0}; itemgetter of one index returns the
-    # item, not a 1-tuple
-    take = itemgetter(*sub) if len(sub) > 1 else lambda row: (row[0],)
-    coset_of = [None] * len(mult)
+    starting at the identity, index 0), from the table ``tab``: the cosets
+    as index tuples, numbered by their least element, and the list
+    mapping each element of ``ambient`` to its coset number.  yH is
+    t_y (k_y H), so it is one gather from y's transversal row by the
+    indices of k_y H, and one getter of those serves every y with the
+    same k_y: at most |K| getters per call."""
+    coset_of = [None] * len(tab.t)
+    if len(sub) == 1:
+        # H = {0}; itemgetter of one index returns the item, not a 1-tuple
+        cosets = [(y,) for y in ambient]
+        for c, y in enumerate(ambient):
+            coset_of[y] = c
+        return cosets, coset_of
+    take = itemgetter(*sub)
+    t, k = tab.t, tab.k
+    # getters[k_y] gathers k_y H from a row; k_y = 1 needs H itself
+    getters = [None] * tab.stabilizer_order
+    getters[0] = take
     cosets = []
     for y in ambient:
         if coset_of[y] is None:
-            coset = take(mult[y])
+            ky = k[y]
+            get = getters[ky[0]]            # ky[0] = k_y * 1 = k_y
+            if get is None:
+                get = getters[ky[0]] = itemgetter(*take(ky))
+            coset = get(t[y])
             c = len(cosets)
             for z in coset:
                 coset_of[z] = c
@@ -433,7 +557,8 @@ def _extend(cosets, coset_of, rows, limit):
     """<H, S> as the union of the left cosets of H that it contains.
 
     ``cosets``/``coset_of`` are the left cosets of H (see _left_cosets)
-    and ``rows`` the multiplication-table rows of the elements S.  The
+    and ``rows`` the factor rows of the elements s of S
+    (``Table.factor_rows``), so s * y = t[s][k[s][y]].  The
     cosets reached from H by left multiplication by S make up <S>H, which
     is <H, S> when S holds generators of H or normalizes H.  Past
     ``limit`` cosets the walk stops and None is returned: the caller
@@ -447,8 +572,8 @@ def _extend(cosets, coset_of, rows, limit):
     seen = {0}
     for c in orbit:             # the orbit grows while it is walked
         y = cosets[c][0]
-        for row in rows:
-            d = coset_of[row[y]]
+        for t, k in rows:
+            d = coset_of[t[k[y]]]
             if d not in seen:
                 seen.add(d)
                 orbit.append(d)
@@ -457,35 +582,49 @@ def _extend(cosets, coset_of, rows, limit):
     return frozenset().union(*map(cosets.__getitem__, orbit))
 
 
-def _coset_union(cosets, coset_of, mult, a):
+def _coset_union(cosets, coset_of, tab, a):
     """H<a> for an a that normalizes H: the union of the left cosets
     a^i H of H (see _left_cosets), read along a's powers up to the first
-    in H."""
+    in H, each the last one multiplied by a on the left in the table
+    ``tab``."""
+    ta, ka = tab.t[a], tab.k[a]
     union = [cosets[0]]
     x = a
     while coset_of[x]:
         union.append(cosets[coset_of[x]])
-        x = mult[x][a]
+        x = ta[ka[x]]
     return frozenset().union(*union)
 
 
-def _residuum(mult, inv, gens, conj):
-    """The perfect residuum G^(oo) of the group with generator indices
-    ``gens``, as element indices: each derived subgroup is spanned by the
-    commutators of the previous term's generators and their conjugates
-    under ``conj`` (x -> s^-1 x s per generator s), until a term is
-    perfect (see the module docstring)."""
-    cosets, coset_of = _left_cosets(mult, frozenset([0]), range(len(mult)))
-    term = frozenset(range(len(mult)))
+def _conjugations(tab, gens) -> list:
+    """Conjugation x -> s^-1 x s by each group generator s (element
+    indices ``gens``, in the order of ``tab.right``) as an index map: the
+    right action of s read at s^-1 x, composed in C.  They are lists:
+    ``_class_and_schreier`` reads them by ``list.__getitem__``, which
+    ``map`` calls faster than ``tuple.__getitem__``."""
+    return [list(itemgetter(*tab.row(tab.inv[s]))(r))
+            for s, r in zip(gens, tab.right)]
+
+
+def _residuum(tab, gens, conj):
+    """The perfect residuum G^(oo) of the group with table ``tab`` and
+    generator indices ``gens``, as element indices: each derived subgroup
+    is spanned by the commutators of the previous term's generators and
+    their conjugates under ``conj`` (x -> s^-1 x s per generator s), until
+    a term is perfect (see the module docstring)."""
+    n = len(tab.t)
+    mul, inv = tab.mul, tab.inv
+    cosets, coset_of = _left_cosets(tab, frozenset([0]), range(n))
+    term = frozenset(range(n))
     while True:
-        todo = [mult[mult[inv[x]][inv[y]]][mult[x][y]]
+        todo = [mul(mul(inv[x], inv[y]), mul(x, y))
                 for x in gens for y in gens]
         kept = []
         span = frozenset([0])
         for x in todo:                  # todo grows while it is walked
             if x not in span:
                 kept.append(x)
-                span = _extend(cosets, coset_of, [mult[k] for k in kept],
+                span = _extend(cosets, coset_of, tab.factor_rows(kept),
                                len(cosets))
                 todo.extend(c[x] for c in conj)
         if len(span) == len(term):
@@ -493,7 +632,7 @@ def _residuum(mult, inv, gens, conj):
         term, gens = span, kept
 
 
-def _greedy_generators(mult, members) -> list:
+def _greedy_generators(tab, members) -> list:
     """The members, in index order, that the earlier ones do not generate:
     the representative's generating list in ``subgroup_classes``."""
     members = sorted(members)
@@ -504,81 +643,84 @@ def _greedy_generators(mult, members) -> list:
     for m in members:
         if m not in span:
             gens.append(m)
-            cosets, coset_of = _left_cosets(mult, span, members)
-            span = _extend(cosets, coset_of, [mult[s] for s in gens],
+            cosets, coset_of = _left_cosets(tab, span, members)
+            span = _extend(cosets, coset_of, tab.factor_rows(gens),
                            bound // len(span)) or whole
     return gens
 
 
-def _class_and_schreier(mult, inv, gens, conj, members):
+def _class_and_schreier(tab, conj, members):
     """The conjugacy class of the subgroup H with element indices
-    ``members``, walked by conjugating with the group generators ``gens``
-    (``conj`` holds x -> s^-1 x s for each), and its Schreier elements.
-    A tree step x --s--> y gives t_y = t_x s, the product of generators
-    that conjugates H to the y-th conjugate; each other step gives
-    t_x s t_y^-1, which normalizes H, and these generate N_G(H)
+    ``members``, walked by conjugating with the group generators
+    (``conj`` holds x -> s^-1 x s for each, in the order of the table
+    ``tab``'s ``right``), and its Schreier elements.  A tree step
+    x --s--> y gives w_y = w_x s, the product of generators that
+    conjugates H to the y-th conjugate; each other step gives
+    w_x s w_y^-1, which normalizes H, and these generate N_G(H)
     (Schreier's lemma)."""
     at, steps = walk(members, conj,
                      lambda cur, c: frozenset(map(c.__getitem__, cur)))
-    t = [0] * len(at)
+    right, t, k, inv = tab.right, tab.t, tab.k, tab.inv
+    w = [0] * len(at)
     schreier = []
-    for x, k, y, tree in steps:
-        ts = mult[t[x]][gens[k]]
+    for x, i, y, tree in steps:
+        ws = right[i][w[x]]
         if tree:
-            t[y] = ts
+            w[y] = ws
         else:
-            schreier.append(mult[ts][inv[t[y]]])
+            schreier.append(t[ws][k[ws][inv[w[y]]]])
     return list(at), schreier
 
 
 def _subgroup_index_sets(g: FiniteGroup) -> tuple:
     """All subgroups as frozensets of element indices, one tuple per
     conjugacy class."""
-    # the one check of the subgroup cap: the |G|^2 table and the lattice
-    # search below are what it bounds
+    # the one check of the subgroup cap: the table and the lattice search
+    # below are what it bounds
     if g.order > DEFAULT_SUBGROUP_CAP:
         raise CapExceeded(f"group too large: order {g.order} exceeds "
                           f"subgroup cap {DEFAULT_SUBGROUP_CAP}")
-    index, mult, inv = g.tables()
+    tab = g.tables()
+    t, k, inv = tab.t, tab.k, tab.inv
     # each cyclic subgroup <x> stands by its least generator a = cyclic[x]:
     # an ascending scan meets a first, and one scan of its powers sets the
-    # others, the a^k with k prime to the order of a; by_root maps r to the
-    # ascending such a of order p^k, p prime, with a^p = r
+    # others, the a^e with e prime to the order of a; by_root maps r to the
+    # ascending such a of order p^k, p prime, with a^p = r; each power is
+    # the last one multiplied by a on the left
     cyclic = [0] * g.order
     by_root = {}
     for a in range(1, g.order):
         if cyclic[a]:
             continue
+        ta, ka = t[a], k[a]
         powers = [0]
         x = a
         while x:
             powers.append(x)
-            x = mult[x][a]
-        n = len(powers)
-        for k in range(1, n):
-            if gcd(k, n) == 1:
-                cyclic[powers[k]] = a
-        if _is_prime_power(n):
-            by_root.setdefault(powers[_least_prime(n) % n], []).append(a)
+            x = ta[ka[x]]
+        m = len(powers)
+        for e in range(1, m):
+            if gcd(e, m) == 1:
+                cyclic[powers[e]] = a
+        if _is_prime_power(m):
+            by_root.setdefault(powers[_least_prime(m) % m], []).append(a)
     # each class representative H is extended by one <a> per N_G(H)-orbit
     # of those outside H with a^p in H, and only by an a in N_G(H) or, for
     # H inside the residuum, in it, which reaches every subgroup (see the
     # module docstring); N_G(H) is spanned from _class_and_schreier
-    gens = [index[p] for p in g.generators]
-    # conjugation x -> s^-1 x s by each group generator s, as an index map
-    conj = [[mult[mult[inv[s]][x]][s] for x in range(g.order)]
-            for s in gens]
-    residuum = _residuum(mult, inv, gens, conj)
+    gens = [tab.index[p] for p in g.generators]
+    conj = _conjugations(tab, gens)
+    residuum = _residuum(tab, gens, conj)
     # a closure walk runs inside the residuum, so past a fifth of it it has
     # spanned it (see the module docstring)
     fifth = len(residuum) // 5
     trivial = frozenset([0])
-    orbit, schreier = _class_and_schreier(mult, inv, gens, conj, trivial)
+    orbit, schreier = _class_and_schreier(tab, conj, trivial)
     known = set(orbit)
     orbits = [tuple(orbit)]
     reps = [(trivial, (), len(orbit), schreier)]
     for members, hgens, size, schreier in reps:  # reps grows while walked
-        cosets, coset_of = _left_cosets(mult, members, range(g.order))
+        cosets, coset_of = _left_cosets(tab, members, range(g.order))
         # N_G(H) = <H, kept>, a Schreier element kept only outside the span
         # so far; all normalize H, so their rows alone walk H's cosets, and
         # a limit of every coset means no Lagrange stop
@@ -587,11 +729,12 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
         for n in schreier:
             if n not in span:
                 kept.append(n)
-                span = _extend(cosets, coset_of, [mult[k] for k in kept],
+                span = _extend(cosets, coset_of, tab.factor_rows(kept),
                                len(cosets))
         assert len(span) * size == g.order, \
             "normalizer fails orbit-stabilizer"
-        by = [(mult[inv[n]], n) for n in hgens + tuple(kept)]
+        # n^-1 b n for each n: the rows of n^-1, then b' * n
+        by = [(t[inv[n]], k[inv[n]], n) for n in hgens + tuple(kept)]
         inside = members <= residuum
         seen = set()
         roots = members.intersection(by_root)
@@ -606,21 +749,22 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
             seen.add(a)
             todo = [a]
             for b in todo:              # todo grows while it is walked
-                for left, n in by:
-                    c = cyclic[mult[left[b]][n]]
+                for ti, ki, n in by:
+                    u = ti[ki[b]]
+                    c = cyclic[t[u][k[u][n]]]
                     if c not in seen:
                         seen.add(c)
                         todo.append(c)
             newgens = hgens + (a,)
             if normalizes:
-                new = _coset_union(cosets, coset_of, mult, a)
+                new = _coset_union(cosets, coset_of, tab, a)
             else:
-                new = _extend(cosets, coset_of, [mult[s] for s in newgens],
+                new = _extend(cosets, coset_of, tab.factor_rows(newgens),
                               fifth // len(members)) or residuum
             if new in known:
                 continue
             # a conjugate already known would put new in an earlier class
-            orbit, schreier = _class_and_schreier(mult, inv, gens, conj, new)
+            orbit, schreier = _class_and_schreier(tab, conj, new)
             known.update(orbit)
             orbits.append(tuple(orbit))
             reps.append((new, newgens, len(orbit), schreier))
@@ -693,13 +837,15 @@ def subgroup_classes(g: FiniteGroup) -> tuple:
     """
     orbits = _subgroup_index_sets(g)    # checks the subgroup cap first
     elements = g.elements
-    mult = g.tables()[1]
+    tab = g.tables()
 
     def key(members):
+        # a point's orbit under the subgroup is its column of images, so
+        # the subgroup has as many orbits as distinct columns
         first = members[0]
-        images = [elements[i].images for i in first]
+        columns = zip(*(elements[i].images for i in first))
         return (-len(frozenset.intersection(*members)), -len(first),
-                len(orbit_minima(g.degree, images)), sorted(first))
+                len(set(map(frozenset, columns))), sorted(first))
     # the element list is sorted, so index order is image order
     orbits = sorted((tuple(sorted(orbit, key=sorted)) for orbit in orbits),
                     key=key)
@@ -711,7 +857,7 @@ def subgroup_classes(g: FiniteGroup) -> tuple:
         classes.append(SubgroupClass(
             class_id=class_id,
             generators=tuple(elements[i]
-                             for i in _greedy_generators(mult, first)),
+                             for i in _greedy_generators(tab, first)),
             order=order,
             index=g.order // order,
             normalizer_order=normalizer_order,
@@ -728,7 +874,7 @@ def subgroup_classes(g: FiniteGroup) -> tuple:
 def _element_index(g: FiniteGroup) -> dict:
     """g's element -> index map in the tables of the instance that
     ``subgroup_classes(g)`` ran on, where every ``members`` set counts."""
-    return subgroup_classes(g)[0].parent.tables()[0]
+    return subgroup_classes(g)[0].parent.tables().index
 
 
 def _subgroup_class(g: FiniteGroup, u) -> tuple:
@@ -765,7 +911,7 @@ def _subgroup_class(g: FiniteGroup, u) -> tuple:
 def coset_action(g: FiniteGroup, u) -> dict:
     """The action of g on the left cosets of u, as a map element -> Perm."""
     cls, sub = _subgroup_class(g, u)
-    mult = cls.parent.tables()[1]
-    cosets, coset_of = _left_cosets(mult, sub, range(g.order))
-    return {a: Perm(tuple(coset_of[row[c[0]]] for c in cosets))
-            for a, row in zip(g.elements, mult)}
+    tab = cls.parent.tables()
+    cosets, coset_of = _left_cosets(tab, sub, range(g.order))
+    return {a: Perm(tuple(coset_of[t[k[c[0]]]] for c in cosets))
+            for a, t, k in zip(g.elements, tab.t, tab.k)}

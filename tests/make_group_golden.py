@@ -4,7 +4,8 @@
 
 One line per vertex group of the benchmark's cold catalog (A5, S3 wr C2,
 S5, S4 x S3, PSL(2,7), A6, S6), tab-separated: the name, the order, a
-sha256 of ``tables()`` (element images, multiplication rows, inverses) and
+sha256 of ``tables()`` (element images, the multiplication rows read whole
+from the factored store, inverses) and
 a sha256 of ``subgroup_classes`` (for each class in order: its members in
 order, each as a sorted index list, the representative's generators, the
 order and the normalizer order).  The test in tests/test_groups.py
@@ -48,8 +49,9 @@ def _digest(value) -> str:
 def group_layer_lines() -> list:
     lines = []
     for name, g in cold_catalog_groups():
-        index, mult, inv = g.tables()
-        tables = ([p.images for p in index], [list(r) for r in mult], inv)
+        tab = g.tables()
+        rows = [list(tab.row(x)) for x in range(g.order)]
+        tables = ([p.images for p in tab.index], rows, tab.inv)
         classes = [([sorted(m) for m in cls.members],
                     [p.images for p in cls.generators],
                     cls.order, cls.normalizer_order)

@@ -158,18 +158,20 @@ def _reference_restriction_matrix(emb: EmbeddingMap) -> RestrictionMatrix:
     ecat = build_catalog(emb.domain)
     # the tables the lattice built, even when emb.codomain is an equal copy
     index = _element_index(emb.codomain)
-    mult = vcat.classes[0].parent.tables()[1]
+    parent = vcat.classes[0].parent
+    elements = parent.elements
     # left multiplication by the image of each edge element, in the edge
-    # group's element order, the order its classes' index sets count in
+    # group's element order, the order its classes' index sets count in,
+    # as full rows from Perm products
     edge = emb.domain.elements
-    left = [mult[index[emb.apply(a)]] for a in edge]
+    left = [[index[emb.apply(a) * x] for x in elements] for a in edge]
     gens = [edge.index(a) for a in emb.generators]
     lookup = {members: cls.class_id
               for cls in ecat.classes for members in cls.members}
     gen_count = len(ecat)
     cols = []
     for rep in vcat.classes:
-        cosets, coset_of = _left_cosets(mult, rep.members[0],
+        cosets, coset_of = _left_cosets(parent.tables(), rep.members[0],
                                         range(emb.codomain.order))
         act = [tuple(coset_of[row[c[0]]] for c in cosets) for row in left]
         col = [0] * gen_count

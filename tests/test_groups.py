@@ -1,5 +1,9 @@
 import gc
+import os
 import random
+import resource
+import subprocess
+import sys
 from itertools import chain
 from fractions import Fraction
 from functools import lru_cache
@@ -212,7 +216,11 @@ def _from_cycles(*texts):
     return generate([parse_perm(t, 7) for t in texts], 7)
 
 
+@lru_cache(maxsize=None)
 def _reference_tables(g):
+    """(index map, full multiplication table, inverses) from Perm products,
+    the reference the factored ``tables()`` store is checked against; one
+    per group, as Sym(6)'s takes about 2 s."""
     index = {p: i for i, p in enumerate(g.elements)}
     mult = [[index[a * b] for b in g.elements] for a in g.elements]
     inv = [index[a.inverse()] for a in g.elements]
@@ -240,20 +248,90 @@ FOUR_GROUPS = pytest.mark.parametrize("g", _FOUR, ids=_FOUR_IDS)
     ids=_FOUR_IDS + ["Trivial", "Cyc(2)", "Sym(5)", "Alt(6)",
                      "Sym(4)-reversed", "Sym(3)-repeated"])
 def test_tables_match_perm_products(g):
-    index, mult, inv = g.tables()
-    assert (index, [list(row) for row in mult], inv) == _reference_tables(g)
+    # every product, read through the factored store and as whole rows
+    tab = g.tables()
+    index, mult, inv = _reference_tables(g)
+    n = g.order
+    assert (tab.index, tab.inv) == (index, inv)
+    assert [[tab.mul(x, y) for y in range(n)] for x in range(n)] == mult
+    assert [list(tab.row(x)) for x in range(n)] == mult
 
 
 def test_table_rows_are_tuples_the_collector_stops_tracking():
     # rows of ints held as tuples leave the collector's tracking at the
     # first collection, so later collections do not traverse the table
     g = symmetric_group(5)
-    mult = g.tables()[1]
+    tab = g.tables()
     gc.collect()
     ref = _reference_tables(g)[1]
-    for row, want in zip(mult, ref, strict=True):
-        assert type(row) is tuple and list(row) == want
+    assert len(tab.rows) == 25
+    for x, row in tab.rows.items():
+        assert type(row) is tuple and list(row) == ref[x]
         assert not gc.is_tracked(row)
+    for x in range(g.order):
+        assert tab.t[x] is tab.rows[tab.t[x][0]]
+        assert tab.k[x] is tab.rows[tab.k[x][0]]
+
+
+def _sym3_wr_cyc2():
+    return generate([parse_perm(t, 6)
+                     for t in ("(1 2)", "(1 2 3)", "(1 4)(2 5)(3 6)")], 6)
+
+
+@pytest.mark.parametrize("g", [
+    symmetric_group(3), dihedral_group(5), cyclic_group(7), trivial_group(),
+    _sym3_wr_cyc2(), _from_cycles("(1 2 3 4 5 6 7)", "(1 2)(3 5)"),
+], ids=["Sym(3)", "Dih(5)", "Cyc(7)", "Trivial", "Sym(3)wrCyc(2)",
+        "PSL(2,7)"])
+def test_the_factored_store_matches_perm_products(g):
+    # x * y = row(t_x)[row(k_x)[y]] over the pointwise stabilizer K of
+    # points 0..j-1 and one transversal element t per left coset tK
+    tab = g.tables()
+    elements, n, j = g.elements, g.order, tab.fixed
+    stabilizer = elements[:tab.stabilizer_order]
+    assert all(k.images[:j] == tuple(range(j)) for k in stabilizer)
+    assert sum(p.images[:j] == tuple(range(j)) for p in elements) \
+        == len(stabilizer)
+    assert len(tab.transversal) * len(stabilizer) == n
+    assert set(tab.rows) == set(tab.transversal) | set(range(len(stabilizer)))
+    for x, p in enumerate(elements):
+        t, k = tab.t[x][0], tab.k[x][0]
+        assert t in tab.transversal and k < len(stabilizer)
+        assert elements[t] * elements[k] == p
+        assert elements[tab.inv[x]] == p.inverse()
+        for y, q in enumerate(elements):
+            assert elements[tab.mul(x, y)] == p * q
+
+
+def test_a_regular_group_has_a_trivial_stabilizer():
+    # Cyc(7) acts regularly: every point's stabilizer is trivial, so K is
+    # trivial and T is the whole group
+    tab = cyclic_group(7).tables()
+    assert (tab.fixed, tab.stabilizer_order) == (1, 1)
+    assert tab.transversal == tuple(range(7))
+
+
+@pytest.mark.parametrize("g, name", [(symmetric_group(6), "Sym(6)"),
+                                     (alternating_group(6), "Alt(6)")],
+                         ids=["Sym(6)", "Alt(6)"])
+def test_random_products_in_the_frontier_groups(g, name):
+    tab = g.tables()
+    elements = g.elements
+    rng = random.Random(name)
+    for _ in range(3000):
+        x, y = rng.randrange(g.order), rng.randrange(g.order)
+        assert elements[tab.mul(x, y)] == elements[x] * elements[y]
+        assert tab.row(x)[y] == tab.mul(x, y)
+
+
+def test_the_store_holds_the_rows_of_t_and_k_alone():
+    # (|T| + |K|) * |G| entries, not |G|^2: j = 2 for both, so |K| = 24 and
+    # 12, |T| = 30, and the identity is in both
+    for g, rows in ((symmetric_group(6), 53), (alternating_group(6), 41)):
+        tab = g.tables()
+        assert (tab.fixed, len(tab.transversal)) == (2, 30)
+        assert len(tab.rows) == rows
+        assert all(len(row) == g.order for row in tab.rows.values())
 
 
 def test_elements_sort_by_image_tuples():
@@ -365,12 +443,13 @@ def test_left_cosets_match_the_reference_loop(g):
     # included (one index), then inside each representative the way
     # _greedy_generators asks: every representative it contains
     classes = subgroup_classes(g)
-    mult = classes[0].parent.tables()[1]
+    tab = classes[0].parent.tables()
+    mult = _reference_tables(g)[1]
     reps = [cls.members[0] for cls in classes]
     assert min(map(len, reps)) == 1
 
     def same(sub, ambient):
-        cosets, coset_of = groups._left_cosets(mult, sub, ambient)
+        cosets, coset_of = groups._left_cosets(tab, sub, ambient)
         want, want_of = _reference_left_cosets(mult, sub, ambient)
         assert [list(c) for c in cosets] == want
         assert coset_of == want_of
@@ -416,14 +495,16 @@ def test_class_and_schreier_match_the_reference_walk(g):
     # representative, with the conjugation maps the lattice uses
     classes = subgroup_classes(g)
     parent = classes[0].parent
-    index, mult, inv = parent.tables()
+    tab = parent.tables()
+    index, mult, inv = _reference_tables(parent)
     gens = [index[p] for p in parent.generators]
     conj = [[mult[mult[inv[s]][x]][s] for x in range(parent.order)]
             for s in gens]
+    assert groups._conjugations(tab, gens) == conj
     for cls in classes:
-        args = (mult, inv, gens, conj, cls.members[0])
-        assert groups._class_and_schreier(*args) == \
-            _reference_class_and_schreier(*args)
+        assert groups._class_and_schreier(tab, conj, cls.members[0]) == \
+            _reference_class_and_schreier(mult, inv, gens, conj,
+                                          cls.members[0])
 
 
 def _reference_subgroups(g):
@@ -497,13 +578,15 @@ _SL25 = _sl25()
 def _reference_subgroup_index_sets(g):
     """The lattice loop that ``groups._subgroup_index_sets`` replaced, with
     no residuum and a closure walk for every candidate, kept word for word
-    as the reference."""
+    as the reference, on a full table from Perm products; the package
+    helpers get the group's factored table."""
     # the one check of the subgroup cap: the |G|^2 table and the lattice
     # search below are what it bounds
     if g.order > DEFAULT_SUBGROUP_CAP:
         raise CapExceeded(f"group too large: order {g.order} exceeds "
                           f"subgroup cap {DEFAULT_SUBGROUP_CAP}")
-    index, mult, inv = g.tables()
+    tab = g.tables()
+    index, mult, inv = _reference_tables(g)
     # each cyclic subgroup <x> stands by its least generator, least[<x>] =
     # cyclic[x]; by_root maps r to the ascending such a of order p^k, p
     # prime, with a^p = r
@@ -530,12 +613,12 @@ def _reference_subgroup_index_sets(g):
     conj = [[mult[mult[inv[s]][x]][s] for x in range(g.order)]
             for s in gens]
     trivial = frozenset([0])
-    orbit, schreier = _class_and_schreier(mult, inv, gens, conj, trivial)
+    orbit, schreier = _class_and_schreier(tab, conj, trivial)
     known = set(orbit)
     orbits = [tuple(orbit)]
     reps = [(trivial, (), len(orbit), schreier)]
     for members, hgens, size, schreier in reps:  # reps grows while walked
-        cosets, coset_of = _left_cosets(mult, members, range(g.order))
+        cosets, coset_of = _left_cosets(tab, members, range(g.order))
         # N_G(H) = <H, kept>, a Schreier element kept only outside the span
         # so far; all normalize H, so their rows alone walk H's cosets, and
         # a limit of every coset means no Lagrange stop
@@ -544,7 +627,7 @@ def _reference_subgroup_index_sets(g):
         for n in schreier:
             if n not in span:
                 kept.append(n)
-                span = _extend(cosets, coset_of, [mult[k] for k in kept],
+                span = _extend(cosets, coset_of, tab.factor_rows(kept),
                                len(cosets))
         assert len(span) * size == g.order, \
             "normalizer fails orbit-stabilizer"
@@ -566,12 +649,12 @@ def _reference_subgroup_index_sets(g):
                         seen.add(c)
                         todo.append(c)
             newgens = hgens + (a,)
-            new = _extend(cosets, coset_of, [mult[s] for s in newgens],
+            new = _extend(cosets, coset_of, tab.factor_rows(newgens),
                           limit) or whole
             if new in known:
                 continue
             # a conjugate already known would put new in an earlier class
-            orbit, schreier = _class_and_schreier(mult, inv, gens, conj, new)
+            orbit, schreier = _class_and_schreier(tab, conj, new)
             known.update(orbit)
             orbits.append(tuple(orbit))
             reps.append((new, newgens, len(orbit), schreier))
@@ -608,11 +691,12 @@ def test_sl25_has_12_classes_and_76_subgroups():
 
 
 def _residuum_of(g):
-    index, mult, inv = g.tables()
+    tab = g.tables()
+    index, mult, inv = _reference_tables(g)
     gens = [index[p] for p in g.generators]
     conj = [[mult[mult[inv[s]][x]][s] for x in range(g.order)]
             for s in gens]
-    return groups._residuum(mult, inv, gens, conj), mult, inv
+    return groups._residuum(tab, gens, conj), mult, inv
 
 
 @pytest.mark.parametrize("g, order", [
@@ -708,22 +792,51 @@ def test_closure_walks_stop_at_a_fifth_of_the_residuum(monkeypatch):
         assert (len(walks), sum(walks)) == want, name
 
 
+# a cold S7 *_(1 2) S7 in a fresh interpreter, with the subgroup cap raised
+# there alone: its mu, then the peak RSS the parent reads once it exits
+_SYM7_CHILD = """
+from vfgrowth import groups
+from vfgrowth.gog import parse_gog
+from vfgrowth.growth import mu
+groups.DEFAULT_SUBGROUP_CAP = 5040
+print(mu(parse_gog(
+    "vertex a = Sym(7)\\nvertex b = Sym(7)\\n"
+    "edge e a b { degree 7; gens (1 2); into a: (1 2); into b: (1 2); }\\n"
+)).mu)
+"""
+
+
 @pytest.mark.slow
 def test_sym7_lattice_under_a_raised_subgroup_cap(monkeypatch):
-    # about 1.3 s and 250 MB peak RSS on a 2-vCPU Xeon with Python 3.11,
-    # most of the time and memory the 5040^2 table (tables() 0.8 s, the
-    # lattice and classes about 0.47 s, 0.63 s with closure walks stopped
-    # at |G|/p); the shipped cap stays 1000.  96 classes (OEIS A000638)
-    # and 11,300 subgroups (A005432)
+    # on a 2-vCPU Xeon with Python 3.11 the child below takes about 0.7 s
+    # at 42 MB peak RSS, where the full 5040^2 table took about 1.3 s at 229
+    # MB: tables() composes 768 rows and keeps 161 in 0.06-0.11 s (0.6-0.8 s
+    # for 5040 rows), the lattice and classes take 0.3-0.4 s.  The shipped
+    # cap stays 1000.  96 classes (OEIS A000638) and 11,300 subgroups
+    # (A005432)
     monkeypatch.setattr(groups, "DEFAULT_SUBGROUP_CAP", 5040)
     walks, unions = _count_extensions(monkeypatch)
-    orbits = _subgroup_index_sets(symmetric_group(7))
+    g = symmetric_group(7)
+    orbits = _subgroup_index_sets(g)
     assert len(orbits) == 96
     assert sum(map(len, orbits)) == 11300
+    # |K| = 120 (j = 2) and |T| = 42, so 161 rows with the identity shared
+    tab = g.tables()
+    assert (tab.fixed, len(tab.transversal), len(tab.rows)) == (2, 42, 161)
     # 3,696 closure walks with none pruned, 5,596 with a^p outside H allowed
     assert (len(walks), len(unions)) == (880, 385)
     # their limits sum to 58,565 cosets, 293,072 at the Lagrange bound
     assert sum(walks) == 58565
+    # the whole cold catalog and mu in a child: under ROADMAP item 6's 100
+    # MB (ru_maxrss is in KiB on Linux)
+    env = dict(os.environ)
+    src = str(Path(groups.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", _SYM7_CHILD], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["29/42"]
+    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss < 100 * 1024
 
 
 @pytest.mark.parametrize("g", [
