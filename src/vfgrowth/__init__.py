@@ -10,15 +10,15 @@ homomorphism counts at small degree.
 from .errors import CapExceeded, EmbeddingError, InputError, ParseError
 from .perm import Perm, identity
 from .groups import (FiniteGroup, alternating_group, cyclic_group,
-                     dihedral_group, klein_four, symmetric_group,
-                     trivial_group)
+                     dihedral_group, direct_product, klein_four,
+                     symmetric_group, trivial_group)
 from .catalog import EmbeddingMap, build_catalog
 from .gog import (GraphOfGroups, amalgam, cycle_power_element, cyclic_amalgam,
                   euler_characteristic, family_amalgam, free_group,
                   free_product, load_gog, make_graph, parse_gog, to_text)
 from .growth import (GrowthReport, build_growth_lp, cyclic_amalgam_mu,
-                     cyclic_amalgam_value, euler_tight, family_mu, mu,
-                     plan_graph, plan_graph_text, realize)
+                     euler_tight, family_mu, mu, plan_graph, plan_graph_text,
+                     realize, symmetric_amalgam_mu)
 from .ratlp import RationalLP, certify, enumerate_vertices, solve_max
 from .oracle import (CountLedger, hom_count_enumerate, hom_count_typesum,
                      type_hom_count, vertex_hom_count)
@@ -30,11 +30,12 @@ __all__ = [
     "FiniteGroup", "GraphOfGroups", "GrowthReport", "InputError",
     "ParseError", "Perm", "RationalLP", "alternating_group", "amalgam",
     "build_catalog", "build_growth_lp", "certify", "cycle_power_element",
-    "cyclic_amalgam", "cyclic_amalgam_mu", "cyclic_amalgam_value",
-    "cyclic_group", "dihedral_group", "euler_characteristic", "euler_tight",
+    "cyclic_amalgam", "cyclic_amalgam_mu", "cyclic_group", "dihedral_group",
+    "direct_product", "euler_characteristic", "euler_tight",
     "enumerate_vertices", "family_amalgam", "family_mu", "free_group",
     "free_product", "hom_count_enumerate", "hom_count_typesum", "identity",
     "klein_four", "load_gog", "make_graph", "mu", "parse_gog", "plan_graph",
-    "plan_graph_text", "realize", "solve_max", "symmetric_group", "to_text",
-    "trivial_group", "type_hom_count", "vertex_hom_count",
+    "plan_graph_text", "realize", "solve_max", "symmetric_amalgam_mu",
+    "symmetric_group", "to_text", "trivial_group", "type_hom_count",
+    "vertex_hom_count",
 ]

@@ -27,9 +27,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import EmbeddingError, InputError
-from .groups import (FiniteGroup, _element_index, _prime_order,
-                     _subgroup_class, cayley_walk, subgroup_classes,
-                     walk_images)
+from .groups import (FiniteGroup, _element_index, cayley_walk,
+                     subgroup_classes, walk_images)
 from .perm import Perm
 
 
@@ -194,16 +193,3 @@ def restriction_matrix(emb: EmbeddingMap) -> RestrictionMatrix:
         cols.append(col)
     return RestrictionMatrix(tuple(zip(*cols)))
 
-
-def fixed_point_multiplicity(g: FiniteGroup, u, x: Perm) -> int:
-    """Number of cosets of u fixed by x, |g| |[x] n u| / (|u| |[x]|): the
-    mark (N_G(u) : u) times the number of conjugates of u that hold x.
-
-    Valid for any x; the operation insists on prime order because that is
-    the only case the growth program consumes.
-    """
-    if x not in g:
-        raise InputError(f"{x} is not an element of the group")
-    _prime_order(x)
-    cls, _ = _subgroup_class(g, u)
-    return _mark(cls, {_element_index(g)[x]})

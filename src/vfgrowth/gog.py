@@ -233,7 +233,9 @@ def cyclic_amalgam(g1: FiniteGroup, x1: Perm, g2: FiniteGroup = None,
     n = x1.order()
     if x2.order() != n:
         raise InputError("the two amalgamated elements must have equal order")
-    return amalgam(g1, g2, cyclic_group(n), (x1,), (x2,))
+    # cyclic_group(1) is the trivial group, which has no generator
+    images = ((x1,), (x2,)) if n > 1 else ((), ())
+    return amalgam(g1, g2, cyclic_group(n), *images)
 
 
 # -- text format -----------------------------------------------------------

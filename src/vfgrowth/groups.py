@@ -802,29 +802,6 @@ class SubgroupClass:
         return f"class {self.class_id + 1}: <{gens}> order {self.order} index {self.index}"
 
 
-def orbit_minima(degree: int, images) -> list:
-    """The least point of each orbit of the group generated by the
-    permutations with the given image tuples on 0..degree-1, in ascending
-    order."""
-    # not ``walk``: through it this ran 5x slower (cold Sym(6) classes +4%)
-    seen = [False] * degree
-    minima = []
-    for start in range(degree):
-        if seen[start]:
-            continue
-        minima.append(start)
-        seen[start] = True
-        stack = [start]
-        while stack:
-            p = stack.pop()
-            for m in images:
-                q = m[p]
-                if not seen[q]:
-                    seen[q] = True
-                    stack.append(q)
-    return minima
-
-
 @lru_cache(maxsize=None)
 def subgroup_classes(g: FiniteGroup) -> tuple:
     """Conjugacy classes of subgroups in a canonical deterministic order.

@@ -3,8 +3,9 @@
 Given a finite graph of finite groups presenting the group, the number of
 index-n subgroups grows like n^(mu*n) for a rational constant mu >= -chi.
 This module computes mu exactly by linear programming over normalized
-representation types, and cross-checks it against closed-form expressions
-for amalgams over cyclic groups.
+representation types.  For a symmetric amalgam G *_A G, A embedded alike
+on both sides, the optimum also has a closed form read from the catalog's
+marks (``symmetric_amalgam_mu``), which cross-checks the LP.
 
 The LP: one variable per (vertex, transitive-representation class), the
 normalized multiplicity of that class.  Per vertex the degree-weighted
@@ -25,12 +26,12 @@ from fractions import Fraction
 from math import gcd
 from operator import add
 
-from .catalog import build_catalog, fixed_point_multiplicity, restriction_matrix
+from .catalog import _mark, build_catalog, restriction_matrix
 from .errors import InputError
 from .gog import (GraphOfGroups, _check_family_params, euler_characteristic,
                   family_graph_text, parse_gog)
-from .groups import (FiniteGroup, _digit_limit, _element_index, _is_prime,
-                     _prime_order, _subgroup_class, subgroup_classes)
+from .groups import (FiniteGroup, _digit_limit, _is_prime, _prime_order,
+                     _subgroup_class, generate, subgroup_classes)
 from .perm import Perm
 from .ratlp import LPSolution, RationalLP, certify, solve_max
 
@@ -174,36 +175,37 @@ def mu(g: GraphOfGroups) -> GrowthReport:
                         notes=tuple(notes), program=program, solution=sol)
 
 
-# -- closed forms for amalgams over a cyclic group of prime order ----------
+# -- closed forms for symmetric amalgams ------------------------------------
 
-def cyclic_amalgam_value(g: FiniteGroup, x: Perm, h) -> Fraction:
-    """Contribution of one subgroup H to the growth of G *_<x> G.
+def symmetric_amalgam_mu(g: FiniteGroup, a):
+    """Growth coefficient of G *_A G, A embedded alike on both sides, as a
+    maximum over subgroup classes: (value, first class attaining it).
 
-    1/p + |[x] cap H| (p-1) / (|[x]| p) - 2 / (G:H), constant on the
-    conjugacy class of H.
+    mu = max over H of (|A\\G/H| - 2) / (G:H).  Proof: the growth LP is
+    convex and unchanged when the two vertices' weights swap, so the mean of
+    an optimum and its swap is a symmetric optimum.  At a symmetric point
+    both sides restrict alike and every edge row vanishes; only
+    sum index * w = 1 is left, so one class H, at weight 1/(G:H) on each
+    vertex, attains the optimum, and its objective is the term above.
+    ``a`` is a subgroup of g: a SubgroupClass, a FiniteGroup or an
+    iterable of Perm.
     """
-    p = _prime_order(x)
-    if g.order <= 2 * p:
-        raise InputError("closed form needs |G| > 2p")
-    cls, _ = _subgroup_class(g, h)
-    # |[x] cap H| / |[x]| is the number of fixed cosets over the index
-    fixed = fixed_point_multiplicity(g, cls, x)
-    return Fraction(1, p) + Fraction(fixed * (p - 1) - 2 * p, cls.index * p)
-
-
-def cyclic_amalgam_mu(g: FiniteGroup, x: Perm):
-    """Growth coefficient of G *_<x> G as a maximum over subgroup classes.
-
-    Returns (value, class attaining it).  Agrees with mu() on the
-    two-vertex graph; this is the independent closed-form route.
-    """
-    best = None
-    best_cls = None
+    _, sub = _subgroup_class(g, a)
+    best = best_cls = None
     for cls in subgroup_classes(g):
-        val = cyclic_amalgam_value(g, x, cls)
+        # Burnside: |A\G/H| is the mean over y in A of fix(y, G/H)
+        double_cosets = Fraction(sum(_mark(cls, {y}) for y in sub), len(sub))
+        val = (double_cosets - 2) / cls.index
         if best is None or val > best:
             best, best_cls = val, cls
     return best, best_cls
+
+
+def cyclic_amalgam_mu(g: FiniteGroup, x: Perm):
+    """``symmetric_amalgam_mu`` over A = <x>: the growth of G *_<x> G."""
+    if x not in g:
+        raise InputError(f"{x} is not an element of the group")
+    return symmetric_amalgam_mu(g, generate([x], g.degree))
 
 
 def euler_tight(g: FiniteGroup, x: Perm) -> bool:
@@ -215,10 +217,7 @@ def euler_tight(g: FiniteGroup, x: Perm) -> bool:
         raise InputError("criterion needs |G| > 2p")
     if x not in g:
         raise InputError(f"{x} is not an element of the group")
-    ix = _element_index(g)[x]
-    # the one subgroup of order p that holds x is <x>
-    cyc = next(c for c in subgroup_classes(g)
-               if c.order == p and any(ix in m for m in c.members))
+    cyc, _ = _subgroup_class(g, generate([x], g.degree))
     return cyc.normalizer_order <= 2 * p
 
 

@@ -4,15 +4,14 @@ import pytest
 
 from vfgrowth import catalog
 from vfgrowth.catalog import (EmbeddingMap, RestrictionMatrix, build_catalog,
-                              fixed_point_multiplicity, restriction_matrix)
+                              restriction_matrix)
 from vfgrowth.corpus import corpus_graphs, klein_amalgam
 from vfgrowth.errors import EmbeddingError, InputError
 from vfgrowth.gog import load_gog
 from vfgrowth.groups import (_element_index, _left_cosets, all_subgroups,
                              alternating_group, coset_action, cyclic_group,
                              dihedral_group, generate, klein_four,
-                             orbit_minima, subgroup_classes, symmetric_group,
-                             trivial_group)
+                             subgroup_classes, symmetric_group, trivial_group)
 from vfgrowth.perm import identity, parse_perm
 from vfgrowth.selftest import (D10_FIX_TABLE, KLEIN_TABLE, MISPRINTED_ROW10,
                                S3_FIX_TABLE, S4_INDEX_COLUMN)
@@ -70,7 +69,7 @@ def test_klein_misprinted_row_is_impossible():
         (emb.generator_images[1], (bad_r[0], bad_r[2])),   # image of b
         (emb.apply(emb.generators[0] * emb.generators[1]), (bad_r[0], bad_r[3])),
     ):
-        fix = fixed_point_multiplicity(s4, stab, gen)
+        fix = coset_action(s4, stab)[gen].fixed_points()
         assert fix != mults[0] + 2 * mults[1]
 
 
@@ -109,27 +108,20 @@ def test_conjugate_embeddings_restrict_identically():
 
 
 def test_fixed_point_multiplicity_examples():
+    # the number of cosets of u that x fixes
     s3 = symmetric_group(3)
     a3 = generate([parse_perm("(1 2 3)", 3)], 3)
-    assert fixed_point_multiplicity(s3, a3, parse_perm("(1 2 3)", 3)) == 2
+    assert coset_action(s3, a3)[parse_perm("(1 2 3)", 3)].fixed_points() == 2
     s5 = symmetric_group(5)
     u = generate([parse_perm("(1 2)", 5), parse_perm("(3 4)", 5)], 5)
-    assert fixed_point_multiplicity(s5, u, parse_perm("(1 2)", 5)) == 6
-    assert fixed_point_multiplicity(s3, s3, parse_perm("(1 2)", 3)) == 1
-
-
-def test_fixed_point_multiplicity_rejects_bad_input():
-    s3 = symmetric_group(3)
-    with pytest.raises(InputError):
-        fixed_point_multiplicity(s3, s3, identity(4))
-    with pytest.raises(InputError):
-        fixed_point_multiplicity(s3, s3, identity(3))   # order 1 not prime
+    assert coset_action(s5, u)[parse_perm("(1 2)", 5)].fixed_points() == 6
+    assert coset_action(s3, s3)[parse_perm("(1 2)", 3)].fixed_points() == 1
 
 
 def test_fixed_point_formula_matches_restriction_trivial_row():
-    # the closed-form coset fixed-point count must equal the multiplicity
-    # of the trivial edge class when restricting along <x> -> G; both read
-    # marks, so the fixed points of the coset action are counted too
+    # the fixed points of x on the cosets must equal the multiplicity of
+    # the trivial edge class when restricting along <x> -> G, which is read
+    # from marks
     for g in (symmetric_group(4), dihedral_group(6)):
         vcat = build_catalog(g)
         actions = [coset_action(g, cls) for cls in vcat.classes]
@@ -142,8 +134,29 @@ def test_fixed_point_formula_matches_restriction_trivial_row():
             emb = EmbeddingMap(c, g, (x,), generators=(x,))
             m = restriction_matrix(emb)
             for i, cls in enumerate(vcat.classes):
-                assert m.rows[0][i] == fixed_point_multiplicity(
-                    g, cls, x) == actions[i][x].fixed_points()
+                assert m.rows[0][i] == actions[i][x].fixed_points()
+
+
+def _orbit_minima(degree: int, images) -> list:
+    """The least point of each orbit of the group generated by the
+    permutations with the given image tuples on 0..degree-1, in ascending
+    order."""
+    seen = [False] * degree
+    minima = []
+    for start in range(degree):
+        if seen[start]:
+            continue
+        minima.append(start)
+        seen[start] = True
+        stack = [start]
+        while stack:
+            p = stack.pop()
+            for m in images:
+                q = m[p]
+                if not seen[q]:
+                    seen[q] = True
+                    stack.append(q)
+    return minima
 
 
 def _reference_restriction_matrix(emb: EmbeddingMap) -> RestrictionMatrix:
@@ -175,7 +188,7 @@ def _reference_restriction_matrix(emb: EmbeddingMap) -> RestrictionMatrix:
                                         range(emb.codomain.order))
         act = [tuple(coset_of[row[c[0]]] for c in cosets) for row in left]
         col = [0] * gen_count
-        for p in orbit_minima(rep.index, [act[i] for i in gens]):
+        for p in _orbit_minima(rep.index, [act[i] for i in gens]):
             stab = frozenset(i for i, a in enumerate(act) if a[p] == p)
             col[lookup[stab]] += 1
         total = sum(m * ecat.classes[j].index for j, m in enumerate(col))

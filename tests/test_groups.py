@@ -14,8 +14,7 @@ import pytest
 
 import make_group_golden
 from make_lp_golden import GOLDEN, solution_lines
-from vfgrowth.catalog import (EmbeddingMap, fixed_point_multiplicity,
-                              restriction_matrix)
+from vfgrowth.catalog import EmbeddingMap, _mark, restriction_matrix
 from vfgrowth.errors import CapExceeded, InputError
 from vfgrowth.gog import family_graph_text, parse_gog
 from vfgrowth.groups import (FiniteGroup, all_subgroups, alternating_group,
@@ -25,9 +24,10 @@ from vfgrowth.groups import (FiniteGroup, all_subgroups, alternating_group,
 from vfgrowth import catalog, groups
 from vfgrowth.groups import (DEFAULT_SUBGROUP_CAP, _class_and_schreier,
                              _extend, _is_prime_power, _known_order_product,
-                             _least_prime, _left_cosets, _subgroup_index_sets)
-from vfgrowth.growth import (cyclic_amalgam_mu, cyclic_amalgam_value,
-                             euler_tight, mu)
+                             _element_index, _least_prime, _left_cosets,
+                             _subgroup_class, _subgroup_index_sets)
+from vfgrowth.growth import (cyclic_amalgam_mu, euler_tight, mu,
+                             symmetric_amalgam_mu)
 from vfgrowth.oracle import (DEFAULT_ENUM_GROUP_CAP, _transporter_count,
                              hom_count_enumerate, hom_count_typesum)
 from vfgrowth.perm import Perm, identity, parse_perm
@@ -792,6 +792,37 @@ def test_closure_walks_stop_at_a_fifth_of_the_residuum(monkeypatch):
         assert (len(walks), sum(walks)) == want, name
 
 
+def _subspace_count(n: int) -> int:
+    """The number of subspaces of F_2^n: the Gaussian binomials [n k]_2
+    summed over k."""
+    total = 0
+    for k in range(n + 1):
+        num = den = 1
+        for i in range(k):
+            num *= 2 ** (n - i) - 1
+            den *= 2 ** (i + 1) - 1
+        total += num // den
+    return total
+
+
+@pytest.mark.parametrize("n,count", [
+    (1, 2), (2, 5), (3, 16), (4, 67), (5, 374),
+    pytest.param(6, 2825, marks=pytest.mark.slow),
+])
+def test_lattice_counts_every_subgroup_of_an_elementary_abelian_2_group(
+        n, count):
+    # C2^n as n disjoint transpositions: its subgroups are the subspaces of
+    # F_2^n, each a class of its own, so a lattice that loses an abelian
+    # subgroup fails here.  C2^6 takes about 1 s, so it runs under --runslow
+    assert _subspace_count(n) == count
+    g = generate([Perm(tuple(p ^ (p // 2 == i) for p in range(2 * n)))
+                  for i in range(n)], 2 * n)
+    assert g.order == 2 ** n
+    classes = subgroup_classes(g)
+    assert {c.class_size for c in classes} == {1}
+    assert len(classes) == count
+
+
 # a cold S7 *_(1 2) S7 in a fresh interpreter, with the subgroup cap raised
 # there alone: its mu, then the peak RSS the parent reads once it exits
 _SYM7_CHILD = """
@@ -895,8 +926,9 @@ def test_group_layer_runs_no_perm_products(monkeypatch):
     assert not euler_tight(g, seven) and not euler_tight(g, two)
     assert cyclic_amalgam_mu(g, seven)[0] == Fraction(1, 6)
     assert cyclic_amalgam_mu(g, two)[0] == Fraction(11, 21)
+    index = _element_index(g)
     for x in (seven, two):
-        assert [fixed_point_multiplicity(g, cls, x) for cls in classes] == \
+        assert [_mark(cls, {index[x]}) for cls in classes] == \
             [coset_action(g, cls)[x].fixed_points() for cls in classes]
     # only the identity of Sym(7) centralizes the generators of PSL(2,7)
     pair = (seven.images, two.images)
@@ -1064,11 +1096,9 @@ def test_the_prime_test_divides_only_up_to_its_cap(monkeypatch):
 
 @pytest.mark.parametrize("call", [
     lambda g, x: coset_action(g, []),
-    lambda g, x: fixed_point_multiplicity(g, [], x),
-    lambda g, x: cyclic_amalgam_value(g, x, []),
-    lambda g, x: fixed_point_multiplicity(g, [x], x),
-], ids=["coset_action", "fixed_point_multiplicity", "cyclic_amalgam_value",
-        "fixed_point_multiplicity-no-identity"])
+    lambda g, x: symmetric_amalgam_mu(g, []),
+    lambda g, x: symmetric_amalgam_mu(g, [x]),
+], ids=["coset_action", "symmetric_amalgam_mu", "symmetric_amalgam_mu-x-alone"])
 def test_member_sets_without_the_identity_are_rejected(call):
     # an empty or identity-free member set is no subgroup, whatever the
     # entry point it reaches
@@ -1090,11 +1120,8 @@ def test_subgroup_rejects_a_set_that_is_not_closed():
         coset_action(s3, members)
 
 
-@pytest.mark.parametrize("call", [
-    lambda g, u, x: coset_action(g, u),
-    lambda g, u, x: fixed_point_multiplicity(g, u, x),
-    lambda g, u, x: cyclic_amalgam_value(g, x, u),
-], ids=["coset_action", "fixed_point_multiplicity", "cyclic_amalgam_value"])
+@pytest.mark.parametrize("call", [coset_action, symmetric_amalgam_mu],
+                         ids=["coset_action", "symmetric_amalgam_mu"])
 @pytest.mark.parametrize("degree,texts", [
     (3, ("(1 2)", "(1 2 3)")),
     (4, ("(1 2)", "(1 3)", "(1 2 3 4)")),
@@ -1105,7 +1132,7 @@ def test_sets_that_are_not_closed_are_refused(call, degree, texts):
     g = symmetric_group(degree)
     members = [identity(degree)] + [parse_perm(t, degree) for t in texts]
     with pytest.raises(InputError, match="not closed under multiplication"):
-        call(g, members, members[1])
+        call(g, members)
 
 
 def test_coset_action_past_the_subgroup_cap_builds_no_table(monkeypatch):
@@ -1135,21 +1162,22 @@ def _fixture_groups():
 
 def test_fixed_point_count_formula_up_to_order_48():
     # |fix(g)| on cosets of U must equal |G| |[g] cap U| / (|U| |[g]|), and
-    # so must the marks fixed_point_multiplicity reads, at prime order
+    # so must the marks the closed form and restriction read
     for g in _fixture_groups():
         assert g.order <= 48
         conjugates = {x: frozenset(a * x * a.inverse() for a in g.elements)
                       for x in g.elements}
+        index = _element_index(g)
         for sub in all_subgroups(g):
             act = coset_action(g, sub)
+            ucls, _ = _subgroup_class(g, sub)
             for x in g.elements:
                 cls = conjugates[x]
                 expected = Fraction(g.order * len(cls & sub),
                                     len(sub) * len(cls))
                 assert expected.denominator == 1
                 assert act[x].fixed_points() == expected
-                if groups._is_prime(x.order()):
-                    assert fixed_point_multiplicity(g, sub, x) == expected
+                assert _mark(ucls, {index[x]}) == expected
 
 
 def test_class_ordering_is_reproducible():

@@ -11,13 +11,14 @@ from vfgrowth.errors import CapExceeded, InputError
 from vfgrowth.gog import (amalgam, cyclic_amalgam, euler_characteristic,
                           family_amalgam, free_group, free_product, make_graph,
                           parse_gog)
-from vfgrowth.groups import (all_subgroups, cyclic_group, dihedral_group,
+from vfgrowth.groups import (_is_prime, alternating_group,
+                             cyclic_group, dihedral_group, direct_product,
                              generate, klein_four, subgroup_classes,
-                             symmetric_group)
+                             symmetric_group, trivial_group)
 from vfgrowth.growth import (build_growth_program, cyclic_amalgam_mu,
-                             cyclic_amalgam_value, euler_tight, family_mu, mu,
-                             plan_graph, plan_graph_text, realize)
-from vfgrowth.perm import parse_perm
+                             euler_tight, family_mu, mu, plan_graph,
+                             plan_graph_text, realize, symmetric_amalgam_mu)
+from vfgrowth.perm import identity, parse_perm
 from vfgrowth.selftest import criterion_p6
 
 
@@ -178,37 +179,91 @@ def test_cyclic_amalgam_mu_reuses_the_catalog_classes():
     assert any(cls is c for c in subgroup_classes(s4))
 
 
-def test_cyclic_amalgam_value_examples():
+def test_symmetric_amalgam_mu_examples():
     s4 = symmetric_group(4)
-    x = parse_perm("(1 2 3)", 4)
-    h = generate([x], 4)
-    assert cyclic_amalgam_value(s4, x, h) == Fraction(1, 4)
-    # trivial subgroup: no class intersection, index |G|
-    assert cyclic_amalgam_value(s4, x, [parse_perm("()", 4)]) == \
-        Fraction(1, 3) - Fraction(2, 24)
+    # A = 1: G * G, whose growth is 1 - 2/|G| (Dey), at H = 1
+    value, cls = symmetric_amalgam_mu(s4, trivial_group(4))
+    assert (value, cls.order) == (Fraction(11, 12), 1)
+    # A = G: one double coset for every H, so H = 1 wins with -1/|G|, as
+    # the LP finds for G *_G G
+    assert symmetric_amalgam_mu(s4, s4)[0] == Fraction(-1, 24) == \
+        mu(amalgam(s4, s4, s4, s4.generators, s4.generators)).mu
+    # the normal Klein four-group, as a group and as its element list
+    v4 = generate([parse_perm("(1 2)(3 4)", 4), parse_perm("(1 3)(2 4)", 4)],
+                  4)
+    assert symmetric_amalgam_mu(s4, v4) == \
+        symmetric_amalgam_mu(s4, list(v4.elements))
 
 
-def test_cyclic_amalgam_value_is_a_class_function():
-    s4 = symmetric_group(4)
-    x = parse_perm("(1 2)", 4)
-    for cls in subgroup_classes(s4):
-        base = cyclic_amalgam_value(s4, x, cls)
-        for members in all_subgroups(s4):
-            if len(members) == cls.order and \
-                    frozenset(members) in {frozenset(s * s4.elements[i]
-                                                     * s.inverse()
-                                                     for i in cls.members[0])
-                                           for s in s4.elements}:
-                assert cyclic_amalgam_value(s4, x, members) == base
+def _lemma_groups():
+    # the vertex groups of the 68 amalgams and the 24 tightness cases below
+    return (symmetric_group(4), alternating_group(4), dihedral_group(5),
+            dihedral_group(6), alternating_group(5), symmetric_group(5),
+            cyclic_group(6),
+            direct_product(symmetric_group(3), symmetric_group(3)))
 
 
-def test_cyclic_amalgam_value_rejects_bad_input():
-    s4 = symmetric_group(4)
-    with pytest.raises(InputError, match="prime order"):
-        cyclic_amalgam_value(s4, parse_perm("(1 2 3 4)", 4), s4)
-    with pytest.raises(InputError, match="> 2p"):
-        cyclic_amalgam_value(symmetric_group(3), parse_perm("(1 2 3)", 3),
-                             symmetric_group(3))
+def test_symmetric_amalgam_mu_equals_the_certified_lp():
+    # G *_A G over every non-trivial proper class A: mu certifies its
+    # optimum by duality, and the closed form reads no LP
+    count = 0
+    for g in _lemma_groups():
+        for acls in subgroup_classes(g)[1:-1]:
+            a = generate(acls.generators, g.degree)
+            lp = mu(amalgam(g, g, a, a.generators, a.generators)).mu
+            assert symmetric_amalgam_mu(g, acls)[0] == lp, (g, acls)
+            count += 1
+    assert count == 68
+
+
+def test_symmetric_amalgam_mu_is_a_class_function():
+    # every conjugate of A, formed by Perm products, gives the value and
+    # the very class object that A's class gives
+    for g in _lemma_groups():
+        for acls in subgroup_classes(g):
+            want = symmetric_amalgam_mu(g, acls)
+            rep = [g.elements[i] for i in acls.members[0]]
+            conjugates = {frozenset(s * a * s.inverse() for a in rep)
+                          for s in g.elements}
+            assert len(conjugates) == acls.class_size
+            for members in conjugates:
+                value, cls = symmetric_amalgam_mu(g, members)
+                assert value == want[0] and cls is want[1]
+
+
+def test_euler_tight_is_the_trivial_class_attaining_the_maximum():
+    # mu = -chi exactly when H = 1, whose term is 1/p - 2/|G|, attains the
+    # maximum of the closed form
+    count = 0
+    for g in _lemma_groups():
+        for cls in subgroup_classes(g):
+            p = cls.order
+            if not _is_prime(p) or g.order <= 2 * p:
+                continue
+            x = cls.generators[0]
+            value, _ = cyclic_amalgam_mu(g, x)
+            assert euler_tight(g, x) is \
+                (value == Fraction(1, p) - Fraction(2, g.order)), (g, x)
+            count += 1
+    assert count == 24
+
+
+def test_cyclic_amalgam_mu_needs_neither_prime_order_nor_a_large_group():
+    # the closed form holds over any A, so neither refusal is left
+    for g, text in ((symmetric_group(4), "(1 2 3 4)"),
+                    (symmetric_group(3), "(1 2 3)")):
+        x = parse_perm(text, g.degree)
+        assert cyclic_amalgam_mu(g, x)[0] == mu(cyclic_amalgam(g, x)).mu
+    with pytest.raises(InputError, match="is not an element of the group"):
+        cyclic_amalgam_mu(symmetric_group(3), parse_perm("(1 2 3 4)", 4))
+
+
+def test_cyclic_amalgam_over_the_identity_is_the_free_product():
+    s3 = symmetric_group(3)
+    e = identity(3)
+    assert mu(cyclic_amalgam(s3, e)).mu == Fraction(2, 3)
+    assert mu(free_product([s3, s3])).mu == Fraction(2, 3)
+    assert cyclic_amalgam_mu(s3, e)[0] == Fraction(2, 3)
 
 
 def test_family_mu_formula_values():

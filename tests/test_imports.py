@@ -7,6 +7,8 @@ re-exports and count as read; ``from __future__`` imports bind nothing.
 A second scan finds private helpers nothing reads: every top-level
 function or class of the package whose name starts with ``_`` must be
 read, or imported, somewhere in the package outside its own definition.
+The same scan holds every public one to that, unless ``vfgrowth.__all__``
+exports it.
 A third lists every function under a memo decorator, so adding a cache is
 a change to the inventory pinned here.  A fourth finds a ``cayley()`` call
 whose result is dropped: a group's generators give its elements by
@@ -21,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+import vfgrowth
 from vfgrowth.groups import FiniteGroup
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,10 +68,11 @@ PACKAGE = sorted((ROOT / "src" / "vfgrowth").glob("*.py"))
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _unread_private(trees: dict) -> list:
-    """``module.name`` for every top-level ``_``-prefixed function or class
-    in the modules ``trees`` maps to their syntax trees that no code there
-    reads outside its own definition; importing the name is a read."""
+def _unread(trees: dict, kept) -> list:
+    """``module.name`` for every top-level function or class whose name
+    ``kept`` accepts, in the modules ``trees`` maps to their syntax trees,
+    that no code there reads outside its own definition; importing the
+    name is a read."""
     readers = {}    # name -> {(module, top-level definition reading it)}
     for module, tree in trees.items():
         for stmt in tree.body:
@@ -85,10 +89,20 @@ def _unread_private(trees: dict) -> list:
                 readers.setdefault(name, set()).add((module, owner))
     return sorted(f"{module}.{stmt.name}"
                   for module, tree in trees.items() for stmt in tree.body
-                  if isinstance(stmt, DEFINITIONS)
-                  and stmt.name.startswith("_")
+                  if isinstance(stmt, DEFINITIONS) and kept(stmt.name)
                   and not readers.get(stmt.name, set())
                   - {(module, stmt.name)})
+
+
+def _unread_private(trees: dict) -> list:
+    return _unread(trees, lambda name: name.startswith("_"))
+
+
+def _unexported_public(trees: dict, exported) -> list:
+    """Public top-level functions and classes nothing reads and
+    ``exported`` does not list: code only its tests can reach."""
+    return _unread(trees, lambda name: not name.startswith("_")
+                   and name not in exported)
 
 
 def test_the_scan_sees_an_unread_private_helper():
@@ -105,6 +119,23 @@ def test_no_unread_private_helpers():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in PACKAGE}
     assert _unread_private(trees) == []
+
+
+def test_the_scan_sees_an_unexported_public_name():
+    trees = {
+        "a": ast.parse("def used(): pass\ndef exported(): pass\n"
+                       "class Unread: pass\ndef _private(): pass\n"
+                       "def recursive(): recursive()\n"),
+        "b": ast.parse("from .a import used\n"),
+    }
+    assert _unexported_public(trees, {"exported"}) == \
+        ["a.Unread", "a.recursive"]
+
+
+def test_every_public_name_is_read_or_exported():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in PACKAGE}
+    assert _unexported_public(trees, set(vfgrowth.__all__)) == []
 
 
 MEMO_DECORATORS = {"cache", "lru_cache", "cached_property"}
