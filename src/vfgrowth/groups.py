@@ -27,18 +27,22 @@ Sym(6), 161 for Sym(7)).  The rows are composed along the kept walk from
 element indices alone, by one ``itemgetter`` per generator, and are
 tuples, which the collector stops tracking, where list rows were
 traversed by every collection.  With the table the subgroup lattice, the
-class canonicalization and the coset actions (``_left_cosets``, at most
-one ``itemgetter`` per element of K per subgroup) multiply element
-indices.  A subgroup is a frozenset of positions in the parent's sorted
-``elements`` (so equal groups share them) from the lattice through
-``SubgroupClass.members`` to restriction; only ``all_subgroups`` maps
-them back to ``Perm`` sets.  The table is stored on the group and the
-lattice once, in the cache of ``subgroup_classes``, whose classes name the
-instance they were built on (``SubgroupClass.parent``).  Every subgroup
-closure is ``_extend`` on cosets from ``_left_cosets``.  The lattice is also
-the one judge of what a subgroup is and what normalizes it: a subgroup
-given as elements is looked up in it (``_subgroup_class``), and normalizer
-orders are its classes' ``normalizer_order``.
+class canonicalization and the coset actions multiply element indices.
+Left cosets have one routine, the store ``_Cosets``: it builds a coset
+when a walk first reaches one of its elements, by at most one
+``itemgetter`` per element of K per subgroup.  A subgroup is a frozenset
+of positions in the parent's sorted ``elements`` (so equal groups share
+them) from the lattice through ``SubgroupClass.members`` to restriction;
+only ``all_subgroups`` maps them back to ``Perm`` sets.  The table is
+stored on the group and the lattice once, in the cache of
+``subgroup_classes``, whose classes name the instance they were built on
+(``SubgroupClass.parent``).  Every subgroup closure is ``_extend`` on such
+a store, so for a class representative H the lattice builds the cosets
+inside N_G(H) and the few that its closure walks in the residuum reach,
+not all |G:H|.  The lattice is also the one judge of what a subgroup is
+and what normalizes it: a subgroup given as elements is looked up in it
+(``_subgroup_class``), and normalizer orders are its classes'
+``normalizer_order``.
 
 The lattice is the cyclic extension method (Neubüser, *Numer. Math.* 2,
 1960; Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
@@ -487,40 +491,58 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 
 # -- subgroup enumeration -------------------------------------------------
 
-def _left_cosets(tab, sub, ambient):
-    """Left cosets yH of the subgroup H with element indices ``sub``
-    inside the subgroup with element indices ``ambient`` (ascending, so
-    starting at the identity, index 0), from the table ``tab``: the cosets
-    as index tuples, numbered by their least element, and the list
-    mapping each element of ``ambient`` to its coset number.  yH is
-    t_y (k_y H), so it is one gather from y's transversal row by the
+class _Cosets:
+    """The left cosets yH of the subgroup H with element indices ``sub``
+    (the identity, index 0, among them) in the group of the table ``tab``,
+    each built when a walk first reaches one of its elements, so the
+    lattice builds the cosets its walks read, not all |G:H|.  ``cosets``
+    holds the ones built so far as index tuples, numbered in the order
+    built, H itself first (number 0), and ``coset_of`` maps each element
+    of the group to its coset's number, None while that coset is unbuilt.
+    yH is t_y (k_y H), so it is one gather from y's transversal row by the
     indices of k_y H, and one getter of those serves every y with the
-    same k_y: at most |K| getters per call."""
-    coset_of = [None] * len(tab.t)
-    if len(sub) == 1:
-        # H = {0}; itemgetter of one index returns the item, not a 1-tuple
-        cosets = [(y,) for y in ambient]
-        for c, y in enumerate(ambient):
-            coset_of[y] = c
-        return cosets, coset_of
-    take = itemgetter(*sub)
-    t, k = tab.t, tab.k
-    # getters[k_y] gathers k_y H from a row; k_y = 1 needs H itself
-    getters = [None] * tab.stabilizer_order
-    getters[0] = take
-    cosets = []
-    for y in ambient:
-        if coset_of[y] is None:
-            ky = k[y]
-            get = getters[ky[0]]            # ky[0] = k_y * 1 = k_y
+    same k_y: at most one ``itemgetter`` per element of K."""
+
+    __slots__ = ("sub", "tab", "cosets", "coset_of", "take", "getters")
+
+    def __init__(self, tab, sub):
+        self.sub, self.tab = sub, tab
+        self.cosets = []
+        self.coset_of = [None] * len(tab.t)
+        # H = {0} needs no getter: itemgetter of one index returns the
+        # item, not a 1-tuple
+        self.take = itemgetter(*sub) if len(sub) > 1 else None
+        # getters[k_y] gathers k_y H from a row; k_y = 1 needs H itself
+        self.getters = [None] * tab.stabilizer_order
+        self.getters[0] = self.take
+        self.add(0)
+
+    def add(self, y) -> int:
+        """Build the coset yH, which must not be built yet: its number."""
+        if self.take is None:
+            coset = (y,)
+        else:
+            ky = self.tab.k[y]
+            get = self.getters[ky[0]]           # ky[0] = k_y * 1 = k_y
             if get is None:
-                get = getters[ky[0]] = itemgetter(*take(ky))
-            coset = get(t[y])
-            c = len(cosets)
-            for z in coset:
-                coset_of[z] = c
-            cosets.append(coset)
-    return cosets, coset_of
+                get = self.getters[ky[0]] = itemgetter(*self.take(ky))
+            coset = get(self.tab.t[y])
+        c = len(self.cosets)
+        coset_of = self.coset_of
+        for z in coset:
+            coset_of[z] = c
+        self.cosets.append(coset)
+        return c
+
+    def fill(self, ambient) -> "_Cosets":
+        """Build every coset inside the subgroup with element indices
+        ``ambient``, ascending, so that they are numbered by their least
+        element."""
+        coset_of = self.coset_of
+        for y in ambient:
+            if coset_of[y] is None:
+                self.add(y)
+        return self
 
 
 def _least_prime(n: int) -> int:
@@ -553,45 +575,52 @@ def _prime_order(x: Perm) -> int:
     return p
 
 
-def _extend(cosets, coset_of, rows, limit):
+def _extend(store, rows, limit):
     """<H, S> as the union of the left cosets of H that it contains.
 
-    ``cosets``/``coset_of`` are the left cosets of H (see _left_cosets)
-    and ``rows`` the factor rows of the elements s of S
-    (``Table.factor_rows``), so s * y = t[s][k[s][y]].  The
-    cosets reached from H by left multiplication by S make up <S>H, which
-    is <H, S> when S holds generators of H or normalizes H.  Past
+    ``store`` holds the left cosets of H (a ``_Cosets``), and builds each
+    one the walk first reaches; ``rows`` are the factor rows of the
+    elements s of S (``Table.factor_rows``), so s * y = t[s][k[s][y]].
+    The cosets reached from H by left multiplication by S make up <S>H,
+    which is <H, S> when S holds generators of H or normalizes H.  Past
     ``limit`` cosets the walk stops and None is returned: the caller
     picks a limit past which <H, S> can only be one known group.  Inside
-    a group A that the cosets partition, p the least prime dividing |A|,
-    more than |A|/p elements are all of A by Lagrange; inside the perfect
-    residuum D, more than |D|/5 elements are all of D (see the module
-    docstring).  A limit of every coset never stops."""
+    a group A, p the least prime dividing |A|, more than |A|/p elements
+    are all of A by Lagrange; inside the perfect residuum D, more than
+    |D|/5 elements are all of D (see the module docstring).  A limit of
+    |G:H| never stops."""
     # not ``walk``: this orbit stops at its limit and needs no steps
+    cosets, coset_of, add = store.cosets, store.coset_of, store.add
     orbit = [0]
     seen = {0}
     for c in orbit:             # the orbit grows while it is walked
         y = cosets[c][0]
         for t, k in rows:
-            d = coset_of[t[k[y]]]
-            if d not in seen:
-                seen.add(d)
-                orbit.append(d)
+            z = t[k[y]]
+            d = coset_of[z]
+            if d is None:
+                d = add(z)
+            elif d in seen:
+                continue
+            seen.add(d)
+            orbit.append(d)
         if len(orbit) > limit:
             return None
     return frozenset().union(*map(cosets.__getitem__, orbit))
 
 
-def _coset_union(cosets, coset_of, tab, a):
+def _coset_union(store, a):
     """H<a> for an a that normalizes H: the union of the left cosets
-    a^i H of H (see _left_cosets), read along a's powers up to the first
-    in H, each the last one multiplied by a on the left in the table
-    ``tab``."""
-    ta, ka = tab.t[a], tab.k[a]
+    a^i H of H, from ``store`` (a ``_Cosets``), read along a's powers up
+    to the first in H, each the last one multiplied by a on the left."""
+    cosets, coset_of = store.cosets, store.coset_of
+    ta, ka = store.tab.t[a], store.tab.k[a]
     union = [cosets[0]]
     x = a
-    while coset_of[x]:
-        union.append(cosets[coset_of[x]])
+    while (c := coset_of[x]) != 0:
+        if c is None:
+            c = store.add(x)
+        union.append(cosets[c])
         x = ta[ka[x]]
     return frozenset().union(*union)
 
@@ -611,10 +640,12 @@ def _residuum(tab, gens, conj):
     generator indices ``gens``, as element indices: each derived subgroup
     is spanned by the commutators of the previous term's generators and
     their conjugates under ``conj`` (x -> s^-1 x s per generator s), until
-    a term is perfect (see the module docstring)."""
+    a term is perfect (see the module docstring).  Every span is a walk
+    on one store of the trivial subgroup's cosets, the single elements,
+    kept across the loop, so each is built once."""
     n = len(tab.t)
     mul, inv = tab.mul, tab.inv
-    cosets, coset_of = _left_cosets(tab, frozenset([0]), range(n))
+    store = _Cosets(tab, frozenset([0]))
     term = frozenset(range(n))
     while True:
         todo = [mul(mul(inv[x], inv[y]), mul(x, y))
@@ -624,8 +655,7 @@ def _residuum(tab, gens, conj):
         for x in todo:                  # todo grows while it is walked
             if x not in span:
                 kept.append(x)
-                span = _extend(cosets, coset_of, tab.factor_rows(kept),
-                               len(cosets))
+                span = _extend(store, tab.factor_rows(kept), n)
                 todo.extend(c[x] for c in conj)
         if len(span) == len(term):
             return span
@@ -634,7 +664,9 @@ def _residuum(tab, gens, conj):
 
 def _greedy_generators(tab, members) -> list:
     """The members, in index order, that the earlier ones do not generate:
-    the representative's generating list in ``subgroup_classes``."""
+    the representative's generating list in ``subgroup_classes``.  Each
+    new span is a walk on the cosets of the last, built as it reaches
+    them, and stops at the Lagrange bound of ``members``."""
     members = sorted(members)
     whole = frozenset(members)
     bound = len(members) // _least_prime(len(members))
@@ -643,8 +675,7 @@ def _greedy_generators(tab, members) -> list:
     for m in members:
         if m not in span:
             gens.append(m)
-            cosets, coset_of = _left_cosets(tab, span, members)
-            span = _extend(cosets, coset_of, tab.factor_rows(gens),
+            span = _extend(_Cosets(tab, span), tab.factor_rows(gens),
                            bound // len(span)) or whole
     return gens
 
@@ -686,9 +717,11 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
     # an ascending scan meets a first, and one scan of its powers sets the
     # others, the a^e with e prime to the order of a; by_root maps r to the
     # ascending such a of order p^k, p prime, with a^p = r; each power is
-    # the last one multiplied by a on the left
+    # the last one multiplied by a on the left, and prime[m] is p for an
+    # order m = p^k, 0 for any other, tested once per order
     cyclic = [0] * g.order
     by_root = {}
+    prime = {}
     for a in range(1, g.order):
         if cyclic[a]:
             continue
@@ -702,12 +735,16 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
         for e in range(1, m):
             if gcd(e, m) == 1:
                 cyclic[powers[e]] = a
-        if _is_prime_power(m):
-            by_root.setdefault(powers[_least_prime(m) % m], []).append(a)
+        p = prime.get(m)
+        if p is None:
+            p = prime[m] = _least_prime(m) if _is_prime_power(m) else 0
+        if p:
+            by_root.setdefault(powers[p % m], []).append(a)
     # each class representative H is extended by one <a> per N_G(H)-orbit
     # of those outside H with a^p in H, and only by an a in N_G(H) or, for
     # H inside the residuum, in it, which reaches every subgroup (see the
-    # module docstring); N_G(H) is spanned from _class_and_schreier
+    # module docstring); N_G(H) is spanned from _class_and_schreier, and
+    # H's cosets are built as these walks reach them
     gens = [tab.index[p] for p in g.generators]
     conj = _conjugations(tab, gens)
     residuum = _residuum(tab, gens, conj)
@@ -720,30 +757,31 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
     orbits = [tuple(orbit)]
     reps = [(trivial, (), len(orbit), schreier)]
     for members, hgens, size, schreier in reps:  # reps grows while walked
-        cosets, coset_of = _left_cosets(tab, members, range(g.order))
+        store = _Cosets(tab, members)
         # N_G(H) = <H, kept>, a Schreier element kept only outside the span
         # so far; all normalize H, so their rows alone walk H's cosets, and
-        # a limit of every coset means no Lagrange stop
+        # a limit of |G:H| means no Lagrange stop
         kept = []
         span = members
         for n in schreier:
             if n not in span:
                 kept.append(n)
-                span = _extend(cosets, coset_of, tab.factor_rows(kept),
-                               len(cosets))
+                span = _extend(store, tab.factor_rows(kept),
+                               g.order // len(members))
         assert len(span) * size == g.order, \
             "normalizer fails orbit-stabilizer"
         # n^-1 b n for each n: the rows of n^-1, then b' * n
         by = [(t[inv[n]], k[inv[n]], n) for n in hgens + tuple(kept)]
-        inside = members <= residuum
-        seen = set()
+        # the candidates in N_G(H) or, for H inside the residuum, in it: a
+        # skipped a stands for its whole N_G(H)-orbit
+        pool = span.union(residuum) if members <= residuum else span
         roots = members.intersection(by_root)
-        for a in sorted(chain.from_iterable(map(by_root.__getitem__, roots))):
+        seen = set()
+        for a in sorted(pool.intersection(
+                chain.from_iterable(map(by_root.__getitem__, roots)))):
             if a in members or a in seen:
                 continue
             normalizes = a in span
-            if not (normalizes or inside and a in residuum):
-                continue        # and so for its whole N_G(H)-orbit
             # a stands for its orbit under conjugation by N_G(H), which stays
             # outside H; not ``walk``: cold Sym(6) classes ran 7-15% slower
             seen.add(a)
@@ -757,9 +795,9 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
                         todo.append(c)
             newgens = hgens + (a,)
             if normalizes:
-                new = _coset_union(cosets, coset_of, tab, a)
+                new = _coset_union(store, a)
             else:
-                new = _extend(cosets, coset_of, tab.factor_rows(newgens),
+                new = _extend(store, tab.factor_rows(newgens),
                               fifth // len(members)) or residuum
             if new in known:
                 continue
@@ -889,6 +927,7 @@ def coset_action(g: FiniteGroup, u) -> dict:
     """The action of g on the left cosets of u, as a map element -> Perm."""
     cls, sub = _subgroup_class(g, u)
     tab = cls.parent.tables()
-    cosets, coset_of = _left_cosets(tab, sub, range(g.order))
+    store = _Cosets(tab, sub).fill(range(g.order))
+    cosets, coset_of = store.cosets, store.coset_of
     return {a: Perm(tuple(coset_of[t[k[c[0]]]] for c in cosets))
             for a, t, k in zip(g.elements, tab.t, tab.k)}

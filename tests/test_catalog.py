@@ -8,7 +8,7 @@ from vfgrowth.catalog import (EmbeddingMap, RestrictionMatrix, build_catalog,
 from vfgrowth.corpus import corpus_graphs, klein_amalgam
 from vfgrowth.errors import EmbeddingError, InputError
 from vfgrowth.gog import load_gog
-from vfgrowth.groups import (_element_index, _left_cosets, all_subgroups,
+from vfgrowth.groups import (_element_index, all_subgroups,
                              alternating_group, coset_action, cyclic_group,
                              dihedral_group, generate, klein_four,
                              subgroup_classes, symmetric_group, trivial_group)
@@ -184,9 +184,17 @@ def _reference_restriction_matrix(emb: EmbeddingMap) -> RestrictionMatrix:
     gen_count = len(ecat)
     cols = []
     for rep in vcat.classes:
-        cosets, coset_of = _left_cosets(parent.tables(), rep.members[0],
-                                        range(emb.codomain.order))
-        act = [tuple(coset_of[row[c[0]]] for c in cosets) for row in left]
+        # the left cosets yH from Perm products, each kept by its least
+        # element y and numbered in that order
+        sub = [elements[i] for i in rep.members[0]]
+        coset_of = [None] * len(elements)
+        cosets = []
+        for y, x in enumerate(elements):
+            if coset_of[y] is None:
+                for h in sub:
+                    coset_of[index[x * h]] = len(cosets)
+                cosets.append(y)
+        act = [tuple(coset_of[row[y]] for y in cosets) for row in left]
         col = [0] * gen_count
         for p in _orbit_minima(rep.index, [act[i] for i in gens]):
             stab = frozenset(i for i, a in enumerate(act) if a[p] == p)

@@ -23,9 +23,10 @@ from vfgrowth.groups import (FiniteGroup, all_subgroups, alternating_group,
                              subgroup_classes, symmetric_group, trivial_group)
 from vfgrowth import catalog, groups
 from vfgrowth.groups import (DEFAULT_SUBGROUP_CAP, _class_and_schreier,
-                             _extend, _is_prime_power, _known_order_product,
-                             _element_index, _least_prime, _left_cosets,
-                             _subgroup_class, _subgroup_index_sets)
+                             _Cosets, _extend, _is_prime_power,
+                             _known_order_product, _element_index,
+                             _least_prime, _subgroup_class,
+                             _subgroup_index_sets)
 from vfgrowth.growth import (cyclic_amalgam_mu, euler_tight, mu,
                              symmetric_amalgam_mu)
 from vfgrowth.oracle import (DEFAULT_ENUM_GROUP_CAP, _transporter_count,
@@ -422,8 +423,9 @@ def test_cayley_walk_and_images_match_the_reference_loops(g):
 
 
 def _reference_left_cosets(mult, sub, ambient):
-    """The coset loop that ``groups._left_cosets`` replaced, kept word for
-    word as the reference."""
+    """The coset loop that the eager partition ``_left_cosets``, and then
+    the store ``groups._Cosets``, replaced, kept word for word as the
+    reference."""
     coset_of = [None] * len(mult)
     cosets = []
     for y in ambient:
@@ -439,9 +441,9 @@ def _reference_left_cosets(mult, sub, ambient):
 @pytest.mark.parametrize("g", _FOUR + [symmetric_group(5)],
                          ids=_FOUR_IDS + ["Sym(5)"])
 def test_left_cosets_match_the_reference_loop(g):
-    # every class representative in the whole group, the trivial one
-    # included (one index), then inside each representative the way
-    # _greedy_generators asks: every representative it contains
+    # a store filled over the whole group for every class representative,
+    # the trivial one included (one index), then inside each representative
+    # for every representative it contains
     classes = subgroup_classes(g)
     tab = classes[0].parent.tables()
     mult = _reference_tables(g)[1]
@@ -449,10 +451,10 @@ def test_left_cosets_match_the_reference_loop(g):
     assert min(map(len, reps)) == 1
 
     def same(sub, ambient):
-        cosets, coset_of = groups._left_cosets(tab, sub, ambient)
+        store = _Cosets(tab, sub).fill(ambient)
         want, want_of = _reference_left_cosets(mult, sub, ambient)
-        assert [list(c) for c in cosets] == want
-        assert coset_of == want_of
+        assert [list(c) for c in store.cosets] == want
+        assert store.coset_of == want_of
     for sub in reps:
         same(sub, range(g.order))
     for members in reps:
@@ -573,19 +575,40 @@ def _sl25():
 
 _S4XS3 = _from_cycles("(1 2)", "(1 2 3 4)", "(5 6)", "(5 6 7)")
 _SL25 = _sl25()
+# the wreath product Sym(3) wr Cyc(2) of order 72, a cold-catalog vertex
+# group
+_S3WRC2 = generate([parse_perm(t, 6)
+                    for t in ("(1 2)", "(1 2 3)", "(1 4)(2 5)(3 6)")], 6)
+
+
+def _reference_closure(cosets, coset_of, mult, gens, limit):
+    """The union of the cosets (from ``_reference_left_cosets``) that left
+    multiplication by ``gens`` reaches from the first, read off the full
+    table ``mult``; None past ``limit`` cosets."""
+    orbit = [0]
+    seen = {0}
+    for c in orbit:                     # orbit grows while it is walked
+        y = cosets[c][0]
+        for s in gens:
+            d = coset_of[mult[s][y]]
+            if d not in seen:
+                seen.add(d)
+                orbit.append(d)
+        if len(orbit) > limit:
+            return None
+    return frozenset(chain.from_iterable(cosets[c] for c in orbit))
 
 
 def _reference_subgroup_index_sets(g):
     """The lattice loop that ``groups._subgroup_index_sets`` replaced, with
-    no residuum and a closure walk for every candidate, kept word for word
-    as the reference, on a full table from Perm products; the package
-    helpers get the group's factored table."""
+    no residuum and a closure walk for every candidate, kept as the
+    reference, on a full table from Perm products: its cosets, closures
+    and class walks are the reference loops above, not the package's."""
     # the one check of the subgroup cap: the |G|^2 table and the lattice
     # search below are what it bounds
     if g.order > DEFAULT_SUBGROUP_CAP:
         raise CapExceeded(f"group too large: order {g.order} exceeds "
                           f"subgroup cap {DEFAULT_SUBGROUP_CAP}")
-    tab = g.tables()
     index, mult, inv = _reference_tables(g)
     # each cyclic subgroup <x> stands by its least generator, least[<x>] =
     # cyclic[x]; by_root maps r to the ascending such a of order p^k, p
@@ -605,7 +628,7 @@ def _reference_subgroup_index_sets(g):
             by_root.setdefault(powers[_least_prime(n) % n], []).append(a)
     # each class representative H is extended by one <a> per N_G(H)-orbit
     # of those outside H with a^p in H, which reaches every subgroup (see
-    # the module docstring); N_G(H) is spanned from _class_and_schreier
+    # the module docstring); N_G(H) is spanned from the class walk
     bound = g.order // _least_prime(g.order)
     whole = frozenset(range(g.order))
     gens = [index[p] for p in g.generators]
@@ -613,22 +636,24 @@ def _reference_subgroup_index_sets(g):
     conj = [[mult[mult[inv[s]][x]][s] for x in range(g.order)]
             for s in gens]
     trivial = frozenset([0])
-    orbit, schreier = _class_and_schreier(tab, conj, trivial)
+    orbit, schreier = _reference_class_and_schreier(mult, inv, gens, conj,
+                                                    trivial)
     known = set(orbit)
     orbits = [tuple(orbit)]
     reps = [(trivial, (), len(orbit), schreier)]
     for members, hgens, size, schreier in reps:  # reps grows while walked
-        cosets, coset_of = _left_cosets(tab, members, range(g.order))
+        cosets, coset_of = _reference_left_cosets(mult, members,
+                                                  range(g.order))
         # N_G(H) = <H, kept>, a Schreier element kept only outside the span
-        # so far; all normalize H, so their rows alone walk H's cosets, and
-        # a limit of every coset means no Lagrange stop
+        # so far; all normalize H, so they alone walk H's cosets, and a
+        # limit of every coset means no Lagrange stop
         kept = []
         span = members
         for n in schreier:
             if n not in span:
                 kept.append(n)
-                span = _extend(cosets, coset_of, tab.factor_rows(kept),
-                               len(cosets))
+                span = _reference_closure(cosets, coset_of, mult, kept,
+                                          len(cosets))
         assert len(span) * size == g.order, \
             "normalizer fails orbit-stabilizer"
         limit = bound // len(members)
@@ -639,7 +664,7 @@ def _reference_subgroup_index_sets(g):
             if a in members or a in seen:
                 continue
             # a stands for its orbit under conjugation by N_G(H), which stays
-            # outside H; not ``walk``: cold Sym(6) classes ran 7-15% slower
+            # outside H
             seen.add(a)
             todo = [a]
             for b in todo:              # todo grows while it is walked
@@ -649,12 +674,13 @@ def _reference_subgroup_index_sets(g):
                         seen.add(c)
                         todo.append(c)
             newgens = hgens + (a,)
-            new = _extend(cosets, coset_of, tab.factor_rows(newgens),
-                          limit) or whole
+            new = _reference_closure(cosets, coset_of, mult, newgens,
+                                     limit) or whole
             if new in known:
                 continue
             # a conjugate already known would put new in an earlier class
-            orbit, schreier = _class_and_schreier(tab, conj, new)
+            orbit, schreier = _reference_class_and_schreier(mult, inv, gens,
+                                                            conj, new)
             known.update(orbit)
             orbits.append(tuple(orbit))
             reps.append((new, newgens, len(orbit), schreier))
@@ -667,6 +693,7 @@ def _reference_subgroup_index_sets(g):
     direct_product(dihedral_group(4), cyclic_group(3)),
     direct_product(direct_product(cyclic_group(2), cyclic_group(2)),
                    direct_product(cyclic_group(2), cyclic_group(2))),
+    _S3WRC2,
     # perfect and simple: the residuum is the whole group
     alternating_group(5),
     _from_cycles("(1 2 3 4 5 6 7)", "(1 2)(3 5)"),
@@ -677,8 +704,9 @@ def _reference_subgroup_index_sets(g):
     symmetric_group(5),
     direct_product(alternating_group(5), cyclic_group(2)),
     symmetric_group(6),
-], ids=["Sym(4)xSym(3)", "Dih(4)xCyc(3)", "Cyc(2)^4", "Alt(5)", "PSL(2,7)",
-        "Alt(6)", "SL(2,5)", "Sym(5)", "Alt(5)xCyc(2)", "Sym(6)"])
+], ids=["Sym(4)xSym(3)", "Dih(4)xCyc(3)", "Cyc(2)^4", "Sym(3)wrCyc(2)",
+        "Alt(5)", "PSL(2,7)", "Alt(6)", "SL(2,5)", "Sym(5)", "Alt(5)xCyc(2)",
+        "Sym(6)"])
 def test_lattice_matches_the_unpruned_search(g):
     got = {frozenset(orbit) for orbit in _subgroup_index_sets(g)}
     assert got == {frozenset(orbit)
@@ -740,15 +768,17 @@ def test_subgroups_inside_the_residuum_are_at_most_a_fifth_of_it(g):
 def _count_extensions(monkeypatch):
     """Every extension step of the lattice from now on: (closure walks,
     coset unions), one entry each; a closure walk's entry is its limit.
-    Normalizer and residuum spans share the closure routine but allow as
-    many cosets as there are, so no stop; they are not counted."""
+    Normalizer and residuum spans share the closure routine but allow all
+    |G:H| cosets, so no stop; they are not counted.  A store builds its
+    cosets as walks reach them, so |G:H| is read off the table and H, not
+    off the cosets built so far."""
     walks, unions = [], []
     extend, union = groups._extend, groups._coset_union
 
-    def counted(cosets, coset_of, rows, limit):
-        if limit < len(cosets):
+    def counted(store, rows, limit):
+        if limit < len(store.tab.t) // len(store.sub):
             walks.append(limit)
-        return extend(cosets, coset_of, rows, limit)
+        return extend(store, rows, limit)
 
     def counted_union(*args):
         unions.append(None)
@@ -873,7 +903,8 @@ def test_sym7_lattice_under_a_raised_subgroup_cap(monkeypatch):
 @pytest.mark.parametrize("g", [
     symmetric_group(5),
     _from_cycles("(1 2 3 4 5 6 7)", "(1 2)(3 5)"),      # PSL(2,7)
-], ids=["Sym(5)", "PSL(2,7)"])
+    _S3WRC2,
+], ids=["Sym(5)", "PSL(2,7)", "Sym(3)wrCyc(2)"])
 def test_normalizer_orders_match_perm_normalizers(g):
     # the lattice's orbit sizes against a normalizer found by Perm products
     for c in subgroup_classes(g):
@@ -882,6 +913,31 @@ def test_normalizer_orders_match_perm_normalizers(g):
                       if all(a * x * a.inverse() in members
                              for x in members)]
         assert c.normalizer_order == len(normalizer)
+
+
+@pytest.mark.parametrize("g", [symmetric_group(5), _S4XS3, _named("Sym(6)")],
+                         ids=["Sym(5)", "Sym(4)xSym(3)", "Sym(6)"])
+def test_a_normalizer_span_builds_only_the_cosets_inside_it(g):
+    # the lattice's first walk per class representative H spans N_G(H) from
+    # H's Schreier elements on a fresh store, which then holds the
+    # |N_G(H):H| cosets inside N_G(H) and no other: an eager partition of G
+    # would hold |G:H|
+    classes = subgroup_classes(g)
+    parent = classes[0].parent
+    tab = parent.tables()
+    conj = groups._conjugations(tab, [tab.index[p]
+                                      for p in parent.generators])
+    for c in classes:
+        members = c.members[0]
+        store = _Cosets(tab, members)
+        kept = []
+        span = members
+        for n in _class_and_schreier(tab, conj, members)[1]:
+            if n not in span:
+                kept.append(n)
+                span = _extend(store, tab.factor_rows(kept), c.index)
+        assert len(span) == c.normalizer_order
+        assert len(store.cosets) == c.normalizer_order // c.order
 
 
 def test_the_lattice_builds_no_group(monkeypatch):
