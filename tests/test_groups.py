@@ -423,9 +423,8 @@ def test_cayley_walk_and_images_match_the_reference_loops(g):
 
 
 def _reference_left_cosets(mult, sub, ambient):
-    """The coset loop that the eager partition ``_left_cosets``, and then
-    the store ``groups._Cosets``, replaced, kept word for word as the
-    reference."""
+    """The plain coset loop, kept word for word as the reference that the
+    store ``groups._Cosets`` is checked against."""
     coset_of = [None] * len(mult)
     cosets = []
     for y in ambient:
@@ -869,12 +868,13 @@ print(mu(parse_gog(
 
 @pytest.mark.slow
 def test_sym7_lattice_under_a_raised_subgroup_cap(monkeypatch):
-    # on a 2-vCPU Xeon with Python 3.11 the child below takes about 0.7 s
-    # at 42 MB peak RSS, where the full 5040^2 table took about 1.3 s at 229
+    # on a 2-vCPU Xeon with Python 3.11 the child below takes 0.5-0.7 s at
+    # 40 MB peak RSS, where the full 5040^2 table took about 1.3 s at 229
     # MB: tables() composes 768 rows and keeps 161 in 0.06-0.11 s (0.6-0.8 s
-    # for 5040 rows), the lattice and classes take 0.3-0.4 s.  The shipped
-    # cap stays 1000.  96 classes (OEIS A000638) and 11,300 subgroups
-    # (A005432)
+    # for 5040 rows), the lattice and classes take 0.2-0.35 s, building
+    # each left coset only when a walk reaches it (0.25-0.45 s when every
+    # class representative partitioned G).  The shipped cap stays 1000.  96
+    # classes (OEIS A000638) and 11,300 subgroups (A005432)
     monkeypatch.setattr(groups, "DEFAULT_SUBGROUP_CAP", 5040)
     walks, unions = _count_extensions(monkeypatch)
     g = symmetric_group(7)
