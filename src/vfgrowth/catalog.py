@@ -15,10 +15,11 @@ element-index sets, like the classes' ``members``.  An embedding is given
 on generators and extended along the domain's Cayley walk on image tuples
 (``groups.walk_images``); nothing here multiplies ``Perm`` objects.  The
 walk of the domain's own generators, which every default ``EmbeddingMap``
-uses, is the one the domain keeps (``FiniteGroup.cayley``), so a domain
-is walked once however many embeddings start from it.  A list that adds
-identities sent to the identity, as a ``.gog`` edge listing ``()`` does,
-reads that walk too; any other generator list is walked afresh.
+uses, is the one the domain keeps (``FiniteGroup.cayley``), with its
+elements numbered by ``elements``, so a domain is walked once however many
+embeddings start from it.  A list that adds identities sent to the
+identity, as a ``.gog`` edge listing ``()`` does, reads that walk too; any
+other generator list is walked afresh, its elements listed in walk order.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import EmbeddingError, InputError
-from .groups import (FiniteGroup, _element_index, cayley_walk,
-                     subgroup_classes, walk_images)
+from .groups import FiniteGroup, cayley_walk, subgroup_classes, walk_images
 from .perm import Perm
 
 
@@ -61,19 +61,19 @@ def extend_hom(domain: FiniteGroup, gens, images, target_degree=None) -> dict:
     if tuple(g for g, _ in kept) == domain.generators:
         gens = domain.generators
         images = tuple(m for _, m in kept)
-        at, steps = domain.cayley()
+        elements, steps = domain.elements, domain.cayley()
     else:
-        at, steps = cayley_walk(gens, domain.degree, domain.order)
-    imgs, conflict = walk_images(steps, len(at), [m.images for m in images],
-                                 target_degree)
+        elements, steps = cayley_walk(gens, domain.degree, domain.order)
+    imgs, conflict = walk_images(steps, len(elements),
+                                 [m.images for m in images], target_degree)
     if conflict is not None:
         y, k = conflict
         raise EmbeddingError(
-            f"not a homomorphism: conflicting images at {list(at)[y]} "
+            f"not a homomorphism: conflicting images at {elements[y]} "
             f"(via generator {gens[k]} -> {images[k]})")
-    if len(at) != domain.order:
+    if len(elements) != domain.order:
         raise EmbeddingError("generators do not generate the domain group")
-    return {x: Perm(img) for x, img in zip(at, imgs)}
+    return {x: Perm(img) for x, img in zip(elements, imgs)}
 
 
 class EmbeddingMap:
@@ -176,7 +176,7 @@ def restriction_matrix(emb: EmbeddingMap) -> RestrictionMatrix:
     """
     vcat = build_catalog(emb.codomain)
     edge = build_catalog(emb.domain).classes
-    index = _element_index(emb.codomain)
+    index = emb.codomain.index
     image = [index[emb.apply(a)] for a in emb.domain.elements]
     images = [frozenset(map(image.__getitem__, k.members[0])) for k in edge]
     table = [[_mark(k, h.members[0]) for k in edge] for h in edge]

@@ -176,7 +176,6 @@ def cmd_homcount(args) -> int:
         top = hom_count_enumerate(g, n, **cap)
         rows = [(m, hom_count_enumerate(g, m, **cap))
                 for m in range(1, n)] + [(n, top)]
-        ledger = None
     else:
         ledger = hom_count_typesum(g, n, **cap)
         rows = [(m, ledger.total(m)) for m in range(1, n + 1)]
@@ -184,7 +183,7 @@ def cmd_homcount(args) -> int:
         payload = {"command": "homcount", "n": n,
                    "mode": "enumerate" if args.enumerate else "typesum",
                    "totals": {str(m): str(v) for m, v in rows}}
-        if args.per_type and ledger is not None:
+        if args.per_type:
             payload["per_type"] = [
                 {"type": {v: list(c) for v, c in xi.counts},
                  "count": str(cnt)}
@@ -193,7 +192,7 @@ def cmd_homcount(args) -> int:
         return 0
     for m, v in rows:
         print(f"{m}\t{v}")
-    if args.per_type and ledger is not None:
+    if args.per_type:
         for xi, cnt in ledger.per_type:
             desc = "; ".join(f"{v}={','.join(map(str, c))}"
                              for v, c in xi.counts)
@@ -336,11 +335,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="|Hom(Gamma, S_m)| for m = 1..N")
     p.add_argument("file")
     p.add_argument("--n", type=int, required=True, metavar="N")
-    p.add_argument("--enumerate", action="store_true",
-                   help="use the brute-force counter instead of the "
-                        "type-sum formula")
-    p.add_argument("--per-type", action="store_true",
-                   help="also list admissible types at degree N")
+    # the brute-force counter lists no types
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--enumerate", action="store_true",
+                      help="use the brute-force counter instead of the "
+                           "type-sum formula")
+    mode.add_argument("--per-type", action="store_true",
+                      help="also list admissible types at degree N")
     p.set_defaults(fn=cmd_homcount)
 
     p = sub.add_parser("subcount", parents=[common, group_cap, max_n],

@@ -11,9 +11,13 @@ image tuples to generate a group, and ``walk_images`` extends homomorphisms
 along such a walk; both compose each step in C, by one
 ``operator.itemgetter`` per generator image.  A group is built only from its
 generators: the ``FiniteGroup`` constructor walks them once and takes its
-elements from the walk, which it keeps (``FiniteGroup.cayley``), so a
-group's elements are what its generators generate and no later use need
-check it.
+elements from the walk, so a group's elements are what its generators
+generate and no later use need check it.  A group numbers its elements
+once, by their place in the sorted ``elements`` (``FiniteGroup.index``),
+so equal groups number them alike, and every layer reads that numbering:
+the constructor keeps the walk's steps renumbered by it
+(``FiniteGroup.cayley``), and the tables, the lattice, restriction,
+homomorphism extension and the brute-force counter index elements by it.
 
 The multiplication table (``FiniteGroup.tables``, a ``Table``) is factored
 over a point stabilizer, the first level of a Schreier-Sims base (Sims,
@@ -130,12 +134,13 @@ def walk(start, gens, act, cap=None) -> tuple:
 def cayley_walk(gens, degree: int, cap: int) -> tuple:
     """``walk`` of the Cayley graph of the group that the ``Perm`` list
     ``gens`` generates on ``degree`` points, from the identity, by right
-    multiplication on image tuples: (walk position of every element as a
-    ``Perm``, steps); a step (x, k, y, tree) reads x * gens[k] = y."""
+    multiplication on image tuples: (every element as a ``Perm``, in walk
+    order, steps); a step (x, k, y, tree) reads x * gens[k] = y for the
+    elements at walk positions x and y."""
     at, steps = walk(tuple(range(degree)),
                      _composers([s.images for s in gens], degree),
                      lambda x, take: take(x), cap)
-    return {Perm(x): i for x, i in at.items()}, steps
+    return list(map(Perm, at)), steps
 
 
 def _composers(gen_images, degree: int) -> list:
@@ -152,11 +157,11 @@ def _composers(gen_images, degree: int) -> list:
 def walk_images(steps, size: int, gen_images, degree: int) -> tuple:
     """Images along a Cayley walk (see ``cayley_walk``) of ``size``
     elements, given the image tuple of each generator on ``degree``
-    points: (image tuple of every walk position, None).  Each tree step
-    composes its generator's image onto the image it starts from, in C
-    by one ``itemgetter`` per generator; every other step must reproduce
-    the image already there, and at the first that does not the answer
-    is (None, (y, k)) for that step."""
+    points: (image tuple of every element, numbered as the steps number
+    them, None).  Each tree step composes its generator's image onto the
+    image it starts from, in C by one ``itemgetter`` per generator; every
+    other step must reproduce the image already there, and at the first
+    that does not the answer is (None, (y, k)) for that step."""
     images = [tuple(range(degree))] * size
     compose = _composers(gen_images, degree)
     for x, k, y, tree in steps:
@@ -179,11 +184,13 @@ class FiniteGroup:
     past ``max_order`` elements.  Instances are immutable by convention;
     equality and hashing go by (degree, elements), so two routes to the
     same group compare equal.  ``elements`` is sorted by image tuple, so
-    the identity is always ``elements[0]`` and has index 0 in the tables.
+    the identity is always ``elements[0]``, and an element's number
+    everywhere is its place in ``elements``: ``index`` maps each element
+    to it, and equal groups number their elements alike.
     """
 
-    __slots__ = ("degree", "generators", "elements", "order",
-                 "_hash", "_tables", "_walk")
+    __slots__ = ("degree", "generators", "elements", "index", "order",
+                 "_hash", "_tables", "_steps")
 
     def __init__(self, degree, generators, *, max_order=DEFAULT_GROUP_CAP):
         gens = [g if isinstance(g, Perm) else Perm(g) for g in generators]
@@ -193,14 +200,18 @@ class FiniteGroup:
                     f"generator degree {g.degree} does not match {degree}")
         self.degree = degree
         self.generators = tuple(g for g in gens if not g.is_identity())
-        self._walk = cayley_walk(self.generators, degree, max_order)
-        self.elements = tuple(sorted(self._walk[0], key=attrgetter("images")))
+        walked, steps = cayley_walk(self.generators, degree, max_order)
+        self.elements = tuple(sorted(walked, key=attrgetter("images")))
+        self.index = index = {p: i for i, p in enumerate(self.elements)}
+        pos = list(map(index.__getitem__, walked))
+        self._steps = tuple((pos[x], k, pos[y], tree)
+                            for x, k, y, tree in steps)
         self.order = len(self.elements)
         self._hash = hash((degree, self.elements))
         self._tables = None
 
     def __contains__(self, p) -> bool:
-        return p in self._walk[0]
+        return p in self.index
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FiniteGroup)
@@ -215,9 +226,10 @@ class FiniteGroup:
         return f"<group of order {self.order} on {self.degree} points, gens {gens}>"
 
     def cayley(self) -> tuple:
-        """The ``cayley_walk`` of ``generators`` that built the group:
-        (walk position of every element, steps)."""
-        return self._walk
+        """The steps of the ``cayley_walk`` of ``generators`` that built
+        the group, in walk order, with each element numbered by its place
+        in ``elements``."""
+        return self._steps
 
     # -- index tables -----------------------------------------------------
 
@@ -250,11 +262,12 @@ class Table:
     x's two factors.
 
     Everything is read from indices along the kept walk, with no image
-    tuple composed.  Its steps (x, i, y) say x * s_i = y for the i-th
-    generator s_i, so they give ``right[i]``, the right action of s_i on
-    indices.  The left action of a generator s follows the tree steps:
-    row(s)[0] = s and row(s)[y] = right[i][row(s)[x]], since s * (x * s_i)
-    = (s * x) * s_i.  One fixed ``itemgetter`` of it per generator
+    tuple composed and no element looked up: its steps (x, i, y), numbered
+    by ``elements`` already, say x * s_i = y for the i-th generator s_i,
+    so they give ``right[i]``, the right action of s_i on indices.  The
+    left action of a generator s follows the tree steps: row(s)[0] = s
+    and row(s)[y] = right[i][row(s)[x]], since s * (x * s_i) =
+    (s * x) * s_i.  One fixed ``itemgetter`` of it per generator
     composes the rows of T and K, and of their ancestors in the tree
     only, along the tree steps x * s = y, since row(x*s)[z] =
     row(x)[row(s)[z]].  Rows are tuples: ``itemgetter`` composes and
@@ -268,19 +281,15 @@ class Table:
     element of T and K to its row.
     """
 
-    __slots__ = ("index", "inv", "right", "t", "k", "rows", "fixed",
+    __slots__ = ("inv", "right", "t", "k", "rows", "fixed",
                  "stabilizer_order", "transversal")
 
     def __init__(self, g: FiniteGroup):
-        at, steps = g.cayley()
         n = g.order
-        self.index = index = {p: i for i, p in enumerate(g.elements)}
-        pos = list(map(index.__getitem__, at))
         right = [[0] * n for _ in g.generators]
         tree = []
         parent = [None] * n
-        for x, i, y, is_tree in steps:
-            x, y = pos[x], pos[y]
+        for x, i, y, is_tree in g.cayley():
             right[i][x] = y
             if is_tree:
                 tree.append((x, i, y))
@@ -296,10 +305,11 @@ class Table:
             if (n // kj + kj, kj) < (n // size + size, size):
                 fixed, size = j, kj
         self.fixed, self.stabilizer_order = fixed, size
-        # of each block, the element the walk reaches first (pos is in
-        # walk order)
+        # of each block, the element the walk reaches first: the walk
+        # reaches the identity, then each tree step's target, in order
         first = [None] * (n // size)
-        for x in pos:
+        first[0] = 0
+        for _, _, x in tree:
             if first[x // size] is None:
                 first[x // size] = x
         self.transversal = tuple(first)
@@ -314,7 +324,7 @@ class Table:
         # item, not a 1-tuple, but a group of order 1 has no generator
         take = []
         for s in g.generators:
-            row = [index[s]] * n
+            row = [g.index[s]] * n
             for x, i, y in tree:
                 row[y] = right[i][row[x]]
             take.append(itemgetter(*row))
@@ -745,7 +755,7 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
     # H inside the residuum, in it, which reaches every subgroup (see the
     # module docstring); N_G(H) is spanned from _class_and_schreier, and
     # H's cosets are built as these walks reach them
-    gens = [tab.index[p] for p in g.generators]
+    gens = [g.index[p] for p in g.generators]
     conj = _conjugations(tab, gens)
     residuum = _residuum(tab, gens, conj)
     # a closure walk runs inside the residuum, so past a fifth of it it has
@@ -886,18 +896,12 @@ def subgroup_classes(g: FiniteGroup) -> tuple:
 
 # -- subgroups given by their elements ------------------------------------
 
-def _element_index(g: FiniteGroup) -> dict:
-    """g's element -> index map in the tables of the instance that
-    ``subgroup_classes(g)`` ran on, where every ``members`` set counts."""
-    return subgroup_classes(g)[0].parent.tables().index
-
-
 def _subgroup_class(g: FiniteGroup, u) -> tuple:
     """The class in ``subgroup_classes(g)`` of a subgroup u of g, given as
     a SubgroupClass, a FiniteGroup or an iterable of Perm, and u's element
-    index set in the class parent's tables.  The lattice holds every
-    subgroup, so a set it does not hold is not closed under
-    multiplication."""
+    index set, numbered by ``g.elements`` as every ``members`` set is.
+    The lattice holds every subgroup, so a set it does not hold is not
+    closed under multiplication."""
     degree = g.degree
     if isinstance(u, SubgroupClass):
         if u.parent == g:
@@ -915,8 +919,7 @@ def _subgroup_class(g: FiniteGroup, u) -> tuple:
         raise InputError("subgroup must contain the identity")
     if g.order % len(members):
         raise InputError("not a subgroup: order does not divide the group order")
-    index = _element_index(g)
-    sub = frozenset(index[x] for x in members)
+    sub = frozenset(map(g.index.__getitem__, members))
     for cls in subgroup_classes(g):
         if cls.order == len(sub) and sub in cls.members:
             return cls, sub

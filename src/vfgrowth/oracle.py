@@ -19,9 +19,11 @@ Cayley walks are kept by the group instances (``FiniteGroup.cayley``).
   from the join.
 - Brute force tries every tuple of generator images.  Each vertex group's
   Cayley graph is walked once per group instance on image tuples, when the
-  group is built, and kept by it.  Each tuple is composed along the walk, in
-  C by one ``itemgetter`` per generator image, and checked on every edge of
-  it, with no ``Perm`` product.  A non-tree edge multiplies by the number of
+  group is built, and kept by it with each element numbered by its place in
+  ``elements``.  Each tuple is composed along the walk, in C by one
+  ``itemgetter`` per generator image, and checked on every edge of it,
+  with no ``Perm`` product, so a homomorphism lists its images in the
+  order of ``elements``.  A non-tree edge multiplies by the number of
   permutations conjugating one side's images onto the other's.  Every lookup
   key of a homomorphism (its parent-edge bucket key, the keys its children
   look up, its images on each non-tree edge side) is built once, when the
@@ -198,10 +200,11 @@ def _typesum_rows(g: GraphOfGroups, n: int):
 
     Each vertex's types of every degree come from one ``_type_pass``.  The
     rows are a join, not a filter over that product: vertices are placed
-    in graph order, each vertex's types are bucketed by the edge type they
-    induce along its first edge to an already placed vertex, and any
-    further edge is checked as the vertex is placed.  A type counts
-    m!^h * prod(vertex counts) / prod(edge counts), in integers.
+    in graph order, and each vertex's types are bucketed by the edge types
+    they induce on all its edges to already placed vertices (the root's
+    key is empty).  Only keys that some row holds get a bucket, and each
+    type's edge counts are multiplied once, as it is bucketed.  A type
+    counts m!^h * prod(vertex counts) / prod(edge counts), in integers.
     """
     names = [name for name, _ in g.vertices]
     at = {name: i for i, name in enumerate(names)}
@@ -231,7 +234,8 @@ def _typesum_rows(g: GraphOfGroups, n: int):
         return c
 
     passes = []     # per vertex: its types, bucketed by degree
-    spans = []      # per vertex: ((edge, side), start, end) in the vector
+    spans = []      # per vertex: (edge, side) -> (start, end) in the vector
+    cuts = []       # per vertex: (start, end) of each link's edge type
     for i, (_, grp) in enumerate(g.vertices):
         cat = build_catalog(grp)
         # class j's column: its row entries of every side matrix in turn
@@ -239,49 +243,44 @@ def _typesum_rows(g: GraphOfGroups, n: int):
                    for j in range(len(cat))]
         auts = [cls.aut_count for cls in cat.classes]
         passes.append(_type_pass(cat.degrees, auts, columns, n))
-        where, start = [], 0
+        where, start = {}, 0
         for k, s, mat in sides[i]:
-            where.append(((k, s), start, start + len(mat.rows)))
+            where[k, s] = start, start + len(mat.rows)
             start += len(mat.rows)
         spans.append(where)
+        cuts.append([where[k, s] for k, s, _, _ in links[i]])
 
     h = len(g.edges) - len(g.vertices) + 1
     for m in range(1, n + 1):
         fm = factorial(m)
         rows = [((), fm ** h, 1, ())]
         for i in range(len(names)):
-            entries = []    # (type, count, loop edges' count, induced types)
+            # each row's key, the edge types on i's links to placed
+            # vertices, and i's (type, count, its edges' count, induced
+            # types) by the same key
+            keys = [tuple(placed[j][k, sj] for k, _, j, sj in links[i])
+                    for _, _, _, placed in rows]
+            buckets = {key: [] for key in keys}
             for t, den, vec in passes[i][m]:
-                induced = {key: vec[a:b] for key, a, b in spans[i]}
-                if any(induced[k, 0] != induced[k, 1] for k in loops[i]):
-                    continue
-                loop_den = 1
-                for k in loops[i]:
-                    loop_den *= edge_count(k, induced[k, 0], m)
                 c, rem = divmod(fm, den)
                 assert rem == 0, \
                     "orbit bookkeeping produced a non-integer count"
-                entries.append((t, c, loop_den, induced))
-            checks = links[i][1:]
-            if links[i]:
-                k0, s0, j0, sj0 = links[i][0]
-                buckets = {}
-                for entry in entries:
-                    buckets.setdefault(entry[3][k0, s0], []).append(entry)
-            grown = []
-            for combo, num, den, placed in rows:
-                candidates = (buckets.get(placed[j0][k0, sj0], ())
-                              if links[i] else entries)
-                for t, c, loop_den, induced in candidates:
-                    if any(induced[k, s] != placed[j][k, sj]
-                           for k, s, j, sj in checks):
-                        continue
-                    d = den * loop_den
-                    for k, s, _, _ in links[i]:
-                        d *= edge_count(k, induced[k, s], m)
-                    grown.append((combo + (t,), num * c, d,
-                                  placed + (induced,)))
-            rows = grown
+                bucket = buckets.get(tuple([vec[a:b] for a, b in cuts[i]]))
+                if bucket is None:
+                    continue
+                induced = {key: vec[a:b]
+                           for key, (a, b) in spans[i].items()}
+                if any(induced[k, 0] != induced[k, 1] for k in loops[i]):
+                    continue
+                d = 1
+                for k in loops[i]:
+                    d *= edge_count(k, induced[k, 0], m)
+                for k, s, _, _ in links[i]:
+                    d *= edge_count(k, induced[k, s], m)
+                bucket.append((t, c, d, induced))
+            rows = [(combo + (t,), num * c, den * d, placed + (induced,))
+                    for (combo, num, den, placed), key in zip(rows, keys)
+                    for t, c, d, induced in buckets[key]]
         out = []
         for combo, num, den, _ in rows:
             value, rem = divmod(num, den)
@@ -360,26 +359,27 @@ def _symmetric_images(n: int) -> list:
     return [(q, Perm(q).order()) for q in permutations(range(n))]
 
 
-def _vertex_homs(group: FiniteGroup, n: int, sym=None) -> tuple:
-    """All homomorphisms group -> S_n, as (walk positions, homs).
+def _vertex_homs(group: FiniteGroup, n: int, sym=None) -> list:
+    """All homomorphisms group -> S_n.
 
-    Each hom lists the image tuple of every element at its Cayley-walk
-    position.  Candidates are tuples of generator images whose orders
-    divide the generators' orders; ``walk_images`` composes each along
-    the tree steps and checks it on every other step, failing at the
-    first conflict.  ``sym`` lists (image tuple, order) over S_n.
+    Each hom lists the image tuple of every element at its place in
+    ``group.elements``.  Candidates are tuples of generator images whose
+    orders divide the generators' orders; ``walk_images`` composes each
+    along the group's kept walk, on its tree steps, and checks it on
+    every other step, failing at the first conflict.  ``sym`` lists
+    (image tuple, order) over S_n.
     """
     if sym is None:
         sym = _symmetric_images(n)
-    at, steps = group.cayley()
+    steps = group.cayley()
     pools = [[x for x, o in sym if d % o == 0]
              for d in (gen.order() for gen in group.generators)]
     homs = []
     for gens in product(*pools):
-        images, conflict = walk_images(steps, len(at), gens, n)
+        images, conflict = walk_images(steps, group.order, gens, n)
         if conflict is None:
             homs.append(tuple(images))
-    return at, homs
+    return homs
 
 
 def hom_count_enumerate(g: GraphOfGroups, n: int,
@@ -408,19 +408,20 @@ def hom_count_enumerate(g: GraphOfGroups, n: int,
     pos = {v: i for i, v in enumerate(bfs)}
     sym = _symmetric_images(n)
     walks = {}      # vertices carrying equal groups share one hom list
-    at = {}
     homs = {}
     for name, grp in g.vertices:
         key = (grp.degree, grp.generators)
         if key not in walks:
             walks[key] = _vertex_homs(grp, n, sym)
-        at[name], homs[name] = walks[key]
+        homs[name] = walks[key]
 
-    def positions(v, emb):
-        """Walk positions in v's group of an edge embedding's generators."""
-        return tuple(at[v][emb.apply(a)] for a in emb.generators)
+    def positions(emb):
+        """Indices in its vertex group's ``elements`` of an edge
+        embedding's generators."""
+        return tuple(map(emb.codomain.index.__getitem__,
+                         map(emb.apply, emb.generators)))
 
-    # each vertex's lookup keys, by slot: the walk positions whose images
+    # each vertex's lookup keys, by slot: the element indices whose images
     # its children look up or a non-tree edge side compares
     slots = {v: {} for v in bfs}
 
@@ -428,16 +429,16 @@ def hom_count_enumerate(g: GraphOfGroups, n: int,
         return slots[v].setdefault(ps, len(slots[v]))
 
     parent = {}     # position -> (its parent's position, slot of the key)
-    own = {}        # position -> its walk positions on the parent edge
+    own = {}        # position -> its element indices on the parent edge
     for v, pv, e in tree.links:
         ex, ey = e.embeddings if e.ends[1] == v else e.embeddings[::-1]
-        parent[pos[v]] = (pos[pv], slot(pv, positions(pv, ex)))
-        own[pos[v]] = positions(v, ey)
+        parent[pos[v]] = (pos[pv], slot(pv, positions(ex)))
+        own[pos[v]] = positions(ey)
     # non-tree edges settle at the moment their later endpoint is placed
     pending = [[] for _ in bfs]
     for e in g.edges:
         if e.name not in tree:
-            ends = tuple((pos[v], slot(v, positions(v, emb)))
+            ends = tuple((pos[v], slot(v, positions(emb)))
                          for v, emb in zip(e.ends, e.embeddings))
             pending[max(i for i, _ in ends)].append(ends)
     # every hom's keys, built once: a root lists them all, any other

@@ -69,11 +69,6 @@ class RationalLP:
     def num_constraints(self) -> int:
         return len(self.rows)
 
-    def _column(self, index) -> int:
-        if not 0 <= index < len(self.var_names):
-            raise InputError(f"no variable with index {index!r}")
-        return index
-
     def add_var(self, name: str, objective=0) -> int:
         if name in self._names:
             raise InputError(f"duplicate variable {name!r}")
@@ -84,15 +79,13 @@ class RationalLP:
             row.append(0)
         return len(self.var_names) - 1
 
-    def add_to_objective(self, index: int, coeff):
-        col = self._column(index)
-        self.objective[col] = _exact(self.objective[col] + _exact(coeff))
-
     def add_constraint(self, coeffs, rhs):
         """coeffs: mapping from variable index to coefficient."""
         row = [0] * len(self.var_names)
         for idx, c in coeffs.items():
-            row[self._column(idx)] = _exact(c)
+            if not 0 <= idx < len(row):
+                raise InputError(f"no variable with index {idx!r}")
+            row[idx] = _exact(c)
         self.rows.append(row)
         self.rhs.append(_exact(rhs))
 

@@ -254,7 +254,7 @@ def criterion_o1(slow=False) -> CriterionResult:
             denom *= factorial(e) * d ** e
         q, r = divmod(factorial(3), denom)
         uncorrected += q if r == 0 else 0
-    brute = len(_vertex_homs(s3, 3)[1])
+    brute = len(_vertex_homs(s3, 3))
     checks = [
         (corrected == 10, f"corrected sum {corrected}"),
         (brute == 10, f"brute force {brute}"),

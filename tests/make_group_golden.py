@@ -46,19 +46,20 @@ def _digest(value) -> str:
     return sha256(repr(value).encode("ascii")).hexdigest()
 
 
+def group_layer_line(name, g) -> str:
+    """The golden line of the group g, named ``name``."""
+    tab = g.tables()
+    rows = [list(tab.row(x)) for x in range(g.order)]
+    tables = ([p.images for p in g.elements], rows, tab.inv)
+    classes = [([sorted(m) for m in cls.members],
+                [p.images for p in cls.generators],
+                cls.order, cls.normalizer_order)
+               for cls in subgroup_classes(g)]
+    return "\t".join([name, str(g.order), _digest(tables), _digest(classes)])
+
+
 def group_layer_lines() -> list:
-    lines = []
-    for name, g in cold_catalog_groups():
-        tab = g.tables()
-        rows = [list(tab.row(x)) for x in range(g.order)]
-        tables = ([p.images for p in tab.index], rows, tab.inv)
-        classes = [([sorted(m) for m in cls.members],
-                    [p.images for p in cls.generators],
-                    cls.order, cls.normalizer_order)
-                   for cls in subgroup_classes(g)]
-        lines.append("\t".join([name, str(g.order), _digest(tables),
-                                _digest(classes)]))
-    return lines
+    return [group_layer_line(name, g) for name, g in cold_catalog_groups()]
 
 
 if __name__ == "__main__":

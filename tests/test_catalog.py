@@ -8,10 +8,10 @@ from vfgrowth.catalog import (EmbeddingMap, RestrictionMatrix, build_catalog,
 from vfgrowth.corpus import corpus_graphs, klein_amalgam
 from vfgrowth.errors import EmbeddingError, InputError
 from vfgrowth.gog import load_gog
-from vfgrowth.groups import (_element_index, all_subgroups,
-                             alternating_group, coset_action, cyclic_group,
-                             dihedral_group, generate, klein_four,
-                             subgroup_classes, symmetric_group, trivial_group)
+from vfgrowth.groups import (all_subgroups, alternating_group, coset_action,
+                             cyclic_group, dihedral_group, generate,
+                             klein_four, subgroup_classes, symmetric_group,
+                             trivial_group)
 from vfgrowth.perm import identity, parse_perm
 from vfgrowth.selftest import (D10_FIX_TABLE, KLEIN_TABLE, MISPRINTED_ROW10,
                                S3_FIX_TABLE, S4_INDEX_COLUMN)
@@ -169,10 +169,10 @@ def _reference_restriction_matrix(emb: EmbeddingMap) -> RestrictionMatrix:
     """
     vcat = build_catalog(emb.codomain)
     ecat = build_catalog(emb.domain)
-    # the tables the lattice built, even when emb.codomain is an equal copy
-    index = _element_index(emb.codomain)
-    parent = vcat.classes[0].parent
-    elements = parent.elements
+    # the numbering the classes' index sets count in, that of the sorted
+    # elements, which an equal copy of the lattice's group shares
+    elements = emb.codomain.elements
+    index = {x: i for i, x in enumerate(elements)}
     # left multiplication by the image of each edge element, in the edge
     # group's element order, the order its classes' index sets count in,
     # as full rows from Perm products
@@ -265,7 +265,7 @@ def test_an_impossible_mark_is_refused(monkeypatch):
     # of no action: some orbit count comes out fractional or negative
     emb = PAIRS["V4->S4 non-normal"]()
     vertex = build_catalog(emb.codomain)
-    index = _element_index(emb.codomain)
+    index = emb.codomain.index
     images = [frozenset(index[emb.apply(emb.domain.elements[i])]
                         for i in k.members[0])
               for k in build_catalog(emb.domain).classes]

@@ -325,6 +325,9 @@ def test_argument_error_exit_status():
     ["mu", KLEIN, "--slow"],
     ["report", KLEIN, "--max-n", "9"],
     ["homcount", MODULAR, "--n", "2", "--slow"],
+    # the brute-force counter lists no types
+    ["homcount", MODULAR, "--n", "2", "--per-type", "--enumerate"],
+    ["homcount", MODULAR, "--n", "2", "--enumerate", "--per-type"],
     ["family", "--p", "3", "--k", "4", "--l", "1", "--max-n", "9"],
     ["family", "--p", "2", "--k", "7", "--l", "1", "--slow"],
     ["family", "--p", "3", "--k", "4", "--l", "1", "--max-group-order", "1"],

@@ -24,9 +24,8 @@ from vfgrowth.groups import (FiniteGroup, all_subgroups, alternating_group,
 from vfgrowth import catalog, groups
 from vfgrowth.groups import (DEFAULT_SUBGROUP_CAP, _class_and_schreier,
                              _Cosets, _extend, _is_prime_power,
-                             _known_order_product, _element_index,
-                             _least_prime, _subgroup_class,
-                             _subgroup_index_sets)
+                             _known_order_product, _least_prime,
+                             _subgroup_class, _subgroup_index_sets)
 from vfgrowth.growth import (cyclic_amalgam_mu, euler_tight, mu,
                              symmetric_amalgam_mu)
 from vfgrowth.oracle import (DEFAULT_ENUM_GROUP_CAP, _transporter_count,
@@ -253,7 +252,7 @@ def test_tables_match_perm_products(g):
     tab = g.tables()
     index, mult, inv = _reference_tables(g)
     n = g.order
-    assert (tab.index, tab.inv) == (index, inv)
+    assert (g.index, tab.inv) == (index, inv)
     assert [[tab.mul(x, y) for y in range(n)] for x in range(n)] == mult
     assert [list(tab.row(x)) for x in range(n)] == mult
 
@@ -337,12 +336,13 @@ def test_the_store_holds_the_rows_of_t_and_k_alone():
 
 def test_elements_sort_by_image_tuples():
     # the walk meets the elements out of image order; the group lists them
-    # sorted
+    # sorted and numbers them by that order
     g = FiniteGroup(4, symmetric_group(4).generators[::-1])
-    walked = list(g.cayley()[0])
+    walked, _ = groups.cayley_walk(g.generators, g.degree, g.order)
     assert list(g.elements) == sorted(walked, key=lambda p: p.images)
     assert list(g.elements) == sorted(walked)       # by Perm.__lt__
     assert g.elements != tuple(walked)
+    assert list(g.index.items()) == [(p, i) for i, p in enumerate(g.elements)]
 
 
 def test_a_group_is_built_from_its_generators_alone():
@@ -374,7 +374,8 @@ def test_construction_stops_the_walk_past_the_cap(monkeypatch):
 
 def _reference_cayley_walk(gens, degree, cap):
     """The walk that ``groups.cayley_walk`` ran before its steps were
-    composed by ``itemgetter``, kept word for word as the reference."""
+    composed by ``itemgetter``, kept word for word as the reference, with
+    the walk position of every element."""
     at, steps = groups.walk(tuple(range(degree)), [s.images for s in gens],
                             lambda x, s: tuple([x[t] for t in s]), cap)
     return {Perm(x): i for x, i in at.items()}, steps
@@ -401,14 +402,20 @@ def _reference_walk_images(steps, size, gen_images, degree):
     ids=_FOUR_IDS + ["Trivial", "Trivial-with-identity", "Cyc(2)",
                      "Dih(5)"])
 def test_cayley_walk_and_images_match_the_reference_loops(g):
-    walked = groups.cayley_walk(g.generators, g.degree, g.order)
-    at, steps = walked
+    walked, steps = groups.cayley_walk(g.generators, g.degree, g.order)
     ref_at, ref_steps = _reference_cayley_walk(g.generators, g.degree,
                                                g.order)
-    assert list(at.items()) == list(ref_at.items())     # in walk order
+    assert walked == list(ref_at)                       # in walk order
     assert steps == ref_steps
-    assert g.cayley() == walked
-    assert g.cayley() is g.cayley()                     # kept
+    # the group keeps the reference steps renumbered through its sorted
+    # elements, and each step is a Perm product there
+    number = [g.elements.index(p) for p in ref_at]
+    kept = g.cayley()
+    assert kept == tuple((number[x], k, number[y], tree)
+                         for x, k, y, tree in ref_steps)
+    assert kept is g.cayley()                           # kept
+    for x, k, y, _ in kept:
+        assert g.elements[x] * g.generators[k] == g.elements[y]
     # images on 1..4 points: mostly conflicts, and some homomorphisms
     rng = random.Random(g.order)
     outcomes = set()
@@ -416,8 +423,10 @@ def test_cayley_walk_and_images_match_the_reference_loops(g):
         degree = rng.randint(1, 4)
         target = symmetric_group(degree).elements
         images = [rng.choice(target).images for _ in g.generators]
-        got = groups.walk_images(steps, len(at), images, degree)
-        assert got == _reference_walk_images(steps, len(at), images, degree)
+        for walk in (steps, kept):
+            got = groups.walk_images(walk, g.order, images, degree)
+            assert got == _reference_walk_images(walk, g.order, images,
+                                                  degree)
         outcomes.add(got[1] is None)
     assert True in outcomes
 
@@ -467,6 +476,24 @@ def test_group_layer_matches_the_golden_digests():
     # written by tests/make_group_golden.py
     golden = make_group_golden.GOLDEN.read_text(encoding="utf-8")
     assert make_group_golden.group_layer_lines() == golden.splitlines()
+
+
+def test_the_group_layer_does_not_depend_on_the_generating_list():
+    # each cold-catalog group built from its generators reversed gives the
+    # same digests; equal groups share one entry of subgroup_classes'
+    # cache, so it is cleared first, or the lattice would not run again
+    golden = make_group_golden.GOLDEN.read_text(encoding="utf-8")
+    subgroup_classes.cache_clear()
+    try:
+        lines = []
+        for name, g in make_group_golden.cold_catalog_groups():
+            flipped = FiniteGroup(g.degree, g.generators[::-1])
+            assert flipped.generators != g.generators
+            assert subgroup_classes(flipped)[0].parent is flipped
+            lines.append(make_group_golden.group_layer_line(name, flipped))
+    finally:
+        subgroup_classes.cache_clear()
+    assert lines == golden.splitlines()
 
 
 def _reference_class_and_schreier(mult, inv, gens, conj, members):
@@ -925,7 +952,7 @@ def test_a_normalizer_span_builds_only_the_cosets_inside_it(g):
     classes = subgroup_classes(g)
     parent = classes[0].parent
     tab = parent.tables()
-    conj = groups._conjugations(tab, [tab.index[p]
+    conj = groups._conjugations(tab, [parent.index[p]
                                       for p in parent.generators])
     for c in classes:
         members = c.members[0]
@@ -982,7 +1009,7 @@ def test_group_layer_runs_no_perm_products(monkeypatch):
     assert not euler_tight(g, seven) and not euler_tight(g, two)
     assert cyclic_amalgam_mu(g, seven)[0] == Fraction(1, 6)
     assert cyclic_amalgam_mu(g, two)[0] == Fraction(11, 21)
-    index = _element_index(g)
+    index = g.index
     for x in (seven, two):
         assert [_mark(cls, {index[x]}) for cls in classes] == \
             [coset_action(g, cls)[x].fixed_points() for cls in classes]
@@ -1223,7 +1250,7 @@ def test_fixed_point_count_formula_up_to_order_48():
         assert g.order <= 48
         conjugates = {x: frozenset(a * x * a.inverse() for a in g.elements)
                       for x in g.elements}
-        index = _element_index(g)
+        index = g.index
         for sub in all_subgroups(g):
             act = coset_action(g, sub)
             ucls, _ = _subgroup_class(g, sub)
