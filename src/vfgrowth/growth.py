@@ -4,8 +4,10 @@ Given a finite graph of finite groups presenting the group, the number of
 index-n subgroups grows like n^(mu*n) for a rational constant mu >= -chi.
 This module computes mu exactly by linear programming over normalized
 representation types.  For a symmetric amalgam G *_A G, A embedded alike
-on both sides, the optimum also has a closed form read from the catalog's
-marks (``symmetric_amalgam_mu``), which cross-checks the LP.
+on both sides, and for a loop over A with the identity at both ends, the
+optimum also has a closed form read from the catalog's marks
+(``symmetric_amalgam_mu``, ``symmetric_loop_mu``), which cross-checks the
+LP.
 
 The LP: one variable per (vertex, transitive-representation class), the
 normalized multiplicity of that class.  Per vertex the degree-weighted
@@ -175,7 +177,22 @@ def mu(g: GraphOfGroups) -> GrowthReport:
                         notes=tuple(notes), program=program, solution=sol)
 
 
-# -- closed forms for symmetric amalgams ------------------------------------
+# -- closed forms for symmetric graphs --------------------------------------
+
+def _double_coset_max(g: FiniteGroup, a, vertices: int):
+    """max over subgroup classes H of (|A\\G/H| - vertices) / (G:H), and
+    the first class attaining it: the growth of a one-edge graph over A
+    whose every vertex group is G, at its symmetric optimum."""
+    _, sub = _subgroup_class(g, a)
+    best = best_cls = None
+    for cls in subgroup_classes(g):
+        # Burnside: |A\G/H| is the mean over y in A of fix(y, G/H)
+        double_cosets = Fraction(sum(_mark(cls, {y}) for y in sub), len(sub))
+        val = (double_cosets - vertices) / cls.index
+        if best is None or val > best:
+            best, best_cls = val, cls
+    return best, best_cls
+
 
 def symmetric_amalgam_mu(g: FiniteGroup, a):
     """Growth coefficient of G *_A G, A embedded alike on both sides, as a
@@ -190,15 +207,22 @@ def symmetric_amalgam_mu(g: FiniteGroup, a):
     ``a`` is a subgroup of g: a SubgroupClass, a FiniteGroup or an
     iterable of Perm.
     """
-    _, sub = _subgroup_class(g, a)
-    best = best_cls = None
-    for cls in subgroup_classes(g):
-        # Burnside: |A\G/H| is the mean over y in A of fix(y, G/H)
-        double_cosets = Fraction(sum(_mark(cls, {y}) for y in sub), len(sub))
-        val = (double_cosets - 2) / cls.index
-        if best is None or val > best:
-            best, best_cls = val, cls
-    return best, best_cls
+    return _double_coset_max(g, a, 2)
+
+
+def symmetric_loop_mu(g: FiniteGroup, a):
+    """Growth coefficient of the loop over A at one vertex G, A embedded by
+    the identity at both ends: (value, first class attaining it).
+
+    mu = max over H of (|A\\G/H| - 1) / (G:H).  Proof: both ends restrict
+    a class of G to the same A-set, so every edge row of the growth LP
+    vanishes identically.  Class H's column has orbit count |A\\G/H| on
+    each end, so its objective is (2 |A\\G/H| - 2) / 2.  Only
+    sum index * w = 1 is left, whose optimum puts weight 1/(G:H) on one
+    class H, with the objective above.  ``a`` is as in
+    ``symmetric_amalgam_mu``.
+    """
+    return _double_coset_max(g, a, 1)
 
 
 def cyclic_amalgam_mu(g: FiniteGroup, x: Perm):

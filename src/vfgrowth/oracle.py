@@ -407,13 +407,14 @@ def hom_count_enumerate(g: GraphOfGroups, n: int,
     bfs = tree.order
     pos = {v: i for i, v in enumerate(bfs)}
     sym = _symmetric_images(n)
-    walks = {}      # vertices carrying equal groups share one hom list
+    # vertices carrying equal groups share one hom list: a hom lists the
+    # images of the sorted elements, so its generators do not matter
+    walks = {}
     homs = {}
     for name, grp in g.vertices:
-        key = (grp.degree, grp.generators)
-        if key not in walks:
-            walks[key] = _vertex_homs(grp, n, sym)
-        homs[name] = walks[key]
+        if grp not in walks:
+            walks[grp] = _vertex_homs(grp, n, sym)
+        homs[name] = walks[grp]
 
     def positions(emb):
         """Indices in its vertex group's ``elements`` of an edge

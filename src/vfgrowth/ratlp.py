@@ -12,6 +12,27 @@ tableau, updated by the same pivots; the ratio test cross-multiplies; and
 Fractions are formed only for the answer.  The choices are those of the
 same simplex run on Fraction rows, so the answer is too.
 
+solve_max first drops every column that repeats an earlier one (the
+same constraint entries and the same objective), runs the simplex on the
+distinct columns and maps the answer back: a copy gets weight 0, and
+basis indices are the original ones.  The answer is the one the full
+program gives, bit for bit:
+- in either phase a column's tableau entries, its cost-row entry
+  included, are one linear function of (A_j, c_j), and the lcm and gcd
+  that scale a row do not change when a repeated entry is removed, so the
+  tableau on the distinct columns is the full tableau with the copies
+  deleted, entry for entry;
+- so a later copy is never the first column with a positive reduced
+  cost, never the first nonzero entry in the scan that pivots out
+  leftover artificials (nor changes which rows that scan finds
+  redundant), and never basic;
+- ties in the ratio test compare basis indices, and the kept columns keep
+  their relative order.
+Repeats are keyed on the constraint columns, tuples of ints in a growth
+LP; objectives, which may be Fractions and hash slowly, are compared only
+among columns whose constraint entries repeat.  certify still checks the
+full program, copies included.
+
 An optimal solution carries a dual vector y with A^T y >= c and
 b.y = c.x, read from the phase-1 artificial columns, which stay in the
 tableau.  certify checks that and primal feasibility exactly, with no
@@ -28,10 +49,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from math import gcd, lcm
+from operator import attrgetter
 
 from .errors import CapExceeded, InputError
+
+# The column scans and a row's lcm run in C: on a program of a dozen
+# columns they are a visible share of the solve.
+_denominator = attrgetter("denominator")
+_positive = (0).__lt__      # on the int entries of the cost row
 
 VERTEX_ENUM_CAP = 24
 _ITERATION_CAP = 100000
@@ -112,7 +139,7 @@ def _primitive(row) -> list:
 
 def _integer_row(values) -> list:
     """The smallest positive multiple of a rational row that is all ints."""
-    den = lcm(*(v.denominator for v in values))
+    den = lcm(*map(_denominator, values))
     if den > 1:
         values = [v.numerator * (den // v.denominator) for v in values]
     return _primitive(values)
@@ -161,7 +188,7 @@ def _simplex(rows, basis, cost, ncols):
     cost-row entry.
     """
     for _ in range(_ITERATION_CAP):
-        enter = next((j for j in range(ncols) if cost[j] > 0), -1)
+        enter = next(compress(range(ncols), map(_positive, cost)), -1)
         if enter < 0:
             return "optimal"
         leave = -1
@@ -181,13 +208,38 @@ def _simplex(rows, basis, cost, ncols):
 
 
 def solve_max(lp: RationalLP) -> LPSolution:
-    m, n = lp.num_constraints, lp.num_vars
+    """Maximize lp by the simplex on its distinct columns."""
+    n = lp.num_vars
+    cols = list(zip(*lp.rows)) or [()] * n
+    # the first column with each column's constraint entries
+    first = dict(zip(reversed(cols), range(n - 1, -1, -1)))
+    if len(first) == n:
+        return _solve(lp, lp.rows, lp.objective, range(n))
+    objective = lp.objective
+    costs = {}      # first column -> the objectives kept with its entries
+    keep = []
+    for j, i in enumerate(map(first.__getitem__, cols)):
+        if i != j:
+            seen = costs.setdefault(i, [objective[i]])
+            if objective[j] in seen:
+                continue
+            seen.append(objective[j])
+        keep.append(j)
+    return _solve(lp, [list(r) for r in zip(*map(cols.__getitem__, keep))],
+                  list(map(objective.__getitem__, keep)), keep)
+
+
+def _solve(lp, lp_rows, objective, keep) -> LPSolution:
+    """The two-phase simplex on the given columns of lp: lp_rows and
+    objective hold them, keep their indices in lp.  Every other column
+    gets weight 0."""
+    m, n = len(lp_rows), len(objective)
     # Row i is [A_i | e_i | 0 | b_i] scaled to ints, with A_i and b_i
     # negated if b_i < 0.  The unit columns are the phase-1 artificials;
     # they stay to the end, where their reduced costs give the dual.  The
     # zero column holds the cost row's scale, which no constraint row moves.
     rows = []
-    for i, (row, b) in enumerate(zip(lp.rows, lp.rhs)):
+    for i, (row, b) in enumerate(zip(lp_rows, lp.rhs)):
         unit = [0] * m
         unit[i] = 1
         full = _integer_row(row + unit + [0, b])
@@ -209,7 +261,7 @@ def solve_max(lp: RationalLP) -> LPSolution:
     i = 0
     while i < len(rows):
         if basis[i] >= n:
-            col = next((j for j in range(n) if rows[i][j]), None)
+            col = next(compress(range(n), rows[i]), None)
             if col is None:
                 del rows[i]
                 del basis[i]
@@ -217,20 +269,21 @@ def solve_max(lp: RationalLP) -> LPSolution:
             _pivot(rows, basis, i, col)
         i += 1
 
-    cost = _priced(rows, basis, list(lp.objective) + [0] * m)
+    cost = _priced(rows, basis, list(objective) + [0] * m)
     status = _simplex(rows, basis, cost, n)
     if status == "unbounded":
         return LPSolution("unbounded", None, None, None)
-    point = [Fraction(0)] * n
+    zero = Fraction(0)      # shared by every zero entry of the answer
+    point = [zero] * lp.num_vars
     for r, b in zip(rows, basis):
-        point[b] = Fraction(r[-1], r[b])
+        point[keep[b]] = Fraction(r[-1], r[b])
     scale = cost[n + m]
     # y = c_B B^-1: the negated reduced costs of the artificial columns,
     # negated back on the rows that were flipped
-    dual = tuple(Fraction(z if b < 0 else -z, scale)
+    dual = tuple(Fraction(z if b < 0 else -z, scale) if z else zero
                  for z, b in zip(cost[n:n + m], lp.rhs))
     return LPSolution("optimal", Fraction(-cost[-1], scale), tuple(point),
-                      tuple(sorted(basis)), dual)
+                      tuple(sorted(map(keep.__getitem__, basis))), dual)
 
 
 def _scaled(values):

@@ -4,21 +4,22 @@ from fractions import Fraction
 import pytest
 
 from vfgrowth import growth
-from vfgrowth.catalog import restriction_matrix
+from vfgrowth.catalog import EmbeddingMap, restriction_matrix
 from vfgrowth.corpus import (corpus_graphs, infinite_dihedral, klein_amalgam,
                              modular_graph, triangle_graph)
 from vfgrowth.errors import CapExceeded, InputError
-from vfgrowth.gog import (amalgam, cyclic_amalgam, euler_characteristic,
-                          family_amalgam, free_group, free_product, make_graph,
-                          parse_gog)
+from vfgrowth.gog import (GogEdge, amalgam, cyclic_amalgam,
+                          euler_characteristic, family_amalgam, free_group,
+                          free_product, make_graph, parse_gog)
 from vfgrowth.groups import (_is_prime, alternating_group,
                              cyclic_group, dihedral_group, direct_product,
                              generate, klein_four, subgroup_classes,
                              symmetric_group, trivial_group)
 from vfgrowth.growth import (build_growth_program, cyclic_amalgam_mu,
                              euler_tight, family_mu, mu, plan_graph,
-                             plan_graph_text, realize, symmetric_amalgam_mu)
-from vfgrowth.perm import identity, parse_perm
+                             plan_graph_text, realize, symmetric_amalgam_mu,
+                             symmetric_loop_mu)
+from vfgrowth.perm import Perm, identity, parse_perm
 from vfgrowth.selftest import criterion_p6
 
 
@@ -214,6 +215,57 @@ def test_symmetric_amalgam_mu_equals_the_certified_lp():
             assert symmetric_amalgam_mu(g, acls)[0] == lp, (g, acls)
             count += 1
     assert count == 68
+
+
+def _identity_loop(g, a):
+    # one vertex G and one edge over A, A embedded by inclusion at both ends
+    side = EmbeddingMap(a, g, a.generators)
+    return make_graph([("v", g)], [GogEdge("e", ("v", "v"), a, (side, side))])
+
+
+def test_symmetric_loop_mu_equals_the_certified_lp():
+    # the loop over every non-trivial proper class A: mu certifies its
+    # optimum by duality, and the closed form reads no LP
+    count = repeats = 0
+    for g in _lemma_groups():
+        for acls in subgroup_classes(g)[1:-1]:
+            a = generate(acls.generators, g.degree)
+            report = mu(_identity_loop(g, a))
+            assert symmetric_loop_mu(g, acls)[0] == report.mu, (g, acls)
+            lp = report.program.lp
+            columns = set(zip(zip(*lp.rows), lp.objective))
+            repeats += len(columns) < lp.num_vars
+            count += 1
+    assert count == 68
+    # a loop LP's edge rows are zero, so two classes of equal index and
+    # equal orbit count give one column twice: 54 of the 68 LPs drop a
+    # repeated column before the simplex
+    assert repeats == 54
+
+
+def test_symmetric_loop_mu_examples():
+    s4 = symmetric_group(4)
+    # A = 1: the loop is G * Z, whose growth is 1 - 1/|G|, at H = 1
+    value, cls = symmetric_loop_mu(s4, trivial_group(4))
+    assert (value, cls.order) == (Fraction(23, 24), 1)
+    # A = G: one double coset for every H, so every term is 0, and the
+    # first class, H = G, is returned
+    value, cls = symmetric_loop_mu(s4, s4)
+    assert (value, cls.order) == (0, 24)
+    assert mu(_identity_loop(s4, s4)).mu == 0
+
+
+def test_c2_to_the_fifth_amalgam_over_c2():
+    # C2^5 as five disjoint transpositions, glued to itself over <(1 2)>:
+    # 748 LP columns, only 20 of them distinct
+    g = generate([Perm(tuple(p ^ (p // 2 == i) for p in range(10)))
+                  for i in range(5)], 10)
+    x = parse_perm("(1 2)", 10)
+    report = mu(cyclic_amalgam(g, x))
+    lp = report.program.lp
+    assert report.mu == Fraction(7, 8) == cyclic_amalgam_mu(g, x)[0]
+    assert lp.num_vars == 748
+    assert len(set(zip(zip(*lp.rows), lp.objective))) == 20
 
 
 def test_symmetric_amalgam_mu_is_a_class_function():

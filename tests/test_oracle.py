@@ -12,11 +12,11 @@ from vfgrowth.corpus import (corpus_graphs, klein_amalgam, modular_graph,
 from vfgrowth import catalog, groups, oracle, ratlp
 from vfgrowth.errors import (CapExceeded, EmbeddingError, InputError,
                              ParseError)
-from vfgrowth.gog import (GogEdge, free_group, load_gog, make_graph,
-                          parse_gog)
+from vfgrowth.gog import (GogEdge, amalgam, free_group, load_gog,
+                          make_graph, parse_gog)
 from vfgrowth.groups import (alternating_group, cyclic_group,
-                             dihedral_group, klein_four, symmetric_group,
-                             trivial_group)
+                             dihedral_group, generate, klein_four,
+                             symmetric_group, trivial_group)
 from vfgrowth.growth import build_growth_program, mu
 from vfgrowth.oracle import (DEFAULT_TYPESUM_CAP, TypePartition,
                              hom_count_enumerate, hom_count_typesum,
@@ -184,6 +184,29 @@ def test_enumerate_agrees_with_typesum_at_degree_five_and_six():
         assert hom_count_enumerate(g, 5) == hom_count_typesum(g, 5).total(5)
     assert hom_count_enumerate(triangle_graph(), 6) == \
         hom_count_typesum(triangle_graph(), 6).total(6)
+
+
+def test_equal_vertex_groups_share_one_hom_list(monkeypatch):
+    # Sym(4) from two generating lists: a hom lists the images of the
+    # sorted elements, so one enumeration serves both vertices
+    def sym4(*texts):
+        return generate([parse_perm(t, 4) for t in texts], 4)
+    left, right = sym4("(1 2)", "(1 2 3 4)"), sym4("(1 2)", "(2 3)", "(3 4)")
+    assert left == right and left.generators != right.generators
+    c2 = sym4("(1 2)")
+    x = c2.generators
+    g = amalgam(left, right, c2, x, x)
+    want = hom_count_enumerate(amalgam(left, left, c2, x, x), 4)
+    calls = []
+    real = oracle._vertex_homs
+
+    def counted(group, *args):
+        calls.append(group.generators)
+        return real(group, *args)
+    monkeypatch.setattr(oracle, "_vertex_homs", counted)
+    assert hom_count_enumerate(g, 4) == want == \
+        hom_count_typesum(g, 4).total(4)
+    assert calls == [left.generators]
 
 
 def test_enumerate_rejects_degrees_below_one():

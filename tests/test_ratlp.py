@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from make_lp_golden import GOLDEN, lp_graphs, solution_lines
+from vfgrowth import ratlp
 from vfgrowth.corpus import (corpus_graphs, klein_amalgam, modular_graph,
                              triangle_graph)
 from vfgrowth.errors import CapExceeded, InputError
 from vfgrowth.gog import cyclic_amalgam
-from vfgrowth.groups import (_is_prime, alternating_group, generate,
-                             subgroup_classes, symmetric_group)
+from vfgrowth.groups import (_is_prime, alternating_group, direct_product,
+                             generate, subgroup_classes, symmetric_group)
 from vfgrowth.growth import build_growth_program, mu
 from vfgrowth.perm import parse_perm
 from vfgrowth.ratlp import (RationalLP, certify, dump_tsv, enumerate_vertices,
@@ -338,3 +339,90 @@ def test_solutions_match_the_golden_table():
     # written by tests/make_lp_golden.py
     assert solution_lines() == \
         GOLDEN.read_text(encoding="utf-8").splitlines()
+
+
+# -- columns that repeat an earlier one --------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(_small_lps(), st.lists(st.tuples(st.integers(0, 7), st.integers(0, 20)),
+                              max_size=6))
+def test_copied_columns_change_no_answer(case, copies):
+    # each copy of a column lands somewhere after its original; status,
+    # value and dual stay, a copy gets weight 0, and basis and point read
+    # the same on the original columns
+    lp, _ = case
+    n = lp.num_vars
+    order = list(range(n))     # the new program's columns, as lp's indices
+    for j, at in copies:
+        after = order.index(j % n) + 1
+        order.insert(after + at % (len(order) - after + 1), j % n)
+    copied = _lp([f"y{k}" for k in range(len(order))],
+                 [lp.objective[j] for j in order],
+                 [([row[j] for j in order], b)
+                  for row, b in zip(lp.rows, lp.rhs)])
+    want, got = solve_max(lp), solve_max(copied)
+    assert (got.status, got.value, got.dual) == \
+        (want.status, want.value, want.dual)
+    if want.status != "optimal":
+        assert got.point is None and got.basis is None
+        return
+    place = [order.index(j) for j in range(n)]
+    assert tuple(got.point[k] for k in place) == want.point
+    assert not any(x for k, x in enumerate(got.point) if k not in place)
+    assert got.basis == tuple(place[j] for j in want.basis)
+    assert certify(copied, got)
+
+
+def test_phase_two_runs_on_the_distinct_columns(monkeypatch):
+    # S4 x S3 glued to itself over <(1 2 3)(5 6 7)>: 140 columns, 40 of
+    # them distinct, and the simplex sees only those 40
+    g = direct_product(symmetric_group(4), symmetric_group(3))
+    lp = build_growth_program(
+        cyclic_amalgam(g, parse_perm("(1 2 3)(5 6 7)", 7))).lp
+    assert lp.num_vars == 140
+    widths = []
+    simplex = ratlp._simplex
+
+    def recorded(rows, basis, cost, ncols):
+        widths.append(ncols)
+        return simplex(rows, basis, cost, ncols)
+    monkeypatch.setattr(ratlp, "_simplex", recorded)
+    solve_max(lp)
+    # phase 1 also scans the artificial columns
+    assert widths == [40 + lp.num_constraints, 40]
+
+
+# pivots per solve of each golden LP, as the simplex made them before
+# repeated columns were dropped: a change to the pivot path fails here even
+# where the golden answer survives
+_GOLDEN_PIVOTS = {
+    "free1": 1, "free2": 1, "modular": 4, "s3-over-c2": 12,
+    "s3-over-c3": 11, "klein": 26, "triangle": 19, "infinite-dihedral": 4,
+    "random-00": 14, "random-01": 4, "random-02": 1, "random-03": 4,
+    "random-04": 2, "random-05": 12, "random-06": 17, "random-07": 5,
+    "random-08": 4, "random-09": 12, "random-10": 9, "random-11": 13,
+    "random-12": 6, "random-13": 6, "random-14": 2, "random-15": 1,
+    "random-16": 8, "random-17": 11, "random-18": 1, "random-19": 11,
+    "random-20": 25, "random-21": 3, "random-22": 3, "random-23": 11,
+    "random-24": 14, "graphs/family_2_6_1.gog": 42,
+    "graphs/family_3_4_1.gog": 18, "graphs/free2.gog": 1,
+    "graphs/klein.gog": 26, "graphs/modular.gog": 4,
+    "graphs/triangle.gog": 19,
+}
+
+
+def test_golden_lps_pivot_as_pinned(monkeypatch):
+    count = [0]
+    pivot = ratlp._pivot
+
+    def counted(*args):
+        count[0] += 1
+        return pivot(*args)
+    monkeypatch.setattr(ratlp, "_pivot", counted)
+    got = {}
+    for name, g in lp_graphs():
+        lp = build_growth_program(g).lp
+        count[0] = 0
+        solve_max(lp)
+        got[name] = count[0]
+    assert got == _GOLDEN_PIVOTS
