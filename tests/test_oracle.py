@@ -189,11 +189,11 @@ def test_enumerate_agrees_with_typesum_at_degree_five_and_six():
 def test_equal_vertex_groups_share_one_hom_list(monkeypatch):
     # Sym(4) from two generating lists: a hom lists the images of the
     # sorted elements, so one enumeration serves both vertices
-    def sym4(*texts):
+    def group(*texts):
         return generate([parse_perm(t, 4) for t in texts], 4)
-    left, right = sym4("(1 2)", "(1 2 3 4)"), sym4("(1 2)", "(2 3)", "(3 4)")
+    left, right = group("(1 2)", "(1 2 3 4)"), group("(1 2)", "(2 3)", "(3 4)")
     assert left == right and left.generators != right.generators
-    c2 = sym4("(1 2)")
+    c2 = group("(1 2)")
     x = c2.generators
     g = amalgam(left, right, c2, x, x)
     want = hom_count_enumerate(amalgam(left, left, c2, x, x), 4)
