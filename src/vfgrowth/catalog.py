@@ -2,12 +2,14 @@
 
 A finite group has one equivalence class of transitive permutation
 representations per conjugacy class of subgroups (the coset actions).  The
-catalog lists them in the canonical class order together with their degrees
-and the automorphism count of each coset space, which is the index of the
-stabilizer in its normalizer, not the degree.  Restricting a coset action
-along an embedded subgroup splits it into orbits; counting those orbits by
-their stabilizer class gives an integer matrix, the basic ingredient of the
-growth linear program.  It is read from marks, with no coset walked
+catalog is the cached class tuple of ``groups.subgroup_classes`` itself,
+which ``build_catalog`` names: each class, in the canonical class order,
+carries its index (the degree of its action) and the automorphism count of
+its coset space, which is the index of the stabilizer in its normalizer,
+not the degree.  Restricting a coset action along an embedded subgroup
+splits it into orbits; counting those orbits by their stabilizer class
+gives an integer matrix, kept as its tuple of rows, the basic ingredient of
+the growth linear program.  It is read from marks, with no coset walked
 (Burnside): a subgroup K fixes the coset tH exactly when K lies in tHt^-1,
 and (N_G(H) : H) cosets give each conjugate, so K fixes ``aut_count``
 cosets per member of H's class that holds it (``_mark``).  Subgroups are
@@ -24,7 +26,6 @@ other generator list is walked afresh, its elements listed in walk order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import EmbeddingError, InputError
@@ -120,40 +121,9 @@ class EmbeddingMap:
         return f"<embedding {pairs}>"
 
 
-@dataclass(frozen=True)
-class RepCatalog:
-    """The transitive representation classes of a group: the action on the
-    cosets of each subgroup class, whose index is the degree."""
-
-    classes: tuple          # subgroup_classes of the group
-
-    def __len__(self) -> int:
-        return len(self.classes)
-
-    @property
-    def degrees(self) -> tuple:
-        return tuple(c.index for c in self.classes)
-
-
-@lru_cache(maxsize=None)
-def build_catalog(g: FiniteGroup) -> RepCatalog:
-    """All transitive representation classes of g, full group first (degree
-    1), trivial stabilizer last (the regular action)."""
-    classes = subgroup_classes(g)
-    assert classes[0].index == 1 and classes[-1].index == g.order
-    return RepCatalog(classes)
-
-
-@dataclass(frozen=True)
-class RestrictionMatrix:
-    """rows[j][i] = multiplicity of edge class j in the restriction of
-    vertex class i along the embedding."""
-
-    rows: tuple
-
-    def apply(self, vec) -> tuple:
-        """The edge-class multiplicities induced by vertex multiplicities."""
-        return tuple(sum(r * x for r, x in zip(row, vec)) for row in self.rows)
+# a group's catalog is its class tuple, one class per transitive action;
+# the public name is the one cache, not a second one around it
+build_catalog = subgroup_classes
 
 
 def _mark(cls, sub) -> int:
@@ -163,8 +133,10 @@ def _mark(cls, sub) -> int:
 
 
 @lru_cache(maxsize=None)
-def restriction_matrix(emb: EmbeddingMap) -> RestrictionMatrix:
-    """Decompose each vertex representation class along the embedding.
+def restriction_matrix(emb: EmbeddingMap) -> tuple:
+    """Decompose each vertex representation class along the embedding:
+    ``rows[j][i]`` is the multiplicity of edge class j in the restriction
+    of vertex class i.
 
     The orbits of the edge group E on a coset space are counted by the class
     of their point stabilizers.  An orbit E/K_j gives mark(K_i, E/K_j) fixed
@@ -174,14 +146,14 @@ def restriction_matrix(emb: EmbeddingMap) -> RestrictionMatrix:
     be a non-negative integer, and column sums weighted by edge degrees
     must reproduce the vertex degree; both are asserted.
     """
-    vcat = build_catalog(emb.codomain)
-    edge = build_catalog(emb.domain).classes
+    vertex = subgroup_classes(emb.codomain)
+    edge = subgroup_classes(emb.domain)
     index = emb.codomain.index
     image = [index[emb.apply(a)] for a in emb.domain.elements]
     images = [frozenset(map(image.__getitem__, k.members[0])) for k in edge]
     table = [[_mark(k, h.members[0]) for k in edge] for h in edge]
     cols = []
-    for rep in vcat.classes:
+    for rep in vertex:
         col = [0] * len(edge)
         for j in range(len(edge)):
             rest = _mark(rep, images[j]) - sum(
@@ -191,5 +163,5 @@ def restriction_matrix(emb: EmbeddingMap) -> RestrictionMatrix:
         total = sum(m * k.index for m, k in zip(col, edge))
         assert total == rep.index, "orbit degrees fail to add up"
         cols.append(col)
-    return RestrictionMatrix(tuple(zip(*cols)))
+    return tuple(zip(*cols))
 

@@ -16,12 +16,12 @@ import re
 import sys
 from fractions import Fraction
 
-from .catalog import build_catalog, restriction_matrix
+from .catalog import restriction_matrix
 from .errors import CapExceeded, InputError, ParseError
 from .gog import (GraphOfGroups, cycle_power_element, euler_characteristic,
                   family_graph_text, load_gog, named_group)
 from .groups import (DEFAULT_GROUP_CAP, _decimal, alternating_group,
-                     symmetric_group)
+                     subgroup_classes, symmetric_group)
 from .growth import (cyclic_amalgam_mu, family_mu, mu, plan_graph_text,
                      realize)
 from .oracle import hom_count_enumerate, hom_count_typesum
@@ -118,19 +118,17 @@ def cmd_report(args) -> int:
 
 def _catalog_table(group, heading, columns=()):
     """Rows (one per class) plus restriction columns per embedding."""
-    cat = build_catalog(group)
     lines = [heading]
     header = "class\tindex\taut\tsize\tgenerators"
     for label, _ in columns:
         header += f"\t{label}"
     lines.append(header)
-    for i, cls in enumerate(cat.classes):
+    for i, cls in enumerate(subgroup_classes(group)):
         gens = " ".join(str(p) for p in cls.generators) or "id"
         row = (f"{i + 1}\t{cls.index}\t{cls.aut_count}"
                f"\t{cls.class_size}\t{gens}")
-        for _, matrix in columns:
-            col = ",".join(str(matrix.rows[j][i])
-                           for j in range(len(matrix.rows)))
+        for _, rows in columns:
+            col = ",".join(str(r[i]) for r in rows)
             row += f"\t{col}"
         lines.append(row)
     return lines

@@ -28,10 +28,11 @@ from fractions import Fraction
 
 from .catalog import EmbeddingMap
 from .errors import CapExceeded, EmbeddingError, InputError, ParseError
-from .groups import (DEFAULT_GROUP_CAP, FiniteGroup, _decimal,
-                     _is_prime, _order_past_digit_limit, alternating_group,
-                     cyclic_group, dihedral_group, generate, klein_four,
-                     symmetric_group, trivial_group, walk)
+from .groups import (DEFAULT_GROUP_CAP, FiniteGroup, _check_known_order,
+                     _decimal, _is_prime, _order_past_digit_limit,
+                     alternating_group, cyclic_group, dihedral_group,
+                     generate, klein_four, symmetric_group, trivial_group,
+                     walk)
 from .perm import Perm, from_cycles, parse_perm
 
 
@@ -353,7 +354,12 @@ def _named_group(toks: _Tokens):
         raise ParseError(f"unknown group constructor {name!r}", line, col)
     ctor, needs_arg = _NAMED_GROUPS[name]
     if not needs_arg:
-        return lambda cap: ctor()
+        def build_fixed(cap: int) -> FiniteGroup:
+            # a group of order 4 at most, held to the cap like the others
+            group = ctor()
+            _check_known_order(group.order, cap)
+            return group
+        return build_fixed
     toks.next("(")
     line, col = toks.here()
     arg = toks.next()

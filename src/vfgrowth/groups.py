@@ -720,7 +720,8 @@ def _subgroup_index_sets(g: FiniteGroup) -> tuple:
     # below are what it bounds
     if g.order > DEFAULT_SUBGROUP_CAP:
         raise CapExceeded(f"group too large: order {g.order} exceeds "
-                          f"subgroup cap {DEFAULT_SUBGROUP_CAP}")
+                          f"subgroup cap {DEFAULT_SUBGROUP_CAP}, which no "
+                          f"flag raises")
     tab = g.tables()
     t, k, inv = tab.t, tab.k, tab.inv
     # each cyclic subgroup <x> stands by its least generator a = cyclic[x]:
@@ -858,7 +859,10 @@ def subgroup_classes(g: FiniteGroup) -> tuple:
     normal subgroup inside every member), then descending subgroup order,
     then ascending number of point orbits of a member, then by the minimal
     sorted element-set.  This refinement pins a reproducible order even
-    between classes that share an order.
+    between classes that share an order.  The tuple is the group's catalog
+    of transitive representations (``catalog.build_catalog``), one coset
+    action per class, of degree the class index: the full group comes
+    first (degree 1) and the trivial subgroup last (the regular action).
     """
     orbits = _subgroup_index_sets(g)    # checks the subgroup cap first
     elements = g.elements
@@ -891,6 +895,7 @@ def subgroup_classes(g: FiniteGroup) -> tuple:
             parent=g,
             members=members,
         ))
+    assert classes[0].index == 1 and classes[-1].index == g.order
     return tuple(classes)
 
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd
 from operator import add
 
-from .catalog import _mark, build_catalog, restriction_matrix
+from .catalog import _mark, restriction_matrix
 from .errors import InputError
 from .gog import (GraphOfGroups, _check_family_params, euler_characteristic,
                   family_graph_text, parse_gog)
@@ -66,19 +66,19 @@ class TypeVector:
 class GrowthProgram:
     graph: GraphOfGroups
     lp: RationalLP
-    catalogs: tuple          # ((vertex name, RepCatalog), ...)
+    catalogs: tuple          # ((vertex name, its subgroup_classes), ...)
     columns: tuple           # ((vertex name, range of its lp columns), ...)
-    edges: tuple             # ((GogEdge, M_left, M_right), ...)
+    edges: tuple             # ((GogEdge, left rows, right rows), ...)
 
 
-def _column_sums(mat) -> tuple:
+def _column_sums(rows) -> tuple:
     """Per vertex class, the number of edge orbits its restriction has:
     the weights that turn vertex multiplicities into tau_e."""
-    return tuple(map(sum, zip(*mat.rows)))
+    return tuple(map(sum, zip(*rows)))
 
 
 def build_growth_program(g: GraphOfGroups) -> GrowthProgram:
-    catalogs = tuple((name, build_catalog(grp)) for name, grp in g.vertices)
+    catalogs = tuple((name, subgroup_classes(grp)) for name, grp in g.vertices)
     edges = tuple((e, *map(restriction_matrix, e.embeddings))
                   for e in g.edges)
     # tau_e is the same from either side on the feasible set; the
@@ -101,11 +101,11 @@ def build_growth_program(g: GraphOfGroups) -> GrowthProgram:
 
     for name, cat in catalogs:
         lp.add_constraint(
-            {col: cls.index for col, cls in zip(cols[name], cat.classes)}, 1)
+            {col: cls.index for col, cls in zip(cols[name], cat)}, 1)
 
     for e, ml, mr in edges:
         left, right = e.ends
-        for lrow, rrow in zip(ml.rows, mr.rows):
+        for lrow, rrow in zip(ml, mr):
             row = dict(zip(cols[left], lrow))
             for col, m in zip(cols[right], rrow):
                 row[col] = row.get(col, 0) - m
@@ -135,7 +135,7 @@ def _dominant_description(program: GrowthProgram, tv: TypeVector) -> str:
     lines = []
     for name, cat in program.catalogs:
         parts = []
-        for cls, w in zip(cat.classes, tv.vertex(name)):
+        for cls, w in zip(cat, tv.vertex(name)):
             if w:
                 gens = ", ".join(str(p) for p in cls.generators) or "()"
                 parts.append(f"{w} * <{gens}> (index {cls.index})")

@@ -12,9 +12,10 @@ Cayley walks are kept by the group instances (``FiniteGroup.cayley``).
   degree up to n, bucketed by degree; each type carries its orbit
   denominator and the edge types it induces, both grown one class copy at
   a time.  The types are joined on those edge types, one vertex at a time,
-  not filtered from the full product of vertex types.  Catalogs and
-  restriction matrices come from their cached builders; the type sum
-  builds no LP.
+  not filtered from the full product of vertex types.  Catalogs (the
+  cached ``subgroup_classes``) and restriction rows (the cached
+  ``restriction_matrix``) are read, not rebuilt; the type sum builds no
+  LP.
   ``type_hom_count`` recounts one type in ``Fraction`` arithmetic apart
   from the join.
 - Brute force tries every tuple of generator images.  Each vertex group's
@@ -47,12 +48,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, permutations, product
 from math import comb, factorial
-from operator import add
+from operator import add, mul
 
-from .catalog import build_catalog, restriction_matrix
+from .catalog import restriction_matrix
 from .errors import CapExceeded, InputError
 from .gog import GraphOfGroups, spanning_tree
-from .groups import DEFAULT_GROUP_CAP, FiniteGroup, walk_images
+from .groups import (DEFAULT_GROUP_CAP, FiniteGroup, subgroup_classes,
+                     walk_images)
 from .growth import build_growth_program
 from .perm import Perm
 
@@ -60,8 +62,9 @@ DEFAULT_TYPESUM_CAP = 10
 DEFAULT_ENUM_CAP = 6
 DEFAULT_ENUM_GROUP_CAP = 120
 # the brute-force counter draws images from all n! elements of Sym(n) and
-# keeps to the group cap like any group the package builds, so its degree
-# ceiling is the largest n with n! <= DEFAULT_GROUP_CAP (7 for 10000)
+# keeps to the default group cap, whatever cap the graph was read under, so
+# its degree ceiling is the largest n with n! <= DEFAULT_GROUP_CAP (7 for
+# 10000)
 ENUM_DEGREE_CEILING = next(d for d in count(1)
                            if factorial(d + 1) > DEFAULT_GROUP_CAP)
 
@@ -123,16 +126,16 @@ def vertex_hom_count(group: FiniteGroup, eta, n: int) -> int:
     must be n.  The count is n! / prod(eta_i! * c_i^eta_i) with c_i the
     class aut_count.
     """
-    cat = build_catalog(group)
+    classes = subgroup_classes(group)
     eta = tuple(eta)
-    if len(eta) != len(cat.classes):
+    if len(eta) != len(classes):
         raise InputError(f"type length {len(eta)} does not match "
-                         f"{len(cat.classes)} classes")
+                         f"{len(classes)} classes")
     if any(e < 0 for e in eta):
         raise InputError("type multiplicities must be non-negative")
-    if sum(e * cls.index for e, cls in zip(eta, cat.classes)) != n:
+    if sum(e * cls.index for e, cls in zip(eta, classes)) != n:
         raise InputError(f"type does not reach degree {n}")
-    return _orbit_count(n, eta, [cls.aut_count for cls in cat.classes])
+    return _orbit_count(n, eta, [cls.aut_count for cls in classes])
 
 
 def _type_pass(degrees, auts, columns, n) -> list:
@@ -183,8 +186,10 @@ def type_hom_count(g: GraphOfGroups, xi: TypePartition) -> int:
     for name, grp in g.vertices:
         value *= vertex_hom_count(grp, xi.vertex(name), n)
     for e, ml, mr in program.edges:
-        lam_l = ml.apply(xi.vertex(e.ends[0]))
-        lam_r = mr.apply(xi.vertex(e.ends[1]))
+        # rows[j][i] copies of edge class j per copy of vertex class i
+        eta_l, eta_r = (xi.vertex(end) for end in e.ends)
+        lam_l = tuple(sum(map(mul, row, eta_l)) for row in ml)
+        lam_r = tuple(sum(map(mul, row, eta_r)) for row in mr)
         if lam_l != lam_r:
             raise InputError(f"type is not admissible across edge {e.name!r}")
         value /= vertex_hom_count(e.group, lam_l, n)
@@ -223,7 +228,7 @@ def _typesum_rows(g: GraphOfGroups, n: int):
             links[i1].append((k, 1, i0, 0))
         else:
             links[i0].append((k, 0, i1, 1))
-    edge_auts = [[cls.aut_count for cls in build_catalog(e.group).classes]
+    edge_auts = [[cls.aut_count for cls in subgroup_classes(e.group)]
                  for e in g.edges]
     edge_counts = {}
 
@@ -237,16 +242,17 @@ def _typesum_rows(g: GraphOfGroups, n: int):
     spans = []      # per vertex: (edge, side) -> (start, end) in the vector
     cuts = []       # per vertex: (start, end) of each link's edge type
     for i, (_, grp) in enumerate(g.vertices):
-        cat = build_catalog(grp)
+        classes = subgroup_classes(grp)
         # class j's column: its row entries of every side matrix in turn
-        columns = [tuple(row[j] for _, _, mat in sides[i] for row in mat.rows)
-                   for j in range(len(cat))]
-        auts = [cls.aut_count for cls in cat.classes]
-        passes.append(_type_pass(cat.degrees, auts, columns, n))
+        columns = [tuple(row[j] for _, _, mat in sides[i] for row in mat)
+                   for j in range(len(classes))]
+        passes.append(_type_pass([cls.index for cls in classes],
+                                 [cls.aut_count for cls in classes],
+                                 columns, n))
         where, start = {}, 0
         for k, s, mat in sides[i]:
-            where[k, s] = start, start + len(mat.rows)
-            start += len(mat.rows)
+            where[k, s] = start, start + len(mat)
+            start += len(mat)
         spans.append(where)
         cuts.append([where[k, s] for k, s, _, _ in links[i]])
 
@@ -397,8 +403,9 @@ def hom_count_enumerate(g: GraphOfGroups, n: int,
     if n > ENUM_DEGREE_CEILING:
         raise CapExceeded(
             f"brute-force counting stops at degree {ENUM_DEGREE_CEILING}, "
-            f"got {n}: Sym({n}) has order {factorial(n)}, past the group cap "
-            f"{DEFAULT_GROUP_CAP}, and --max-n cannot raise this ceiling")
+            f"got {n}: Sym({n}) has order {factorial(n)}, past the default "
+            f"group cap {DEFAULT_GROUP_CAP}; neither --max-n nor "
+            f"--max-group-order raises this ceiling")
     for name, grp in g.vertices:
         if grp.order > DEFAULT_ENUM_GROUP_CAP:
             raise CapExceeded(f"vertex {name!r} has order {grp.order}, "

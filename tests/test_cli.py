@@ -178,13 +178,54 @@ def test_max_n_zero_is_a_cap(capsys, command):
 
 
 def test_enumerate_degree_ceiling_names_itself(capsys):
-    # degree 8 needs Sym(8), past the group cap; --max-n cannot lift that
+    # degree 8 needs Sym(8), past the default group cap; neither flag
+    # lifts that, and a raised group cap is not cited as the ceiling
     assert run(["homcount", MODULAR, "--n", "8", "--enumerate",
-                "--max-n", "8"]) == 2
+                "--max-n", "8", "--max-group-order", "50000"]) == 2
     out, err = out_of(capsys)
     assert out == ""
-    assert "brute-force counting stops at degree 7, got 8" in err
-    assert "--max-n cannot raise this ceiling" in err
+    assert err == ("error: brute-force counting stops at degree 7, got 8: "
+                   "Sym(8) has order 40320, past the default group cap "
+                   "10000; neither --max-n nor --max-group-order raises "
+                   "this ceiling\n")
+
+
+def test_subgroup_cap_refusal_says_no_flag_raises_it(capsys):
+    # a raised order cap admits Sym(7), whose lattice the subgroup cap stops
+    assert run(["catalog", "Sym(7)", "--max-group-order", "6000"]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err == ("error: group too large: order 5040 exceeds subgroup cap "
+                   "1000, which no flag raises\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "Klein4", "--max-group-order", "3"],
+    ["catalog", "Cyc(4)", "--max-group-order", "3"],
+    ["catalog", "Trivial", "--max-group-order", "0"],
+])
+def test_catalog_holds_every_named_group_to_the_order_cap(capsys, argv):
+    assert run(argv) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.startswith("error: group too large: order ")
+    assert err.endswith(f" exceeds cap {argv[-1]}\n")
+
+
+def test_graph_vertex_named_klein4_is_held_to_the_order_cap(capsys,
+                                                            tmp_path):
+    # Klein4 * C2 over the trivial group: only the order-4 vertex is past 2
+    path = tmp_path / "klein4.gog"
+    path.write_text("vertex a = Klein4\n"
+                    "vertex b { degree 2; gens (1 2); }\n"
+                    "edge e a b { degree 1; gens (); into a: (); "
+                    "into b: (); }\n", encoding="utf-8")
+    assert run(["mu", str(path), "--max-group-order", "4"]) == 0
+    assert out_of(capsys)[0] == "1/4\n"
+    assert run(["mu", str(path), "--max-group-order", "2"]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err == "error: group too large: order 4 exceeds cap 2\n"
 
 
 def test_enumerate_degree_below_one_is_an_input_error(capsys):

@@ -1,10 +1,11 @@
 import dataclasses
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from vfgrowth import growth
-from vfgrowth.catalog import EmbeddingMap, restriction_matrix
+from vfgrowth.catalog import EmbeddingMap, _mark, restriction_matrix
 from vfgrowth.corpus import (corpus_graphs, infinite_dihedral, klein_amalgam,
                              modular_graph, triangle_graph)
 from vfgrowth.errors import CapExceeded, InputError
@@ -48,7 +49,7 @@ def test_mu_objective_bookkeeping():
         for name, _ in g.vertices:
             w = r.optimizer.vertex(name)
             cat = dict(r.program.catalogs)[name]
-            assert sum(x * d for x, d in zip(w, cat.degrees)) == 1
+            assert sum(x * cls.index for x, cls in zip(w, cat)) == 1
             assert r.optimizer.sigma(name) == sum(w)
         assert r.mu >= -r.chi
 
@@ -63,9 +64,11 @@ def test_sigma_and_tau_match_both_sides_of_every_edge():
                                 for v, _ in g.vertices), name
         taus = []
         for e in g.edges:
-            ml, mr = (restriction_matrix(emb) for emb in e.embeddings)
-            lam = ml.apply(w[e.ends[0]])
-            assert lam == mr.apply(w[e.ends[1]]), (name, e.name)
+            # rows[j][i] copies of edge class j per copy of vertex class i
+            lam, other = (tuple(sum(map(mul, row, w[end]))
+                                for row in restriction_matrix(emb))
+                          for emb, end in zip(e.embeddings, e.ends))
+            assert lam == other, (name, e.name)
             taus.append((e.name, sum(lam, Fraction(0))))
         assert r.tau == tuple(taus), name
 
@@ -253,6 +256,55 @@ def test_symmetric_loop_mu_examples():
     value, cls = symmetric_loop_mu(s4, s4)
     assert (value, cls.order) == (0, 24)
     assert mu(_identity_loop(s4, s4)).mu == 0
+
+
+def test_frobenius_loops_grow_at_the_trivial_class_term():
+    """The loop over A = C_m at G = C_q ⋊ C_m, the identity at both ends,
+    has mu = (q - 1)/(qm), for q prime, 1 < m dividing q - 1 and
+    q(q - 1) <= 1000: 38 groups, q <= 31.
+
+    Proof, from ``symmetric_loop_mu``'s max over H of
+    (|A\\G/H| - 1)/(G:H), with |A\\G/H| the mean over a in A of
+    fix(a, G/H).  G acts on Z/q by x -> cx + b with c in the order-m
+    subgroup of units, and A, the stabilizer of 0, is a complement of the
+    normal C_q.  As q is prime to m, a subgroup H either has order divisible
+    by q, so contains C_q, or lies in a complement (Schur-Zassenhaus).
+    (i) H contains C_q: G/H is a quotient of G/C_q, onto which A maps, so
+    A is transitive on G/H, |A\\G/H| = 1 and the term is 0.  (ii) H is
+    conjugate to a subgroup D of A, of order d: A meets each of its other
+    conjugates trivially, since a non-identity element of A fixes only 0,
+    so for 1 != a in A, a^g lies in D only if g is in A, where a^g = a.
+    Thus fix(a, G/D) = m/d for 1 != a in D (N_G(D) = A) and 0 for a in
+    A outside D, while fix(1, G/D) = qm/d.  So |A\\G/D| = (q + d - 1)/d,
+    and the term is ((q - 1)/d)/(qm/d) = (q - 1)/(qm), whatever d is.
+    Every case (ii) class, the trivial one (d = 1) included, attains this
+    positive maximum, and class order puts the complement's class (core 1, order
+    m) first among them, so the trivial class is never the one returned.
+    """
+    count = 0
+    for q in filter(_is_prime, range(3, 32)):
+        shift = Perm(tuple((x + 1) % q for x in range(q)))
+        for m in range(2, q):
+            if (q - 1) % m:
+                continue
+            c = next(c for c in range(2, q) if min(
+                k for k in range(1, q) if pow(c, k, q) == 1) == m)
+            scale = Perm(tuple(c * x % q for x in range(q)))
+            g, a = generate([shift, scale], q), generate([scale], q)
+            assert g.order == q * m
+            law = Fraction(q - 1, q * m)
+            value, first = symmetric_loop_mu(g, a)
+            assert value == law and first.order == m, (q, m)
+            # each class's term, read from the catalog's marks
+            sub = {g.index[y] for y in a.elements}
+            classes = subgroup_classes(g)
+            for cls in classes:
+                double_cosets = Fraction(sum(_mark(cls, {y}) for y in sub), m)
+                term = (double_cosets - 1) / cls.index
+                assert term == (law if m % cls.order == 0 else 0), (q, m)
+            assert classes[-1].order == 1
+            count += 1
+    assert count == 38
 
 
 def test_c2_to_the_fifth_amalgam_over_c2():

@@ -1,6 +1,7 @@
 import random
 from itertools import product
 from math import comb, factorial
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -146,7 +147,7 @@ def test_ledger_refuses_degrees_outside_its_range(accessor):
 
 
 def test_typesum_builds_no_lp(monkeypatch):
-    # the counters read the cached catalogs and restriction matrices, never
+    # the counters read the cached class tuples and restriction rows, never
     # the growth program's LP
     def no_lp(*_args, **_kw):
         raise AssertionError("hom_count_typesum built an LP")
@@ -520,11 +521,15 @@ def _product_filter_rows(g, n):
     through every edge matrix, each row counted by type_hom_count."""
     program = build_growth_program(g)
     names = [name for name, _ in program.catalogs]
+
+    def induced(rows, name, xi):
+        # rows[j][i] copies of edge class j per copy of vertex class i
+        return tuple(sum(map(mul, row, xi.vertex(name))) for row in rows)
     rows = []
-    for combo in product(*(_vertex_types(cat.degrees, n)
+    for combo in product(*(_vertex_types([cls.index for cls in cat], n)
                            for _, cat in program.catalogs)):
         xi = TypePartition(n, tuple(zip(names, combo)))
-        if all(ml.apply(xi.vertex(e.ends[0])) == mr.apply(xi.vertex(e.ends[1]))
+        if all(induced(ml, e.ends[0], xi) == induced(mr, e.ends[1], xi)
                for e, ml, mr in program.edges):
             rows.append((xi, type_hom_count(g, xi)))
     return tuple(rows)
@@ -654,7 +659,7 @@ def test_vertex_hom_counts_sum_to_dey_up_to_degree_twelve():
                   dihedral_group(5), alternating_group(4),
                   symmetric_group(4)):
         h = _dey_hom_counts(group, 12)
-        degrees = build_catalog(group).degrees
+        degrees = [cls.index for cls in build_catalog(group)]
         for n in range(1, 13):
             assert sum(vertex_hom_count(group, t, n)
                        for t in _vertex_types(degrees, n)) == h[n], n
