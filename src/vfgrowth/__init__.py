@@ -18,7 +18,7 @@ from .gog import (GraphOfGroups, amalgam, cycle_power_element, cyclic_amalgam,
                   free_product, load_gog, make_graph, parse_gog, to_text)
 from .growth import (GrowthReport, build_growth_lp, cyclic_amalgam_mu,
                      euler_tight, family_mu, mu, plan_graph, plan_graph_text,
-                     realize, symmetric_amalgam_mu, symmetric_loop_mu)
+                     realize, uniform_mu)
 from .ratlp import RationalLP, certify, enumerate_vertices, solve_max
 from .oracle import (CountLedger, hom_count_enumerate, hom_count_typesum,
                      type_hom_count, vertex_hom_count)
@@ -35,7 +35,6 @@ __all__ = [
     "enumerate_vertices", "family_amalgam", "family_mu", "free_group",
     "free_product", "hom_count_enumerate", "hom_count_typesum", "identity",
     "klein_four", "load_gog", "make_graph", "mu", "parse_gog", "plan_graph",
-    "plan_graph_text", "realize", "solve_max", "symmetric_amalgam_mu",
-    "symmetric_group", "symmetric_loop_mu", "to_text", "trivial_group",
-    "type_hom_count", "vertex_hom_count",
+    "plan_graph_text", "realize", "solve_max", "symmetric_group", "to_text",
+    "trivial_group", "type_hom_count", "uniform_mu", "vertex_hom_count",
 ]

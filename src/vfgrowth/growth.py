@@ -3,11 +3,10 @@
 Given a finite graph of finite groups presenting the group, the number of
 index-n subgroups grows like n^(mu*n) for a rational constant mu >= -chi.
 This module computes mu exactly by linear programming over normalized
-representation types.  For a symmetric amalgam G *_A G, A embedded alike
-on both sides, and for a loop over A with the identity at both ends, the
-optimum also has a closed form read from the catalog's marks
-(``symmetric_amalgam_mu``, ``symmetric_loop_mu``), which cross-checks the
-LP.
+representation types.  For a uniform graph, V vertices each carrying G
+and E edges each carrying A, embedded alike at every end, the optimum
+also has a closed form read from the catalog's marks (``uniform_mu``),
+which cross-checks the LP.
 
 The LP: one variable per (vertex, transitive-representation class), the
 normalized multiplicity of that class.  Per vertex the degree-weighted
@@ -177,59 +176,52 @@ def mu(g: GraphOfGroups) -> GrowthReport:
                         notes=tuple(notes), program=program, solution=sol)
 
 
-# -- closed forms for symmetric graphs --------------------------------------
+# -- closed form for uniform graphs ----------------------------------------
 
-def _double_coset_max(g: FiniteGroup, a, vertices: int):
-    """max over subgroup classes H of (|A\\G/H| - vertices) / (G:H), and
-    the first class attaining it: the growth of a one-edge graph over A
-    whose every vertex group is G, at its symmetric optimum."""
+def uniform_mu(g: FiniteGroup, a, vertices: int, edges: int):
+    """Growth coefficient of a uniform graph over (G, A): connected, with V
+    vertices and E edges (loops included), every vertex group G and every
+    edge group A, embedded alike at every end.  Returns (value, first
+    subgroup class attaining it) for
+
+        mu = max over H of (E |A\\G/H| - V) / (G:H).
+
+    G *_A G is (V, E) = (2, 1), the loop over A with the identity at both
+    ends is (1, 1), and G alone is (1, 0), with mu = -1/|G|.
+
+    Proof.  Each edge row of the growth LP says its two ends restrict
+    alike, so on a connected graph every vertex has one restriction vector
+    r, whose orbit total |r| is every tau_e: the objective is
+    E |r| - sum over v of sigma_v.  The mean of the vertices' weights keeps
+    r, the normalization and sum sigma_v, so giving it to every vertex is
+    feasible with the same objective.  There every edge row vanishes and only
+    sum index * w = 1 is left, whose optimum puts weight 1/(G:H) on one
+    class H, with the objective above.  One r needs one edge group A: on
+    edges over different groups, one weight vector at every vertex is
+    still feasible, so the term summed edge by edge is a lower bound, but
+    the LP can exceed it.  ``a`` is a subgroup of g: a SubgroupClass, a
+    FiniteGroup or an iterable of Perm.
+    """
+    if vertices < 1 or edges < vertices - 1:
+        raise InputError(f"no connected graph has {vertices} vertices and "
+                         f"{edges} edges")
     _, sub = _subgroup_class(g, a)
     best = best_cls = None
     for cls in subgroup_classes(g):
         # Burnside: |A\G/H| is the mean over y in A of fix(y, G/H)
         double_cosets = Fraction(sum(_mark(cls, {y}) for y in sub), len(sub))
-        val = (double_cosets - vertices) / cls.index
+        val = (edges * double_cosets - vertices) / cls.index
         if best is None or val > best:
             best, best_cls = val, cls
     return best, best_cls
 
 
-def symmetric_amalgam_mu(g: FiniteGroup, a):
-    """Growth coefficient of G *_A G, A embedded alike on both sides, as a
-    maximum over subgroup classes: (value, first class attaining it).
-
-    mu = max over H of (|A\\G/H| - 2) / (G:H).  Proof: the growth LP is
-    convex and unchanged when the two vertices' weights swap, so the mean of
-    an optimum and its swap is a symmetric optimum.  At a symmetric point
-    both sides restrict alike and every edge row vanishes; only
-    sum index * w = 1 is left, so one class H, at weight 1/(G:H) on each
-    vertex, attains the optimum, and its objective is the term above.
-    ``a`` is a subgroup of g: a SubgroupClass, a FiniteGroup or an
-    iterable of Perm.
-    """
-    return _double_coset_max(g, a, 2)
-
-
-def symmetric_loop_mu(g: FiniteGroup, a):
-    """Growth coefficient of the loop over A at one vertex G, A embedded by
-    the identity at both ends: (value, first class attaining it).
-
-    mu = max over H of (|A\\G/H| - 1) / (G:H).  Proof: both ends restrict
-    a class of G to the same A-set, so every edge row of the growth LP
-    vanishes identically.  Class H's column has orbit count |A\\G/H| on
-    each end, so its objective is (2 |A\\G/H| - 2) / 2.  Only
-    sum index * w = 1 is left, whose optimum puts weight 1/(G:H) on one
-    class H, with the objective above.  ``a`` is as in
-    ``symmetric_amalgam_mu``.
-    """
-    return _double_coset_max(g, a, 1)
-
-
 def cyclic_amalgam_mu(g: FiniteGroup, x: Perm):
-    """``symmetric_amalgam_mu`` over A = <x>: the growth of G *_<x> G."""
+    """``uniform_mu`` over A = <x> at (V, E) = (2, 1): the growth of
+    G *_<x> G."""
     if x not in g:
         raise InputError(f"{x} is not an element of the group")
-    return symmetric_amalgam_mu(g, generate([x], g.degree))
+    return uniform_mu(g, generate([x], g.degree), 2, 1)
 
 
 def euler_tight(g: FiniteGroup, x: Perm) -> bool:

@@ -408,8 +408,10 @@ def hom_count_enumerate(g: GraphOfGroups, n: int,
             f"--max-group-order raises this ceiling")
     for name, grp in g.vertices:
         if grp.order > DEFAULT_ENUM_GROUP_CAP:
-            raise CapExceeded(f"vertex {name!r} has order {grp.order}, "
-                              f"cap {DEFAULT_ENUM_GROUP_CAP}")
+            raise CapExceeded(
+                f"vertex {name!r} too large: order {grp.order} exceeds "
+                f"DEFAULT_ENUM_GROUP_CAP {DEFAULT_ENUM_GROUP_CAP}, which no "
+                f"flag raises")
     tree = spanning_tree(g)
     bfs = tree.order
     pos = {v: i for i, v in enumerate(bfs)}

@@ -190,6 +190,16 @@ def test_enumerate_degree_ceiling_names_itself(capsys):
                    "this ceiling\n")
 
 
+def test_enumerate_group_cap_refusal_says_no_flag_raises_it(capsys):
+    # Sym(6) at a vertex is past the brute-force counter's group cap
+    assert run(["homcount", str(GRAPHS / "family_2_6_1.gog"), "--n", "2",
+                "--enumerate"]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err == ("error: vertex 'a' too large: order 720 exceeds "
+                   "DEFAULT_ENUM_GROUP_CAP 120, which no flag raises\n")
+
+
 def test_subgroup_cap_refusal_says_no_flag_raises_it(capsys):
     # a raised order cap admits Sym(7), whose lattice the subgroup cap stops
     assert run(["catalog", "Sym(7)", "--max-group-order", "6000"]) == 2

@@ -26,8 +26,7 @@ from vfgrowth.groups import (DEFAULT_SUBGROUP_CAP, _class_and_schreier,
                              _Cosets, _extend, _is_prime_power,
                              _known_order_product, _least_prime,
                              _subgroup_class, _subgroup_index_sets)
-from vfgrowth.growth import (cyclic_amalgam_mu, euler_tight, mu,
-                             symmetric_amalgam_mu)
+from vfgrowth.growth import cyclic_amalgam_mu, euler_tight, mu, uniform_mu
 from vfgrowth.oracle import (DEFAULT_ENUM_GROUP_CAP, _transporter_count,
                              hom_count_enumerate, hom_count_typesum)
 from vfgrowth.perm import Perm, identity, parse_perm
@@ -1178,9 +1177,9 @@ def test_the_prime_test_divides_only_up_to_its_cap(monkeypatch):
 
 @pytest.mark.parametrize("call", [
     lambda g, x: coset_action(g, []),
-    lambda g, x: symmetric_amalgam_mu(g, []),
-    lambda g, x: symmetric_amalgam_mu(g, [x]),
-], ids=["coset_action", "symmetric_amalgam_mu", "symmetric_amalgam_mu-x-alone"])
+    lambda g, x: uniform_mu(g, [], 2, 1),
+    lambda g, x: uniform_mu(g, [x], 2, 1),
+], ids=["coset_action", "uniform_mu", "uniform_mu-x-alone"])
 def test_member_sets_without_the_identity_are_rejected(call):
     # an empty or identity-free member set is no subgroup, whatever the
     # entry point it reaches
@@ -1202,8 +1201,9 @@ def test_subgroup_rejects_a_set_that_is_not_closed():
         coset_action(s3, members)
 
 
-@pytest.mark.parametrize("call", [coset_action, symmetric_amalgam_mu],
-                         ids=["coset_action", "symmetric_amalgam_mu"])
+@pytest.mark.parametrize("call", [coset_action,
+                                  lambda g, u: uniform_mu(g, u, 2, 1)],
+                         ids=["coset_action", "uniform_mu"])
 @pytest.mark.parametrize("degree,texts", [
     (3, ("(1 2)", "(1 2 3)")),
     (4, ("(1 2)", "(1 3)", "(1 2 3 4)")),

@@ -18,8 +18,7 @@ from vfgrowth.groups import (_is_prime, alternating_group,
                              symmetric_group, trivial_group)
 from vfgrowth.growth import (build_growth_program, cyclic_amalgam_mu,
                              euler_tight, family_mu, mu, plan_graph,
-                             plan_graph_text, realize, symmetric_amalgam_mu,
-                             symmetric_loop_mu)
+                             plan_graph_text, realize, uniform_mu)
 from vfgrowth.perm import Perm, identity, parse_perm
 from vfgrowth.selftest import criterion_p6
 
@@ -183,79 +182,120 @@ def test_cyclic_amalgam_mu_reuses_the_catalog_classes():
     assert any(cls is c for c in subgroup_classes(s4))
 
 
-def test_symmetric_amalgam_mu_examples():
+def _graph_on(g, vertices, edges):
+    # one vertex G per name in ``vertices``; ``edges`` holds (A, ends)
+    # pairs, each A embedded by inclusion at both ends
+    gog_edges = []
+    for i, (a, ends) in enumerate(edges):
+        side = EmbeddingMap(a, g, a.generators)
+        gog_edges.append(GogEdge(f"e{i}", tuple(ends), a, (side, side)))
+    return make_graph([(v, g) for v in vertices], gog_edges)
+
+
+def test_uniform_mu_examples():
     s4 = symmetric_group(4)
-    # A = 1: G * G, whose growth is 1 - 2/|G| (Dey), at H = 1
-    value, cls = symmetric_amalgam_mu(s4, trivial_group(4))
+    # A = 1: G * G, whose growth is 1 - 2/|G| (Dey), at H = 1, and the
+    # loop G * Z, whose growth is 1 - 1/|G|, at H = 1
+    value, cls = uniform_mu(s4, trivial_group(4), 2, 1)
     assert (value, cls.order) == (Fraction(11, 12), 1)
-    # A = G: one double coset for every H, so H = 1 wins with -1/|G|, as
-    # the LP finds for G *_G G
-    assert symmetric_amalgam_mu(s4, s4)[0] == Fraction(-1, 24) == \
+    value, cls = uniform_mu(s4, trivial_group(4), 1, 1)
+    assert (value, cls.order) == (Fraction(23, 24), 1)
+    # A = G: one double coset for every H, so the amalgam's H = 1 wins with
+    # -1/|G|, as the LP finds for G *_G G; every loop term is 0, and the
+    # first class, H = G, is returned
+    assert uniform_mu(s4, s4, 2, 1)[0] == Fraction(-1, 24) == \
         mu(amalgam(s4, s4, s4, s4.generators, s4.generators)).mu
+    value, cls = uniform_mu(s4, s4, 1, 1)
+    assert (value, cls.order) == (0, 24)
+    assert mu(_graph_on(s4, "u", [(s4, "uu")])).mu == 0
     # the normal Klein four-group, as a group and as its element list
     v4 = generate([parse_perm("(1 2)(3 4)", 4), parse_perm("(1 3)(2 4)", 4)],
                   4)
-    assert symmetric_amalgam_mu(s4, v4) == \
-        symmetric_amalgam_mu(s4, list(v4.elements))
+    assert uniform_mu(s4, v4, 2, 1) == uniform_mu(s4, list(v4.elements), 2, 1)
+
+
+def test_uniform_mu_takes_every_connected_shape_and_no_other():
+    # (1, 0) is G alone, a finite group, whose mu is -1/|G|
+    s4 = symmetric_group(4)
+    value, cls = uniform_mu(s4, s4, 1, 0)
+    assert (value, cls.order) == (Fraction(-1, 24), 1)
+    assert mu(make_graph([("v", s4)], [])).mu == value
+    # no connected graph has no vertex, or fewer than V - 1 edges
+    for vertices, edges in ((0, 0), (0, 1), (3, 1)):
+        with pytest.raises(InputError, match="no connected graph has"):
+            uniform_mu(s4, s4, vertices, edges)
 
 
 def _lemma_groups():
-    # the vertex groups of the 68 amalgams and the 24 tightness cases below
+    # the vertex groups of the 68 uniform graphs per shape and the 24
+    # tightness cases below
     return (symmetric_group(4), alternating_group(4), dihedral_group(5),
             dihedral_group(6), alternating_group(5), symmetric_group(5),
             cyclic_group(6),
             direct_product(symmetric_group(3), symmetric_group(3)))
 
 
-def test_symmetric_amalgam_mu_equals_the_certified_lp():
-    # G *_A G over every non-trivial proper class A: mu certifies its
+UNIFORM_SHAPES = {
+    "path": ("uv", ("uv",)),
+    "loop": ("u", ("uu",)),
+    "triangle": ("uvx", ("uv", "vx", "xu")),
+    "two loops": ("u", ("uu", "uu")),
+    "theta": ("uv", ("uv", "uv", "uv")),
+    "3-star": ("uvxy", ("uv", "ux", "uy")),
+    "loop plus edge": ("uv", ("uu", "uv")),
+}
+
+
+def test_uniform_mu_equals_the_certified_lp():
+    # every shape over every non-trivial proper class A: mu certifies its
     # optimum by duality, and the closed form reads no LP
-    count = 0
-    for g in _lemma_groups():
-        for acls in subgroup_classes(g)[1:-1]:
-            a = generate(acls.generators, g.degree)
-            lp = mu(amalgam(g, g, a, a.generators, a.generators)).mu
-            assert symmetric_amalgam_mu(g, acls)[0] == lp, (g, acls)
-            count += 1
-    assert count == 68
+    for shape, (vertices, ends) in UNIFORM_SHAPES.items():
+        count = repeats = 0
+        for g in _lemma_groups():
+            for acls in subgroup_classes(g)[1:-1]:
+                a = generate(acls.generators, g.degree)
+                report = mu(_graph_on(g, vertices, [(a, e) for e in ends]))
+                assert uniform_mu(g, acls, len(vertices), len(ends))[0] == \
+                    report.mu, (shape, g, acls)
+                lp = report.program.lp
+                columns = set(zip(zip(*lp.rows), lp.objective))
+                repeats += len(columns) < lp.num_vars
+                count += 1
+        assert count == 68, shape
+        if shape == "loop":
+            # a loop LP's edge rows are zero, so two classes of equal index
+            # and equal orbit count give one column twice: 54 of the 68 LPs
+            # drop a repeated column before the simplex
+            assert repeats == 54
 
 
-def _identity_loop(g, a):
-    # one vertex G and one edge over A, A embedded by inclusion at both ends
-    side = EmbeddingMap(a, g, a.generators)
-    return make_graph([("v", g)], [GogEdge("e", ("v", "v"), a, (side, side))])
-
-
-def test_symmetric_loop_mu_equals_the_certified_lp():
-    # the loop over every non-trivial proper class A: mu certifies its
-    # optimum by duality, and the closed form reads no LP
-    count = repeats = 0
-    for g in _lemma_groups():
-        for acls in subgroup_classes(g)[1:-1]:
-            a = generate(acls.generators, g.degree)
-            report = mu(_identity_loop(g, a))
-            assert symmetric_loop_mu(g, acls)[0] == report.mu, (g, acls)
-            lp = report.program.lp
-            columns = set(zip(zip(*lp.rows), lp.objective))
-            repeats += len(columns) < lp.num_vars
-            count += 1
-    assert count == 68
-    # a loop LP's edge rows are zero, so two classes of equal index and
-    # equal orbit count give one column twice: 54 of the 68 LPs drop a
-    # repeated column before the simplex
-    assert repeats == 54
-
-
-def test_symmetric_loop_mu_examples():
-    s4 = symmetric_group(4)
-    # A = 1: the loop is G * Z, whose growth is 1 - 1/|G|, at H = 1
-    value, cls = symmetric_loop_mu(s4, trivial_group(4))
-    assert (value, cls.order) == (Fraction(23, 24), 1)
-    # A = G: one double coset for every H, so every term is 0, and the
-    # first class, H = G, is returned
-    value, cls = symmetric_loop_mu(s4, s4)
-    assert (value, cls.order) == (0, 24)
-    assert mu(_identity_loop(s4, s4)).mu == 0
+def test_mixed_edge_paths_grow_at_least_at_the_uniform_term():
+    # a path u - v - x whose edges carry different classes A1 != A2: one
+    # class H at weight 1/(G:H) on every vertex is still feasible, so the
+    # best term (|A1\G/H| + |A2\G/H| - 3)/(G:H) bounds mu below; with no
+    # one restriction vector the bound is not always attained
+    count = below = 0
+    for g in (symmetric_group(4), alternating_group(4), dihedral_group(5)):
+        classes = subgroup_classes(g)
+        for a1 in classes[1:-1]:
+            for a2 in classes[1:-1]:
+                if a1 is a2:
+                    continue
+                # each class's term, read from the catalog's marks
+                best = max(
+                    (sum(Fraction(sum(_mark(h, {y}) for y in a.members[0]),
+                                  a.order) for a in (a1, a2)) - 3) / h.index
+                    for h in classes)
+                path = _graph_on(g, "uvx", [
+                    (generate(a1.generators, g.degree), "uv"),
+                    (generate(a2.generators, g.degree), "vx")])
+                lp = mu(path).mu
+                assert best <= lp, (g, a1, a2)
+                below += best < lp
+                count += 1
+    assert count == 80
+    # 20 of the 80 paths grow strictly faster than the term
+    assert below == 20
 
 
 def test_frobenius_loops_grow_at_the_trivial_class_term():
@@ -263,8 +303,8 @@ def test_frobenius_loops_grow_at_the_trivial_class_term():
     has mu = (q - 1)/(qm), for q prime, 1 < m dividing q - 1 and
     q(q - 1) <= 1000: 38 groups, q <= 31.
 
-    Proof, from ``symmetric_loop_mu``'s max over H of
-    (|A\\G/H| - 1)/(G:H), with |A\\G/H| the mean over a in A of
+    Proof, from ``uniform_mu``'s max over H of (|A\\G/H| - 1)/(G:H) at
+    (V, E) = (1, 1), with |A\\G/H| the mean over a in A of
     fix(a, G/H).  G acts on Z/q by x -> cx + b with c in the order-m
     subgroup of units, and A, the stabilizer of 0, is a complement of the
     normal C_q.  As q is prime to m, a subgroup H either has order divisible
@@ -293,7 +333,7 @@ def test_frobenius_loops_grow_at_the_trivial_class_term():
             g, a = generate([shift, scale], q), generate([scale], q)
             assert g.order == q * m
             law = Fraction(q - 1, q * m)
-            value, first = symmetric_loop_mu(g, a)
+            value, first = uniform_mu(g, a, 1, 1)
             assert value == law and first.order == m, (q, m)
             # each class's term, read from the catalog's marks
             sub = {g.index[y] for y in a.elements}
@@ -320,18 +360,18 @@ def test_c2_to_the_fifth_amalgam_over_c2():
     assert len(set(zip(zip(*lp.rows), lp.objective))) == 20
 
 
-def test_symmetric_amalgam_mu_is_a_class_function():
+def test_uniform_mu_is_a_class_function():
     # every conjugate of A, formed by Perm products, gives the value and
     # the very class object that A's class gives
     for g in _lemma_groups():
         for acls in subgroup_classes(g):
-            want = symmetric_amalgam_mu(g, acls)
+            want = uniform_mu(g, acls, 2, 1)
             rep = [g.elements[i] for i in acls.members[0]]
             conjugates = {frozenset(s * a * s.inverse() for a in rep)
                           for s in g.elements}
             assert len(conjugates) == acls.class_size
             for members in conjugates:
-                value, cls = symmetric_amalgam_mu(g, members)
+                value, cls = uniform_mu(g, members, 2, 1)
                 assert value == want[0] and cls is want[1]
 
 
