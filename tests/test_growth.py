@@ -192,26 +192,33 @@ def _graph_on(g, vertices, edges):
     return make_graph([(v, g) for v in vertices], gog_edges)
 
 
-def test_uniform_mu_examples():
+def test_symmetric_amalgam_mu_examples():
+    # the amalgam G *_A G is the shape (V, E) = (2, 1)
     s4 = symmetric_group(4)
-    # A = 1: G * G, whose growth is 1 - 2/|G| (Dey), at H = 1, and the
-    # loop G * Z, whose growth is 1 - 1/|G|, at H = 1
+    # A = 1: G * G, whose growth is 1 - 2/|G| (Dey), at H = 1
     value, cls = uniform_mu(s4, trivial_group(4), 2, 1)
     assert (value, cls.order) == (Fraction(11, 12), 1)
-    value, cls = uniform_mu(s4, trivial_group(4), 1, 1)
-    assert (value, cls.order) == (Fraction(23, 24), 1)
-    # A = G: one double coset for every H, so the amalgam's H = 1 wins with
-    # -1/|G|, as the LP finds for G *_G G; every loop term is 0, and the
-    # first class, H = G, is returned
+    # A = G: one double coset for every H, so H = 1 wins with -1/|G|, as
+    # the LP finds for G *_G G
     assert uniform_mu(s4, s4, 2, 1)[0] == Fraction(-1, 24) == \
         mu(amalgam(s4, s4, s4, s4.generators, s4.generators)).mu
-    value, cls = uniform_mu(s4, s4, 1, 1)
-    assert (value, cls.order) == (0, 24)
-    assert mu(_graph_on(s4, "u", [(s4, "uu")])).mu == 0
     # the normal Klein four-group, as a group and as its element list
     v4 = generate([parse_perm("(1 2)(3 4)", 4), parse_perm("(1 3)(2 4)", 4)],
                   4)
     assert uniform_mu(s4, v4, 2, 1) == uniform_mu(s4, list(v4.elements), 2, 1)
+
+
+def test_symmetric_loop_mu_examples():
+    # the loop, one vertex G and one edge over A, is the shape (1, 1)
+    s4 = symmetric_group(4)
+    # A = 1: the loop is G * Z, whose growth is 1 - 1/|G|, at H = 1
+    value, cls = uniform_mu(s4, trivial_group(4), 1, 1)
+    assert (value, cls.order) == (Fraction(23, 24), 1)
+    # A = G: one double coset for every H, so every term is 0, and the
+    # first class, H = G, is returned
+    value, cls = uniform_mu(s4, s4, 1, 1)
+    assert (value, cls.order) == (0, 24)
+    assert mu(_graph_on(s4, "u", [(s4, "uu")])).mu == 0
 
 
 def test_uniform_mu_takes_every_connected_shape_and_no_other():
@@ -235,9 +242,42 @@ def _lemma_groups():
             direct_product(symmetric_group(3), symmetric_group(3)))
 
 
+def _shape_against_lp(vertices, ends):
+    # the uniform graph of one shape over every non-trivial proper class A
+    # of every lemma group: mu certifies its optimum by duality, and the
+    # closed form reads no LP; returns the number of graphs and of LPs that
+    # repeat a column
+    count = repeats = 0
+    for g in _lemma_groups():
+        for acls in subgroup_classes(g)[1:-1]:
+            a = generate(acls.generators, g.degree)
+            report = mu(_graph_on(g, vertices, [(a, e) for e in ends]))
+            assert uniform_mu(g, acls, len(vertices), len(ends))[0] == \
+                report.mu, (vertices, ends, g, acls)
+            lp = report.program.lp
+            columns = set(zip(zip(*lp.rows), lp.objective))
+            repeats += len(columns) < lp.num_vars
+            count += 1
+    return count, repeats
+
+
+def test_symmetric_amalgam_mu_equals_the_certified_lp():
+    # G *_A G is the path u - v
+    count, _ = _shape_against_lp("uv", ("uv",))
+    assert count == 68
+
+
+def test_symmetric_loop_mu_equals_the_certified_lp():
+    count, repeats = _shape_against_lp("u", ("uu",))
+    assert count == 68
+    # a loop LP's edge rows are zero, so two classes of equal index and
+    # equal orbit count give one column twice: 54 of the 68 LPs drop a
+    # repeated column before the simplex
+    assert repeats == 54
+
+
+# the connected shapes beyond the path and the loop above
 UNIFORM_SHAPES = {
-    "path": ("uv", ("uv",)),
-    "loop": ("u", ("uu",)),
     "triangle": ("uvx", ("uv", "vx", "xu")),
     "two loops": ("u", ("uu", "uu")),
     "theta": ("uv", ("uv", "uv", "uv")),
@@ -247,26 +287,8 @@ UNIFORM_SHAPES = {
 
 
 def test_uniform_mu_equals_the_certified_lp():
-    # every shape over every non-trivial proper class A: mu certifies its
-    # optimum by duality, and the closed form reads no LP
     for shape, (vertices, ends) in UNIFORM_SHAPES.items():
-        count = repeats = 0
-        for g in _lemma_groups():
-            for acls in subgroup_classes(g)[1:-1]:
-                a = generate(acls.generators, g.degree)
-                report = mu(_graph_on(g, vertices, [(a, e) for e in ends]))
-                assert uniform_mu(g, acls, len(vertices), len(ends))[0] == \
-                    report.mu, (shape, g, acls)
-                lp = report.program.lp
-                columns = set(zip(zip(*lp.rows), lp.objective))
-                repeats += len(columns) < lp.num_vars
-                count += 1
-        assert count == 68, shape
-        if shape == "loop":
-            # a loop LP's edge rows are zero, so two classes of equal index
-            # and equal orbit count give one column twice: 54 of the 68 LPs
-            # drop a repeated column before the simplex
-            assert repeats == 54
+        assert _shape_against_lp(vertices, ends)[0] == 68, shape
 
 
 def test_mixed_edge_paths_grow_at_least_at_the_uniform_term():
