@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import add
+from operator import add, sub
 
 from .catalog import _mark, restriction_matrix
 from .errors import InputError
@@ -89,26 +89,30 @@ def build_growth_program(g: GraphOfGroups) -> GrowthProgram:
         for mat, side in zip((ml, mr), e.ends):
             orbits[side] = list(map(add, orbits[side], _column_sums(mat)))
 
-    lp = RationalLP()
-    columns = []
+    names, objective, columns = [], [], []
     for name, cat in catalogs:
-        start = lp.num_vars
-        for i, total in enumerate(orbits[name]):
-            lp.add_var(f"{name}.{i + 1}", Fraction(total - 2, 2))
-        columns.append((name, range(start, lp.num_vars)))
-    cols = dict(columns)
+        columns.append((name, range(len(names), len(names) + len(cat))))
+        names += [f"{name}.{i}" for i in range(1, len(cat) + 1)]
+        objective += [t // 2 - 1 if t % 2 == 0 else Fraction(t - 2, 2)
+                      for t in orbits[name]]
+    # each vertex's columns, as a slice of a dense row
+    span = {name: slice(c.start, c.stop) for name, c in columns}
 
+    rows = []
     for name, cat in catalogs:
-        lp.add_constraint(
-            {col: cls.index for col, cls in zip(cols[name], cat)}, 1)
-
+        row = [0] * len(names)
+        row[span[name]] = [cls.index for cls in cat]
+        rows.append(row)
+    rhs = [1] * len(rows)
     for e, ml, mr in edges:
-        left, right = e.ends
+        left, right = map(span.__getitem__, e.ends)
         for lrow, rrow in zip(ml, mr):
-            row = dict(zip(cols[left], lrow))
-            for col, m in zip(cols[right], rrow):
-                row[col] = row.get(col, 0) - m
-            lp.add_constraint(row, 0)
+            row = [0] * len(names)
+            row[left] = lrow
+            row[right] = map(sub, row[right], rrow)
+            rows.append(row)
+            rhs.append(0)
+    lp = RationalLP.from_rows(names, objective, rows, rhs)
     return GrowthProgram(g, lp, catalogs, tuple(columns), edges)
 
 

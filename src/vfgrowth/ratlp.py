@@ -4,24 +4,67 @@ Solves max c.x subject to A x = b, x >= 0 by two-phase simplex with
 Bland's anti-cycling rule.  There is no floating point and no tolerance.
 A program stores each integral coefficient as a Python int and only a
 non-integral one as a Fraction, so a program with integer data, such as
-every growth LP's constraints, is held in ints from the start.  The
-tableau is fraction-free: each row is a list of Python ints divided by
-its gcd, a positive multiple of the rational row it stands for, so its
-basic entry is positive.  The reduced-cost row is a row of the same
-tableau, updated by the same pivots; the ratio test cross-multiplies; and
-Fractions are formed only for the answer.  The choices are those of the
-same simplex run on Fraction rows, so the answer is too.
+every growth LP's constraints, is held in ints from the start.  A float,
+str or bool coefficient is refused: a float is a binary approximation of
+the number meant (0.1 would be 3602879701896397/2**55), and a str or
+bool is no number.
+The tableau is fraction-free: each row is a list of Python ints, a
+positive multiple of the rational row it stands for, so its basic entry
+is positive.  The reduced-cost row is a row of the same tableau, updated
+by the same pivots, with its positive scale in a column of its own; the
+ratio test cross-multiplies; and Fractions are formed only for the
+answer.
 
-solve_max first drops every column that repeats an earlier one (the
-same constraint entries and the same objective), runs the simplex on the
+A pivot on entry p > 0 of row prow makes each other row r
+p*r - r[col]*prow.  That row is divided by the gcd of its entries only
+once its scale entry (its basic entry, or the cost row's scale) reaches
+1 << sys.int_info.bits_per_digit, so most entries stay in one CPython
+digit, where int arithmetic takes a fast path.  prow is 0 in every other
+basic column and in the scale column, so the new scale entry is p times
+the old one and the test costs O(1).  The choices and the answer are
+those of the same simplex run on Fraction rows, bit for bit:
+- if r and prow are replaced by a*r and b*prow, a, b > 0, the pivot
+  gives a*b*(p*r - r[col]*prow), so by induction every row is a positive
+  multiple of the row the Fraction run holds, whenever and by whatever
+  gcd it was divided;
+- every decision reads only what a positive row factor keeps: the sign
+  of a reduced cost, which of two ratios r[-1]/r[enter] is smaller (by
+  cross-multiplying), the sign of the pivot entry, and the first nonzero
+  entry of a row in the scan that pivots out leftover artificials;
+- every Fraction of the answer is the quotient of two entries of one row.
+So below, "the same tableau" means the same up to a positive factor per
+row.
+
+solve_max first drops every all-zero row whose right-hand side is 0,
+and gives it dual 0.  In the full program such a row i is
+[0 | e_i | 0 | 0]: its only nonzero column is its own artificial, basic
+in it.  No other row has a nonzero entry in that column, and a pivot
+keeps it so, since the pivot row is never row i: a pivot row's entry in
+the entering column is positive, and that column is never the
+artificial.  Pricing the phase-1 cost row against row i zeroes the
+artificial's cost entry and changes no other entry, and a pivot keeps
+it 0, so the artificial never enters, row i is never touched, and the
+scan that pivots out leftover artificials finds nothing to pivot on in
+row i and deletes it.  The other rows then see the same pivots in the
+same order: the first positive reduced cost is the same column, the
+ratio test never takes row i, and ties compare basis indices, whose
+relative order the other artificials keep.  In phase 2 the artificial's
+column is 0 in every row and in the priced cost, so its dual entry is 0.
+A zero row with a nonzero right-hand side is kept, so phase 1 still
+reports the program infeasible.
+
+It then drops every column that repeats an earlier one (the same
+constraint entries and the same objective), runs the simplex on the
 distinct columns and maps the answer back: a copy gets weight 0, and
 basis indices are the original ones.  The answer is the one the full
 program gives, bit for bit:
 - in either phase a column's tableau entries, its cost-row entry
   included, are one linear function of (A_j, c_j), and the lcm and gcd
-  that scale a row do not change when a repeated entry is removed, so the
-  tableau on the distinct columns is the full tableau with the copies
-  deleted, entry for entry;
+  that scale a row do not change when a repeated entry is removed, nor
+  does the test for dividing by the gcd, which reads only basic and
+  scale entries, and those are never copies; so the tableau on the
+  distinct columns is the full tableau with the copies deleted, entry
+  for entry;
 - so a later copy is never the first column with a positive reduced
   cost, never the first nonzero entry in the scan that pivots out
   leftover artificials (nor changes which rows that scan finds
@@ -31,7 +74,7 @@ program gives, bit for bit:
 Repeats are keyed on the constraint columns, tuples of ints in a growth
 LP; objectives, which may be Fractions and hash slowly, are compared only
 among columns whose constraint entries repeat.  certify still checks the
-full program, copies included.
+full program, zero rows and copies included.
 
 An optimal solution carries a dual vector y with A^T y >= c and
 b.y = c.x, read from the phase-1 artificial columns, which stay in the
@@ -44,9 +87,9 @@ enumerate_vertices visits every basic feasible solution by exhaustive
 basis enumeration (capped at 24 variables by default).  It is the tests'
 independent oracle for small LPs; the package itself never calls it.
 """
-
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress
@@ -59,26 +102,33 @@ from .errors import CapExceeded, InputError
 # columns they are a visible share of the solve.
 _denominator = attrgetter("denominator")
 _positive = (0).__lt__      # on the int entries of the cost row
+# A row whose scale entry reaches this is divided by its gcd: below it the
+# scale is one CPython int digit (see the module docstring).
+_NORMALISE_AT = 1 << sys.int_info.bits_per_digit
 
 VERTEX_ENUM_CAP = 24
 _ITERATION_CAP = 100000
 
 
-def _exact(c):
-    """A coefficient as an int if it is integral, else as a Fraction."""
+def _exact(c, where: str):
+    """A coefficient as an int if it is integral, else as a Fraction.  Any
+    other type (float, str, bool, ...) is refused, naming where it was
+    given."""
     if type(c) is int:
         return c
-    if not isinstance(c, Fraction):
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise InputError(f"{where}: coefficient {c!r} is a {type(c).__name__}, "
+                     f"not an int or Fraction")
 
 
 class RationalLP:
     """maximize objective . x  subject to  rows . x = rhs,  x >= 0.
 
-    Coefficients are stored exactly: an integral one as an int, any other
-    as a Fraction.  Variables are referred to by their index, counted from
-    0 in the order add_var made them.
+    Coefficients are given as ints or Fractions and stored exactly: an
+    integral one as an int, any other as a Fraction.  Variables are
+    referred to by their index, counted from 0 in the order they were
+    made.
     """
 
     def __init__(self):
@@ -96,25 +146,61 @@ class RationalLP:
     def num_constraints(self) -> int:
         return len(self.rows)
 
+    @classmethod
+    def from_rows(cls, var_names, objective, rows, rhs) -> RationalLP:
+        """The program with the named variables and their objective
+        entries, and a constraint row . x = b for each (row, b) in
+        zip(rows, rhs), each row a sequence of one coefficient per
+        variable."""
+        lp = cls()
+        lp.var_names = list(var_names)
+        lp._names = set(lp.var_names)
+        n = lp.num_vars
+        if len(lp._names) != n:
+            names = lp.var_names
+            dup = next(v for i, v in enumerate(names) if v in names[:i])
+            raise InputError(f"duplicate variable {dup!r}")
+        if len(objective) != n:
+            raise InputError(f"{len(objective)} objective entries for "
+                             f"{n} variables")
+        lp.objective = [c if type(c) is int
+                        else _exact(c, f"variable {name!r}")
+                        for name, c in zip(lp.var_names, objective)]
+        if len(rows) != len(rhs):
+            raise InputError(f"{len(rows)} rows for {len(rhs)} "
+                             f"right-hand sides")
+        for row, b in zip(rows, rhs):
+            where = f"row {lp.num_constraints}"
+            if len(row) != n:
+                raise InputError(f"{where}: {len(row)} coefficients for "
+                                 f"{n} variables")
+            lp.rows.append(list(row) if set(map(type, row)) <= {int}
+                           else [_exact(c, where) for c in row])
+            lp.rhs.append(_exact(b, where))
+        return lp
+
     def add_var(self, name: str, objective=0) -> int:
         if name in self._names:
             raise InputError(f"duplicate variable {name!r}")
+        c = _exact(objective, f"variable {name!r}")
         self._names.add(name)
         self.var_names.append(name)
-        self.objective.append(_exact(objective))
+        self.objective.append(c)
         for row in self.rows:
             row.append(0)
         return len(self.var_names) - 1
 
     def add_constraint(self, coeffs, rhs):
-        """coeffs: mapping from variable index to coefficient."""
+        """coeffs: mapping from variable index (an int) to coefficient."""
+        where = f"row {len(self.rows)}"
         row = [0] * len(self.var_names)
         for idx, c in coeffs.items():
-            if not 0 <= idx < len(row):
-                raise InputError(f"no variable with index {idx!r}")
-            row[idx] = _exact(c)
+            if type(idx) is not int or not 0 <= idx < len(row):
+                raise InputError(f"{where}: no variable with index {idx!r}")
+            row[idx] = _exact(c, where)
+        b = _exact(rhs, where)
         self.rows.append(row)
-        self.rhs.append(_exact(rhs))
+        self.rhs.append(b)
 
 
 @dataclass(frozen=True)
@@ -145,15 +231,17 @@ def _integer_row(values) -> list:
     return _primitive(values)
 
 
-def _combine(p, r, q, prow):
-    """p*r - q*prow, divided by its gcd."""
-    return _primitive([p * a - q * b for a, b in zip(r, prow)])
+def _combine(p, r, q, prow, s):
+    """p*r - q*prow, with s the index of its scale entry, where prow is 0;
+    divided by its gcd once that entry reaches _NORMALISE_AT."""
+    row = [p * a - q * b for a, b in zip(r, prow)]
+    return _primitive(row) if row[s] >= _NORMALISE_AT else row
 
 
 def _pivot(rows, basis, row, col, cost=None):
     """Make col basic in row.  Every other row r (and the cost row) becomes
-    p*r - r[col]*pivot row over its gcd, which keeps each basic entry
-    positive because the pivot p is made positive first."""
+    p*r - r[col]*pivot row, which keeps each basic entry positive because
+    the pivot p is made positive first."""
     prow = rows[row]
     p = prow[col]
     if p < 0:
@@ -161,9 +249,9 @@ def _pivot(rows, basis, row, col, cost=None):
         p = -p
     for i, r in enumerate(rows):
         if i != row and r[col]:
-            rows[i] = _combine(p, r, r[col], prow)
+            rows[i] = _combine(p, r, r[col], prow, basis[i])
     if cost is not None and cost[col]:
-        cost[:] = _combine(p, cost, cost[col], prow)
+        cost[:] = _combine(p, cost, cost[col], prow, -2)
     basis[row] = col
 
 
@@ -174,7 +262,7 @@ def _priced(rows, basis, cost) -> list:
     z = _integer_row(list(cost) + [1, 0])
     for r, b in zip(rows, basis):
         if z[b]:
-            z = _combine(r[b], z, z[b], r)
+            z = _combine(r[b], z, z[b], r, -2)
     return z
 
 
@@ -208,13 +296,17 @@ def _simplex(rows, basis, cost, ncols):
 
 
 def solve_max(lp: RationalLP) -> LPSolution:
-    """Maximize lp by the simplex on its distinct columns."""
+    """Maximize lp by the simplex on its distinct columns, less its
+    all-zero rows with right-hand side 0."""
     n = lp.num_vars
-    cols = list(zip(*lp.rows)) or [()] * n
+    live = [i for i, (row, b) in enumerate(zip(lp.rows, lp.rhs))
+            if b or any(row)]
+    lp_rows = list(map(lp.rows.__getitem__, live))
+    cols = list(zip(*lp_rows)) or [()] * n
     # the first column with each column's constraint entries
     first = dict(zip(reversed(cols), range(n - 1, -1, -1)))
     if len(first) == n:
-        return _solve(lp, lp.rows, lp.objective, range(n))
+        return _solve(lp, live, lp_rows, lp.objective, range(n))
     objective = lp.objective
     costs = {}      # first column -> the objectives kept with its entries
     keep = []
@@ -225,21 +317,24 @@ def solve_max(lp: RationalLP) -> LPSolution:
                 continue
             seen.append(objective[j])
         keep.append(j)
-    return _solve(lp, [list(r) for r in zip(*map(cols.__getitem__, keep))],
+    return _solve(lp, live,
+                  [list(r) for r in zip(*map(cols.__getitem__, keep))],
                   list(map(objective.__getitem__, keep)), keep)
 
 
-def _solve(lp, lp_rows, objective, keep) -> LPSolution:
-    """The two-phase simplex on the given columns of lp: lp_rows and
-    objective hold them, keep their indices in lp.  Every other column
-    gets weight 0."""
+def _solve(lp, live, lp_rows, objective, keep) -> LPSolution:
+    """The two-phase simplex on the given rows and columns of lp: live
+    holds the rows' indices in lp, lp_rows and objective the columns'
+    entries on them, and keep the columns' indices in lp.  Every other
+    column gets weight 0, every other row dual 0."""
     m, n = len(lp_rows), len(objective)
+    rhs = list(map(lp.rhs.__getitem__, live))
     # Row i is [A_i | e_i | 0 | b_i] scaled to ints, with A_i and b_i
     # negated if b_i < 0.  The unit columns are the phase-1 artificials;
     # they stay to the end, where their reduced costs give the dual.  The
     # zero column holds the cost row's scale, which no constraint row moves.
     rows = []
-    for i, (row, b) in enumerate(zip(lp_rows, lp.rhs)):
+    for i, (row, b) in enumerate(zip(lp_rows, rhs)):
         unit = [0] * m
         unit[i] = 1
         full = _integer_row(row + unit + [0, b])
@@ -280,10 +375,13 @@ def _solve(lp, lp_rows, objective, keep) -> LPSolution:
     scale = cost[n + m]
     # y = c_B B^-1: the negated reduced costs of the artificial columns,
     # negated back on the rows that were flipped
-    dual = tuple(Fraction(z if b < 0 else -z, scale) if z else zero
-                 for z, b in zip(cost[n:n + m], lp.rhs))
+    dual = [zero] * lp.num_constraints
+    for i, z, b in zip(live, cost[n:n + m], rhs):
+        if z:
+            dual[i] = Fraction(z if b < 0 else -z, scale)
     return LPSolution("optimal", Fraction(-cost[-1], scale), tuple(point),
-                      tuple(sorted(map(keep.__getitem__, basis))), dual)
+                      tuple(sorted(map(keep.__getitem__, basis))),
+                      tuple(dual))
 
 
 def _scaled(values):

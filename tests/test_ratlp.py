@@ -115,6 +115,75 @@ def test_integral_coefficients_are_stored_as_ints():
     assert lp.rows[1] == [0, 0, Fraction(1, 3)]
 
 
+def test_from_rows_stores_what_add_var_and_add_constraint_store():
+    names, objective = ["x", "y", "z"], [Fraction(4, 2), Fraction(1, 2), 0]
+    rows = [[1, Fraction(6, 3), 0], [0, 0, Fraction(1, 3)]]
+    lp = RationalLP.from_rows(names, objective, rows, [Fraction(3, 1), 0])
+    want = _lp(names, objective, [(r, b) for r, b in zip(rows, [3, 0])])
+    assert (lp.var_names, lp.objective, lp.rows, lp.rhs) == \
+        (want.var_names, want.objective, want.rows, want.rhs)
+    assert [type(v) for v in lp.objective + lp.rows[0] + lp.rhs] == \
+        [int, Fraction, int, int, int, int, int, int]
+    assert lp.rows[0] is not rows[0]
+    lp.add_var("w", 1)     # a program made so still grows like any other
+    assert lp.rows == [[1, 2, 0, 0], [0, 0, Fraction(1, 3), 0]]
+
+
+@pytest.mark.parametrize("args, message", [
+    ((["x", "y", "x"], [0, 0, 0], [], []), "duplicate variable 'x'"),
+    ((["x", "y"], [0], [], []), "1 objective entries for 2 variables"),
+    ((["x", "y"], [0, 0], [[1, 1]], []), "1 rows for 0 right-hand sides"),
+    ((["x", "y"], [0, 0], [[1, 1], [1]], [1, 1]),
+     "row 1: 1 coefficients for 2 variables"),
+    ((["x", "y"], [0, 0.5], [], []), "variable 'y': coefficient 0.5"),
+    ((["x", "y"], [0, 0], [[1, 1], [1, 0.5]], [1, 1]),
+     "row 1: coefficient 0.5"),
+    ((["x", "y"], [0, 0], [[1, 1]], [True]), "row 0: coefficient True"),
+], ids=["duplicate", "objective-length", "rhs-length", "row-length",
+        "float-objective", "float-entry", "bool-rhs"])
+def test_from_rows_refuses_malformed_programs(args, message):
+    with pytest.raises(InputError, match=message):
+        RationalLP.from_rows(*args)
+
+
+# each inexact coefficient add_var and add_constraint refuse: a float is a
+# binary fraction (0.1 would be 3602879701896397/2**55), a NaN or a str no
+# number at all, and a bool no coefficient
+_INEXACT = [0.1, float("nan"), 1.0, "1", True]
+_INEXACT_IDS = ["float", "nan", "integral-float", "str", "bool"]
+
+
+@pytest.mark.parametrize("bad", _INEXACT, ids=_INEXACT_IDS)
+def test_add_var_refuses_an_inexact_objective(bad):
+    lp = _lp(["x"], [1], [([1], 1)])
+    with pytest.raises(InputError, match=f"variable 'y': coefficient "
+                                         f"{bad!r} is a {type(bad).__name__}"):
+        lp.add_var("y", bad)
+    assert lp.var_names == ["x"] and lp.objective == [1] and lp.rows == [[1]]
+    lp.add_var("y", Fraction(1, 10))    # the name was not taken
+
+
+@pytest.mark.parametrize("bad", _INEXACT, ids=_INEXACT_IDS)
+@pytest.mark.parametrize("place", ["coefficient", "rhs"])
+def test_add_constraint_refuses_an_inexact_coefficient(bad, place):
+    lp = _lp(["x", "y"], [1, 1], [([1, 1], 1)])
+    coeffs, rhs = ({0: 1, 1: bad}, 1) if place == "coefficient" \
+        else ({0: 1}, bad)
+    with pytest.raises(InputError, match="row 1: coefficient"):
+        lp.add_constraint(coeffs, rhs)
+    assert lp.rows == [[1, 1]] and lp.rhs == [1]
+
+
+@pytest.mark.parametrize("idx", [1.0, True, "1", Fraction(1)],
+                         ids=["float", "bool", "str", "fraction"])
+def test_add_constraint_refuses_a_non_int_index(idx):
+    # True would otherwise be taken as column 1, and 1.0 fail as a list index
+    lp = _lp(["x", "y"], [1, 1], [])
+    with pytest.raises(InputError, match="row 0: no variable with index"):
+        lp.add_constraint({0: 1, idx: 1}, 1)
+    assert lp.rows == [] and lp.rhs == []
+
+
 def test_growth_programs_hold_only_ints():
     # every constraint entry is a class index or an orbit count, and the
     # objective is half-integral
@@ -426,3 +495,144 @@ def test_golden_lps_pivot_as_pinned(monkeypatch):
         solve_max(lp)
         got[name] = count[0]
     assert got == _GOLDEN_PIVOTS
+
+
+# -- row scaling, and the lazy gcd division ---------------------------------
+
+_ROW_FACTORS = [2 ** 40 + 15, Fraction(1, 3)]
+
+
+def _rows_scaled(lp, f, which=None):
+    """lp with row i and its rhs multiplied by f, for each i in which (by
+    default every row)."""
+    which = range(lp.num_constraints) if which is None else which
+    return RationalLP.from_rows(
+        lp.var_names, lp.objective,
+        [[f * a for a in r] if i in which else r
+         for i, r in enumerate(lp.rows)],
+        [f * b if i in which else b for i, b in enumerate(lp.rhs)])
+
+
+def _assert_scaled_alike(lp, f):
+    # each artificial keeps its weight relative to the others, so the pivot
+    # path is the same: only the dual moves, by 1/f
+    want, got = solve_max(lp), solve_max(_rows_scaled(lp, f))
+    assert (got.status, got.value, got.point, got.basis) == \
+        (want.status, want.value, want.point, want.basis)
+    if want.status == "optimal":
+        assert got.dual == tuple(y / f for y in want.dual)
+
+
+@pytest.mark.parametrize("f", _ROW_FACTORS, ids=["2**40+15", "1/3"])
+def test_scaling_every_row_moves_only_the_dual(f):
+    # 2**40 + 15 takes the constraint entries past one int digit, so each
+    # scale entry passes it at its row's first pivot, and from there on the
+    # rows are divided by their gcds
+    for name, g in lp_graphs():
+        _assert_scaled_alike(build_growth_program(g).lp, f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_lps(), st.sampled_from(_ROW_FACTORS))
+def test_scaling_every_row_moves_only_the_dual_on_small_lps(case, f):
+    _assert_scaled_alike(case[0], f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_lps(), st.integers(0, 5), st.sampled_from(_ROW_FACTORS))
+def test_scaling_one_row_keeps_the_optimum(case, i, f):
+    # the row's artificial is weighted by 1/f against the others in phase
+    # 1, so on a degenerate program the path, and with it the optimal vertex
+    # and dual, may differ: status and value may not
+    lp, _ = case
+    i %= lp.num_constraints
+    scaled = _rows_scaled(lp, f, {i})
+    want, got = solve_max(lp), solve_max(scaled)
+    assert (got.status, got.value) == (want.status, want.value)
+    assert certify(scaled, got) == (want.status == "optimal")
+
+
+def test_positive_tableau_row_factors_change_no_pivot(monkeypatch):
+    # the lemma itself: every tableau row, the cost rows included, starts
+    # at its own positive multiple, and each answer and pivot count stays
+    count, made = [0], []
+    pivot, integer_row = ratlp._pivot, ratlp._integer_row
+    factors = [1, 2 ** 40 + 15, 3, 2 ** 61 - 1]
+
+    def counted(*args):
+        count[0] += 1
+        return pivot(*args)
+
+    def scaled(values):
+        f = factors[len(made) % len(factors)]
+        made.append(f)
+        return [f * a for a in integer_row(values)]
+    want = {}
+    for name, g in lp_graphs():
+        lp = build_growth_program(g).lp
+        want[name] = solve_max(lp)
+    monkeypatch.setattr(ratlp, "_pivot", counted)
+    monkeypatch.setattr(ratlp, "_integer_row", scaled)
+    for name, g in lp_graphs():
+        count[0] = 0
+        assert solve_max(build_growth_program(g).lp) == want[name], name
+        assert count[0] == _GOLDEN_PIVOTS[name], name
+    assert len(set(made)) == len(factors)
+
+
+# -- all-zero rows ----------------------------------------------------------
+
+def _zero_rows(lp) -> list:
+    return [i for i, (row, b) in enumerate(zip(lp.rows, lp.rhs))
+            if not b and not any(row)]
+
+
+def _full_solve(lp):
+    """The simplex on every row and column of lp: no zero row dropped."""
+    return ratlp._solve(lp, range(lp.num_constraints), lp.rows,
+                        lp.objective, range(lp.num_vars))
+
+
+def test_zero_rows_are_dropped_without_changing_the_answer():
+    # free2 and the identity loops give only zero edge rows; random-00, -13
+    # and -23 mix them with an amalgam edge
+    with_zero = set()
+    for name, g in lp_graphs():
+        lp = build_growth_program(g).lp
+        zero = _zero_rows(lp)
+        sol = solve_max(lp)
+        assert sol == _full_solve(lp), name
+        assert certify(lp, sol), name
+        assert not any(sol.dual[i] for i in zero), name
+        if zero:
+            with_zero.add(name)
+            # the same program with its zero rows moved last
+            order = [i for i in range(lp.num_constraints)
+                     if i not in zero] + zero
+            moved = RationalLP.from_rows(lp.var_names, lp.objective,
+                                         [lp.rows[i] for i in order],
+                                         [lp.rhs[i] for i in order])
+            got = solve_max(moved)
+            assert (got.status, got.value, got.point, got.basis) == \
+                (sol.status, sol.value, sol.point, sol.basis), name
+            assert got.dual == tuple(sol.dual[i] for i in order), name
+    assert {"graphs/free2.gog", "random-01", "random-18", "random-00",
+            "random-13", "random-23"} <= with_zero
+
+
+def test_a_zero_row_with_a_nonzero_rhs_stays_infeasible():
+    for name in ("graphs/free2.gog", "modular"):
+        lp = build_growth_program(dict(lp_graphs())[name]).lp
+        lp.add_constraint({}, 1)
+        assert solve_max(lp).status == "infeasible", name
+        assert _full_solve(lp).status == "infeasible", name
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_lps())
+def test_zero_rows_are_dropped_without_changing_the_answer_on_small_lps(case):
+    lp, _ = case
+    sol = solve_max(lp)
+    assert sol == _full_solve(lp)
+    if sol.status == "optimal":
+        assert not any(sol.dual[i] for i in _zero_rows(lp))
