@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .catalog import EmbeddingMap
 from .errors import CapExceeded, EmbeddingError, InputError, ParseError
@@ -106,9 +107,14 @@ class EulerData:
 
 
 def euler_characteristic(g: GraphOfGroups) -> EulerData:
-    """chi = sum of 1/|vertex group| minus sum of 1/|edge group|."""
-    chi = sum(Fraction(1, grp.order) for _, grp in g.vertices) \
-        - sum(Fraction(1, e.group.order) for e in g.edges)
+    """chi = sum of 1/|vertex group| minus sum of 1/|edge group|, summed
+    in ints over the lcm d of the orders: chi = (sum d/|G_v| - sum
+    d/|G_e|) / d."""
+    vertex_orders = [grp.order for _, grp in g.vertices]
+    edge_orders = [e.group.order for e in g.edges]
+    d = lcm(*vertex_orders, *edge_orders)
+    chi = Fraction(sum(map(d.__floordiv__, vertex_orders))
+                   - sum(map(d.__floordiv__, edge_orders)), d)
     return EulerData(chi=chi, mu_free=-chi)
 
 

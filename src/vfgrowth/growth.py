@@ -18,6 +18,10 @@ divides by n!^(1 - tau_e), and the n log n exponent keeps only the sigma
 and tau terms.  Every constraint entry is an integer (a class index or an
 orbit count) and every objective entry half an integer, so the program is
 built in ints, a Fraction appearing only for an odd objective numerator.
+
+``mu`` reports the certified optimum with chi, the free bound -chi, and
+each sigma_v and tau_e, summed in ints over one common denominator of the
+optimizer.  The report's ``dominant`` text is built when it is read.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import add, sub
+from operator import add, mul, sub
 
 from .catalog import _mark, restriction_matrix
 from .errors import InputError
@@ -34,7 +38,7 @@ from .gog import (GraphOfGroups, _check_family_params, euler_characteristic,
 from .groups import (FiniteGroup, _digit_limit, _is_prime, _prime_order,
                      _subgroup_class, generate, subgroup_classes)
 from .perm import Perm
-from .ratlp import LPSolution, RationalLP, certify, solve_max
+from .ratlp import LPSolution, RationalLP, _scaled, certify, solve_max
 
 # Small amalgams in the two-symmetric-groups family whose growth exceeds
 # the generic closed form; tabulated values, by (p, k, l) and variant.
@@ -56,9 +60,6 @@ class TypeVector:
             if n == name:
                 return w
         raise InputError(f"no vertex named {name!r}")
-
-    def sigma(self, name: str) -> Fraction:
-        return sum(filter(None, self.vertex(name)), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -122,16 +123,23 @@ def build_growth_lp(g: GraphOfGroups) -> RationalLP:
 
 @dataclass(frozen=True)
 class GrowthReport:
+    """What ``mu`` found: the optimum, chi and the free bound, the optimal
+    type vector with its sigma_v and tau_e, and the program and solution
+    they came from.  ``dominant``, the text that names every class of
+    positive weight, is built from the optimizer each time it is read."""
     mu: Fraction
     chi: Fraction
     mu_free: Fraction
     optimizer: TypeVector
     sigma: tuple             # ((vertex name, Fraction), ...)
     tau: tuple               # ((edge name, Fraction), ...)
-    dominant: str
     notes: tuple
     program: GrowthProgram
     solution: LPSolution
+
+    @property
+    def dominant(self) -> str:
+        return _dominant_description(self.program, self.optimizer)
 
 
 def _dominant_description(program: GrowthProgram, tv: TypeVector) -> str:
@@ -158,16 +166,17 @@ def mu(g: GraphOfGroups) -> GrowthReport:
     # from the left side alone
     if not certify(program.lp, sol):
         raise RuntimeError("the LP optimum failed its duality certificate")
-    tv = TypeVector(tuple((name, tuple(sol.point[c] for c in cols))
-                          for name, cols in program.columns))
-    sigma = tuple((name, tv.sigma(name)) for name, _ in g.vertices)
-    taus = tuple(
-        (e.name, sum((s * w for s, w in zip(_column_sums(ml),
-                                             tv.vertex(e.ends[0])) if w),
-                     Fraction(0)))
-        for e, ml, _ in program.edges)
-    value = sum(t for _, t in taus) - sum(s for _, s in sigma)
-    assert value == sol.value, "objective bookkeeping mismatch"
+    point = sol.point
+    tv = TypeVector(tuple((name, point[c.start:c.stop])
+                          for name, c in program.columns))
+    # sigma_v and tau_e in ints: X = d x, d the least common denominator
+    d, xs = _scaled(point)
+    at = {name: xs[c.start:c.stop] for name, c in program.columns}
+    sigma = {name: sum(x) for name, x in at.items()}          # d sigma_v
+    tau = {e.name: sum(map(mul, _column_sums(ml), at[e.ends[0]]))
+           for e, ml, _ in program.edges}                     # d tau_e
+    assert ((sum(tau.values()) - sum(sigma.values())) * sol.value.denominator
+            == sol.value.numerator * d), "objective bookkeeping mismatch"
 
     eu = euler_characteristic(g)
     assert sol.value >= eu.mu_free, "optimum fell below the free lower bound"
@@ -175,8 +184,10 @@ def mu(g: GraphOfGroups) -> GrowthReport:
     if sol.value == eu.mu_free:
         notes.append("growth is as slow as free subgroups allow (mu = -chi)")
     return GrowthReport(mu=sol.value, chi=eu.chi, mu_free=eu.mu_free,
-                        optimizer=tv, sigma=sigma, tau=taus,
-                        dominant=_dominant_description(program, tv),
+                        optimizer=tv,
+                        sigma=tuple((v, Fraction(s, d))
+                                    for v, s in sigma.items()),
+                        tau=tuple((e, Fraction(t, d)) for e, t in tau.items()),
                         notes=tuple(notes), program=program, solution=sol)
 
 

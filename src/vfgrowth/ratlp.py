@@ -13,7 +13,10 @@ positive multiple of the rational row it stands for, so its basic entry
 is positive.  The reduced-cost row is a row of the same tableau, updated
 by the same pivots, with its positive scale in a column of its own; the
 ratio test cross-multiplies; and Fractions are formed only for the
-answer.
+answer.  Each constraint row and cost row starts as its least positive
+int multiple.  Each holds a 1 (the row's artificial, or the cost row's
+scale), so a row of ints, whose gcd then divides 1, is that already and
+enters as given; only a row with a Fraction is scaled.
 
 A pivot on entry p > 0 of row prow makes each other row r
 p*r - r[col]*prow.  That row is divided by the gcd of its entries only
@@ -60,11 +63,11 @@ basis indices are the original ones.  The answer is the one the full
 program gives, bit for bit:
 - in either phase a column's tableau entries, its cost-row entry
   included, are one linear function of (A_j, c_j), and the lcm and gcd
-  that scale a row do not change when a repeated entry is removed, nor
-  does the test for dividing by the gcd, which reads only basic and
-  scale entries, and those are never copies; so the tableau on the
-  distinct columns is the full tableau with the copies deleted, entry
-  for entry;
+  that scale a row, and whether it is all ints, do not change when a
+  repeated entry is removed, nor does the test for dividing by the gcd,
+  which reads only basic and scale entries, and those are never copies;
+  so the tableau on the distinct columns is the full tableau with the
+  copies deleted, entry for entry;
 - so a later copy is never the first column with a positive reduced
   cost, never the first nonzero entry in the scan that pivots out
   leftover artificials (nor changes which rows that scan finds
@@ -101,6 +104,8 @@ from .errors import CapExceeded, InputError
 # The column scans and a row's lcm run in C: on a program of a dozen
 # columns they are a visible share of the solve.
 _denominator = attrgetter("denominator")
+_INT = {int}
+_RATIONAL = {int, Fraction}     # the types certify reads as exact numbers
 _positive = (0).__lt__      # on the int entries of the cost row
 # A row whose scale entry reaches this is divided by its gcd: below it the
 # scale is one CPython int digit (see the module docstring).
@@ -231,6 +236,12 @@ def _integer_row(values) -> list:
     return _primitive(values)
 
 
+def _tableau_row(values) -> list:
+    """The least positive int multiple of a rational row that has an entry
+    1.  A row of ints is that already, since its gcd divides 1."""
+    return values if set(map(type, values)) <= _INT else _integer_row(values)
+
+
 def _combine(p, r, q, prow, s):
     """p*r - q*prow, with s the index of its scale entry, where prow is 0;
     divided by its gcd once that entry reaches _NORMALISE_AT."""
@@ -259,7 +270,7 @@ def _priced(rows, basis, cost) -> list:
     """The reduced-cost row of a rational cost vector against the basis,
     as ints: D*(c - c_B B^-1 A), then D > 0 in the scale column, then
     -D*c_B.x_B under the rhs."""
-    z = _integer_row(list(cost) + [1, 0])
+    z = _tableau_row(list(cost) + [1, 0])
     for r, b in zip(rows, basis):
         if z[b]:
             z = _combine(r[b], z, z[b], r, -2)
@@ -337,7 +348,7 @@ def _solve(lp, live, lp_rows, objective, keep) -> LPSolution:
     for i, (row, b) in enumerate(zip(lp_rows, rhs)):
         unit = [0] * m
         unit[i] = 1
-        full = _integer_row(row + unit + [0, b])
+        full = _tableau_row(row + unit + [0, b])
         if b < 0:
             full = [-a for a in full]
             full[n + i] = -full[n + i]
@@ -387,7 +398,7 @@ def _solve(lp, live, lp_rows, objective, keep) -> LPSolution:
 def _scaled(values):
     """(d, [v * d for v in values]) for the least d > 0 that makes every
     product an int."""
-    d = lcm(*(v.denominator for v in values))
+    d = lcm(*map(_denominator, values))
     return d, [v.numerator * (d // v.denominator) for v in values]
 
 
@@ -400,11 +411,16 @@ def certify(lp: RationalLP, solution: LPSolution) -> bool:
     c.x <= (A^T y).x = b.y, so no point beats the solution.  The checks
     run on X = dx x, Y = dy y and C = dc c, scaled by their common
     denominators: A X = dx b, dc A^T Y >= dy C and C.X = dc dx value,
-    b.Y = dy value, all in ints where A and b are.
+    b.Y = dy value, all in ints where A and b are.  A point, dual or
+    value that holds anything but an int or a Fraction (a float, a str,
+    a bool) does not certify.
     """
-    x, y = solution.point, solution.dual
+    x, y, value = solution.point, solution.dual, solution.value
     if solution.status != "optimal" or x is None or y is None \
-            or len(x) != lp.num_vars or len(y) != lp.num_constraints:
+            or len(x) != lp.num_vars or len(y) != lp.num_constraints \
+            or type(value) not in _RATIONAL \
+            or not set(map(type, x)) <= _RATIONAL \
+            or not set(map(type, y)) <= _RATIONAL:
         return False
     dx, xs = _scaled(x)
     dy, ys = _scaled(y)
@@ -421,7 +437,6 @@ def certify(lp: RationalLP, solution: LPSolution) -> bool:
             aty = [s + a * w if a else s for s, a in zip(aty, row)]
     if any(s * dc < c * dy for s, c in zip(aty, cs)):
         return False
-    value = solution.value
     return (sum(cs[j] * v for j, v in support) * value.denominator
             == value.numerator * dc * dx
             and sum(b * w for b, w in zip(lp.rhs, ys)) * value.denominator

@@ -4,14 +4,15 @@ from operator import mul
 
 import pytest
 
+from make_lp_golden import ROOT, lp_graphs
 from vfgrowth import growth
 from vfgrowth.catalog import EmbeddingMap, _mark, restriction_matrix
-from vfgrowth.corpus import (corpus_graphs, infinite_dihedral, klein_amalgam,
-                             modular_graph, triangle_graph)
+from vfgrowth.corpus import (infinite_dihedral, klein_amalgam, modular_graph,
+                             triangle_graph)
 from vfgrowth.errors import CapExceeded, InputError
 from vfgrowth.gog import (GogEdge, amalgam, cyclic_amalgam,
                           euler_characteristic, family_amalgam, free_group,
-                          free_product, make_graph, parse_gog)
+                          free_product, load_gog, make_graph, parse_gog)
 from vfgrowth.groups import (_is_prime, alternating_group,
                              cyclic_group, dihedral_group, direct_product,
                              generate, klein_four, subgroup_classes,
@@ -49,14 +50,16 @@ def test_mu_objective_bookkeeping():
             w = r.optimizer.vertex(name)
             cat = dict(r.program.catalogs)[name]
             assert sum(x * cls.index for x, cls in zip(w, cat)) == 1
-            assert r.optimizer.sigma(name) == sum(w)
+            assert dict(r.sigma)[name] == sum(w)
         assert r.mu >= -r.chi
 
 
 def test_sigma_and_tau_match_both_sides_of_every_edge():
-    # mu() reads tau_e from the left side's column sums alone; recompute
-    # both sides' induced edge types from the optimizer
-    for name, g in corpus_graphs():
+    # mu() reads tau_e from the left side's column sums alone, and sums
+    # sigma, tau and chi in ints over one denominator; recompute both
+    # sides' induced edge types from the optimizer, and chi from its
+    # 1/|G| terms, in Fractions
+    for name, g in lp_graphs():
         r = mu(g)
         w = dict(r.optimizer.weights)
         assert r.sigma == tuple((v, sum(w[v], Fraction(0)))
@@ -70,6 +73,31 @@ def test_sigma_and_tau_match_both_sides_of_every_edge():
             assert lam == other, (name, e.name)
             taus.append((e.name, sum(lam, Fraction(0))))
         assert r.tau == tuple(taus), name
+        chi = sum(Fraction(1, grp.order) for _, grp in g.vertices) \
+            - sum(Fraction(1, e.group.order) for e in g.edges)
+        assert (r.chi, r.mu_free) == (chi, -chi), name
+        # a float equal to a dyadic rational compares equal to it, so the
+        # checks above would pass a float
+        values = [r.mu, r.chi, r.mu_free, *(s for _, s in r.sigma),
+                  *(t for _, t in r.tau)]
+        assert {type(v) for v in values} == {Fraction}, name
+
+
+def test_mu_formats_no_dominant_text_until_it_is_read(monkeypatch):
+    calls = []
+    describe = growth._dominant_description
+
+    def counted(*args):
+        calls.append(args)
+        return describe(*args)
+    monkeypatch.setattr(growth, "_dominant_description", counted)
+    rep = mu(load_gog(ROOT / "graphs" / "klein.gog"))
+    assert calls == []
+    # the text of the CLI golden report-json-klein.txt
+    assert rep.dominant == ("a: 1/18 * <(1 2)(3 4), (1 3)(2 4)> (index 6); "
+                            "1/36 * <()> (index 24)\n"
+                            "b: 1/6 * <(3 4), (1 2)> (index 6)")
+    assert len(calls) == 1
 
 
 def test_mu_raises_when_the_optimum_breaks_admissibility(monkeypatch):

@@ -13,8 +13,9 @@ A third lists every function under a memo decorator, so adding a cache is
 a change to the inventory pinned here.  A fourth finds a ``cayley()`` call
 whose result is dropped: a group's generators give its elements by
 construction, so a walk called only to check them is a gate that guards
-nothing.  Last, every entry point the benchmark's tracer wraps must
-resolve.
+nothing.  A fifth pins the package to exact arithmetic: no float literal,
+no name ``float`` and no function of ``math`` that returns a float.  Last,
+every entry point the benchmark's tracer wraps must resolve.
 """
 
 import ast
@@ -202,6 +203,49 @@ def test_no_group_is_walked_only_to_be_checked():
     for path in PACKAGE:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         assert _dropped_cayley_calls(tree) == [], path.name
+
+
+# the functions of math that return an int (or a bool) on ints; every
+# other one (sqrt, log, exp, pi, ...) is float-valued
+EXACT_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod",
+              "ceil", "floor", "trunc"}
+
+
+def _inexact(tree: ast.Module) -> list:
+    """(line, what) for every float or complex literal, every name
+    ``float`` and every float-valued function of math, whether imported
+    from it or read as ``math.name``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) \
+                and isinstance(node.value, (float, complex)):
+            out.append((node.lineno, repr(node.value)))
+        elif isinstance(node, ast.Name) and node.id == "float":
+            out.append((node.lineno, "float"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            out += [(node.lineno, f"math.{alias.name}")
+                    for alias in node.names
+                    if alias.name not in EXACT_MATH]
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == "math" and node.attr not in EXACT_MATH:
+            out.append((node.lineno, f"math.{node.attr}"))
+    return sorted(out)
+
+
+def test_the_scan_sees_inexact_arithmetic():
+    tree = ast.parse("import math\nfrom math import isqrt, log, gcd\n"
+                     "x = 0.5 + 1j\ny = float(x) if math.sqrt(2) else 2\n"
+                     "z = isqrt(10) + math.lcm(2, 3) + 2 ** 10\n"
+                     "s = 'float 0.5'\n")
+    assert _inexact(tree) == [(2, "math.log"), (3, "0.5"), (3, "1j"),
+                              (4, "float"), (4, "math.sqrt")]
+
+
+def test_the_package_computes_in_ints_and_fractions_only():
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert _inexact(tree) == [], path.name
 
 
 def test_every_traced_entry_point_resolves():

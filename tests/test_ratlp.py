@@ -360,6 +360,34 @@ def test_certify_rejects_each_broken_condition(field, value, broken):
     assert not _fraction_certify(lp, sol), broken
 
 
+@pytest.mark.parametrize("field, value", [
+    # bools equal to the optimum (1, 0, 0, 0), a dual (1, 0) and the value
+    ("point", (True, False, False, False)),
+    ("dual", (True, False)),
+    ("value", True),
+    ("point", (1.0, 0, 0, 0)),
+    ("point", (1, Fraction(0), "0", 0)),
+    ("dual", (1.0, Fraction(0))),
+    ("dual", (Fraction(1), "0")),
+    ("value", 1.0),
+    ("value", "1"),
+], ids=["bool-point", "bool-dual", "bool-value", "float-point",
+        "str-point", "float-dual", "str-dual", "float-value", "str-value"])
+def test_certify_refuses_an_entry_that_is_not_an_int_or_fraction(field,
+                                                                  value):
+    lp = _mutation_lp()
+    good = solve_max(lp)
+    assert certify(lp, good)
+    assert not certify(lp, replace(good, **{field: value}))
+
+
+def test_certify_refuses_a_bool_point():
+    lp = _lp(["x", "y"], [1, 1], [([1, 1], 1)])
+    sol = solve_max(lp)
+    assert certify(lp, sol)
+    assert not certify(lp, replace(sol, point=(True, False)))
+
+
 def test_certify_refuses_a_point_off_by_one_part_in_ten_to_the_forty():
     eps = Fraction(1, 10 ** 40)
     lp = _mutation_lp()
@@ -554,9 +582,10 @@ def test_scaling_one_row_keeps_the_optimum(case, i, f):
 
 def test_positive_tableau_row_factors_change_no_pivot(monkeypatch):
     # the lemma itself: every tableau row, the cost rows included, starts
-    # at its own positive multiple, and each answer and pivot count stays
+    # at its own positive multiple, and each answer and pivot count stays;
+    # _tableau_row builds every constraint row and both cost rows
     count, made = [0], []
-    pivot, integer_row = ratlp._pivot, ratlp._integer_row
+    pivot, tableau_row = ratlp._pivot, ratlp._tableau_row
     factors = [1, 2 ** 40 + 15, 3, 2 ** 61 - 1]
 
     def counted(*args):
@@ -566,18 +595,32 @@ def test_positive_tableau_row_factors_change_no_pivot(monkeypatch):
     def scaled(values):
         f = factors[len(made) % len(factors)]
         made.append(f)
-        return [f * a for a in integer_row(values)]
+        return [f * a for a in tableau_row(values)]
     want = {}
     for name, g in lp_graphs():
         lp = build_growth_program(g).lp
         want[name] = solve_max(lp)
     monkeypatch.setattr(ratlp, "_pivot", counted)
-    monkeypatch.setattr(ratlp, "_integer_row", scaled)
+    monkeypatch.setattr(ratlp, "_tableau_row", scaled)
     for name, g in lp_graphs():
-        count[0] = 0
-        assert solve_max(build_growth_program(g).lp) == want[name], name
+        count[0], start = 0, len(made)
+        lp = build_growth_program(g).lp
+        assert solve_max(lp) == want[name], name
         assert count[0] == _GOLDEN_PIVOTS[name], name
+        # one row per live constraint, and the two cost rows
+        live = lp.num_constraints - len(_zero_rows(lp))
+        assert len(made) - start == live + 2, name
     assert len(set(made)) == len(factors)
+
+
+def test_an_int_row_with_an_entry_one_enters_the_tableau_as_given():
+    # its gcd divides 1, so it is already the least int multiple
+    for row in ([0, 3, -6, 1, 0, 9], [1, 0], [-1, 4, 1, 0]):
+        assert ratlp._tableau_row(row) is row
+        assert ratlp._integer_row(row) == row
+    half = [Fraction(1, 2), 3, 1, 0, Fraction(-5, 4)]
+    assert ratlp._tableau_row(half) == ratlp._integer_row(half) \
+        == [2, 12, 4, 0, -5]
 
 
 # -- all-zero rows ----------------------------------------------------------
