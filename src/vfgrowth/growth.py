@@ -113,7 +113,7 @@ def build_growth_program(g: GraphOfGroups) -> GrowthProgram:
             row[right] = map(sub, row[right], rrow)
             rows.append(row)
             rhs.append(0)
-    lp = RationalLP.from_rows(names, objective, rows, rhs)
+    lp = RationalLP(names, objective, rows, rhs)
     return GrowthProgram(g, lp, catalogs, tuple(columns), edges)
 
 

@@ -2,12 +2,14 @@
 
 Solves max c.x subject to A x = b, x >= 0 by two-phase simplex with
 Bland's anti-cycling rule.  There is no floating point and no tolerance.
-A program stores each integral coefficient as a Python int and only a
-non-integral one as a Fraction, so a program with integer data, such as
-every growth LP's constraints, is held in ints from the start.  A float,
-str or bool coefficient is refused: a float is a binary approximation of
-the number meant (0.1 would be 3602879701896397/2**55), and a str or
-bool is no number.
+A program is made in one validated call and stored as tuples, so it
+cannot change once it is solved and its answer certified.  It stores
+each integral coefficient as a Python int and only a non-integral one as
+a Fraction, so a program with integer data, such as every growth LP's
+constraints, is held in ints from the start.  A float, str or bool
+coefficient is refused: a float is a binary approximation of the number
+meant (0.1 would be 3602879701896397/2**55), and a str or bool is no
+number.
 The tableau is fraction-free: each row is a list of Python ints, a
 positive multiple of the rational row it stands for, so its basic entry
 is positive.  The reduced-cost row is a row of the same tableau, updated
@@ -90,8 +92,6 @@ enumerate_vertices visits every basic feasible solution by exhaustive
 basis enumeration (capped at 24 variables by default).  It is the tests'
 independent oracle for small LPs; the package itself never calls it.
 """
-from __future__ import annotations
-
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -130,18 +130,41 @@ def _exact(c, where: str):
 class RationalLP:
     """maximize objective . x  subject to  rows . x = rhs,  x >= 0.
 
-    Coefficients are given as ints or Fractions and stored exactly: an
-    integral one as an int, any other as a Fraction.  Variables are
-    referred to by their index, counted from 0 in the order they were
-    made.
+    Made in one call, the only way to make a program: the variable names,
+    one objective entry per variable, and a constraint row . x = b for
+    each (row, b) in zip(rows, rhs), each row one coefficient per
+    variable; variable j is the j-th name.  Coefficients are given as
+    ints or Fractions and stored exactly: an integral one as an int, any
+    other as a Fraction.  Names, objective, rows and rhs are stored as
+    tuples copied from the caller's sequences, so a program cannot change
+    after it is made, nor after a solution of it is certified.
     """
 
-    def __init__(self):
-        self.var_names = []
-        self._names = set()     # var_names as a set, for the duplicate check
-        self.objective = []
-        self.rows = []
-        self.rhs = []
+    def __init__(self, var_names, objective, rows, rhs):
+        self.var_names = names = tuple(var_names)
+        n = len(names)
+        if len(set(names)) != n:
+            dup = next(v for i, v in enumerate(names) if v in names[:i])
+            raise InputError(f"duplicate variable {dup!r}")
+        if len(objective) != n:
+            raise InputError(f"{len(objective)} objective entries for "
+                             f"{n} variables")
+        self.objective = tuple(c if type(c) is int
+                               else _exact(c, f"variable {name!r}")
+                               for name, c in zip(names, objective))
+        if len(rows) != len(rhs):
+            raise InputError(f"{len(rows)} rows for {len(rhs)} "
+                             f"right-hand sides")
+        stored, bs = [], []
+        for i, (row, b) in enumerate(zip(rows, rhs)):
+            where = f"row {i}"
+            if len(row) != n:
+                raise InputError(f"{where}: {len(row)} coefficients for "
+                                 f"{n} variables")
+            stored.append(tuple(row) if set(map(type, row)) <= _INT
+                          else tuple(_exact(c, where) for c in row))
+            bs.append(_exact(b, where))
+        self.rows, self.rhs = tuple(stored), tuple(bs)
 
     @property
     def num_vars(self) -> int:
@@ -150,62 +173,6 @@ class RationalLP:
     @property
     def num_constraints(self) -> int:
         return len(self.rows)
-
-    @classmethod
-    def from_rows(cls, var_names, objective, rows, rhs) -> RationalLP:
-        """The program with the named variables and their objective
-        entries, and a constraint row . x = b for each (row, b) in
-        zip(rows, rhs), each row a sequence of one coefficient per
-        variable."""
-        lp = cls()
-        lp.var_names = list(var_names)
-        lp._names = set(lp.var_names)
-        n = lp.num_vars
-        if len(lp._names) != n:
-            names = lp.var_names
-            dup = next(v for i, v in enumerate(names) if v in names[:i])
-            raise InputError(f"duplicate variable {dup!r}")
-        if len(objective) != n:
-            raise InputError(f"{len(objective)} objective entries for "
-                             f"{n} variables")
-        lp.objective = [c if type(c) is int
-                        else _exact(c, f"variable {name!r}")
-                        for name, c in zip(lp.var_names, objective)]
-        if len(rows) != len(rhs):
-            raise InputError(f"{len(rows)} rows for {len(rhs)} "
-                             f"right-hand sides")
-        for row, b in zip(rows, rhs):
-            where = f"row {lp.num_constraints}"
-            if len(row) != n:
-                raise InputError(f"{where}: {len(row)} coefficients for "
-                                 f"{n} variables")
-            lp.rows.append(list(row) if set(map(type, row)) <= {int}
-                           else [_exact(c, where) for c in row])
-            lp.rhs.append(_exact(b, where))
-        return lp
-
-    def add_var(self, name: str, objective=0) -> int:
-        if name in self._names:
-            raise InputError(f"duplicate variable {name!r}")
-        c = _exact(objective, f"variable {name!r}")
-        self._names.add(name)
-        self.var_names.append(name)
-        self.objective.append(c)
-        for row in self.rows:
-            row.append(0)
-        return len(self.var_names) - 1
-
-    def add_constraint(self, coeffs, rhs):
-        """coeffs: mapping from variable index (an int) to coefficient."""
-        where = f"row {len(self.rows)}"
-        row = [0] * len(self.var_names)
-        for idx, c in coeffs.items():
-            if type(idx) is not int or not 0 <= idx < len(row):
-                raise InputError(f"{where}: no variable with index {idx!r}")
-            row[idx] = _exact(c, where)
-        b = _exact(rhs, where)
-        self.rows.append(row)
-        self.rhs.append(b)
 
 
 @dataclass(frozen=True)
@@ -228,12 +195,16 @@ def _primitive(row) -> list:
     return [a // g for a in row] if g > 1 else row
 
 
+def _scaled(values):
+    """(d, [v * d for v in values]) for the least d > 0 that makes every
+    product an int."""
+    d = lcm(*map(_denominator, values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
 def _integer_row(values) -> list:
     """The smallest positive multiple of a rational row that is all ints."""
-    den = lcm(*map(_denominator, values))
-    if den > 1:
-        values = [v.numerator * (den // v.denominator) for v in values]
-    return _primitive(values)
+    return _primitive(_scaled(values)[1])
 
 
 def _tableau_row(values) -> list:
@@ -328,8 +299,7 @@ def solve_max(lp: RationalLP) -> LPSolution:
                 continue
             seen.append(objective[j])
         keep.append(j)
-    return _solve(lp, live,
-                  [list(r) for r in zip(*map(cols.__getitem__, keep))],
+    return _solve(lp, live, list(zip(*map(cols.__getitem__, keep))),
                   list(map(objective.__getitem__, keep)), keep)
 
 
@@ -348,7 +318,7 @@ def _solve(lp, live, lp_rows, objective, keep) -> LPSolution:
     for i, (row, b) in enumerate(zip(lp_rows, rhs)):
         unit = [0] * m
         unit[i] = 1
-        full = _tableau_row(row + unit + [0, b])
+        full = _tableau_row([*row, *unit, 0, b])
         if b < 0:
             full = [-a for a in full]
             full[n + i] = -full[n + i]
@@ -393,13 +363,6 @@ def _solve(lp, live, lp_rows, objective, keep) -> LPSolution:
     return LPSolution("optimal", Fraction(-cost[-1], scale), tuple(point),
                       tuple(sorted(map(keep.__getitem__, basis))),
                       tuple(dual))
-
-
-def _scaled(values):
-    """(d, [v * d for v in values]) for the least d > 0 that makes every
-    product an int."""
-    d = lcm(*map(_denominator, values))
-    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def certify(lp: RationalLP, solution: LPSolution) -> bool:

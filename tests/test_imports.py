@@ -14,12 +14,15 @@ a change to the inventory pinned here.  A fourth finds a ``cayley()`` call
 whose result is dropped: a group's generators give its elements by
 construction, so a walk called only to check them is a gate that guards
 nothing.  A fifth pins the package to exact arithmetic: no float literal,
-no name ``float`` and no function of ``math`` that returns a float.  Last,
+no name ``float`` and no function of ``math`` that returns a float.  A
+sixth parses every source of the package, the tests and the benchmark as
+the oldest Python that pyproject.toml's ``requires-python`` admits.  Last,
 every entry point the benchmark's tracer wraps must resolve.
 """
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -246,6 +249,30 @@ def test_the_package_computes_in_ints_and_fractions_only():
     for path in PACKAGE:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         assert _inexact(tree) == [], path.name
+
+
+# the oldest Python the project declares it runs on
+FLOOR = tuple(map(int, re.search(
+    r'requires-python = ">=(\d+)\.(\d+)"',
+    (ROOT / "pyproject.toml").read_text(encoding="utf-8")).groups()))
+ALL_SOURCES = sorted(path for folder in ("src/vfgrowth", "tests", "mubench")
+                     for path in (ROOT / folder).rglob("*.py"))
+
+
+def test_the_floor_scan_refuses_newer_syntax():
+    assert FLOOR == (3, 10)
+    ast.parse("try:\n    pass\nexcept ValueError:\n    pass\n",
+              feature_version=FLOOR)
+    # except* came in 3.11
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=FLOOR)
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES,
+                         ids=[str(p.relative_to(ROOT)) for p in ALL_SOURCES])
+def test_every_source_parses_at_the_declared_python_floor(path):
+    ast.parse(path.read_text(encoding="utf-8"), feature_version=FLOOR)
 
 
 def test_every_traced_entry_point_resolves():

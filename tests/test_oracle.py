@@ -1,11 +1,13 @@
 import random
+from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import mul
 from pathlib import Path
 
 import pytest
 
+from make_lp_golden import lp_graphs
 from vfgrowth.catalog import EmbeddingMap, build_catalog, extend_hom
 from vfgrowth.corpus import (corpus_graphs, klein_amalgam, modular_graph,
                              oracle_graphs, random_graph, s3_c2_amalgam,
@@ -669,3 +671,36 @@ def test_vertex_hom_counts_sum_to_dey_up_to_degree_twelve():
 def test_symmetric_images_list_the_group_in_element_order(n):
     assert _symmetric_images(n) == [(p.images, p.order())
                                     for p in symmetric_group(n).elements]
+
+
+# -- the counting leg against the LP -----------------------------------------
+
+def test_every_counted_type_is_a_feasible_point_below_mu():
+    # an admissible type T at degree n is n times a feasible LP point, so
+    # A.T = n.b and c.T/n <= mu; where the common denominator D of the
+    # certified optimum x* divides n, n.x* is itself a type with a positive
+    # count.  Division is by Fraction: 4/5 as a float compares above
+    # Fraction(4, 5).
+    at_mu, reached = 0, 0
+    for name, g in lp_graphs():
+        rep = mu(g)
+        program, lp = rep.program, rep.program.lp
+        optimum = rep.solution.point
+        d = lcm(*(x.denominator for x in optimum))
+        for n in range(1, 7):
+            listed = set()
+            for xi, count in hom_count_typesum(g, n).per_type:
+                assert count > 0, (name, n)
+                point = [0] * lp.num_vars
+                for vertex, cols in program.columns:
+                    point[cols.start:cols.stop] = xi.vertex(vertex)
+                for row, b in zip(lp.rows, lp.rhs):
+                    assert sum(map(mul, row, point)) == n * b, (name, n)
+                value = Fraction(sum(map(mul, lp.objective, point)), n)
+                assert value <= rep.mu, (name, n, xi)
+                at_mu += value == rep.mu
+                listed.add(tuple(point))
+            if n % d == 0:
+                assert tuple(n * x for x in optimum) in listed, (name, n)
+                reached += 1
+    assert at_mu and reached

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -19,12 +20,8 @@ from vfgrowth.ratlp import (RationalLP, certify, dump_tsv, enumerate_vertices,
 
 
 def _lp(names, objective, rows):
-    lp = RationalLP()
-    for name, c in zip(names, objective):
-        lp.add_var(name, c)
-    for coeffs, rhs in rows:
-        lp.add_constraint(dict(enumerate(coeffs)), rhs)
-    return lp
+    return RationalLP(names, objective, [coeffs for coeffs, _ in rows],
+                      [rhs for _, rhs in rows])
 
 
 def test_two_var_simplex():
@@ -84,49 +81,38 @@ def test_fraction_coefficients_stay_exact():
 
 
 def test_duplicate_variable_rejected():
-    lp = RationalLP()
-    lp.add_var("x")
-    with pytest.raises(InputError):
-        lp.add_var("x")
-
-
-def test_negative_column_index_rejected():
-    # -1 must not count from the end and put the coefficient on y
-    lp = _lp(["x", "y"], [1, 1], [])
-    with pytest.raises(InputError, match="index -1"):
-        lp.add_constraint({-1: 1, 0: 1}, 1)
-    assert lp.rows == [] and lp.objective == [1, 1]
+    with pytest.raises(InputError, match="duplicate variable 'x'"):
+        RationalLP(["x", "y", "x"], [0, 0, 0], [], [])
 
 
 def test_column_index_past_the_last_variable_rejected():
-    lp = _lp(["x", "y"], [1, 1], [])
-    with pytest.raises(InputError, match="index 2"):
-        lp.add_constraint({0: 1, 2: 1}, 1)
-    assert lp.rows == [] and lp.objective == [1, 1]
+    # a row with a coefficient in a third column of a two-variable program
+    with pytest.raises(InputError, match="row 0: 3 coefficients for 2 "
+                                         "variables"):
+        RationalLP(["x", "y"], [1, 1], [[1, 0, 1]], [1])
 
 
 def test_integral_coefficients_are_stored_as_ints():
-    lp = _lp(["x", "y", "z"], [Fraction(4, 2), Fraction(2, 2), 0],
-             [([1, Fraction(6, 3), 0], Fraction(3, 1))])
-    assert lp.objective == [2, 1, 0] and lp.rows == [[1, 2, 0]]
-    assert all(type(v) is int
-               for v in lp.objective + lp.rows[0] + lp.rhs)
-    lp.add_constraint({2: Fraction(1, 3)}, 0)
-    assert lp.rows[1] == [0, 0, Fraction(1, 3)]
-
-
-def test_from_rows_stores_what_add_var_and_add_constraint_store():
+    # an integral coefficient as an int, any other as a Fraction, and every
+    # field a tuple copied from the caller's sequences
     names, objective = ["x", "y", "z"], [Fraction(4, 2), Fraction(1, 2), 0]
     rows = [[1, Fraction(6, 3), 0], [0, 0, Fraction(1, 3)]]
-    lp = RationalLP.from_rows(names, objective, rows, [Fraction(3, 1), 0])
-    want = _lp(names, objective, [(r, b) for r, b in zip(rows, [3, 0])])
-    assert (lp.var_names, lp.objective, lp.rows, lp.rhs) == \
-        (want.var_names, want.objective, want.rows, want.rhs)
-    assert [type(v) for v in lp.objective + lp.rows[0] + lp.rhs] == \
-        [int, Fraction, int, int, int, int, int, int]
-    assert lp.rows[0] is not rows[0]
-    lp.add_var("w", 1)     # a program made so still grows like any other
-    assert lp.rows == [[1, 2, 0, 0], [0, 0, Fraction(1, 3), 0]]
+    rhs = [Fraction(3, 1), 0]
+    lp = RationalLP(names, objective, rows, rhs)
+    want = (("x", "y", "z"), (2, Fraction(1, 2), 0),
+            ((1, 2, 0), (0, 0, Fraction(1, 3))), (3, 0))
+    assert (lp.var_names, lp.objective, lp.rows, lp.rhs) == want
+    assert [type(v) for v in lp.objective + lp.rows[0] + lp.rows[1]
+            + lp.rhs] == [int, Fraction, int, int, int, int, int, int,
+                          Fraction, int, int]
+    assert all(type(f) is tuple for f in (lp.var_names, lp.objective,
+                                          lp.rows, lp.rhs, *lp.rows))
+    names.append("w")
+    objective[0] = 5
+    rows[0][0] = 7
+    rows.append([1, 1, 1])
+    rhs[1] = 1
+    assert (lp.var_names, lp.objective, lp.rows, lp.rhs) == want
 
 
 @pytest.mark.parametrize("args, message", [
@@ -141,47 +127,31 @@ def test_from_rows_stores_what_add_var_and_add_constraint_store():
     ((["x", "y"], [0, 0], [[1, 1]], [True]), "row 0: coefficient True"),
 ], ids=["duplicate", "objective-length", "rhs-length", "row-length",
         "float-objective", "float-entry", "bool-rhs"])
-def test_from_rows_refuses_malformed_programs(args, message):
+def test_constructor_refuses_malformed_programs(args, message):
     with pytest.raises(InputError, match=message):
-        RationalLP.from_rows(*args)
+        RationalLP(*args)
 
 
-# each inexact coefficient add_var and add_constraint refuse: a float is a
-# binary fraction (0.1 would be 3602879701896397/2**55), a NaN or a str no
-# number at all, and a bool no coefficient
+# each inexact coefficient the constructor refuses: a float is a binary
+# fraction (0.1 would be 3602879701896397/2**55), a NaN or a str no number
+# at all, and a bool no coefficient
 _INEXACT = [0.1, float("nan"), 1.0, "1", True]
 _INEXACT_IDS = ["float", "nan", "integral-float", "str", "bool"]
 
 
 @pytest.mark.parametrize("bad", _INEXACT, ids=_INEXACT_IDS)
-def test_add_var_refuses_an_inexact_objective(bad):
-    lp = _lp(["x"], [1], [([1], 1)])
-    with pytest.raises(InputError, match=f"variable 'y': coefficient "
-                                         f"{bad!r} is a {type(bad).__name__}"):
-        lp.add_var("y", bad)
-    assert lp.var_names == ["x"] and lp.objective == [1] and lp.rows == [[1]]
-    lp.add_var("y", Fraction(1, 10))    # the name was not taken
-
-
-@pytest.mark.parametrize("bad", _INEXACT, ids=_INEXACT_IDS)
-@pytest.mark.parametrize("place", ["coefficient", "rhs"])
-def test_add_constraint_refuses_an_inexact_coefficient(bad, place):
-    lp = _lp(["x", "y"], [1, 1], [([1, 1], 1)])
-    coeffs, rhs = ({0: 1, 1: bad}, 1) if place == "coefficient" \
-        else ({0: 1}, bad)
-    with pytest.raises(InputError, match="row 1: coefficient"):
-        lp.add_constraint(coeffs, rhs)
-    assert lp.rows == [[1, 1]] and lp.rhs == [1]
-
-
-@pytest.mark.parametrize("idx", [1.0, True, "1", Fraction(1)],
-                         ids=["float", "bool", "str", "fraction"])
-def test_add_constraint_refuses_a_non_int_index(idx):
-    # True would otherwise be taken as column 1, and 1.0 fail as a list index
-    lp = _lp(["x", "y"], [1, 1], [])
-    with pytest.raises(InputError, match="row 0: no variable with index"):
-        lp.add_constraint({0: 1, idx: 1}, 1)
-    assert lp.rows == [] and lp.rhs == []
+@pytest.mark.parametrize("place", ["objective", "entry", "rhs"])
+def test_constructor_refuses_an_inexact_coefficient(bad, place):
+    objective, rows, rhs = [1, 1], [[1, 1], [1, 1]], [1, 1]
+    if place == "objective":
+        objective[1], where = bad, "variable 'y'"
+    elif place == "entry":
+        rows[1][1], where = bad, "row 1"
+    else:
+        rhs[1], where = bad, "row 1"
+    with pytest.raises(InputError, match=re.escape(
+            f"{where}: coefficient {bad!r} is a {type(bad).__name__}")):
+        RationalLP(["x", "y"], objective, rows, rhs)
 
 
 def test_growth_programs_hold_only_ints():
@@ -212,9 +182,7 @@ def test_enumerate_vertices_agrees_with_simplex():
 
 
 def test_enumerate_vertices_cap():
-    lp = RationalLP()
-    for i in range(30):
-        lp.add_var(f"x{i}")
+    lp = RationalLP([f"x{i}" for i in range(30)], [0] * 30, [], [])
     with pytest.raises(CapExceeded):
         enumerate_vertices(lp)
     verts = enumerate_vertices(lp, cap=30)   # only vertex is the origin
@@ -534,7 +502,7 @@ def _rows_scaled(lp, f, which=None):
     """lp with row i and its rhs multiplied by f, for each i in which (by
     default every row)."""
     which = range(lp.num_constraints) if which is None else which
-    return RationalLP.from_rows(
+    return RationalLP(
         lp.var_names, lp.objective,
         [[f * a for a in r] if i in which else r
          for i, r in enumerate(lp.rows)],
@@ -652,9 +620,9 @@ def test_zero_rows_are_dropped_without_changing_the_answer():
             # the same program with its zero rows moved last
             order = [i for i in range(lp.num_constraints)
                      if i not in zero] + zero
-            moved = RationalLP.from_rows(lp.var_names, lp.objective,
-                                         [lp.rows[i] for i in order],
-                                         [lp.rhs[i] for i in order])
+            moved = RationalLP(lp.var_names, lp.objective,
+                               [lp.rows[i] for i in order],
+                               [lp.rhs[i] for i in order])
             got = solve_max(moved)
             assert (got.status, got.value, got.point, got.basis) == \
                 (sol.status, sol.value, sol.point, sol.basis), name
@@ -665,8 +633,9 @@ def test_zero_rows_are_dropped_without_changing_the_answer():
 
 def test_a_zero_row_with_a_nonzero_rhs_stays_infeasible():
     for name in ("graphs/free2.gog", "modular"):
-        lp = build_growth_program(dict(lp_graphs())[name]).lp
-        lp.add_constraint({}, 1)
+        grown = build_growth_program(dict(lp_graphs())[name]).lp
+        lp = RationalLP(grown.var_names, grown.objective,
+                        [*grown.rows, [0] * grown.num_vars], [*grown.rhs, 1])
         assert solve_max(lp).status == "infeasible", name
         assert _full_solve(lp).status == "infeasible", name
 
