@@ -115,6 +115,23 @@ def test_integral_coefficients_are_stored_as_ints():
     assert (lp.var_names, lp.objective, lp.rows, lp.rhs) == want
 
 
+def test_from_rows_stores_what_add_var_and_add_constraint_store():
+    # dense rows and (row, rhs) pairs, the two shapes programs are written
+    # in, store the same program; its own fields build a wider one
+    names, objective = ["x", "y", "z"], [Fraction(4, 2), Fraction(1, 2), 0]
+    rows = [[1, Fraction(6, 3), 0], [0, 0, Fraction(1, 3)]]
+    lp = RationalLP(names, objective, rows, [Fraction(3, 1), 0])
+    want = _lp(names, objective, [(r, b) for r, b in zip(rows, [3, 0])])
+    assert (lp.var_names, lp.objective, lp.rows, lp.rhs) == \
+        (want.var_names, want.objective, want.rows, want.rhs)
+    assert [type(v) for v in lp.objective + lp.rows[0] + lp.rhs] == \
+        [int, Fraction, int, int, int, int, int, int]
+    assert lp.rows[0] is not rows[0]
+    wider = RationalLP(lp.var_names + ("w",), lp.objective + (1,),
+                       [row + (0,) for row in lp.rows], lp.rhs)
+    assert wider.rows == ((1, 2, 0, 0), (0, 0, Fraction(1, 3), 0))
+
+
 @pytest.mark.parametrize("args, message", [
     ((["x", "y", "x"], [0, 0, 0], [], []), "duplicate variable 'x'"),
     ((["x", "y"], [0], [], []), "1 objective entries for 2 variables"),
