@@ -22,6 +22,7 @@ from .growth import (GrowthReport, build_growth_lp, cyclic_amalgam_mu,
 from .ratlp import RationalLP, certify, enumerate_vertices, solve_max
 from .oracle import (CountLedger, hom_count_enumerate, hom_count_typesum,
                      type_hom_count, vertex_hom_count)
+from .corpus import random_graph
 
 __version__ = "0.1.0"
 
@@ -35,6 +36,7 @@ __all__ = [
     "enumerate_vertices", "family_amalgam", "family_mu", "free_group",
     "free_product", "hom_count_enumerate", "hom_count_typesum", "identity",
     "klein_four", "load_gog", "make_graph", "mu", "parse_gog", "plan_graph",
-    "plan_graph_text", "realize", "solve_max", "symmetric_group", "to_text",
-    "trivial_group", "type_hom_count", "uniform_mu", "vertex_hom_count",
+    "plan_graph_text", "random_graph", "realize", "solve_max",
+    "symmetric_group", "to_text", "trivial_group", "type_hom_count",
+    "uniform_mu", "vertex_hom_count",
 ]

@@ -4,10 +4,12 @@ The fixed graphs are the ones whose growth degrees and counting tables are
 pinned in the acceptance suite; ``random_graph`` manufactures small valid
 graphs (with a seeded generator search for the edge embeddings) so the
 universal lower bound mu >= -chi can be checked on inputs nobody tuned.
-The search builds an ``EmbeddingMap`` once per distinct candidate: a
+The search screens each distinct candidate once on the edge group's kept
+Cayley walk and builds an ``EmbeddingMap`` only for the one it returns: a
 candidate it has already refused is skipped, with the same random draws
-as if it had been tried again.  Within one graph, each edge group is built
-once and each vertex group's element orders are listed once.
+as if it had been tried again.  Each pool group is built once, with a
+vertex group's element orders listed once, per ``random_graph`` call and
+per ``corpus_graphs`` call, whose random members share one pool.
 """
 
 from __future__ import annotations
@@ -15,12 +17,11 @@ from __future__ import annotations
 import random
 
 from .catalog import EmbeddingMap
-from .errors import EmbeddingError
 from .gog import GogEdge, GraphOfGroups, amalgam, cyclic_amalgam, free_group, \
     free_product, make_graph
 from .groups import (FiniteGroup, alternating_group, cyclic_group,
                      dihedral_group, klein_four, symmetric_group,
-                     trivial_group)
+                     trivial_group, walk_images)
 from .perm import parse_perm
 
 
@@ -105,16 +106,52 @@ _EDGE_POOL = (
 )
 
 
+class _Pool:
+    """The groups of ``_VERTEX_POOL`` and ``_EDGE_POOL``, each built on
+    first use and kept, a vertex group with its (element, order) list."""
+
+    __slots__ = ("_vertices", "_edges")
+
+    def __init__(self):
+        self._vertices = {}
+        self._edges = {}
+
+    def vertex(self, i: int):
+        """(group, [(element, order) over its elements]) of maker i."""
+        if i not in self._vertices:
+            g = _VERTEX_POOL[i]()
+            self._vertices[i] = g, [(x, x.order()) for x in g.elements]
+        return self._vertices[i]
+
+    def edge(self, i: int) -> FiniteGroup:
+        if i not in self._edges:
+            self._edges[i] = _EDGE_POOL[i]()
+        return self._edges[i]
+
+
+def _embeds(edge_group: FiniteGroup, target: FiniteGroup, images) -> bool:
+    """Whether generator images drawn from ``target.elements`` give an
+    injective homomorphism from ``edge_group``: the images along the
+    group's own kept Cayley walk agree at every step and are distinct.
+    The generators have no identity and the images lie in the target, so
+    this is exactly the test ``EmbeddingMap`` makes, without raising."""
+    imgs, conflict = walk_images(edge_group.cayley(), edge_group.order,
+                                 [m.images for m in images], target.degree)
+    return conflict is None and len(set(imgs)) == edge_group.order
+
+
 def _find_embedding(edge_group: FiniteGroup, target: FiniteGroup,
                     orders, rng: random.Random):
     """A random injective homomorphism edge_group -> target, or None.
 
     Up to 60 candidate image tuples are drawn by stepping through shuffled
     pools of elements of the right orders; ``orders`` lists (element,
-    order) over ``target.elements``.  Each distinct candidate is
-    judged by ``EmbeddingMap`` once: a repeat of one already refused is
-    skipped, but still spends its budget step and its draw, so the
-    generator's stream, and with it every graph, is unchanged.
+    order) over ``target.elements``.  Each distinct candidate is screened
+    once on the edge group's kept Cayley walk (``_embeds``), and only the
+    one returned is built, and validated, as an ``EmbeddingMap``.  A
+    repeat of one already refused is skipped, but still spends its budget
+    step and its draw, so the generator's stream, and with it every
+    graph, is unchanged.
     """
     pools = []
     for gen in edge_group.generators:
@@ -131,46 +168,46 @@ def _find_embedding(edge_group: FiniteGroup, target: FiniteGroup,
         budget -= 1
         images = tuple(pool[i % len(pool)] for pool, i in zip(pools, idx))
         if images not in refused:
-            try:
+            if _embeds(edge_group, target, images):
                 return EmbeddingMap(edge_group, target, images)
-            except EmbeddingError:
-                refused.add(images)
+            refused.add(images)
         j = rng.randrange(len(pools)) if pools else 0
         idx[j] += 1
     return None
 
 
-def random_graph(seed: int) -> GraphOfGroups:
-    """A seeded small graph of groups: up to three vertices with groups of
-    order at most 24, up to four edges with groups of order at most 4."""
+def _random_graph(seed: int, pool: _Pool) -> GraphOfGroups:
+    """``random_graph(seed)``, its groups taken from ``pool``."""
     rng = random.Random(seed)
     nv = rng.randint(1, 3)
-    vertices = [(f"v{i + 1}", rng.choice(_VERTEX_POOL)()) for i in range(nv)]
-    groups = dict(vertices)
+    # one draw per vertex, as rng.choice(_VERTEX_POOL) makes it
+    makers = {f"v{i + 1}": rng.choice(range(len(_VERTEX_POOL)))
+              for i in range(nv)}
+    vertices = [(v, pool.vertex(i)[0]) for v, i in makers.items()]
     links = [(f"v{rng.randint(1, i)}", f"v{i + 1}") for i in range(1, nv)]
     for _ in range(rng.randint(0 if nv > 1 else 1, 2)):
         links.append((f"v{rng.randint(1, nv)}", f"v{rng.randint(1, nv)}"))
-    edge_groups = {}    # built on first use, like the order lists
-    orders = {}
 
     def embed(eg, v):
-        if v not in orders:
-            orders[v] = [(x, x.order()) for x in groups[v].elements]
-        return _find_embedding(eg, groups[v], orders[v], rng)
+        return _find_embedding(eg, *pool.vertex(makers[v]), rng)
 
     edges = []
     for i, (x, y) in enumerate(links):
         for maker in sorted(range(len(_EDGE_POOL)),
                             key=lambda _: rng.random()):
-            if maker not in edge_groups:
-                edge_groups[maker] = _EDGE_POOL[maker]()
-            eg = edge_groups[maker]
+            eg = pool.edge(maker)
             ex = embed(eg, x)
             ey = embed(eg, y)
             if ex is not None and ey is not None:
                 edges.append(GogEdge(f"e{i + 1}", (x, y), eg, (ex, ey)))
                 break
     return make_graph(vertices, edges)
+
+
+def random_graph(seed: int) -> GraphOfGroups:
+    """A seeded small graph of groups: up to three vertices with groups of
+    order at most 24, up to four edges with groups of order at most 4."""
+    return _random_graph(seed, _Pool())
 
 
 RANDOM_GRAPHS = 25
@@ -180,6 +217,7 @@ def corpus_graphs():
     """Named fixtures plus seeded random graphs, as (name, graph) pairs."""
     out = list(oracle_graphs())
     out.append(("infinite-dihedral", infinite_dihedral()))
+    pool = _Pool()
     for seed in range(RANDOM_GRAPHS):
-        out.append((f"random-{seed:02d}", random_graph(seed)))
+        out.append((f"random-{seed:02d}", _random_graph(seed, pool)))
     return tuple(out)

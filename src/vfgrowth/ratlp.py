@@ -137,11 +137,14 @@ class RationalLP:
     ints or Fractions and stored exactly: an integral one as an int, any
     other as a Fraction.  Names, objective, rows and rhs are stored as
     tuples copied from the caller's sequences, so a program cannot change
-    after it is made, nor after a solution of it is certified.
+    after it is made, nor after a solution of it is certified: no field
+    can be rebound.
     """
 
+    __slots__ = ("var_names", "objective", "rows", "rhs")
+
     def __init__(self, var_names, objective, rows, rhs):
-        self.var_names = names = tuple(var_names)
+        names = tuple(var_names)
         n = len(names)
         if len(set(names)) != n:
             dup = next(v for i, v in enumerate(names) if v in names[:i])
@@ -149,9 +152,9 @@ class RationalLP:
         if len(objective) != n:
             raise InputError(f"{len(objective)} objective entries for "
                              f"{n} variables")
-        self.objective = tuple(c if type(c) is int
-                               else _exact(c, f"variable {name!r}")
-                               for name, c in zip(names, objective))
+        objective = tuple(c if type(c) is int
+                          else _exact(c, f"variable {name!r}")
+                          for name, c in zip(names, objective))
         if len(rows) != len(rhs):
             raise InputError(f"{len(rows)} rows for {len(rhs)} "
                              f"right-hand sides")
@@ -164,7 +167,13 @@ class RationalLP:
             stored.append(tuple(row) if set(map(type, row)) <= _INT
                           else tuple(_exact(c, where) for c in row))
             bs.append(_exact(b, where))
-        self.rows, self.rhs = tuple(stored), tuple(bs)
+        object.__setattr__(self, "var_names", names)
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "rows", tuple(stored))
+        object.__setattr__(self, "rhs", tuple(bs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RationalLP is immutable")
 
     @property
     def num_vars(self) -> int:

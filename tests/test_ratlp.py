@@ -115,6 +115,19 @@ def test_integral_coefficients_are_stored_as_ints():
     assert (lp.var_names, lp.objective, lp.rows, lp.rhs) == want
 
 
+@pytest.mark.parametrize("field", ["var_names", "objective", "rows", "rhs"])
+def test_no_field_can_be_rebound(field):
+    # solve_max and certify read the fields, so a rebound one would change
+    # the program a certificate speaks for
+    lp = RationalLP(["x"], [1], [[1]], [1])
+    with pytest.raises(AttributeError):
+        setattr(lp, field, ([2],))
+    assert (lp.var_names, lp.objective, lp.rows, lp.rhs) == \
+        (("x",), (1,), ((1,),), (1,))
+    with pytest.raises(AttributeError):
+        lp.extra = 1
+
+
 def test_from_rows_stores_what_add_var_and_add_constraint_store():
     # dense rows and (row, rhs) pairs, the two shapes programs are written
     # in, store the same program; its own fields build a wider one
