@@ -216,19 +216,25 @@ def uniform_mu(g: FiniteGroup, a, vertices: int, edges: int):
     still feasible, so the term summed edge by edge is a lower bound, but
     the LP can exceed it.  ``a`` is a subgroup of g: a SubgroupClass, a
     FiniteGroup or an iterable of Perm.
+
+    The terms are compared in ints, by cross-multiplying each numerator
+    with the other term's index (|A| is common to every denominator).  The
+    comparison is strict, so the first class attaining the maximum is
+    returned, and one Fraction is built, for the maximum only.
     """
     if vertices < 1 or edges < vertices - 1:
         raise InputError(f"no connected graph has {vertices} vertices and "
                          f"{edges} edges")
     _, sub = _subgroup_class(g, a)
-    best = best_cls = None
+    order = len(sub)
+    best = best_index = best_cls = None
     for cls in subgroup_classes(g):
-        # Burnside: |A\G/H| is the mean over y in A of fix(y, G/H)
-        double_cosets = Fraction(sum(_mark(cls, {y}) for y in sub), len(sub))
-        val = (edges * double_cosets - vertices) / cls.index
-        if best is None or val > best:
-            best, best_cls = val, cls
-    return best, best_cls
+        # Burnside: |A\G/H| is the mean over y in A of fix(y, G/H), so the
+        # term is num / (|A| (G:H))
+        num = edges * sum(_mark(cls, {y}) for y in sub) - vertices * order
+        if best is None or num * best_index > best * cls.index:
+            best, best_index, best_cls = num, cls.index, cls
+    return Fraction(best, order * best_index), best_cls
 
 
 def cyclic_amalgam_mu(g: FiniteGroup, x: Perm):

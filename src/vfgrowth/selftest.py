@@ -24,7 +24,7 @@ from .gog import cyclic_amalgam
 from .oracle import (_vertex_homs, _vertex_types, hom_count_enumerate,
                      hom_count_typesum, vertex_hom_count)
 from .perm import parse_perm
-from .ratlp import certify
+from .ratlp import _scaled, certify
 
 # Golden data, frozen after machine verification.  The vertex-class table
 # of the Klein amalgam matches its published source in every row except
@@ -46,6 +46,11 @@ KLEIN_TABLE = (
     (12, (0, 0, 0, 0, 3), (0, 0, 1, 1, 2)),   # corrected, see above
     (24, (0, 0, 0, 0, 6), (0, 0, 0, 0, 6)),
 )
+# The published optimizer of the Klein amalgam's growth LP, by variable
+# name: class 4 weight 1/18 and class 11 weight 1/36 on one side, class 7
+# weight 1/6 on the other, every other weight 0
+KLEIN_OPTIMIZER = {"a.4": Fraction(1, 18), "a.11": Fraction(1, 36),
+                   "b.7": Fraction(1, 6)}
 MISPRINTED_ROW10 = ((0, 0, 0, 0, 6), (0, 0, 2, 2, 1))
 S3_FIX_TABLE = ((6, 1, 1), (3, 0, 2), (2, 1, 0), (2, 1, 0), (2, 1, 0),
                 (1, 0, 0))
@@ -82,7 +87,8 @@ def _result(name, title, checks):
 
 def _certificate(lp, solution, expected):
     """The duality certificate of an optimum, and the dual value b.y."""
-    bound = sum(b * y for b, y in zip(lp.rhs, solution.dual))
+    dy, ys = _scaled(solution.dual)
+    bound = Fraction(sum(b * w for b, w in zip(lp.rhs, ys)), dy)
     return (certify(lp, solution) and bound == expected,
             f"duality certificate: b.y = {bound}")
 
@@ -155,14 +161,15 @@ def criterion_a2(slow=False) -> CriterionResult:
     checks.append((rep.chi == Fraction(-1, 6), f"chi = {rep.chi}"))
     lp = rep.program.lp
     checks.append(_certificate(lp, rep.solution, quarter))
-    # the published optimizer: class 4 weight 1/18 and class 11 weight
-    # 1/36 on one side, class 7 weight 1/6 on the other
-    point = {"a.4": Fraction(1, 18), "a.11": Fraction(1, 36),
-             "b.7": Fraction(1, 6)}
-    vec = [point.get(nm, Fraction(0)) for nm in lp.var_names]
-    feasible = all(sum(c * x for c, x in zip(row, vec)) == rhs
-                   for row, rhs in zip(lp.rows, lp.rhs))
-    value = sum(c * x for c, x in zip(lp.objective, vec))
+    # the published optimizer, checked in ints: x = X/dx and c = C/dc, so
+    # x >= 0 is X >= 0, A.x = b is A.X = dx b, and c.x is C.X/(dc dx)
+    dx, xs = _scaled([KLEIN_OPTIMIZER.get(nm, 0) for nm in lp.var_names])
+    dc, cs = _scaled(lp.objective)
+    support = [(j, v) for j, v in enumerate(xs) if v]
+    feasible = (min(xs) >= 0
+                and all(sum(row[j] * v for j, v in support) == b * dx
+                        for row, b in zip(lp.rows, lp.rhs)))
+    value = Fraction(sum(cs[j] * v for j, v in support), dc * dx)
     checks.append((feasible and value == quarter,
                    f"published optimizer feasible with objective {value}"))
     return _result("A2", "Klein-amalgam growth degree", checks)

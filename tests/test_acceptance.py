@@ -6,6 +6,8 @@ The same criteria back the `vfgrowth selftest` command, so the gate can also
 be run installed, without pytest.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from vfgrowth import selftest
@@ -23,6 +25,37 @@ def test_a1_catalog_and_restriction_tables(deep):
 
 def test_a2_klein_amalgam_growth_program(deep):
     _check(selftest.criterion_a2(slow=deep))
+
+
+def _reweighted(name, factor):
+    point = dict(selftest.KLEIN_OPTIMIZER)
+    point[name] *= factor
+    return point
+
+
+# each a point that is not an optimum of the Klein amalgam's growth LP
+A2_MUTANTS = {
+    **{f"{name} scaled by 18/17": _reweighted(name, Fraction(18, 17))
+       for name in selftest.KLEIN_OPTIMIZER},
+    **{f"{name} zeroed": _reweighted(name, 0)
+       for name in selftest.KLEIN_OPTIMIZER},
+    **{f"{name} negated": _reweighted(name, -1)
+       for name in selftest.KLEIN_OPTIMIZER},
+    "extra weight on a.5": {**selftest.KLEIN_OPTIMIZER, "a.5": Fraction(1, 36)},
+    # classes 6 and 7 of side a have one LP column, so this point keeps
+    # A.x = b and the objective 1/4, and only x >= 0 rejects it
+    "a.7 below zero": {**selftest.KLEIN_OPTIMIZER, "a.6": Fraction(1, 36),
+                       "a.7": Fraction(-1, 36)},
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(A2_MUTANTS))
+def test_a2_fails_on_a_wrong_published_optimizer(mutant, monkeypatch):
+    monkeypatch.setattr(selftest, "KLEIN_OPTIMIZER", A2_MUTANTS[mutant])
+    result = selftest.criterion_a2()
+    assert not result.passed
+    assert result.detail.startswith("published optimizer feasible with "
+                                    "objective ")
 
 
 def test_a3_lp_agrees_with_closed_form(deep):

@@ -47,6 +47,8 @@ def _cases() -> dict:
         "catalog-cyc0": ["catalog", "Cyc(0)"],
         "homcount-max-n-0":
             ["homcount", "graphs/modular.gog", "--n", "3", "--max-n", "0"],
+        "selftest": ["selftest"],
+        "selftest-json": ["selftest", "--json"],
     })
     return cases
 

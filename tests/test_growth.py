@@ -425,6 +425,29 @@ def test_uniform_mu_is_a_class_function():
                 assert value == want[0] and cls is want[1]
 
 
+def test_uniform_mu_matches_a_fraction_rederivation():
+    # uniform_mu compares its terms in ints; here each term is a Fraction
+    # and the first class attaining the maximum is kept, so ties check
+    # which class is returned
+    count = ties = 0
+    for g in (symmetric_group(4), alternating_group(4), dihedral_group(5),
+              cyclic_group(6), symmetric_group(5)):
+        classes = subgroup_classes(g)
+        for acls in classes:
+            sub = acls.members[0]
+            for vertices, edges in ((1, 0), (1, 1), (2, 1), (3, 3), (2, 3)):
+                terms = [(edges * Fraction(sum(_mark(h, {y}) for y in sub),
+                                           len(sub)) - vertices) / h.index
+                         for h in classes]
+                best = max(terms)
+                value, cls = uniform_mu(g, acls, vertices, edges)
+                assert value == best and type(value) is Fraction
+                assert cls is classes[terms.index(best)]
+                ties += terms.count(best) > 1
+                count += 1
+    assert (count, ties) == (215, 54)
+
+
 def test_euler_tight_is_the_trivial_class_attaining_the_maximum():
     # mu = -chi exactly when H = 1, whose term is 1/p - 2/|G|, attains the
     # maximum of the closed form
