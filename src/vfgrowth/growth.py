@@ -17,11 +17,14 @@ contributes n!^(1 - sigma_v) homomorphisms of a fixed type, each edge
 divides by n!^(1 - tau_e), and the n log n exponent keeps only the sigma
 and tau terms.  Every constraint entry is an integer (a class index or an
 orbit count) and every objective entry half an integer, so the program is
-built in ints, a Fraction appearing only for an odd objective numerator.
+built in ints, a Fraction appearing only for an odd objective numerator,
+one object per distinct value.
 
 ``mu`` reports the certified optimum with chi, the free bound -chi, and
 each sigma_v and tau_e, summed in ints over one common denominator of the
-optimizer.  The report's ``dominant`` text is built when it is read.
+optimizer: the certificate's scaling of the point, which the certificate
+hands back, so the point is scaled once.  The report's ``dominant`` text
+is built when it is read.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .gog import (GraphOfGroups, _check_family_params, euler_characteristic,
 from .groups import (FiniteGroup, _digit_limit, _is_prime, _prime_order,
                      _subgroup_class, generate, subgroup_classes)
 from .perm import Perm
-from .ratlp import LPSolution, RationalLP, _scaled, certify, solve_max
+from .ratlp import LPSolution, RationalLP, _certified_point, solve_max
 
 # Small amalgams in the two-symmetric-groups family whose growth exceeds
 # the generic closed form; tabulated values, by (p, k, l) and variant.
@@ -90,12 +93,14 @@ def build_growth_program(g: GraphOfGroups) -> GrowthProgram:
         for mat, side in zip((ml, mr), e.ends):
             orbits[side] = list(map(add, orbits[side], _column_sums(mat)))
 
+    # each distinct S gives one objective entry, built once per program
+    entry = {t: t // 2 - 1 if t % 2 == 0 else Fraction(t - 2, 2)
+             for t in set().union(*orbits.values())}
     names, objective, columns = [], [], []
     for name, cat in catalogs:
         columns.append((name, range(len(names), len(names) + len(cat))))
         names += [f"{name}.{i}" for i in range(1, len(cat) + 1)]
-        objective += [t // 2 - 1 if t % 2 == 0 else Fraction(t - 2, 2)
-                      for t in orbits[name]]
+        objective += map(entry.__getitem__, orbits[name])
     # each vertex's columns, as a slice of a dense row
     span = {name: slice(c.start, c.stop) for name, c in columns}
 
@@ -164,13 +169,15 @@ def mu(g: GraphOfGroups) -> GrowthReport:
     # weak duality proves the optimum, whatever the simplex did; its
     # feasibility half checks every admissibility row, so tau_e is read
     # from the left side alone
-    if not certify(program.lp, sol):
+    certificate = _certified_point(program.lp, sol)
+    if certificate is None:
         raise RuntimeError("the LP optimum failed its duality certificate")
     point = sol.point
     tv = TypeVector(tuple((name, point[c.start:c.stop])
                           for name, c in program.columns))
-    # sigma_v and tau_e in ints: X = d x, d the least common denominator
-    d, xs = _scaled(point)
+    # sigma_v and tau_e in ints, on the certificate's scaling of the point:
+    # X = d x, d the least common denominator
+    d, xs = certificate
     at = {name: xs[c.start:c.stop] for name, c in program.columns}
     sigma = {name: sum(x) for name, x in at.items()}          # d sigma_v
     tau = {e.name: sum(map(mul, _column_sums(ml), at[e.ends[0]]))

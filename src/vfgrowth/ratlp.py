@@ -9,7 +9,8 @@ a Fraction, so a program with integer data, such as every growth LP's
 constraints, is held in ints from the start.  A float, str or bool
 coefficient is refused: a float is a binary approximation of the number
 meant (0.1 would be 3602879701896397/2**55), and a str or bool is no
-number.
+number.  A refusal names where the coefficient was given, a variable or a
+row, and that text is formatted only when the constructor refuses.
 The tableau is fraction-free: each row is a list of Python ints, a
 positive multiple of the rational row it stands for, so its basic entry
 is positive.  The reduced-cost row is a row of the same tableau, updated
@@ -87,6 +88,10 @@ tableau.  certify checks that and primal feasibility exactly, with no
 code shared with the simplex: it scales x, y and c by their common
 denominators and compares the scaled products, which are ints wherever
 A and b are.  By weak duality that proves the optimum at any size.
+certify is a thin wrapper over one private check, _certified_point, which
+also returns the certified point's common denominator and scaled entries;
+growth.mu reads sigma_v and tau_e from them and so scales the point once.
+Nothing of the certificate is handed to the simplex.
 
 enumerate_vertices visits every basic feasible solution by exhaustive
 basis enumeration (capped at 24 variables by default).  It is the tests'
@@ -115,16 +120,17 @@ VERTEX_ENUM_CAP = 24
 _ITERATION_CAP = 100000
 
 
-def _exact(c, where: str):
+def _exact(c, kind: str, at):
     """A coefficient as an int if it is integral, else as a Fraction.  Any
     other type (float, str, bool, ...) is refused, naming where it was
-    given."""
+    given: the kind of place ("variable", "row") and which one, formatted
+    only then."""
     if type(c) is int:
         return c
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
-    raise InputError(f"{where}: coefficient {c!r} is a {type(c).__name__}, "
-                     f"not an int or Fraction")
+    raise InputError(f"{kind} {at!r}: coefficient {c!r} is a "
+                     f"{type(c).__name__}, not an int or Fraction")
 
 
 class RationalLP:
@@ -153,20 +159,19 @@ class RationalLP:
             raise InputError(f"{len(objective)} objective entries for "
                              f"{n} variables")
         objective = tuple(c if type(c) is int
-                          else _exact(c, f"variable {name!r}")
+                          else _exact(c, "variable", name)
                           for name, c in zip(names, objective))
         if len(rows) != len(rhs):
             raise InputError(f"{len(rows)} rows for {len(rhs)} "
                              f"right-hand sides")
         stored, bs = [], []
         for i, (row, b) in enumerate(zip(rows, rhs)):
-            where = f"row {i}"
             if len(row) != n:
-                raise InputError(f"{where}: {len(row)} coefficients for "
+                raise InputError(f"row {i}: {len(row)} coefficients for "
                                  f"{n} variables")
             stored.append(tuple(row) if set(map(type, row)) <= _INT
-                          else tuple(_exact(c, where) for c in row))
-            bs.append(_exact(b, where))
+                          else tuple(_exact(c, "row", i) for c in row))
+            bs.append(b if type(b) is int else _exact(b, "row", i))
         object.__setattr__(self, "var_names", names)
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "rows", tuple(stored))
@@ -387,32 +392,41 @@ def certify(lp: RationalLP, solution: LPSolution) -> bool:
     value that holds anything but an int or a Fraction (a float, a str,
     a bool) does not certify.
     """
+    return _certified_point(lp, solution) is not None
+
+
+def _certified_point(lp: RationalLP, solution: LPSolution):
+    """certify's check.  (dx, X) if the solution certifies, X the point
+    scaled by its common denominator dx, else None; growth.mu reads
+    sigma_v and tau_e from X, so a certified point is scaled once."""
     x, y, value = solution.point, solution.dual, solution.value
     if solution.status != "optimal" or x is None or y is None \
             or len(x) != lp.num_vars or len(y) != lp.num_constraints \
             or type(value) not in _RATIONAL \
             or not set(map(type, x)) <= _RATIONAL \
             or not set(map(type, y)) <= _RATIONAL:
-        return False
+        return None
     dx, xs = _scaled(x)
     dy, ys = _scaled(y)
     dc, cs = _scaled(lp.objective)
     if any(v < 0 for v in xs):
-        return False
+        return None
     support = [(j, v) for j, v in enumerate(xs) if v]
     if any(sum(row[j] * v for j, v in support) != b * dx
            for row, b in zip(lp.rows, lp.rhs)):
-        return False
+        return None
     aty = [0] * lp.num_vars
     for row, w in zip(lp.rows, ys):
         if w:
             aty = [s + a * w if a else s for s, a in zip(aty, row)]
     if any(s * dc < c * dy for s, c in zip(aty, cs)):
-        return False
-    return (sum(cs[j] * v for j, v in support) * value.denominator
+        return None
+    if (sum(cs[j] * v for j, v in support) * value.denominator
             == value.numerator * dc * dx
             and sum(b * w for b, w in zip(lp.rhs, ys)) * value.denominator
-            == value.numerator * dy)
+            == value.numerator * dy):
+        return dx, xs
+    return None
 
 
 def _rref(matrix, ncols):

@@ -93,9 +93,12 @@ def _certificate(lp, solution, expected):
             f"duality certificate: b.y = {bound}")
 
 
-def _fix_count(g, sub, x):
-    px = coset_action(g, sub)[x]
-    return sum(1 for i, j in enumerate(px.images) if i == j)
+def _fix_counts(g, sub, xs) -> tuple:
+    """The fixed points of each x in xs on the cosets of sub, read from
+    one coset action."""
+    action = coset_action(g, sub)
+    return tuple(sum(1 for i, j in enumerate(action[x].images) if i == j)
+                 for x in xs)
 
 
 # run_all's corpus: [] while run_all runs and no criterion has read it yet,
@@ -138,14 +141,12 @@ def criterion_a1(slow=False) -> CriterionResult:
                    "misprinted transposition row stays impossible"))
     s3 = symmetric_group(3)
     t12, t123 = parse_perm("(1 2)", 3), parse_perm("(1 2 3)", 3)
-    rows = tuple(sorted(((len(s), _fix_count(s3, s, t12),
-                          _fix_count(s3, s, t123))
+    rows = tuple(sorted(((len(s), *_fix_counts(s3, s, (t12, t123)))
                          for s in all_subgroups(s3)), reverse=True))
     checks.append((rows == S3_FIX_TABLE, f"S_3 fixed-point table {rows}"))
     d10 = dihedral_group(5)
     r1, r2 = parse_perm("(2 5)(3 4)", 5), parse_perm("(1 2)(3 5)", 5)
-    rows = tuple(sorted(((len(s), _fix_count(d10, s, r1),
-                          _fix_count(d10, s, r2))
+    rows = tuple(sorted(((len(s), *_fix_counts(d10, s, (r1, r2)))
                          for s in all_subgroups(d10)), reverse=True))
     checks.append((rows == D10_FIX_TABLE, "dihedral fixed-point table ok"))
     return _result("A1", "catalog golden data", checks)

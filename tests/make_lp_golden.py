@@ -3,7 +3,8 @@
     PYTHONPATH=src python tests/make_lp_golden.py
 
 One line per LP, tab-separated: the graph (a corpus name or a path under
-graphs/), status, optimal value, the sorted basis and the point.  The test
+graphs/), status, optimal value, the sorted basis, the point and the
+dual, the field certify reads beside the point.  The test
 in tests/test_ratlp.py recomputes the same lines and compares, so a kernel
 change that lands on a different optimal vertex fails there even where
 the CLI prints only mu.  A change of the file is made by running this
@@ -35,7 +36,8 @@ def solution_lines() -> list:
         lines.append("\t".join([
             name, sol.status, str(sol.value),
             " ".join(str(b) for b in sol.basis),
-            " ".join(str(x) for x in sol.point)]))
+            " ".join(str(x) for x in sol.point),
+            " ".join(str(y) for y in sol.dual)]))
     return lines
 
 

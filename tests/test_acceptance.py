@@ -23,6 +23,20 @@ def test_a1_catalog_and_restriction_tables(deep):
     _check(selftest.criterion_a1(slow=deep))
 
 
+def test_a1_builds_one_coset_action_per_subgroup(monkeypatch):
+    # the fixed-point tables read both elements from one action of each
+    # of the 6 subgroups of Sym(3) and the 8 of Dih(5)
+    calls = []
+    action = selftest.coset_action
+
+    def counted(g, sub):
+        calls.append(sub)
+        return action(g, sub)
+    monkeypatch.setattr(selftest, "coset_action", counted)
+    _check(selftest.criterion_a1())
+    assert len(calls) == 14
+
+
 def test_a2_klein_amalgam_growth_program(deep):
     _check(selftest.criterion_a2(slow=deep))
 

@@ -870,12 +870,41 @@ def test_lattice_counts_every_subgroup_of_an_elementary_abelian_2_group(
     # F_2^n, each a class of its own, so a lattice that loses an abelian
     # subgroup fails here.  C2^6 takes about 1 s, so it runs under --runslow
     assert _subspace_count(n) == count
-    g = generate([Perm(tuple(p ^ (p // 2 == i) for p in range(2 * n)))
-                  for i in range(n)], 2 * n)
+    g = _elementary_abelian(n)
     assert g.order == 2 ** n
     classes = subgroup_classes(g)
     assert {c.class_size for c in classes} == {1}
     assert len(classes) == count
+
+
+def _elementary_abelian(n: int) -> FiniteGroup:
+    """C2^n as n disjoint transpositions."""
+    return generate([Perm(tuple(p ^ (p // 2 == i) for p in range(2 * n)))
+                     for i in range(n)], 2 * n)
+
+
+@pytest.mark.parametrize("cap", [1, 100, 373])
+def test_subgroup_count_cap_refuses_past_its_value(monkeypatch, cap):
+    # C2^5 has 374 subgroups: one past the cap is refused, naming the cap
+    monkeypatch.setattr(groups, "DEFAULT_SUBGROUP_COUNT_CAP", cap)
+    with pytest.raises(CapExceeded, match=f"more than {cap}, the subgroup "
+                       f"count cap DEFAULT_SUBGROUP_COUNT_CAP, which no "
+                       f"flag raises"):
+        _subgroup_index_sets(_elementary_abelian(5))
+
+
+def test_subgroup_count_cap_admits_a_lattice_at_its_value(monkeypatch):
+    monkeypatch.setattr(groups, "DEFAULT_SUBGROUP_COUNT_CAP", 374)
+    assert sum(map(len, _subgroup_index_sets(_elementary_abelian(5)))) == 374
+
+
+@pytest.mark.slow
+def test_subgroup_count_cap_refuses_c2_8():
+    # C2^8, of order 256, has 417,199 subgroups and gave no answer in 180
+    # s without the count cap; with it the refusal comes in about 0.5 s
+    assert 11300 <= groups.DEFAULT_SUBGROUP_COUNT_CAP < _subspace_count(8)
+    with pytest.raises(CapExceeded, match="DEFAULT_SUBGROUP_COUNT_CAP"):
+        subgroup_classes(_elementary_abelian(8))
 
 
 # a cold S7 *_(1 2) S7 in a fresh interpreter, with the subgroup cap raised

@@ -184,6 +184,26 @@ def test_constructor_refuses_an_inexact_coefficient(bad, place):
         RationalLP(["x", "y"], objective, rows, rhs)
 
 
+class _Name(str):
+    """A variable name that counts the times it is formatted by repr."""
+    reprs = 0
+
+    def __repr__(self):
+        type(self).reprs += 1
+        return super().__repr__()
+
+
+def test_constructor_formats_a_location_only_to_refuse(monkeypatch):
+    monkeypatch.setattr(_Name, "reprs", 0)
+    names = [_Name("x"), _Name("y")]
+    RationalLP(names, [Fraction(1, 2), Fraction(1, 3)],
+               [[Fraction(1, 2), 1]], [Fraction(1, 3)])
+    assert _Name.reprs == 0
+    with pytest.raises(InputError, match="variable 'y': coefficient 0.5"):
+        RationalLP(names, [Fraction(1, 2), 0.5], [], [])
+    assert _Name.reprs == 1
+
+
 def test_growth_programs_hold_only_ints():
     # every constraint entry is a class index or an orbit count, and the
     # objective is half-integral
@@ -192,6 +212,9 @@ def test_growth_programs_hold_only_ints():
         assert all(type(a) is int for row in lp.rows for a in row), name
         assert all(type(b) is int for b in lp.rhs), name
         assert all((2 * c).denominator == 1 for c in lp.objective), name
+        # one object per distinct half-integral entry
+        halves = [c for c in lp.objective if type(c) is Fraction]
+        assert len(set(map(id, halves))) == len(set(halves)), name
 
 
 def test_enumerate_vertices_single_constraint():
@@ -323,7 +346,11 @@ def test_certify_agrees_with_fraction_arithmetic(case, j, delta):
                                             j % lp.num_constraints, delta)),
                   replace(sol, value=sol.value + delta)]
     for s in cases:
-        assert certify(lp, s) == _fraction_certify(lp, s)
+        want = _fraction_certify(lp, s)
+        assert certify(lp, s) == want
+        # a certified point comes back scaled, as growth.mu reads it
+        assert ratlp._certified_point(lp, s) == \
+            (ratlp._scaled(s.point) if want else None)
 
 
 def _mutation_lp():
@@ -430,7 +457,7 @@ def test_prime_order_cyclic_amalgams_carry_a_certificate(make):
 
 
 def test_solutions_match_the_golden_table():
-    # basis, value and point of every corpus graph and graphs/*.gog, as
+    # basis, value, point and dual of every corpus graph and graphs/*.gog, as
     # written by tests/make_lp_golden.py
     assert solution_lines() == \
         GOLDEN.read_text(encoding="utf-8").splitlines()
